@@ -14,13 +14,14 @@ import sys
 from pathlib import Path
 
 from .decoder import DecodeConfig, InvariantError, PageResult, decode
+from .geometry import Box, GridShape
 from .matching import (
     PageAnnotation,
     annotation_to_dict,
     load_annotations,
     save_annotations,
 )
-from .metrics import ar_star, det_prf
+from .metrics import ar_star, det_counts, prf
 from .predictions import MapFormatError, OracleNoise, load_maps, oracle_predict, save_maps
 from .pseudolabels import PseudoLabelStore
 from .simloop import ConfigError, StageConfig, export_labels, run_stage
@@ -207,30 +208,35 @@ def cmd_eval(args: argparse.Namespace) -> int:
             p_ar = p_cr = None
         report["per_page"].append({"page_id": pid, "ar_star": p_ar, "cr_star": p_cr})
 
-    have_boxes = all(a.boxes is not None for a in annots.values())
-    if have_boxes:
-        from .geometry import Box, GridShape
-
-        det_results = []
-        det_gts = []
-        shape = None
-        for pid, annot in annots.items():
-            doc = results.get(pid)
-            if doc is not None and shape is None:
+    if all(a.boxes is not None for a in annots.values()):
+        # Detection is matched page by page, each at its own image size,
+        # and (tp, fp, fn) add up over pages.  Keyed by require_class.
+        totals = {False: (0, 0, 0), True: (0, 0, 0)}
+        for pid in sorted(set(annots) | set(results)):
+            annot, doc = annots.get(pid), results.get(pid)
+            gts = [] if annot is None else [
+                (b, c)
+                for line, boxes in zip(annot.lines, annot.boxes)
+                for c, b in zip(line, boxes)
+            ]
+            if doc is None:  # every ground-truth box is missed
+                page_counts = dict.fromkeys(totals, (0, 0, len(gts)))
+            else:
+                dets = [
+                    (Box(c["x"], c["y"], c["w"], c["h"]), c["cls"], c["score"])
+                    for ln in doc["lines"]
+                    for c in ln["chars"]
+                ]
                 shape = GridShape(1, 1, doc["img_w"], doc["img_h"])
-            for line, boxes in zip(annot.lines, annot.boxes):
-                det_gts.extend((b, c) for c, b in zip(line, boxes))
-            if doc is not None:
-                for ln in doc["lines"]:
-                    for c in ln["chars"]:
-                        det_results.append(
-                            (Box(c["x"], c["y"], c["w"], c["h"]), c["cls"], c["score"])
-                        )
-        if shape is None:
-            shape = GridShape(1, 1, 1.0, 1.0)
-        p, r, f = det_prf(det_results, det_gts, shape, args.iou_th, require_class=False)
+                page_counts = {
+                    rc: det_counts(dets, gts, shape, args.iou_th, require_class=rc)
+                    for rc in totals
+                }
+            for rc, page in page_counts.items():
+                totals[rc] = tuple(a + b for a, b in zip(totals[rc], page))
+        p, r, f = prf(*totals[False])
         report["det_only"] = {"p": p, "r": r, "f": f}
-        p, r, f = det_prf(det_results, det_gts, shape, args.iou_th, require_class=True)
+        p, r, f = prf(*totals[True])
         report["det_cls"] = {"p": p, "r": r, "f": f}
     _emit(report, args.out)
     return 0

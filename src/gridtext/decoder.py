@@ -44,6 +44,14 @@ class DecodeConfig:
     sol_eol_threshold: float = 0.9
     max_steps: int | None = None  # None: w_g + h_g
 
+    def __post_init__(self) -> None:
+        for name in ("dis_threshold", "nms_iou", "sol_eol_threshold"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:  # also rejects NaN
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be None or >= 1, got {self.max_steps}")
+
 
 @dataclass(frozen=True)
 class CharInstance:

@@ -149,15 +149,46 @@ def nms(
     order, so callers that supply candidates row-major get row-major ties.
     A candidate is suppressed when its IoU with an already-kept candidate
     exceeds ``iou_threshold``.
+
+    Kept boxes are bucketed by grid cell: a box is entered in every
+    ``cell_w x cell_h`` bucket its corners span, with bucket indices
+    clamped into the lattice, and a candidate is tested only against the
+    kept boxes in the buckets it spans.  This is exact.  A pair with
+    ``iw > 0`` and ``ih > 0`` overlaps on an interval in each axis; the
+    interval's lower end lies within both boxes' corner ranges, and since
+    division by the cell size, floor and clamping are all monotone, its
+    bucket lies within both boxes' bucket ranges.  A pair that shares no
+    bucket therefore has ``iw <= 0`` or ``ih <= 0`` and could not suppress.
+    The suppress test is the same floating-point expression as the
+    textbook all-pairs loop, so the kept set is identical to it.
     """
     corners = [c[0].corners(shape) for c in candidates]
     areas = [(x2 - x1) * (y2 - y1) for x1, y1, x2, y2 in corners]
     order = sorted(range(len(candidates)), key=lambda k: -candidates[k][1])
+    cw, ch = shape.cell_w, shape.cell_h
+    # Clamp the float before int(): corners may lie far outside the page or
+    # be infinite.  max(0.0, v) also sends NaN to bucket 0; a NaN extent
+    # never suppresses nor is suppressed, as every comparison with it fails.
+    last_i, last_j = float(shape.w_g - 1), float(shape.h_g - 1)
+    buckets: dict[int, list[int]] = {}  # cell (i, j) as i * h_g + j, 0-based
     kept: list[int] = []
     for k in order:
         x1, y1, x2, y2 = corners[k]
+        i_lo = int(min(last_i, max(0.0, x1 / cw)))
+        i_hi = int(min(last_i, max(0.0, x2 / cw)))
+        j_lo = int(min(last_j, max(0.0, y1 / ch)))
+        j_hi = int(min(last_j, max(0.0, y2 / ch)))
+        cells = [
+            i * shape.h_g + j
+            for i in range(i_lo, i_hi + 1)
+            for j in range(j_lo, j_hi + 1)
+        ]
+        near: set[int] = set()  # a kept box may share several buckets
+        for cell in cells:
+            near.update(buckets.get(cell, ()))
+        area = areas[k]
         ok = True
-        for m in kept:
+        for m in near:
             mx1, my1, mx2, my2 = corners[m]
             iw = min(x2, mx2) - max(x1, mx1)
             if iw <= 0.0:
@@ -166,9 +197,11 @@ def nms(
             if ih <= 0.0:
                 continue
             inter = iw * ih
-            if inter / (areas[k] + areas[m] - inter) > iou_threshold:
+            if inter / (area + areas[m] - inter) > iou_threshold:
                 ok = False
                 break
         if ok:
             kept.append(k)
+            for cell in cells:
+                buckets.setdefault(cell, []).append(k)
     return sorted(kept)

@@ -75,19 +75,18 @@ def ar_star(
     return ar, cr, total
 
 
-def det_prf(
+def det_counts(
     results: Sequence[tuple[Box, int, float]],
     gts: Sequence[tuple[Box, int]],
     shape: GridShape,
     iou_th: float = 0.5,
     require_class: bool = True,
-) -> tuple[float, float, float]:
-    """Detection precision/recall/F over (box, class[, score]) sets.
+) -> tuple[int, int, int]:
+    """Detection (tp, fp, fn) of one page's (box, class[, score]) sets.
 
     Results are matched greedily in descending score order to the free
     ground truth with the highest IoU at or above ``iou_th`` (and equal
-    class when ``require_class``).  Zero denominators define the metric
-    as 0.
+    class when ``require_class``).
     """
     order = sorted(range(len(results)), key=lambda k: -results[k][2])
     taken = [False] * len(gts)
@@ -108,14 +107,28 @@ def det_prf(
         if best >= 0:
             taken[best] = True
             tp += 1
-    fp = len(results) - tp
-    fn = len(gts) - tp
+    return tp, len(results) - tp, len(gts) - tp
+
+
+def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision/recall/F from counts; zero denominators define 0."""
     if tp + fp == 0 or tp + fn == 0:
         logger.debug("det_prf with empty side: tp=%d fp=%d fn=%d", tp, fp, fn)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f
+
+
+def det_prf(
+    results: Sequence[tuple[Box, int, float]],
+    gts: Sequence[tuple[Box, int]],
+    shape: GridShape,
+    iou_th: float = 0.5,
+    require_class: bool = True,
+) -> tuple[float, float, float]:
+    """Detection precision/recall/F of one page; see :func:`det_counts`."""
+    return prf(*det_counts(results, gts, shape, iou_th, require_class))
 
 
 def page_ar_cr(result: Sequence[int], annot: Sequence[int]) -> tuple[float, float]:

@@ -164,8 +164,8 @@ class PredictionMaps:
             arr = getattr(self, name)
             if arr.shape != want:
                 raise MapFormatError(f"{name}: expected shape {want}, got {arr.shape}")
-            if np.isnan(arr).any():
-                raise MapFormatError(f"{name}: NaN payload")
+            if not np.isfinite(arr).all():
+                raise MapFormatError(f"{name}: non-finite payload (NaN or inf)")
         for name in ("dis", "cls", "sol", "eol", "rd"):
             arr = getattr(self, name)
             if arr.min() < 0.0 or arr.max() > 1.0:

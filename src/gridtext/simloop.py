@@ -11,6 +11,7 @@ their full ground truth instead of the store and never touch it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -133,7 +134,10 @@ def run_stage(
     stage-seeded generators consumed in page order.
     """
     dataset = list(dataset)
-    ids = {p.page_id for p in dataset}
+    ids = Counter(p.page_id for p in dataset)
+    dup = sorted(pid for pid, n in ids.items() if n > 1)
+    if dup:
+        raise ConfigError(f"duplicate page ids in the dataset: {dup[:5]}")
     stale = [pid for pid in store.page_ids() if pid not in ids]
     if stale:
         raise ConfigError(f"store holds pages not in the dataset: {stale[:5]}")

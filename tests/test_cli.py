@@ -150,3 +150,94 @@ def test_decode_deterministic_output(tmp_path, capsys):
     main(["decode", "--maps-dir", str(data / "maps"), "--out", str(a)])
     main(["decode", "--maps-dir", str(data / "maps"), "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _one_map(tmp_path, capsys) -> Path:
+    data = tmp_path / "data"
+    assert main(["synth", "--pages", "1", "--seed", "2", "--lines", "2", "--chars", "4",
+                 "--n-cls", "10", "--out", str(data)]) == 0
+    capsys.readouterr()
+    return next((data / "maps").iterdir())
+
+
+def _assert_exit_2_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_decode_rejects_infinite_map_values(tmp_path, capsys):
+    from gridtext.predictions import load_maps, save_maps
+
+    path = _one_map(tmp_path, capsys)
+    maps = load_maps(path)
+    maps.box[0, 0, 2] = float("inf")
+    save_maps(maps, path)
+    _assert_exit_2_one_line(["decode", "--maps", str(path)], capsys)
+
+
+def test_decode_rejects_out_of_range_flags(tmp_path, capsys):
+    path = _one_map(tmp_path, capsys)
+    for flags in (["--nms-iou", "nan"], ["--nms-iou", "-1"],
+                  ["--dis-threshold", "2"], ["--sol-eol-threshold", "1.5"],
+                  ["--max-steps", "0"]):
+        _assert_exit_2_one_line(["decode", "--maps", str(path), *flags], capsys)
+    assert main(["decode", "--maps", str(path), "--nms-iou", "1", "--max-steps", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_train_sim_rejects_out_of_range_decode_config(tmp_path, capsys):
+    for key, value in (("nms_iou", 1.5), ("dis_threshold", -0.5), ("max_steps", 0)):
+        config = {
+            "pages": 1,
+            "dataset": {"n_lines": 2, "chars_per_line": 4, "n_cls": 10},
+            "stages": [{"stage": "train", key: value}],
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        _assert_exit_2_one_line(
+            ["train-sim", "--config", str(cfg_path), "--out", str(tmp_path / "run")], capsys
+        )
+
+
+def test_eval_matches_detection_per_page(tmp_path, capsys):
+    # Page "a"'s only result sits exactly on page "b"'s ground truth; page
+    # "a"'s ground truth lies elsewhere, and page "b" has no result.
+    results = tmp_path / "results.jsonl"
+    annots = tmp_path / "annotations.jsonl"
+    char = {"i": 2, "j": 2, "x": 40.0, "y": 40.0, "w": 0.1, "h": 0.1, "cls": 1, "score": 0.9}
+    results.write_text(json.dumps({
+        "page_id": "a", "img_w": 64, "img_h": 64,
+        "lines": [{"chars": [char], "sol_conf": 1.0, "eol_conf": 1.0}],
+    }) + "\n")
+    annots.write_text(
+        json.dumps({"page_id": "a", "lines": [[1]], "boxes": [[[10.0, 10.0, 0.1, 0.1]]]})
+        + "\n"
+        + json.dumps({"page_id": "b", "lines": [[1]], "boxes": [[[40.0, 40.0, 0.1, 0.1]]]})
+        + "\n"
+    )
+    assert main(["eval", "--results", str(results), "--annotations", str(annots)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["det_only"] == {"p": 0.0, "r": 0.0, "f": 0.0}
+    assert report["det_cls"] == {"p": 0.0, "r": 0.0, "f": 0.0}
+
+
+def test_eval_uses_each_pages_image_size(tmp_path, capsys):
+    # The same relative box on two page sizes: pooled at the first page's
+    # size, page "b"'s result would miss its ground truth.
+    results = tmp_path / "results.jsonl"
+    annots = tmp_path / "annotations.jsonl"
+    rows, ann_rows = [], []
+    for pid, size in (("a", 64), ("b", 640)):
+        char = {"i": 1, "j": 1, "x": size * 0.2 + size * 0.03, "y": size * 0.2,
+                "w": 0.1, "h": 0.1, "cls": 1, "score": 0.9}
+        rows.append({"page_id": pid, "img_w": size, "img_h": size,
+                     "lines": [{"chars": [char], "sol_conf": 1.0, "eol_conf": 1.0}]})
+        ann_rows.append({"page_id": pid, "lines": [[1]],
+                         "boxes": [[[size * 0.2, size * 0.2, 0.1, 0.1]]]})
+    results.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    annots.write_text("".join(json.dumps(r) + "\n" for r in ann_rows))
+    assert main(["eval", "--results", str(results), "--annotations", str(annots)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["det_cls"] == {"p": 1.0, "r": 1.0, "f": 1.0}

@@ -314,3 +314,25 @@ def test_empty_line_returned_unchanged():
     empty = PageResult(lines=[Line(chars=[], traces=[], sol_conf=0, eol_conf=0)])
     out = rescore_with_lm(maps, empty, NGramLM.uniform(5))
     assert out.lines[0].chars == []
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dis_threshold", 1.5),
+        ("dis_threshold", -0.1),
+        ("nms_iou", float("nan")),
+        ("nms_iou", -1.0),
+        ("sol_eol_threshold", 2.0),
+        ("max_steps", 0),
+        ("max_steps", -3),
+    ],
+)
+def test_decode_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        DecodeConfig(**{field: value})
+
+
+def test_decode_config_accepts_closed_interval_ends():
+    DecodeConfig(dis_threshold=0.0, nms_iou=1.0, sol_eol_threshold=0.0, max_steps=1)
+    DecodeConfig(dis_threshold=1.0, nms_iou=0.0, sol_eol_threshold=1.0, max_steps=None)

@@ -1,10 +1,40 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridtext import geometry
+from gridtext.decoder import extract_nodes
 from gridtext.geometry import Box, GridShape, RelBox, abs_to_rel, grid_of, iou, nms, rel_to_abs
+from gridtext.predictions import OracleNoise, oracle_predict
+from gridtext.synth import Layout, PageConfig, gen_page
+
+
+def _nms_reference(candidates, iou_threshold, shape):
+    """All-pairs greedy NMS: each candidate against every kept box."""
+    corners = [c[0].corners(shape) for c in candidates]
+    areas = [(x2 - x1) * (y2 - y1) for x1, y1, x2, y2 in corners]
+    order = sorted(range(len(candidates)), key=lambda k: -candidates[k][1])
+    kept = []
+    for k in order:
+        x1, y1, x2, y2 = corners[k]
+        ok = True
+        for m in kept:
+            mx1, my1, mx2, my2 = corners[m]
+            iw = min(x2, mx2) - max(x1, mx1)
+            if iw <= 0.0:
+                continue
+            ih = min(y2, my2) - max(y1, my1)
+            if ih <= 0.0:
+                continue
+            inter = iw * ih
+            if inter / (areas[k] + areas[m] - inter) > iou_threshold:
+                ok = False
+                break
+        if ok:
+            kept.append(k)
+    return sorted(kept)
 
 
 def test_rel_to_abs_zero_offset_corner(shape44):
@@ -150,3 +180,64 @@ def test_nms_invariants(raw, threshold):
                 assert iou(cands[k][0], cands[m][0], shape) <= threshold + 1e-12
     best = max(s for _, s in cands)
     assert any(cands[k][1] == best for k in keep)
+
+
+# Centers and extents as page fractions; lattice values make boxes that
+# touch exactly on bucket edges, the open ranges make boxes that overhang
+# the page or are wider than it.
+_frac_center = st.one_of(st.floats(-0.5, 1.5), st.integers(-4, 12).map(lambda v: v / 8))
+_frac_extent = st.one_of(
+    st.floats(1e-3, 3.0), st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    w_g=st.integers(1, 8),
+    h_g=st.integers(1, 8),
+    img=st.tuples(st.floats(1.0, 200.0), st.floats(1.0, 200.0)),
+    raw=st.lists(
+        st.tuples(
+            _frac_center, _frac_center, _frac_extent, _frac_extent,
+            st.sampled_from([0.2, 0.5, 0.9]) | st.floats(0, 1),
+        ),
+        max_size=60,
+    ),
+    threshold=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+)
+def test_nms_matches_all_pairs_reference(w_g, h_g, img, raw, threshold):
+    shape = GridShape(w_g, h_g, img[0], img[1])
+    cands = [
+        (Box(x * shape.img_w, y * shape.img_h, w, h), s) for x, y, w, h, s in raw
+    ]
+    assert nms(cands, threshold, shape) == _nms_reference(cands, threshold, shape)
+
+
+def test_nms_non_finite_extents_match_reference(shape44):
+    cands = [
+        (Box(32, 32, math.inf, 0.2), 0.9),
+        (Box(32, 32, 0.2, 0.2), 0.8),
+        (Box(10, 50, 0.2, math.inf), 0.7),
+        (Box(10, 50, math.nan, 0.2), 0.95),
+        (Box(-1e300, 1e300, 1e300, 0.5), 0.6),
+        (Box(12, 48, 0.25, 0.25), 0.5),
+    ]
+    for threshold in (0.0, 0.3, 1.0):
+        assert nms(cands, threshold, shape44) == _nms_reference(cands, threshold, shape44)
+
+
+def test_extract_nodes_matches_reference_on_large_page(monkeypatch):
+    config = PageConfig(
+        n_lines=27, chars_per_line=(30, 36), layout=Layout("sine", amplitude=1.0),
+        w_g=128, h_g=128, seed=21,
+    )
+    page = gen_page(config)
+    assert len(page.chars) >= 800
+    maps = oracle_predict(
+        page, OracleNoise(size_sigma=0.3, jitter_sigma=0.2, spurious_p=0.05, seed=4)
+    )
+    nodes = extract_nodes(maps)
+    monkeypatch.setattr(geometry, "nms", _nms_reference)
+    reference = extract_nodes(maps)
+    assert len(reference) < len(maps.dis[maps.dis >= 0.5])  # NMS did suppress
+    assert nodes == reference

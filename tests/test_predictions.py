@@ -143,3 +143,13 @@ def test_nan_payload_rejected(tmp_path, page):
     save_maps(maps, path)
     with pytest.raises(MapFormatError, match="dis"):
         load_maps(path)
+
+
+@pytest.mark.parametrize("name, value", [("box", np.inf), ("box", -np.inf), ("rd", np.inf)])
+def test_infinite_payload_rejected(tmp_path, page, name, value):
+    maps = oracle_predict(page, OracleNoise())
+    getattr(maps, name)[0, 0, 0] = value
+    for path in (tmp_path / "page.pgnm", tmp_path / "page.json"):
+        save_maps(maps, path)
+        with pytest.raises(MapFormatError, match=f"{name}: non-finite"):
+            load_maps(path)

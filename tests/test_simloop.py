@@ -147,3 +147,9 @@ def test_mixed_treatment_consumes_fewer_updates():
     run_stage(pages, mixed, StageConfig(stage="initialize", n_passes=1,
                                         real_prob=0.5, seed=9))
     assert mixed.n_labels() < full.n_labels()
+
+
+def test_duplicate_page_ids_rejected():
+    pages = _pages(n=2)
+    with pytest.raises(ConfigError, match="duplicate page ids"):
+        run_stage([pages[0], pages[1], pages[0]], PseudoLabelStore(), StageConfig())
