@@ -9,23 +9,24 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .decoder import DecodeConfig, InvariantError, PageResult, decode
 from .geometry import Box, GridShape
-from .matching import (
-    PageAnnotation,
-    annotation_to_dict,
-    load_annotations,
-    save_annotations,
-)
+from .jsoncheck import check, expect, read_jsonl
+from .matching import load_annotations, save_annotations
 from .metrics import ar_star, det_counts, prf
 from .predictions import MapFormatError, OracleNoise, load_maps, oracle_predict, save_maps
 from .pseudolabels import PseudoLabelStore
 from .simloop import ConfigError, StageConfig, export_labels, run_stage
-from .synth import GenerationError, Layout, PageConfig, gen_dataset, layout_from_args
+from .synth import GenerationError, Layout, PageConfig, SyntheticPage, gen_dataset
+
+# The decode subcommand's flags, and keys that sit flat in a train-sim stage.
+_DECODE_HINTS = typing.get_type_hints(DecodeConfig)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _emit(doc: dict | list, out: str | None) -> None:
+def _emit(doc: dict | list, out: str | Path | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
@@ -43,31 +44,29 @@ def _emit(doc: dict | list, out: str | None) -> None:
         print(text)
 
 
-def _decode_config(args: argparse.Namespace) -> DecodeConfig:
-    return DecodeConfig(
-        dis_threshold=args.dis_threshold,
-        nms_iou=args.nms_iou,
-        sol_eol_threshold=args.sol_eol_threshold,
-        max_steps=args.max_steps,
-    )
+def _write_jsonl(rows: typing.Iterable[dict], out: str | Path | None) -> None:
+    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _add_decode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dis-threshold", type=float, default=0.5)
-    p.add_argument("--nms-iou", type=float, default=0.3)
-    p.add_argument("--sol-eol-threshold", type=float, default=0.9)
-    p.add_argument("--max-steps", type=int, default=None)
+    # Only the flags given reach DecodeConfig, so its defaults stay the only ones.
+    defaults = ", ".join(f"{f.name}={f.default}" for f in dataclasses.fields(DecodeConfig))
+    group = p.add_argument_group(
+        "decode options", f"defaults: {defaults}", argument_default=argparse.SUPPRESS
+    )
+    group.add_argument("--dis-threshold", type=float)
+    group.add_argument("--nms-iou", type=float)
+    group.add_argument("--sol-eol-threshold", type=float)
+    group.add_argument("--max-steps", type=int)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument(
-        "--deterministic",
-        type=lambda s: s.lower() not in ("0", "false", "no"),
-        default=True,
-        help="kept for interface compatibility; execution is always sequential",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +75,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    layout = layout_from_args(args.layout, args.amplitude, args.period)
+    # --amplitude and --period shape only the sine layout.
+    sine = args.layout == "sine"
+    layout = Layout("sine", args.amplitude, args.period) if sine else Layout(args.layout)
     config = PageConfig(
         n_lines=args.lines,
         chars_per_line=(args.chars, args.chars_max or args.chars),
@@ -122,10 +123,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 maps = oracle_predict(page, per_page)
                 save_maps(maps, maps_dir / f"{page.page_id}.pgnm")
             manifest["maps"] = str(maps_dir)
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
-    print(json.dumps(manifest, indent=2, sort_keys=True))
+        _emit(manifest, out / "manifest.json")
+    _emit(manifest, None)
     return 0
 
 
@@ -146,28 +145,25 @@ def cmd_decode(args: argparse.Namespace) -> int:
         paths.extend(sorted(Path(args.maps_dir).iterdir()))
     if not paths:
         raise ValueError("decode needs --maps or --maps-dir")
-    config = _decode_config(args)
+    config = DecodeConfig(**{k: v for k, v in vars(args).items() if k in _DECODE_HINTS})
     rows = []
     for path in paths:
         maps = load_maps(path)
         result = decode(maps, config)
         rows.append(_result_row(path.stem, result, maps.shape.img_w, maps.shape.img_h))
-    text = "\n".join(json.dumps(r, sort_keys=True) for r in rows)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write_jsonl(rows, args.out)
     return 0
 
 
+_RESULT_CHAR = {"x": float, "y": float, "w": float, "h": float, "cls": int, "score": float}
+_RESULT_ROW = {
+    "page_id": str, "img_w": float, "img_h": float, "lines": [{"chars": [_RESULT_CHAR]}]
+}
+
+
 def load_results(path: str | Path) -> dict[str, dict]:
-    rows = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        rows[str(doc["page_id"])] = doc
-    return rows
+    rows = read_jsonl(path, lambda doc: check(doc, _RESULT_ROW))
+    return {doc["page_id"]: doc for doc in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -247,102 +243,110 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _noise_from(doc: dict) -> OracleNoise:
-    return OracleNoise(
-        jitter_sigma=doc.get("jitter_sigma", 0.0),
-        size_sigma=doc.get("size_sigma", 0.0),
-        label_swap_p=doc.get("label_swap_p", 0.0),
-        drop_p=doc.get("drop_p", 0.0),
-        spurious_p=doc.get("spurious_p", 0.0),
-        dir_flip_p=doc.get("dir_flip_p", 0.0),
-        seed=doc.get("seed", 0),
-    )
+def _from_doc(cls, doc: object, where: str):
+    """``cls`` built from the JSON object ``doc``, whose keys are its fields.
+
+    The defaults and the range checks are the dataclass's own; an unknown
+    key or a value of the wrong type raises ConfigError naming its path.
+    """
+    return cls(**_fields(doc, typing.get_type_hints(cls), where))
 
 
-def _page_config_from(doc: dict, seed: int) -> PageConfig:
-    layout_doc = doc.get("layout", {})
-    if isinstance(layout_doc, str):
-        layout = layout_from_args(layout_doc)
-    else:
-        layout = Layout(
-            kind=layout_doc.get("kind", "horizontal"),
-            amplitude=layout_doc.get("amplitude", 1.5),
-            period=layout_doc.get("period", 12.0),
-        )
-    cpl = doc.get("chars_per_line", [10, 10])
-    if isinstance(cpl, int):
-        cpl = [cpl, cpl]
-    return PageConfig(
-        n_lines=doc.get("n_lines", 5),
-        chars_per_line=(int(cpl[0]), int(cpl[1])),
-        n_cls=doc.get("n_cls", 100),
-        layout=layout,
-        w_g=doc.get("w_g", 32),
-        h_g=doc.get("h_g", 32),
-        cell_px=doc.get("cell_px", 16),
-        seed=doc.get("seed", seed),
-    )
+def _fields(doc: object, hints: dict, where: str) -> dict:
+    """The keys of JSON object ``doc``, each checked against its type in ``hints``."""
+    expect(doc, dict, where or "config", ConfigError)
+    out = {}
+    for key, value in doc.items():
+        path = f"{where}.{key}" if where else key
+        if key not in hints:
+            raise ConfigError(f"{path}: unknown key")
+        out[key] = _typed(hints[key], value, path)
+    return out
 
 
-def _stage_from(doc: dict, seed: int) -> StageConfig:
-    return StageConfig(
-        stage=doc.get("stage", "train"),
-        n_passes=doc.get("n_passes", 1),
-        noise=_noise_from(doc.get("noise", {})),
-        halve_every=doc.get("halve_every"),
-        real_prob=doc.get("real_prob", 0.7),
-        seed=doc.get("seed", seed),
-        th_ar=doc.get("th_ar", 0.3),
-        th_iou=doc.get("th_iou", 0.5),
-        epsilon=doc.get("epsilon", 10.0),
-        decode=DecodeConfig(
-            dis_threshold=doc.get("dis_threshold", 0.5),
-            nms_iou=doc.get("nms_iou", 0.3),
-            sol_eol_threshold=doc.get("sol_eol_threshold", 0.9),
-            max_steps=doc.get("max_steps"),
-        ),
-    )
+def _typed(tp, value: object, where: str):
+    if dataclasses.is_dataclass(tp):
+        return _from_doc(tp, value, where)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:  # given as a JSON list
+        if len(expect(value, list, where, ConfigError)) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} items, got {len(value)}")
+        return tuple(_typed(t, v, f"{where}[{k}]") for k, (t, v) in enumerate(zip(args, value)))
+    if args:  # X | None
+        if value is None:
+            return None
+        (tp,) = set(args) - {type(None)}
+    return expect(value, tp, where, ConfigError)
+
+
+_CONFIG_KEYS = {"seed": int, "pages": int, "dataset": dict, "stages": list}
+_STAGE_KEYS = {**typing.get_type_hints(StageConfig), **_DECODE_HINTS}
+del _STAGE_KEYS["decode"]
+
+
+def _read_config(path: str, seed: int) -> tuple[list[SyntheticPage], list[StageConfig]]:
+    """A train-sim config is a JSON object with these keys, all optional:
+
+      seed     integer (default: --seed), the default seed of the dataset and
+               of every stage
+      pages    integer (default 10), the number of generated pages
+      dataset  an object of PageConfig fields: n_lines, chars_per_line, n_cls,
+               layout, w_g, h_g, cell_px, seed; "layout" is an object of
+               Layout fields (kind, amplitude, period) or a kind alone, and
+               "chars_per_line" is [min, max] or one integer for both
+      stages   a list of objects of StageConfig fields, run in order: stage,
+               n_passes, noise, halve_every, real_prob, seed, th_ar, th_iou,
+               epsilon; "noise" is an object of OracleNoise fields, and the
+               DecodeConfig fields (dis_threshold, nms_iou, sol_eol_threshold,
+               max_steps) sit flat in the stage object (default: one stage
+               with every default)
+
+    Every other default is the dataclass field's.  An unknown key or a
+    value of the wrong type is an error that names its path, such as
+    stages[0].nms_iou.
+    """
+    doc = _fields(json.loads(Path(path).read_text()), _CONFIG_KEYS, "")
+    seed = doc.get("seed", seed)
+    stages = []
+    for k, stage_doc in enumerate(doc.get("stages", [{}])):
+        fields = _fields(stage_doc, _STAGE_KEYS, f"stages[{k}]")
+        decode_fields = {name: fields.pop(name) for name in _DECODE_HINTS if name in fields}
+        decode = DecodeConfig(**decode_fields)
+        stages.append(StageConfig(**{"seed": seed, **fields}, decode=decode))
+    dataset = {"seed": seed, **doc.get("dataset", {})}
+    if isinstance(dataset.get("layout"), str):
+        dataset["layout"] = {"kind": dataset["layout"]}
+    if isinstance(dataset.get("chars_per_line"), int):
+        dataset["chars_per_line"] = [dataset["chars_per_line"]] * 2
+    pages = list(gen_dataset(_from_doc(PageConfig, dataset, "dataset"), doc.get("pages", 10)))
+    return pages, stages
 
 
 def cmd_train_sim(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    seed = doc.get("seed", args.seed)
-    dataset_cfg = _page_config_from(doc.get("dataset", {}), seed)
-    n_pages = doc.get("pages", 10)
-    pages = list(gen_dataset(dataset_cfg, n_pages))
+    pages, stages = _read_config(args.config, args.seed)
     store = PseudoLabelStore()
     all_reports = []
-    for stage_doc in doc.get("stages", [{"stage": "train", "n_passes": 1}]):
-        config = _stage_from(stage_doc, seed)
+    for config in stages:
         all_reports.extend(run_stage(pages, store, config))
 
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "pass_reports.jsonl", "w") as fh:
-        for rep in all_reports:
-            fh.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
+    _write_jsonl((rep.to_dict() for rep in all_reports), out / "pass_reports.jsonl")
     store.save(out / "store.jsonl")
     rows, quality = export_labels(store, pages)
-    with open(out / "labels.jsonl", "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    (out / "quality.json").write_text(json.dumps(quality, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(quality, indent=2, sort_keys=True))
+    _write_jsonl(rows, out / "labels.jsonl")
+    _emit(quality, out / "quality.json")
+    _emit(quality, None)
     return 0
 
 
 def cmd_export_labels(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    seed = doc.get("seed", args.seed)
-    dataset_cfg = _page_config_from(doc.get("dataset", {}), seed)
-    pages = list(gen_dataset(dataset_cfg, doc.get("pages", 10)))
+    pages, _ = _read_config(args.config, args.seed)
     store = PseudoLabelStore.load(args.store)
     rows, quality = export_labels(store, pages)
     if args.out:
-        with open(args.out, "w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-    print(json.dumps(quality, indent=2, sort_keys=True))
+        _write_jsonl(rows, args.out)
+    _emit(quality, None)
     return 0
 
 
@@ -446,12 +450,18 @@ def build_parser() -> _Parser:
     p.add_argument("--iou-th", type=float, default=0.5)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("train-sim", help="run the weak-supervision simulation")
+    config_help = dict(
+        epilog=inspect.cleandoc(_read_config.__doc__),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    p = sub.add_parser("train-sim", help="run the weak-supervision simulation", **config_help)
     _add_common(p)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_train_sim)
 
-    p = sub.add_parser("export-labels", help="export pseudo-labels with quality stats")
+    p = sub.add_parser(
+        "export-labels", help="export pseudo-labels with quality stats", **config_help
+    )
     _add_common(p)
     p.add_argument("--store", required=True)
     p.add_argument("--config", required=True)

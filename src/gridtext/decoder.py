@@ -126,30 +126,6 @@ class PageResult:
             ]
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PageResult":
-        lines = []
-        for ln in doc["lines"]:
-            chars = [
-                CharInstance(
-                    grid=(int(c["i"]), int(c["j"])),
-                    box=Box(c["x"], c["y"], c["w"], c["h"]),
-                    score=float(c["score"]),
-                    cls_id=int(c["cls"]),
-                    cls_prob=0.0,
-                )
-                for c in ln["chars"]
-            ]
-            lines.append(
-                Line(
-                    chars=chars,
-                    traces=[],
-                    sol_conf=float(ln.get("sol_conf", 0.0)),
-                    eol_conf=float(ln.get("eol_conf", 0.0)),
-                )
-            )
-        return cls(lines=lines)
-
 
 def fused_score(dis: float, cls_prob: float) -> float:
     """Detection/recognition confidence fusion, weighted 0.8/0.2."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from .geometry import GridShape, abs_to_rel
 from .predictions import PredictionMaps
@@ -67,18 +67,9 @@ def _mean_neg_log(values: Iterable[float], flags: list[str], name: str) -> float
 def loss_dis(maps: PredictionMaps, targets: LossTargets) -> Term:
     """Balanced presence loss: positives at labeled grids, negatives along
     consecutive-equal search paths, each half weighted 1/2."""
-    flags: list[str] = []
-    pos = _mean_neg_log(
-        (float(maps.dis[i - 1, j - 1]) for i, j, _, _ in sorted(targets.s_c)),
-        flags,
-        "dis_pos",
-    )
-    neg = _mean_neg_log(
-        (1.0 - float(maps.dis[i - 1, j - 1]) for i, j in sorted(targets.s_d_neg)),
-        flags,
-        "dis_neg",
-    )
-    return Term(0.5 * pos + 0.5 * neg, len(targets.s_c) + len(targets.s_d_neg), flags)
+    # A list, not a set: two labels at one grid both count, as in s_c.
+    pos = [(i, j) for i, j, _, _ in targets.s_c]
+    return _balanced_bce(maps.dis, pos, targets.s_d_neg, "dis")
 
 
 def loss_box(
@@ -124,7 +115,7 @@ def loss_cls(
 
 
 def _balanced_bce(
-    grid_map, pos: set[tuple[int, int]], neg: set[tuple[int, int]], name: str
+    grid_map, pos: Collection[tuple[int, int]], neg: Collection[tuple[int, int]], name: str
 ) -> Term:
     flags: list[str] = []
     p = _mean_neg_log(

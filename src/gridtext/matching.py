@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .geometry import Box, GridShape, iou
+from .jsoncheck import check, read_jsonl
 
 if TYPE_CHECKING:
     from .decoder import PageResult
@@ -151,14 +152,6 @@ def match_lines(
     return matched
 
 
-def result_states(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
-    """Per-result-character states "E"/"S"/"I" from the canonical script.
-
-    Deletions consume no result character and are dropped from this view.
-    """
-    return [op for op in edit_script(hyp, ref) if op != "D"]
-
-
 def match_chars(
     m_l: Iterable[tuple[int, int]],
     results: Sequence[Sequence[int]],
@@ -167,35 +160,24 @@ def match_chars(
     """Character matching over matched line pairs.
 
     Every "E" position yields a (p, m, q, n) character match; a result
-    position joins the consecutive-equal set when its state is "E" and the
-    next result-side state is also "E" (or it is the last position).
+    position m joins the consecutive-equal set when it is an "E" position
+    and so is m + 1 (or m is the last result position).  Deletions consume
+    no result position.
     """
     ref_lines = annots.lines if isinstance(annots, PageAnnotation) else list(annots)
     m_c: set[tuple[int, int, int, int]] = set()
     m_ce: set[tuple[int, int]] = set()
     for p, q in sorted(m_l):
         hyp = results[p - 1]
-        ref = ref_lines[q - 1]
-        ops = edit_script(hyp, ref)
-        states = [op for op in ops if op != "D"]
+        equal: set[int] = set()
         m = n = 0
-        for op in ops:
+        for op in edit_script(hyp, ref_lines[q - 1]):
+            m += op != "D"
+            n += op != "I"
             if op == "E":
-                m += 1
-                n += 1
                 m_c.add((p, m, q, n))
-            elif op == "S":
-                m += 1
-                n += 1
-            elif op == "I":
-                m += 1
-            else:
-                n += 1
-        for pos, state in enumerate(states, start=1):
-            if state != "E":
-                continue
-            if pos == len(states) or states[pos] == "E":
-                m_ce.add((p, pos))
+                equal.add(m)
+        m_ce.update((p, m) for m in equal if m == len(hyp) or m + 1 in equal)
     return m_c, m_ce
 
 
@@ -235,12 +217,14 @@ def annotation_to_dict(annot: PageAnnotation) -> dict:
     return doc
 
 
-def annotation_from_dict(doc: dict) -> PageAnnotation:
+def _annotation_from_row(doc: object) -> PageAnnotation:
+    check(doc, {"lines": [[int]]})
     boxes = None
     if doc.get("boxes") is not None:
+        check(doc["boxes"], [[(float, float, float, float)]], "row.boxes")
         boxes = [[Box(*vals) for vals in line] for line in doc["boxes"]]
     return PageAnnotation(
-        lines=[[int(c) for c in line] for line in doc["lines"]],
+        lines=doc["lines"],
         boxes=boxes,
         page_id=str(doc.get("page_id", "")),
     )
@@ -253,10 +237,4 @@ def save_annotations(annots: Iterable[PageAnnotation], path: str | Path) -> None
 
 
 def load_annotations(path: str | Path) -> dict[str, PageAnnotation]:
-    out: dict[str, PageAnnotation] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        annot = annotation_from_dict(json.loads(line))
-        out[annot.page_id] = annot
-    return out
+    return {a.page_id: a for a in read_jsonl(path, _annotation_from_row)}

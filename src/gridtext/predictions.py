@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -152,15 +152,7 @@ class PredictionMaps:
 
     def validate(self) -> None:
         s = self.shape
-        dims = {
-            "box": (s.w_g, s.h_g, 4),
-            "dis": (s.w_g, s.h_g),
-            "cls": (s.w_g, s.h_g, self.n_cls),
-            "sol": (s.w_g, s.h_g),
-            "eol": (s.w_g, s.h_g),
-            "rd": (s.w_g, s.h_g, 4),
-        }
-        for name, want in dims.items():
+        for name, want in _tensor_shapes(s.w_g, s.h_g, self.n_cls).items():
             arr = getattr(self, name)
             if arr.shape != want:
                 raise MapFormatError(f"{name}: expected shape {want}, got {arr.shape}")
@@ -174,18 +166,6 @@ class PredictionMaps:
             sums = getattr(self, name).sum(axis=-1, dtype=np.float64)
             if np.abs(sums - 1.0).max() > 1e-5:
                 raise MapFormatError(f"{name}: rows not normalized")
-
-    def copy(self) -> "PredictionMaps":
-        return PredictionMaps(
-            shape=self.shape,
-            n_cls=self.n_cls,
-            box=self.box.copy(),
-            dis=self.dis.copy(),
-            cls=self.cls.copy(),
-            sol=self.sol.copy(),
-            eol=self.eol.copy(),
-            rd=self.rd.copy(),
-        )
 
     def equals(self, other: "PredictionMaps") -> bool:
         return (
@@ -272,13 +252,10 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
             raise GridCollisionError(f"characters {grids[g]} and {k} share grid {g}")
         grids[g] = k
 
-    lines: dict[int, list] = {}
-    for ch in chars:
-        lines.setdefault(ch.line, []).append(ch)
-    for line in lines.values():
-        line.sort(key=lambda c: c.pos)
-
-    for line in lines.values():
+    # Lines go in line-index order: where two staircases cross, the later
+    # line's rd row wins.
+    lines = page.line_chars()
+    for line in lines:
         for a, b in zip(line, line[1:]):
             ga, gb = grid_of(a.box, shape), grid_of(b.box, shape)
             for g, d in staircase(ga, gb):
@@ -293,7 +270,7 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
         maps.dis[i - 1, j - 1] = 1.0 - EPS
         maps.cls[i - 1, j - 1] = _one_hot(page.n_cls, ch.cls_id - 1)
         _set_rel(maps, (i, j), ch.box)
-    for line in lines.values():
+    for line in lines:
         gi, gj = grid_of(line[0].box, shape)
         maps.sol[gi - 1, gj - 1] = 1.0 - EPS
         gi, gj = grid_of(line[-1].box, shape)
@@ -437,22 +414,33 @@ def load_maps(path: str | Path) -> PredictionMaps:
     raise MapFormatError(f"header: not a prediction-map file ({path})")
 
 
-def _load_binary(raw: bytes) -> PredictionMaps:
-    if len(raw) < _HEADER.size:
-        raise MapFormatError("header: truncated file")
-    magic, version, w_g, h_g, n_cls, img_w, img_h = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise MapFormatError("header: bad magic")
-    if version != FORMAT_VERSION:
-        raise MapFormatError(f"header: unsupported version {version}")
+def _header(w_g, h_g, n_cls, img_w, img_h) -> tuple[GridShape, int]:
+    """The grid shape and class count of a map file's header fields."""
+    try:
+        w_g, h_g, n_cls = int(w_g), int(h_g), int(n_cls)
+        img_w, img_h = float(img_w), float(img_h)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MapFormatError(f"header: bad field ({exc})") from exc
     if w_g < 1 or h_g < 1 or n_cls < 1:
         raise MapFormatError("header: non-positive dimensions")
     if not (math.isfinite(img_w) and img_w > 0 and math.isfinite(img_h) and img_h > 0):
         raise MapFormatError("header: bad image dimensions")
+    return GridShape(w_g, h_g, img_w, img_h), n_cls
+
+
+def _load_binary(raw: bytes) -> PredictionMaps:
+    if len(raw) < _HEADER.size:
+        raise MapFormatError("header: truncated file")
+    magic, version, *fields = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise MapFormatError("header: bad magic")
+    if version != FORMAT_VERSION:
+        raise MapFormatError(f"header: unsupported version {version}")
+    shape, n_cls = _header(*fields)
     offset = _HEADER.size
     tensors: dict[str, np.ndarray] = {}
-    for name, dims in _tensor_shapes(w_g, h_g, n_cls).items():
-        count = int(np.prod(dims))
+    for name, dims in _tensor_shapes(shape.w_g, shape.h_g, n_cls).items():
+        count = math.prod(dims)
         end = offset + 4 * count
         if end > len(raw):
             raise MapFormatError(f"{name}: truncated tensor payload")
@@ -461,9 +449,7 @@ def _load_binary(raw: bytes) -> PredictionMaps:
         offset = end
     if offset != len(raw):
         raise MapFormatError("payload: trailing bytes after tensors")
-    maps = PredictionMaps(
-        shape=GridShape(w_g, h_g, img_w, img_h), n_cls=n_cls, **tensors
-    )
+    maps = PredictionMaps(shape=shape, n_cls=n_cls, **tensors)
     maps.validate()
     return maps
 
@@ -471,23 +457,23 @@ def _load_binary(raw: bytes) -> PredictionMaps:
 def _load_json(raw: bytes) -> PredictionMaps:
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or not UTF-8
         raise MapFormatError(f"header: invalid JSON ({exc})") from exc
     try:
-        w_g, h_g, n_cls = int(doc["w_g"]), int(doc["h_g"]), int(doc["n_cls"])
-        img_w, img_h = float(doc["img_w"]), float(doc["img_h"])
+        shape, n_cls = _header(*(doc[k] for k in ("w_g", "h_g", "n_cls", "img_w", "img_h")))
     except KeyError as exc:
         raise MapFormatError(f"header: missing field {exc}") from exc
     tensors: dict[str, np.ndarray] = {}
-    for name, dims in _tensor_shapes(w_g, h_g, n_cls).items():
+    for name, dims in _tensor_shapes(shape.w_g, shape.h_g, n_cls).items():
         if name not in doc:
             raise MapFormatError(f"{name}: missing tensor")
-        arr = np.asarray(doc[name], dtype=np.float32)
+        try:
+            arr = np.asarray(doc[name], dtype=np.float32)
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+            raise MapFormatError(f"{name}: not a numeric tensor ({exc})") from exc
         if arr.shape != dims:
             raise MapFormatError(f"{name}: expected shape {dims}, got {arr.shape}")
         tensors[name] = arr
-    maps = PredictionMaps(
-        shape=GridShape(w_g, h_g, img_w, img_h), n_cls=n_cls, **tensors
-    )
+    maps = PredictionMaps(shape=shape, n_cls=n_cls, **tensors)
     maps.validate()
     return maps

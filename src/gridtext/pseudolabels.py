@@ -14,12 +14,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .geometry import Box, GridShape, grid_of
-from .predictions import Direction, staircase
+from .jsoncheck import check, read_jsonl
+from .predictions import staircase
 
 if TYPE_CHECKING:
     from .decoder import PageResult
@@ -62,47 +63,46 @@ class PseudoLabelStore:
     def n_labels(self) -> int:
         return sum(len(p) for p in self._pages.values())
 
+    def rows(self, page_ids: Iterable[str]) -> Iterator[dict]:
+        """One JSON row per label of each page in ``page_ids``, in (q, n)
+        order; :meth:`load` reads the rows back."""
+        for page_id in page_ids:
+            labels = self._pages.get(page_id, {})
+            for (q, n) in sorted(labels):
+                lab = labels[(q, n)]
+                yield {
+                    "page_id": page_id,
+                    "q": q,
+                    "n": n,
+                    "x": lab.box.x,
+                    "y": lab.box.y,
+                    "w": lab.box.w,
+                    "h": lab.box.h,
+                    "gamma": lab.gamma,
+                    "count": lab.count,
+                }
+
     def save(self, path: str | Path) -> None:
         with open(path, "w") as fh:
-            for page_id in sorted(self._pages):
-                labels = self._pages[page_id]
-                for (q, n) in sorted(labels):
-                    lab = labels[(q, n)]
-                    fh.write(
-                        json.dumps(
-                            {
-                                "page_id": page_id,
-                                "q": q,
-                                "n": n,
-                                "x": lab.box.x,
-                                "y": lab.box.y,
-                                "w": lab.box.w,
-                                "h": lab.box.h,
-                                "gamma": lab.gamma,
-                                "count": lab.count,
-                            }
-                        )
-                        + "\n"
-                    )
+            for row in self.rows(self.page_ids()):
+                fh.write(json.dumps(row) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "PseudoLabelStore":
         store = cls()
-        for line in Path(path).read_text().splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            store.set(
-                str(doc["page_id"]),
-                int(doc["q"]),
-                int(doc["n"]),
-                PseudoLabel(
-                    box=Box(doc["x"], doc["y"], doc["w"], doc["h"]),
-                    gamma=float(doc["gamma"]),
-                    count=int(doc.get("count", 1)),
-                ),
-            )
+        for page_id, q, n, label in read_jsonl(path, _label_from_row):
+            store.set(page_id, q, n, label)
         return store
+
+
+_LABEL_ROW = {"page_id": str, "q": int, "n": int, **dict.fromkeys("xywh", float), "gamma": float}
+
+
+def _label_from_row(doc: object) -> tuple[str, int, int, PseudoLabel]:
+    row = check(doc, _LABEL_ROW)
+    count = check(row.get("count", 1), int, "row.count")
+    box = Box(row["x"], row["y"], row["w"], row["h"])
+    return row["page_id"], row["q"], row["n"], PseudoLabel(box, float(row["gamma"]), count)
 
 
 def update_weight(gamma: float, score: float, epsilon: float = EPSILON_SCALE) -> float:

@@ -11,6 +11,7 @@ their full ground truth instead of the store and never touch it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -22,7 +23,7 @@ from .geometry import iou
 from .losses import compute_losses
 from .matching import match_chars, match_lines, spatial_filter
 from .predictions import OracleNoise, oracle_predict
-from .pseudolabels import PseudoLabel, PseudoLabelStore, build_targets, update
+from .pseudolabels import EPSILON_SCALE, PseudoLabel, PseudoLabelStore, build_targets, update
 from .synth import SyntheticPage
 
 PRETRAIN = "pretrain"
@@ -45,7 +46,7 @@ class StageConfig:
     seed: int = 0
     th_ar: float = 0.3
     th_iou: float = 0.5
-    epsilon: float = 10.0
+    epsilon: float = EPSILON_SCALE
     decode: DecodeConfig = field(default_factory=DecodeConfig)
 
     def __post_init__(self) -> None:
@@ -55,6 +56,14 @@ class StageConfig:
             raise ConfigError("n_passes must be >= 1")
         if not 0.0 <= self.real_prob <= 1.0:
             raise ConfigError("real_prob must be in [0, 1]")
+        if not 0.0 <= self.th_iou <= 1.0:
+            raise ConfigError(f"th_iou must be in [0, 1], got {self.th_iou}")
+        if not math.isfinite(self.th_ar):
+            raise ConfigError(f"th_ar must be finite, got {self.th_ar}")
+        # gamma and the score are at most 1, so each exponential in
+        # update_weight is at most e^709 and their sum stays finite.
+        if not 0.0 <= self.epsilon <= 709.0:
+            raise ConfigError(f"epsilon must be in [0, 709], got {self.epsilon}")
 
     def noise_for_pass(self, k: int) -> OracleNoise:
         if self.halve_every:
@@ -224,24 +233,7 @@ def export_labels(
     The report carries label coverage and, when the dataset has ground-truth
     boxes, the mean IoU between pseudo-labels and truth.
     """
-    rows: list[dict] = []
-    for page in dataset:
-        labels = store.page(page.page_id)
-        for (q, n) in sorted(labels):
-            lab = labels[(q, n)]
-            rows.append(
-                {
-                    "page_id": page.page_id,
-                    "q": q,
-                    "n": n,
-                    "x": lab.box.x,
-                    "y": lab.box.y,
-                    "w": lab.box.w,
-                    "h": lab.box.h,
-                    "gamma": lab.gamma,
-                    "count": lab.count,
-                }
-            )
+    rows = list(store.rows(page.page_id for page in dataset))
     report = {
         "n_labels": len(rows),
         "n_chars": sum(p.annotation.n_chars() for p in dataset),

@@ -11,8 +11,8 @@ well-formed page.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +25,7 @@ ROTATIONS = ("horizontal", "rot90", "rot180", "rot270")
 LAYOUT_KINDS = ROTATIONS + ("sine",)
 
 _MAX_ATTEMPTS = 25
+CHAR_SIZE = (0.9, 1.3)  # range of a box's width and height, in cell units
 
 
 class GenerationError(ValueError):
@@ -56,7 +57,6 @@ class PageConfig:
     chars_per_line: tuple[int, int] = (10, 10)
     n_cls: int = 100
     layout: Layout = field(default_factory=Layout)
-    char_size: tuple[float, float] = (0.9, 1.3)  # box extent in cell units
     w_g: int = 32
     h_g: int = 32
     cell_px: int = 16
@@ -81,10 +81,16 @@ class SyntheticPage:
     page_id: str = ""
 
     def line_chars(self) -> list[list[CharSpec]]:
-        lines: dict[int, list[CharSpec]] = {}
-        for ch in self.chars:
-            lines.setdefault(ch.line, []).append(ch)
-        return [sorted(lines[q], key=lambda c: c.pos) for q in sorted(lines)]
+        return group_lines(self.chars)
+
+
+def group_lines(chars: Iterable[CharSpec]) -> list[list[CharSpec]]:
+    """Characters grouped into lines in line-index order, each line in
+    position order."""
+    lines: dict[int, list[CharSpec]] = {}
+    for ch in chars:
+        lines.setdefault(ch.line, []).append(ch)
+    return [sorted(lines[q], key=lambda c: c.pos) for q in sorted(lines)]
 
 
 def _rotate(box: Box, kind: str, img_w: float, img_h: float) -> Box:
@@ -135,8 +141,8 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
                 cy += layout.amplitude * cell * math.sin(
                     2 * math.pi * cx / (layout.period * cell)
                 )
-            sw = float(rng.uniform(*config.char_size)) * cell
-            sh = float(rng.uniform(*config.char_size)) * cell
+            sw = float(rng.uniform(*CHAR_SIZE)) * cell
+            sh = float(rng.uniform(*CHAR_SIZE)) * cell
             box = Box(cx, cy, sw / img_w, sh / img_h)
             box = _rotate(box, layout.kind, img_w, img_h)
             chars.append(CharSpec(q, k, int(rng.integers(1, config.n_cls + 1)), box))
@@ -146,25 +152,18 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
     else:
         shape = GridShape(config.w_g, config.h_g, img_w, img_h)
 
-    page = SyntheticPage(
+    lines = group_lines(chars)
+    annotation = PageAnnotation(
+        lines=[[c.cls_id for c in line] for line in lines],
+        boxes=[[c.box for c in line] for line in lines],
+        page_id=page_id,
+    )
+    return SyntheticPage(
         shape=shape,
         n_cls=config.n_cls,
         chars=chars,
-        annotation=_annotation_of(chars, page_id),
+        annotation=annotation,
         layout=layout,
-        page_id=page_id,
-    )
-    return page
-
-
-def _annotation_of(chars: list[CharSpec], page_id: str) -> PageAnnotation:
-    lines: dict[int, list[CharSpec]] = {}
-    for ch in chars:
-        lines.setdefault(ch.line, []).append(ch)
-    ordered = [sorted(lines[q], key=lambda c: c.pos) for q in sorted(lines)]
-    return PageAnnotation(
-        lines=[[c.cls_id for c in line] for line in ordered],
-        boxes=[[c.box for c in line] for line in ordered],
         page_id=page_id,
     )
 
@@ -212,14 +211,3 @@ def gen_dataset(config: PageConfig, n_pages: int) -> Iterator[SyntheticPage]:
     """Pages with per-index seeds derived from the master seed."""
     for idx in range(n_pages):
         yield gen_page(config, page_index=idx)
-
-
-def layout_from_args(kind: str, amplitude: float = 1.5, period: float = 12.0) -> Layout:
-    if kind == "sine":
-        return Layout(kind="sine", amplitude=amplitude, period=period)
-    return Layout(kind=kind)
-
-
-def rotated(config: PageConfig, kind: str) -> PageConfig:
-    """The same config with a different rotation layout."""
-    return replace(config, layout=layout_from_args(kind))

@@ -1,8 +1,15 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from gridtext.cli import main, render_page_svg
+import pytest
+
+from gridtext.cli import _from_doc, main, render_page_svg
+from gridtext.decoder import DecodeConfig
+from gridtext.predictions import OracleNoise
+from gridtext.simloop import StageConfig
+from gridtext.synth import Layout, PageConfig
 
 
 def _tree(root: Path) -> dict[str, bytes]:
@@ -241,3 +248,74 @@ def test_eval_uses_each_pages_image_size(tmp_path, capsys):
     assert main(["eval", "--results", str(results), "--annotations", str(annots)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["det_cls"] == {"p": 1.0, "r": 1.0, "f": 1.0}
+
+
+def _jsonl(*rows) -> str:
+    return "".join(json.dumps(r) + "\n" for r in rows)
+
+
+_DATASET = {"pages": 1, "dataset": {"n_lines": 2, "chars_per_line": 4, "n_cls": 10}}
+_LABEL = {"page_id": "p00000", "q": 1, "n": 1, "x": 40.0, "y": 40.0, "w": 0.1, "h": 0.1,
+          "gamma": 0.9, "count": 1}
+_RESULT = {"page_id": "pg", "img_w": 64, "img_h": 64, "lines": [{"chars": [
+    {"i": 1, "j": 1, "x": 10.0, "y": 10.0, "w": 0.1, "h": 0.1, "cls": 1, "score": 0.9}]}]}
+_ANNOT = {"page_id": "pg", "lines": [[1]], "boxes": [[[10.0, 10.0, 0.1, 0.1]]]}
+_TRAIN_SIM = ["train-sim", "--config", "config.json", "--out", "run"]
+_EXPORT = ["export-labels", "--store", "store.jsonl", "--config", "config.json"]
+_EVAL = ["eval", "--results", "results.jsonl", "--annotations", "annotations.jsonl"]
+
+
+def _stage(**keys) -> dict:
+    return {"config.json": json.dumps({**_DATASET, "stages": [keys]})}
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("files, argv", [
+    pytest.param(_stage(nms_iou="0.3"), _TRAIN_SIM, id="stage-value-of-wrong-type"),
+    pytest.param(_stage(nmsiou=0.3), _TRAIN_SIM, id="unknown-stage-key"),
+    pytest.param({"config.json": json.dumps({**_DATASET, "stagez": []})}, _TRAIN_SIM,
+                 id="unknown-top-level-key"),
+    pytest.param({"config.json": "[1, 2]"}, _TRAIN_SIM, id="config-is-a-list"),
+    pytest.param(_stage(n_passes=True), _TRAIN_SIM, id="bool-n-passes"),
+    pytest.param(_stage(epsilon=1000), _TRAIN_SIM, id="epsilon-overflows-update-weight"),
+    pytest.param({"config.json": json.dumps(_DATASET),
+                  "store.jsonl": _jsonl(_LABEL, _without(_LABEL, "y"))}, _EXPORT,
+                 id="store-row-missing-y"),
+    pytest.param({"config.json": json.dumps(_DATASET),
+                  "store.jsonl": _jsonl({**_LABEL, "x": "a"})}, _EXPORT,
+                 id="store-row-text-x"),
+    pytest.param({"results.jsonl": _jsonl(_without(_RESULT, "lines")),
+                  "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL, id="results-row-no-lines-eval"),
+    pytest.param({"results.jsonl": _jsonl(_without(_RESULT, "lines"))},
+                 ["viz", "--results", "results.jsonl"], id="results-row-no-lines-viz"),
+    pytest.param({"results.jsonl": _jsonl(_RESULT),
+                  "annotations.jsonl": _jsonl(_without(_ANNOT, "lines"))}, _EVAL,
+                 id="annotation-row-no-lines"),
+    pytest.param({"results.jsonl": _jsonl(_RESULT),
+                  "annotations.jsonl": _jsonl({**_ANNOT, "boxes": [[[10.0, 10.0]]]})}, _EVAL,
+                 id="annotation-two-number-box"),
+    pytest.param({"map.json": json.dumps(
+        {"w_g": 1, "h_g": 1, "n_cls": 1, "img_w": [1], "img_h": 16})},
+        ["decode", "--maps", "map.json"], id="map-header-list-value"),
+])
+def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    _assert_exit_2_one_line(argv, capsys)
+
+
+@pytest.mark.parametrize("config", [
+    DecodeConfig(), DecodeConfig(nms_iou=0.5, max_steps=7),
+    OracleNoise(), OracleNoise(drop_p=0.1, seed=3),
+    Layout(), Layout("sine", amplitude=2.0, period=6.0),
+    PageConfig(), PageConfig(chars_per_line=(3, 8), layout=Layout("rot90")),
+    StageConfig(), StageConfig(halve_every=2, noise=OracleNoise(jitter_sigma=0.1),
+                               decode=DecodeConfig(max_steps=9)),
+], ids=lambda c: type(c).__name__)
+def test_from_doc_reads_back_a_dataclass_as_json(config):
+    doc = json.loads(json.dumps(dataclasses.asdict(config)))
+    assert _from_doc(type(config), doc, "config") == config

@@ -15,7 +15,6 @@ from gridtext.matching import (
     edit_script,
     match_chars,
     match_lines,
-    result_states,
     spatial_filter,
 )
 from gridtext.pseudolabels import PseudoLabel
@@ -73,10 +72,9 @@ def test_match_chars_substitution_breaks_consecutive():
 
 
 def test_match_chars_deletion_invisible_to_result_states():
-    # hyp "ab" vs ref "acb": script E,D,E; the result-side states are E,E so
-    # both positions are consecutive equals.
+    # hyp "ab" vs ref "acb": script E,D,E; the deletion consumes no result
+    # position, so both result positions are consecutive equals.
     assert edit_script([A, B], [A, C, B]) == ["E", "D", "E"]
-    assert result_states([A, B], [A, C, B]) == ["E", "E"]
     m_c, m_ce = match_chars({(1, 1)}, [[A, B]], [[A, C, B]])
     assert m_c == {(1, 1, 1, 1), (1, 2, 1, 3)}
     assert m_ce == {(1, 1), (1, 2)}

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridtext.geometry import Box, GridShape, grid_of
 from gridtext.matching import PageAnnotation
 from gridtext.predictions import (
     EPS,
+    MAGIC,
     Direction,
     GridCollisionError,
     MapFormatError,
@@ -153,3 +156,70 @@ def test_infinite_payload_rejected(tmp_path, page, name, value):
         save_maps(maps, path)
         with pytest.raises(MapFormatError, match=f"{name}: non-finite"):
             load_maps(path)
+
+
+# Any JSON object or any bytes given to load_maps either load or raise
+# MapFormatError, never another exception.
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+_MAP_KEYS = ("version", "w_g", "h_g", "n_cls", "img_w", "img_h",
+             "box", "dis", "cls", "sol", "eol", "rd")
+
+
+@pytest.fixture(scope="module")
+def tiny_map(tmp_path_factory):
+    """A valid 8x4 map as a JSON document and as PGNM bytes, plus a scratch path."""
+    page = gen_page(PageConfig(n_lines=1, chars_per_line=(2, 2), n_cls=3, w_g=8, h_g=4))
+    maps = oracle_predict(page, OracleNoise())
+    root = tmp_path_factory.mktemp("tiny_map")
+    save_maps(maps, root / "map.json")
+    save_maps(maps, root / "map.pgnm")
+    doc = json.loads((root / "map.json").read_text())
+    return doc, (root / "map.pgnm").read_bytes(), root / "input"
+
+
+def _loads_or_map_format_error(path):
+    try:
+        load_maps(path)
+    except MapFormatError:
+        pass
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_load_maps_json_object_loads_or_raises_map_format_error(tiny_map, data):
+    doc, _, path = tiny_map
+    if data.draw(st.booleans()):  # a valid document with a few keys replaced or removed
+        doc = dict(doc)
+        for key in data.draw(st.lists(st.sampled_from(_MAP_KEYS), max_size=3)):
+            if data.draw(st.booleans()):
+                doc[key] = data.draw(_JSON_VALUES)
+            else:
+                doc.pop(key, None)
+    else:
+        keys = st.sampled_from(_MAP_KEYS) | st.text(max_size=4)
+        doc = data.draw(st.dictionaries(keys, _JSON_VALUES, max_size=8))
+    path.write_text(json.dumps(doc))
+    _loads_or_map_format_error(path)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_load_maps_bytes_load_or_raise_map_format_error(tiny_map, data):
+    _, valid, path = tiny_map
+    raw = data.draw(
+        st.binary(max_size=80)
+        | st.binary(max_size=80).map(lambda b: MAGIC + b)
+        | st.binary(max_size=80).map(lambda b: b"{" + b)
+        | st.integers(0, len(valid)).map(lambda n: valid[:n])
+    )
+    if data.draw(st.booleans()) and len(raw) > 0:  # flip one byte
+        k = data.draw(st.integers(0, len(raw) - 1))
+        raw = raw[:k] + bytes([raw[k] ^ data.draw(st.integers(1, 255))]) + raw[k + 1:]
+    path.write_bytes(raw)
+    _loads_or_map_format_error(path)

@@ -153,3 +153,23 @@ def test_duplicate_page_ids_rejected():
     pages = _pages(n=2)
     with pytest.raises(ConfigError, match="duplicate page ids"):
         run_stage([pages[0], pages[1], pages[0]], PseudoLabelStore(), StageConfig())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("th_iou", -0.1), ("th_iou", 1.5), ("th_iou", math.nan),
+    ("th_ar", math.inf), ("th_ar", -math.inf), ("th_ar", math.nan),
+    ("epsilon", -1.0), ("epsilon", 709.5), ("epsilon", 1000.0), ("epsilon", math.nan),
+])
+def test_stage_config_rejects_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field):
+        StageConfig(**{field: value})
+
+
+def test_stage_config_range_ends_keep_update_weight_finite():
+    from gridtext.pseudolabels import update_weight
+
+    for epsilon in (0.0, 709.0):
+        StageConfig(th_iou=0.0, th_ar=-5.0, epsilon=epsilon)
+        StageConfig(th_iou=1.0, epsilon=epsilon)
+        for gamma, score in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.9, 0.8)):
+            assert 0.0 <= update_weight(gamma, score, epsilon) <= 1.0
