@@ -26,7 +26,7 @@ from .decoder import (
     rescore_with_lm,
 )
 from .matching import (
-    MatchSet,
+    ErrorCounts,
     PageAnnotation,
     ar,
     cr,
@@ -46,7 +46,7 @@ from .pseudolabels import (
     update_weight,
 )
 from .losses import LossReport, compute_losses
-from .metrics import ErrorCounts, ar_star, det_prf, page_ar_cr
+from .metrics import ar_star, det_prf, page_ar_cr
 from .synth import GenerationError, Layout, PageConfig, SyntheticPage, gen_dataset, gen_page
 from .simloop import ConfigError, PassReport, StageConfig, export_labels, run_stage
 

@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .decoder import DecodeConfig, InvariantError, PageResult, decode
 from .geometry import Box, GridShape
-from .jsoncheck import check, expect, read_jsonl
-from .matching import load_annotations, save_annotations
-from .metrics import ar_star, det_counts, prf
+from .jsoncheck import by_page_id, check, expect, read_jsonl
+from .matching import ErrorCounts, PageAnnotation, load_annotations, save_annotations
+from .metrics import det_counts, page_counts, prf
 from .predictions import MapFormatError, OracleNoise, load_maps, oracle_predict, save_maps
 from .pseudolabels import PseudoLabelStore
 from .simloop import ConfigError, StageConfig, export_labels, run_stage
@@ -64,8 +64,9 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--max-steps", type=int)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
 
 
@@ -163,12 +164,30 @@ _RESULT_ROW = {
 
 def load_results(path: str | Path) -> dict[str, dict]:
     rows = read_jsonl(path, lambda doc: check(doc, _RESULT_ROW))
-    return {doc["page_id"]: doc for doc in rows}
+    return by_page_id(path, rows, lambda doc: doc["page_id"])
 
 
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
+
+
+def _det_page_counts(
+    annot: PageAnnotation | None, doc: dict | None, iou_th: float
+) -> dict[bool, tuple]:
+    """One page's detection (tp, fp, fn), keyed by require_class."""
+    gts = [] if annot is None else [
+        (b, c) for line, boxes in zip(annot.lines, annot.boxes) for c, b in zip(line, boxes)
+    ]
+    if doc is None:  # every ground-truth box is missed
+        return dict.fromkeys((False, True), (0, 0, len(gts)))
+    dets = [
+        (Box(c["x"], c["y"], c["w"], c["h"]), c["cls"], c["score"])
+        for ln in doc["lines"]
+        for c in ln["chars"]
+    ]
+    shape = GridShape(1, 1, doc["img_w"], doc["img_h"])
+    return {rc: det_counts(dets, gts, shape, iou_th, require_class=rc) for rc in (False, True)}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -177,63 +196,41 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not annots:
         raise ValueError(f"no annotations in {args.annotations}")
 
-    res_seqs = {
-        pid: [[c["cls"] for c in ln["chars"]] for ln in doc["lines"]]
-        for pid, doc in results.items()
-    }
-    ann_seqs = {pid: a.lines for pid, a in annots.items()}
-    ar, cr, counts = ar_star(res_seqs, ann_seqs)
+    # Every page is matched on its own, for AR* and for detection at its
+    # own image size; error counts and (tp, fp, fn) add up over pages.
+    with_boxes = all(a.boxes is not None for a in annots.values())
+    errors = ErrorCounts()
+    det_totals = {False: (0, 0, 0), True: (0, 0, 0)}
+    per_page = []
+    for pid in sorted(set(annots) | set(results)):
+        annot, doc = annots.get(pid), results.get(pid)
+        res_lines = [] if doc is None else [
+            [c["cls"] for c in ln["chars"]] for ln in doc["lines"]
+        ]
+        counts = page_counts(res_lines, [] if annot is None else annot.lines)
+        errors.add(counts)
+        p_ar, p_cr = counts.rates() if counts.n_total else (None, None)
+        per_page.append({"page_id": pid, "ar_star": p_ar, "cr_star": p_cr})
+        if with_boxes:
+            for rc, page in _det_page_counts(annot, doc, args.iou_th).items():
+                det_totals[rc] = tuple(a + b for a, b in zip(det_totals[rc], page))
 
+    ar, cr = errors.rates()
     report: dict = {
         "ar_star": ar,
         "cr_star": cr,
         "errors": {
-            "ie": counts.n_ie,
-            "de": counts.n_de,
-            "se": counts.n_se,
-            "total": counts.n_total,
+            "ie": errors.n_ie,
+            "de": errors.n_de,
+            "se": errors.n_se,
+            "total": errors.n_total,
         },
-        "per_page": [],
+        "per_page": per_page,
     }
-    for pid in sorted(set(res_seqs) | set(ann_seqs)):
-        try:
-            p_ar, p_cr, _ = ar_star(
-                {pid: res_seqs.get(pid, [])}, {pid: ann_seqs.get(pid, [])}
-            )
-        except ValueError:
-            p_ar = p_cr = None
-        report["per_page"].append({"page_id": pid, "ar_star": p_ar, "cr_star": p_cr})
-
-    if all(a.boxes is not None for a in annots.values()):
-        # Detection is matched page by page, each at its own image size,
-        # and (tp, fp, fn) add up over pages.  Keyed by require_class.
-        totals = {False: (0, 0, 0), True: (0, 0, 0)}
-        for pid in sorted(set(annots) | set(results)):
-            annot, doc = annots.get(pid), results.get(pid)
-            gts = [] if annot is None else [
-                (b, c)
-                for line, boxes in zip(annot.lines, annot.boxes)
-                for c, b in zip(line, boxes)
-            ]
-            if doc is None:  # every ground-truth box is missed
-                page_counts = dict.fromkeys(totals, (0, 0, len(gts)))
-            else:
-                dets = [
-                    (Box(c["x"], c["y"], c["w"], c["h"]), c["cls"], c["score"])
-                    for ln in doc["lines"]
-                    for c in ln["chars"]
-                ]
-                shape = GridShape(1, 1, doc["img_w"], doc["img_h"])
-                page_counts = {
-                    rc: det_counts(dets, gts, shape, args.iou_th, require_class=rc)
-                    for rc in totals
-                }
-            for rc, page in page_counts.items():
-                totals[rc] = tuple(a + b for a, b in zip(totals[rc], page))
-        p, r, f = prf(*totals[False])
-        report["det_only"] = {"p": p, "r": r, "f": f}
-        p, r, f = prf(*totals[True])
-        report["det_cls"] = {"p": p, "r": r, "f": f}
+    if with_boxes:
+        for key, rc in (("det_only", False), ("det_cls", True)):
+            p, r, f = prf(*det_totals[rc])
+            report[key] = {"p": p, "r": r, "f": f}
     _emit(report, args.out)
     return 0
 
@@ -413,7 +410,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate synthetic pages and oracle maps")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--pages", type=int, default=5)
     p.add_argument("--lines", type=int, default=5)
     p.add_argument("--chars", type=int, default=10)
@@ -455,14 +452,14 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p = sub.add_parser("train-sim", help="run the weak-supervision simulation", **config_help)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_train_sim)
 
     p = sub.add_parser(
         "export-labels", help="export pseudo-labels with quality stats", **config_help
     )
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--store", required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_export_labels)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -74,4 +74,15 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
             out.append(parse(json.loads(line)))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
+def by_page_id(path: str | Path, rows: Iterable[T], page_id: Callable[[T], str]) -> dict[str, T]:
+    """``rows`` keyed by ``page_id(row)``; an id on two rows is a ValueError."""
+    out: dict[str, T] = {}
+    for row in rows:
+        key = page_id(row)
+        if key in out:
+            raise ValueError(f"{path}: page_id {key!r} is on more than one row")
+        out[key] = row
     return out

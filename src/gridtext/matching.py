@@ -1,11 +1,13 @@
 """Semantic and spatial matching of decoded lines against transcripts.
 
-Line matching pairs recognition results with annotated transcripts greedily
-in descending accurate-rate order.  Character matching backtraces a minimum
-edit script per pair into per-character states (equal / substituted /
+Line matching aligns every (result line, transcript line) pair once, by a
+minimum edit script, and pairs them greedily in descending accurate-rate
+order; it hands back the script of each matched pair.  Character matching
+reads those scripts into per-character states (equal / substituted /
 inserted), from which the reliable "consecutive equal" positions are read
-off.  Spatial matching then vetoes character pairs whose predicted box
-disagrees with the stored pseudo-label.
+off, and AR*/CR* count their errors off the same scripts, so no pair is
+aligned twice.  Spatial matching then vetoes character pairs whose
+predicted box disagrees with the stored pseudo-label.
 
 Minimum edit scripts are not unique; the canonical backtrace scans from the
 end of the DP table and prefers equal > substitution > deletion > insertion
@@ -15,12 +17,12 @@ on cost ties, which makes every downstream set deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .geometry import Box, GridShape, iou
-from .jsoncheck import check, read_jsonl
+from .jsoncheck import by_page_id, check, read_jsonl
 
 if TYPE_CHECKING:
     from .decoder import PageResult
@@ -48,12 +50,30 @@ class PageAnnotation:
 
 
 @dataclass
-class MatchSet:
-    """Matching products: line pairs, character pairs, consecutive equals."""
+class ErrorCounts:
+    """Insertions, deletions and substitutions against ``n_total`` reference
+    characters."""
 
-    m_l: set[tuple[int, int]] = field(default_factory=set)
-    m_c: set[tuple[int, int, int, int]] = field(default_factory=set)
-    m_ce: set[tuple[int, int]] = field(default_factory=set)
+    n_ie: int = 0
+    n_de: int = 0
+    n_se: int = 0
+    n_total: int = 0
+
+    def add(self, other: "ErrorCounts") -> None:
+        self.n_ie += other.n_ie
+        self.n_de += other.n_de
+        self.n_se += other.n_se
+        self.n_total += other.n_total
+
+    def rates(self) -> tuple[float, float]:
+        """(AR, CR): (N - Ie - De - Se) / N and (N - De - Se) / N.
+
+        AR may be negative; neither is ever above 1.
+        """
+        n = self.n_total
+        if n == 0:
+            raise ValueError("accurate and correct rates need a non-empty reference")
+        return (n - self.n_ie - self.n_de - self.n_se) / n, (n - self.n_de - self.n_se) / n
 
 
 def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
@@ -100,84 +120,81 @@ def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
     return ops
 
 
+def script_counts(ops: Sequence[str]) -> ErrorCounts:
+    """Error counts of an edit script; its reference length is the total."""
+    n_ie = ops.count("I")
+    return ErrorCounts(n_ie, ops.count("D"), ops.count("S"), len(ops) - n_ie)
+
+
 def edit_counts(hyp: Sequence[int], ref: Sequence[int]) -> tuple[int, int, int]:
     """(insertions, deletions, substitutions) of the canonical script."""
-    ops = edit_script(hyp, ref)
-    return ops.count("I"), ops.count("D"), ops.count("S")
+    counts = script_counts(edit_script(hyp, ref))
+    return counts.n_ie, counts.n_de, counts.n_se
 
 
 def ar(hyp: Sequence[int], ref: Sequence[int]) -> float:
     """Accurate rate (N - Ie - De - Se) / N; may be negative, never > 1."""
-    if len(ref) == 0:
-        raise ValueError("accurate rate needs a non-empty reference")
-    ie, de, se = edit_counts(hyp, ref)
-    return (len(ref) - ie - de - se) / len(ref)
+    return script_counts(edit_script(hyp, ref)).rates()[0]
 
 
 def cr(hyp: Sequence[int], ref: Sequence[int]) -> float:
     """Correct rate (N - De - Se) / N under the canonical script."""
-    if len(ref) == 0:
-        raise ValueError("correct rate needs a non-empty reference")
-    _, de, se = edit_counts(hyp, ref)
-    return (len(ref) - de - se) / len(ref)
+    return script_counts(edit_script(hyp, ref)).rates()[1]
 
 
 def match_lines(
     results: Sequence[Sequence[int]],
-    annots: PageAnnotation | Sequence[Sequence[int]],
+    annots: Sequence[Sequence[int]],
     th_ar: float = 0.3,
-) -> set[tuple[int, int]]:
+) -> dict[tuple[int, int], list[str]]:
     """Greedy one-to-one line matching in descending AR order.
 
-    Returns 1-based (p, q) pairs; pairs with AR below ``th_ar`` are skipped,
-    and AR ties break by (p, q) lexicographic order.
+    Maps each matched 1-based (p, q) pair to the canonical edit script of
+    result line p against transcript line q.  Pairs with AR below
+    ``th_ar`` are skipped, and AR ties break by (p, q) lexicographic order.
     """
-    ref_lines = annots.lines if isinstance(annots, PageAnnotation) else list(annots)
     scored = []
     for p, res in enumerate(results, start=1):
-        for q, ref in enumerate(ref_lines, start=1):
-            scored.append((ar(res, ref), p, q))
+        for q, ref in enumerate(annots, start=1):
+            ops = edit_script(res, ref)
+            scored.append((script_counts(ops).rates()[0], p, q, ops))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-    matched: set[tuple[int, int]] = set()
+    matched: dict[tuple[int, int], list[str]] = {}
     used_p: set[int] = set()
     used_q: set[int] = set()
-    for score, p, q in scored:
+    for score, p, q, ops in scored:
         if score < th_ar:
             break
         if p in used_p or q in used_q:
             continue
-        matched.add((p, q))
+        matched[p, q] = ops
         used_p.add(p)
         used_q.add(q)
     return matched
 
 
 def match_chars(
-    m_l: Iterable[tuple[int, int]],
-    results: Sequence[Sequence[int]],
-    annots: PageAnnotation | Sequence[Sequence[int]],
+    m_l: Mapping[tuple[int, int], Sequence[str]],
 ) -> tuple[set[tuple[int, int, int, int]], set[tuple[int, int]]]:
-    """Character matching over matched line pairs.
+    """Character matching over the scripts of matched line pairs.
 
     Every "E" position yields a (p, m, q, n) character match; a result
     position m joins the consecutive-equal set when it is an "E" position
     and so is m + 1 (or m is the last result position).  Deletions consume
     no result position.
     """
-    ref_lines = annots.lines if isinstance(annots, PageAnnotation) else list(annots)
     m_c: set[tuple[int, int, int, int]] = set()
     m_ce: set[tuple[int, int]] = set()
-    for p, q in sorted(m_l):
-        hyp = results[p - 1]
+    for (p, q), ops in sorted(m_l.items()):
         equal: set[int] = set()
         m = n = 0
-        for op in edit_script(hyp, ref_lines[q - 1]):
+        for op in ops:
             m += op != "D"
             n += op != "I"
             if op == "E":
                 m_c.add((p, m, q, n))
                 equal.add(m)
-        m_ce.update((p, m) for m in equal if m == len(hyp) or m + 1 in equal)
+        m_ce.update((p, k) for k in equal if k == m or k + 1 in equal)
     return m_c, m_ce
 
 
@@ -237,4 +254,4 @@ def save_annotations(annots: Iterable[PageAnnotation], path: str | Path) -> None
 
 
 def load_annotations(path: str | Path) -> dict[str, PageAnnotation]:
-    return {a.page_id: a for a in read_jsonl(path, _annotation_from_row)}
+    return by_page_id(path, read_jsonl(path, _annotation_from_row), lambda a: a.page_id)

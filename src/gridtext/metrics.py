@@ -2,57 +2,37 @@
 
 AR*/CR* pair result lines with annotated transcripts per page using the
 same greedy descending-AR matching as training-time line matching, but
-without any threshold.  Characters of unmatched result lines count as
-insertions and characters of unmatched annotation lines as deletions, so
-the metrics reflect detection as well as recognition quality.  AR* may be
-negative and is never clamped.
+without any threshold, and count the errors of each matched pair off the
+edit script that line matching returns.  Characters of unmatched result
+lines count as insertions and characters of unmatched annotation lines as
+deletions, so the metrics reflect detection as well as recognition
+quality.  AR* may be negative and is never clamped.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .geometry import Box, GridShape, iou
-from .matching import edit_counts, match_lines
+from .matching import ErrorCounts, edit_script, match_lines, script_counts
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class ErrorCounts:
-    n_ie: int = 0
-    n_de: int = 0
-    n_se: int = 0
-    n_total: int = 0
-
-    def add(self, other: "ErrorCounts") -> None:
-        self.n_ie += other.n_ie
-        self.n_de += other.n_de
-        self.n_se += other.n_se
-        self.n_total += other.n_total
-
-
-def _page_counts(
+def page_counts(
     results: Sequence[Sequence[int]], annots: Sequence[Sequence[int]]
 ) -> ErrorCounts:
+    """One page's AR* error counts: each matched line pair counts by its
+    script, an unmatched result line as insertions and an unmatched
+    annotation line as deletions."""
     pairs = match_lines(results, annots, th_ar=float("-inf"))
-    counts = ErrorCounts(n_total=sum(len(a) for a in annots))
+    ops = [op for script in pairs.values() for op in script]
     matched_p = {p for p, _ in pairs}
     matched_q = {q for _, q in pairs}
-    for p, q in pairs:
-        ie, de, se = edit_counts(results[p - 1], annots[q - 1])
-        counts.n_ie += ie
-        counts.n_de += de
-        counts.n_se += se
-    for p, res in enumerate(results, start=1):
-        if p not in matched_p:
-            counts.n_ie += len(res)
-    for q, ann in enumerate(annots, start=1):
-        if q not in matched_q:
-            counts.n_de += len(ann)
-    return counts
+    ops += ["I"] * sum(len(res) for p, res in enumerate(results, 1) if p not in matched_p)
+    ops += ["D"] * sum(len(ann) for q, ann in enumerate(annots, 1) if q not in matched_q)
+    return script_counts(ops)
 
 
 def ar_star(
@@ -66,13 +46,8 @@ def ar_star(
     """
     total = ErrorCounts()
     for page_id in sorted(set(results) | set(annots)):
-        total.add(_page_counts(results.get(page_id, []), annots.get(page_id, [])))
-    if total.n_total == 0:
-        raise ValueError("AR* needs at least one annotated character")
-    n = total.n_total
-    ar = (n - total.n_ie - total.n_de - total.n_se) / n
-    cr = (n - total.n_de - total.n_se) / n
-    return ar, cr, total
+        total.add(page_counts(results.get(page_id, []), annots.get(page_id, [])))
+    return (*total.rates(), total)
 
 
 def det_counts(
@@ -133,8 +108,4 @@ def det_prf(
 
 def page_ar_cr(result: Sequence[int], annot: Sequence[int]) -> tuple[float, float]:
     """Classic AR/CR on one concatenated page-level sequence."""
-    if len(annot) == 0:
-        raise ValueError("page AR/CR needs a non-empty annotation")
-    ie, de, se = edit_counts(result, annot)
-    n = len(annot)
-    return (n - ie - de - se) / n, (n - de - se) / n
+    return script_counts(edit_script(result, annot)).rates()

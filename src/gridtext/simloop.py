@@ -131,6 +131,22 @@ def mean_label_iou(
     return sum(vals) / len(vals)
 
 
+def check_store(store: PseudoLabelStore, dataset: Sequence[SyntheticPage]) -> None:
+    """Raise ConfigError unless every stored label is a character of the
+    transcript of a dataset page."""
+    pages = {page.page_id: page for page in dataset}
+    stale = [pid for pid in store.page_ids() if pid not in pages]
+    if stale:
+        raise ConfigError(f"store holds pages not in the dataset: {stale[:5]}")
+    for pid in store.page_ids():
+        lines = pages[pid].annotation.lines
+        for q, n in store.page(pid):
+            if not (1 <= q <= len(lines) and 1 <= n <= len(lines[q - 1])):
+                raise ConfigError(
+                    f"store label ({q}, {n}) of page {pid!r} is outside its transcript"
+                )
+
+
 def run_stage(
     dataset: Sequence[SyntheticPage],
     store: PseudoLabelStore,
@@ -147,9 +163,7 @@ def run_stage(
     dup = sorted(pid for pid, n in ids.items() if n > 1)
     if dup:
         raise ConfigError(f"duplicate page ids in the dataset: {dup[:5]}")
-    stale = [pid for pid in store.page_ids() if pid not in ids]
-    if stale:
-        raise ConfigError(f"store holds pages not in the dataset: {stale[:5]}")
+    check_store(store, dataset)
 
     mix_rng = np.random.default_rng([config.seed, 1])
     reports: list[PassReport] = []
@@ -173,8 +187,8 @@ def run_stage(
             report = None
             if as_real:
                 transcripts = result.transcripts()
-                m_l = match_lines(transcripts, page.annotation, config.th_ar)
-                m_c, m_ce = match_chars(m_l, transcripts, page.annotation)
+                m_l = match_lines(transcripts, page.annotation.lines, config.th_ar)
+                m_c, m_ce = match_chars(m_l)
                 labels = store.page(page.page_id)
                 m_c_kept = spatial_filter(m_c, result, labels, page.shape, config.th_iou)
                 n_ml += len(m_l)
@@ -231,8 +245,10 @@ def export_labels(
     """Pseudo-labels as annotation rows plus a quality report.
 
     The report carries label coverage and, when the dataset has ground-truth
-    boxes, the mean IoU between pseudo-labels and truth.
+    boxes, the mean IoU between pseudo-labels and truth.  A store that does
+    not fit the dataset raises ConfigError.
     """
+    check_store(store, dataset)
     rows = list(store.rows(page.page_id for page in dataset))
     report = {
         "n_labels": len(rows),

@@ -62,6 +62,16 @@ class PageConfig:
     cell_px: int = 16
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("n_lines", "n_cls", "w_g", "h_g", "cell_px"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        lo, hi = self.chars_per_line
+        if not 1 <= lo <= hi:
+            raise ValueError(f"chars_per_line must be [lo, hi], 1 <= lo <= hi, got [{lo}, {hi}]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class CharSpec:
@@ -114,8 +124,6 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
     row_margin = 1 + amp_rows
     avail_cols = config.w_g - 2 * col_margin
     max_chars = config.chars_per_line[1]
-    if max_chars < 1 or config.n_lines < 1:
-        raise GenerationError("need at least one line with one character")
     spacing = (avail_cols - 1) // (max_chars - 1) if max_chars > 1 else 2
     if spacing < 2:
         raise GenerationError(
@@ -179,7 +187,7 @@ def _round_trip_ok(page: SyntheticPage) -> bool:
     return want == got and not result.dropped
 
 
-def gen_page(config: PageConfig, page_index: int = 0, validate: bool = True) -> SyntheticPage:
+def gen_page(config: PageConfig, page_index: int = 0) -> SyntheticPage:
     """Generate one page; deterministic in (config.seed, page_index).
 
     Validation regenerates with fresh jitter on a grid collision and asserts
@@ -190,8 +198,6 @@ def gen_page(config: PageConfig, page_index: int = 0, validate: bool = True) -> 
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng([config.seed, page_index, attempt])
         page = _build(config, rng, page_id)
-        if not validate:
-            return page
         grids = [grid_of(c.box, page.shape) for c in page.chars]
         if len(set(grids)) != len(grids):
             last_err = GridCollisionError(f"{page_id}: duplicate character grids")

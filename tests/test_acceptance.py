@@ -132,8 +132,7 @@ def test_criterion_05_loss_identities():
     maps = oracle_predict(page, OracleNoise())
     result = decode(maps)
     transcripts = result.transcripts()
-    m_l = match_lines(transcripts, page.annotation, th_ar=0.3)
-    _, m_ce = match_chars(m_l, transcripts, page.annotation)
+    _, m_ce = match_chars(match_lines(transcripts, page.annotation.lines, th_ar=0.3))
     labels = gt_label_map(page)
     targets = build_targets(labels, page.annotation, result, m_ce, page.shape,
                             np.random.default_rng(0))

@@ -297,6 +297,20 @@ def _without(doc: dict, key: str) -> dict:
     pytest.param({"results.jsonl": _jsonl(_RESULT),
                   "annotations.jsonl": _jsonl({**_ANNOT, "boxes": [[[10.0, 10.0]]]})}, _EVAL,
                  id="annotation-two-number-box"),
+    pytest.param({"config.json": json.dumps({"pages": 1, "dataset": {"cell_px": 0}})},
+                 _TRAIN_SIM, id="cell-px-0"),
+    pytest.param({"config.json": json.dumps(_DATASET), "store.jsonl": _jsonl({**_LABEL, "q": 9})},
+                 _EXPORT, id="store-line-past-the-transcript"),
+    pytest.param({"config.json": json.dumps(_DATASET), "store.jsonl": _jsonl({**_LABEL, "q": -1})},
+                 _EXPORT, id="store-negative-line"),
+    pytest.param({"config.json": json.dumps(_DATASET),
+                  "store.jsonl": _jsonl({**_LABEL, "page_id": "zzz"})}, _EXPORT,
+                 id="store-page-not-in-dataset"),
+    pytest.param({"results.jsonl": _jsonl(_RESULT),
+                  "annotations.jsonl": _jsonl(*[_without(_ANNOT, "page_id")] * 2)}, _EVAL,
+                 id="annotations-repeated-page-id"),
+    pytest.param({"results.jsonl": _jsonl(_RESULT, _RESULT),
+                  "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL, id="results-repeated-page-id"),
     pytest.param({"map.json": json.dumps(
         {"w_g": 1, "h_g": 1, "n_cls": 1, "img_w": [1], "img_h": 16})},
         ["decode", "--maps", "map.json"], id="map-header-list-value"),

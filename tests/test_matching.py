@@ -48,25 +48,31 @@ def test_edit_script_canonical_substitutions():
 
 
 def test_match_lines_single_pair():
-    assert match_lines([[A, B, C]], [[A, B, C], [X, X, X]]) == {(1, 1)}
+    assert set(match_lines([[A, B, C]], [[A, B, C], [X, X, X]])) == {(1, 1)}
 
 
 def test_match_lines_best_ar_wins():
-    assert match_lines([[A, B, C], [A, B, D]], [[A, B, D]]) == {(2, 1)}
+    assert set(match_lines([[A, B, C], [A, B, D]], [[A, B, D]])) == {(2, 1)}
 
 
 def test_match_lines_all_below_threshold():
-    assert match_lines([[X, X, X]], [[A, B, C]], th_ar=0.3) == set()
+    assert set(match_lines([[X, X, X]], [[A, B, C]], th_ar=0.3)) == set()
+
+
+def test_match_lines_hands_back_each_matched_pairs_script():
+    results = [[A, B, X, C], [D]]
+    annots = [[A, B, C], [D, D]]
+    assert match_lines(results, annots) == {(1, 1): ["E", "E", "I", "E"], (2, 2): ["D", "E"]}
 
 
 def test_match_chars_all_equal():
-    m_c, m_ce = match_chars({(1, 1)}, [[A, B, C]], [[A, B, C]])
+    m_c, m_ce = match_chars(match_lines([[A, B, C]], [[A, B, C]]))
     assert m_c == {(1, 1, 1, 1), (1, 2, 1, 2), (1, 3, 1, 3)}
     assert m_ce == {(1, 1), (1, 2), (1, 3)}
 
 
 def test_match_chars_substitution_breaks_consecutive():
-    m_c, m_ce = match_chars({(1, 1)}, [[A, B, C]], [[A, X, C]])
+    m_c, m_ce = match_chars(match_lines([[A, B, C]], [[A, X, C]]))
     assert m_c == {(1, 1, 1, 1), (1, 3, 1, 3)}
     assert m_ce == {(1, 3)}
 
@@ -75,7 +81,7 @@ def test_match_chars_deletion_invisible_to_result_states():
     # hyp "ab" vs ref "acb": script E,D,E; the deletion consumes no result
     # position, so both result positions are consecutive equals.
     assert edit_script([A, B], [A, C, B]) == ["E", "D", "E"]
-    m_c, m_ce = match_chars({(1, 1)}, [[A, B]], [[A, C, B]])
+    m_c, m_ce = match_chars(match_lines([[A, B]], [[A, C, B]]))
     assert m_c == {(1, 1, 1, 1), (1, 2, 1, 3)}
     assert m_ce == {(1, 1), (1, 2)}
 
@@ -83,7 +89,7 @@ def test_match_chars_deletion_invisible_to_result_states():
 def test_match_chars_classes_agree():
     results = [[A, B, X, C]]
     annots = [[A, B, C]]
-    m_c, _ = match_chars(match_lines(results, annots), results, annots)
+    m_c, _ = match_chars(match_lines(results, annots))
     for p, m, q, n in m_c:
         assert results[p - 1][m - 1] == annots[q - 1][n - 1]
 

@@ -1,11 +1,15 @@
 import itertools
+import json
 import logging
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridtext import matching, metrics
+from gridtext.cli import main
 from gridtext.geometry import Box, GridShape
 from gridtext.matching import edit_counts
 from gridtext.metrics import ar_star, det_prf, page_ar_cr
@@ -148,3 +152,57 @@ def test_page_ar_cr_values():
     assert c == 1.0 and a == 0.9 and c > a
     with pytest.raises(ValueError):
         page_ar_cr([A], [])
+
+
+@pytest.fixture
+def alignments(monkeypatch):
+    """Every (hyp, ref) pair that edit_script aligns while the test runs."""
+    calls = []
+    real = matching.edit_script
+
+    def counted(hyp, ref):
+        calls.append((tuple(hyp), tuple(ref)))
+        return real(hyp, ref)
+
+    for module in (matching, metrics):
+        if hasattr(module, "edit_script"):
+            monkeypatch.setattr(module, "edit_script", counted)
+    return calls
+
+
+def test_match_chars_and_page_counts_do_not_realign(alignments):
+    results = [[A, B, E, C], [D, E], [A]]
+    annots = [[A, B, C], [D, E, E]]
+    m_l = matching.match_lines(results, annots)
+    assert len(alignments) == 6
+    matching.match_chars(m_l)
+    assert len(alignments) == 6
+    metrics.page_counts(results, annots)  # its own line matching only
+    assert len(alignments) == 12
+
+
+def test_eval_aligns_each_line_pair_of_a_page_once(tmp_path, alignments, capsys):
+    pages = {  # page id: (result lines, annotation lines)
+        "a": ([[A, B, C], [D, E]], [[A, B, C]]),
+        "b": ([[C, D]], [[C, D, E], [B]]),
+        "c": (None, [[A]]),
+        "d": ([[E]], None),
+    }
+    results, annots = tmp_path / "results.jsonl", tmp_path / "annotations.jsonl"
+    char = {"x": 8.0, "y": 8.0, "w": 0.1, "h": 0.1, "score": 0.9}
+    results.write_text("".join(
+        json.dumps({"page_id": pid, "img_w": 64, "img_h": 64,
+                    "lines": [{"chars": [{**char, "cls": c} for c in ln]} for ln in res]}) + "\n"
+        for pid, (res, _) in pages.items() if res is not None
+    ))
+    annots.write_text("".join(
+        json.dumps({"page_id": pid, "lines": ann}) + "\n"
+        for pid, (_, ann) in pages.items() if ann is not None
+    ))
+    assert main(["eval", "--results", str(results), "--annotations", str(annots)]) == 0
+    capsys.readouterr()
+    want = Counter(
+        (tuple(r), tuple(a))
+        for res, ann in pages.values() for r in res or [] for a in ann or []
+    )
+    assert Counter(alignments) == want

@@ -72,3 +72,18 @@ def test_variable_chars_per_line():
     page = gen_page(PageConfig(n_lines=4, chars_per_line=(3, 8), n_cls=10, seed=2))
     lengths = [len(line) for line in page.annotation.lines]
     assert all(3 <= n <= 8 for n in lengths)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"n_lines": 0}, "n_lines"),
+    ({"chars_per_line": (0, 3)}, "chars_per_line"),
+    ({"chars_per_line": (5, 3)}, "chars_per_line"),
+    ({"n_cls": 0}, "n_cls"),
+    ({"w_g": 0}, "w_g"),
+    ({"h_g": 0}, "h_g"),
+    ({"cell_px": 0}, "cell_px"),
+    ({"seed": -1}, "seed"),
+])
+def test_page_config_rejects_out_of_range_field(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        PageConfig(**fields)
