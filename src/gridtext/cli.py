@@ -23,9 +23,9 @@ from .metrics import det_counts, page_counts, prf
 from .predictions import MapFormatError, OracleNoise, load_maps, oracle_predict, save_maps
 from .pseudolabels import PseudoLabelStore
 from .simloop import ConfigError, StageConfig, export_labels, run_stage
-from .synth import GenerationError, Layout, PageConfig, SyntheticPage, gen_dataset
+from .synth import LAYOUT_KINDS, GenerationError, Layout, PageConfig, SyntheticPage, gen_dataset
 
-# The decode subcommand's flags, and keys that sit flat in a train-sim stage.
+# Keys that sit flat in a train-sim stage and belong to its DecodeConfig.
 _DECODE_HINTS = typing.get_type_hints(DecodeConfig)
 
 
@@ -52,16 +52,30 @@ def _write_jsonl(rows: typing.Iterable[dict], out: str | Path | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_decode_flags(p: argparse.ArgumentParser) -> None:
-    # Only the flags given reach DecodeConfig, so its defaults stay the only ones.
-    defaults = ", ".join(f"{f.name}={f.default}" for f in dataclasses.fields(DecodeConfig))
+def _add_fields(
+    p: argparse.ArgumentParser, cls, prefix: str, flags: dict[str, str]
+) -> argparse._ArgumentGroup:
+    """An argument group for the dataclass ``cls``; ``flags`` maps each flag
+    to its field, whose type it takes.
+
+    A flag given lands in the namespace as ``prefix`` + field and a flag not
+    given does not land at all, so the dataclass holds the only defaults;
+    :func:`_given` reads the group back.
+    """
+    shown = ", ".join(f"{k}={v}" for k, v in vars(cls()).items() if not dataclasses.is_dataclass(v))
     group = p.add_argument_group(
-        "decode options", f"defaults: {defaults}", argument_default=argparse.SUPPRESS
+        f"{cls.__name__} fields", f"defaults: {shown}", argument_default=argparse.SUPPRESS
     )
-    group.add_argument("--dis-threshold", type=float)
-    group.add_argument("--nms-iou", type=float)
-    group.add_argument("--sol-eol-threshold", type=float)
-    group.add_argument("--max-steps", type=int)
+    hints = typing.get_type_hints(cls)
+    for flag, name in flags.items():
+        (tp,) = set(typing.get_args(hints[name])) - {type(None)} or {hints[name]}  # X | None: X
+        group.add_argument(flag, dest=prefix + name, type=tp, metavar=name.upper())
+    return group
+
+
+def _given(args: argparse.Namespace, prefix: str) -> dict:
+    """The flags given in a group of :func:`_add_fields`, keyed by field."""
+    return {k[len(prefix):]: v for k, v in vars(args).items() if k.startswith(prefix)}
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
@@ -76,41 +90,15 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    # --amplitude and --period shape only the sine layout.
-    sine = args.layout == "sine"
-    layout = Layout("sine", args.amplitude, args.period) if sine else Layout(args.layout)
-    config = PageConfig(
-        n_lines=args.lines,
-        chars_per_line=(args.chars, args.chars_max or args.chars),
-        n_cls=args.n_cls,
-        layout=layout,
-        w_g=args.grid_w,
-        h_g=args.grid_h,
-        cell_px=args.cell_px,
-        seed=args.seed,
-    )
-    noise = OracleNoise(
-        jitter_sigma=args.jitter_sigma,
-        size_sigma=args.size_sigma,
-        label_swap_p=args.label_swap,
-        drop_p=args.drop,
-        spurious_p=args.spurious,
-        dir_flip_p=args.dir_flip,
-        seed=args.noise_seed,
-    )
+    given = _given(args, "page.")
+    if "chars" in given or "chars_max" in given:  # N, M: (N, N), (default, M), (N, M)
+        lo = given.pop("chars", PageConfig().chars_per_line[0])
+        given["chars_per_line"] = (lo, given.pop("chars_max", lo))
+    layout = Layout(**_given(args, "layout."))
+    config = PageConfig(**given, layout=layout, seed=args.seed)
+    noise = OracleNoise(**_given(args, "noise."))
     pages = list(gen_dataset(config, args.pages))
-    manifest: dict = {
-        "pages": [p.page_id for p in pages],
-        "config": {
-            "n_lines": config.n_lines,
-            "chars_per_line": list(config.chars_per_line),
-            "n_cls": config.n_cls,
-            "layout": dataclasses.asdict(config.layout),
-            "grid": [config.w_g, config.h_g],
-            "cell_px": config.cell_px,
-            "seed": config.seed,
-        },
-    }
+    manifest: dict = {"pages": [p.page_id for p in pages], "config": dataclasses.asdict(config)}
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -120,7 +108,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             maps_dir = out / "maps"
             maps_dir.mkdir(exist_ok=True)
             for idx, page in enumerate(pages):
-                per_page = dataclasses.replace(noise, seed=args.noise_seed + idx)
+                per_page = dataclasses.replace(noise, seed=noise.seed + idx)
                 maps = oracle_predict(page, per_page)
                 save_maps(maps, maps_dir / f"{page.page_id}.pgnm")
             manifest["maps"] = str(maps_dir)
@@ -146,7 +134,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         paths.extend(sorted(Path(args.maps_dir).iterdir()))
     if not paths:
         raise ValueError("decode needs --maps or --maps-dir")
-    config = DecodeConfig(**{k: v for k, v in vars(args).items() if k in _DECODE_HINTS})
+    config = DecodeConfig(**_given(args, "decode."))
     rows = []
     for path in paths:
         maps = load_maps(path)
@@ -293,10 +281,11 @@ def _read_config(path: str, seed: int) -> tuple[list[SyntheticPage], list[StageC
                "chars_per_line" is [min, max] or one integer for both
       stages   a list of objects of StageConfig fields, run in order: stage,
                n_passes, noise, halve_every, real_prob, seed, th_ar, th_iou,
-               epsilon; "noise" is an object of OracleNoise fields, and the
-               DecodeConfig fields (dis_threshold, nms_iou, sol_eol_threshold,
-               max_steps) sit flat in the stage object (default: one stage
-               with every default)
+               epsilon; "noise" is an object of OracleNoise fields
+               (jitter_sigma, size_sigma, label_swap_p, drop_p, spurious_p,
+               dir_flip_p, seed), and the DecodeConfig fields (dis_threshold,
+               nms_iou, sol_eol_threshold, max_steps) sit flat in the stage
+               object (default: one stage with every default)
 
     Every other default is the dataclass field's.  An unknown key or a
     value of the wrong type is an error that names its path, such as
@@ -409,33 +398,38 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gridtext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("synth", help="generate synthetic pages and oracle maps")
+    p = sub.add_parser(
+        "synth",
+        help="generate synthetic pages and oracle maps",
+        description="The manifest's config is a train-sim dataset object.",
+    )
     _add_common(p, seed=True)
     p.add_argument("--pages", type=int, default=5)
-    p.add_argument("--lines", type=int, default=5)
-    p.add_argument("--chars", type=int, default=10)
-    p.add_argument("--chars-max", type=int, default=None)
-    p.add_argument("--n-cls", type=int, default=100)
-    p.add_argument("--layout", choices=["horizontal", "rot90", "rot180", "rot270", "sine"],
-                   default="horizontal")
-    p.add_argument("--amplitude", type=float, default=1.5)
-    p.add_argument("--period", type=float, default=12.0)
-    p.add_argument("--grid-w", type=int, default=32)
-    p.add_argument("--grid-h", type=int, default=32)
-    p.add_argument("--cell-px", type=int, default=16)
     p.add_argument("--emit-maps", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--jitter-sigma", type=float, default=0.0)
-    p.add_argument("--size-sigma", type=float, default=0.0)
-    p.add_argument("--label-swap", type=float, default=0.0)
-    p.add_argument("--drop", type=float, default=0.0)
-    p.add_argument("--spurious", type=float, default=0.0)
-    p.add_argument("--dir-flip", type=float, default=0.0)
-    p.add_argument("--noise-seed", type=int, default=0)
+    group = _add_fields(p, PageConfig, "page.", {
+        "--lines": "n_lines", "--n-cls": "n_cls", "--grid-w": "w_g", "--grid-h": "h_g",
+        "--cell-px": "cell_px",
+    })
+    group.add_argument("--chars", dest="page.chars", type=int, metavar="N",
+                       help="chars_per_line (N, N), or (N, M) with --chars-max")
+    group.add_argument("--chars-max", dest="page.chars_max", type=int, metavar="M",
+                       help="chars_per_line (default, M), or (N, M) with --chars")
+    group = _add_fields(p, Layout, "layout.", {"--amplitude": "amplitude", "--period": "period"})
+    group.add_argument("--layout", dest="layout.kind", choices=LAYOUT_KINDS, metavar="KIND",
+                       help=f"one of {', '.join(LAYOUT_KINDS)}")
+    _add_fields(p, OracleNoise, "noise.", {
+        "--jitter-sigma": "jitter_sigma", "--size-sigma": "size_sigma",
+        "--label-swap": "label_swap_p", "--drop": "drop_p", "--spurious": "spurious_p",
+        "--dir-flip": "dir_flip_p", "--noise-seed": "seed",
+    })
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("decode", help="decode prediction maps into line results")
     _add_common(p)
-    _add_decode_flags(p)
+    _add_fields(p, DecodeConfig, "decode.", {
+        "--dis-threshold": "dis_threshold", "--nms-iou": "nms_iou",
+        "--sol-eol-threshold": "sol_eol_threshold", "--max-steps": "max_steps",
+    })
     p.add_argument("--maps", nargs="*", default=None)
     p.add_argument("--maps-dir", type=str, default=None)
     p.set_defaults(func=cmd_decode)

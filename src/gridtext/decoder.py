@@ -133,15 +133,13 @@ def fused_score(dis: float, cls_prob: float) -> float:
 
 
 def extract_nodes(
-    maps: PredictionMaps,
-    dis_threshold: float = 0.5,
-    nms_threshold: float = 0.3,
+    maps: PredictionMaps, config: DecodeConfig = DecodeConfig()
 ) -> list[CharInstance]:
     """Threshold the presence map into candidates, NMS, return row-major."""
     from .geometry import nms
 
     cand: list[CharInstance] = []
-    hits = np.argwhere(maps.dis >= dis_threshold)
+    hits = np.argwhere(maps.dis >= config.dis_threshold)
     for i0, j0 in sorted(hits.tolist(), key=lambda t: (t[1], t[0])):
         i, j = i0 + 1, j0 + 1
         row = maps.cls[i0, j0]
@@ -158,7 +156,7 @@ def extract_nodes(
                 cls_prob=float(row[cls0]),
             )
         )
-    keep = nms([(c.box, c.score) for c in cand], nms_threshold, maps.shape)
+    keep = nms([(c.box, c.score) for c in cand], config.nms_iou, maps.shape)
     return [cand[k] for k in keep]
 
 
@@ -310,7 +308,7 @@ def assemble(
     edges: Mapping[int, int],
     traces: Sequence[SearchTrace],
     maps: PredictionMaps,
-    sol_eol_threshold: float = 0.9,
+    config: DecodeConfig = DecodeConfig(),
 ) -> PageResult:
     """Chase edges from start-of-line nodes into ordered line results.
 
@@ -333,11 +331,11 @@ def assemble(
     for k in order:
         if k in used or k in has_incoming:
             continue
-        if sol_at(nodes[k].grid) <= sol_eol_threshold:
+        if sol_at(nodes[k].grid) <= config.sol_eol_threshold:
             continue
         chain = [k]
         cur = k
-        while eol_at(nodes[cur].grid) <= sol_eol_threshold and cur in edges:
+        while eol_at(nodes[cur].grid) <= config.sol_eol_threshold and cur in edges:
             nxt = edges[cur]
             if nxt in used or nxt in chain:
                 break
@@ -380,14 +378,14 @@ def validate_result(result: PageResult) -> None:
 
 def decode(maps: PredictionMaps, config: DecodeConfig = DecodeConfig()) -> PageResult:
     """Full pipeline: extract nodes, follow directions, resolve, assemble."""
-    nodes = extract_nodes(maps, config.dis_threshold, config.nms_iou)
+    nodes = extract_nodes(maps, config)
     node_scores = {n.grid: n.score for n in nodes}
     max_steps = config.max_steps
     if max_steps is None:
         max_steps = maps.shape.w_g + maps.shape.h_g
     traces = [follow(maps, n.grid, node_scores, max_steps) for n in nodes]
     edges = resolve_edges(nodes, traces)
-    result = assemble(nodes, edges, traces, maps, config.sol_eol_threshold)
+    result = assemble(nodes, edges, traces, maps, config)
     validate_result(result)
     return result
 

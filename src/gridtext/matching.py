@@ -145,7 +145,7 @@ def cr(hyp: Sequence[int], ref: Sequence[int]) -> float:
 def match_lines(
     results: Sequence[Sequence[int]],
     annots: Sequence[Sequence[int]],
-    th_ar: float = 0.3,
+    th_ar: float,
 ) -> dict[tuple[int, int], list[str]]:
     """Greedy one-to-one line matching in descending AR order.
 
@@ -203,7 +203,7 @@ def spatial_filter(
     result: "PageResult",
     pseudo: Mapping[tuple[int, int], "PseudoLabel"],
     shape: GridShape,
-    th_iou: float = 0.5,
+    th_iou: float,
 ) -> set[tuple[int, int, int, int]]:
     """Drop character pairs whose box disagrees with an existing pseudo-label.
 

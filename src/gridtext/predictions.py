@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -117,20 +117,18 @@ class OracleNoise:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.jitter_sigma < 0 or self.size_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
+        for name in ("jitter_sigma", "size_sigma"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def scaled(self, factor: float) -> "OracleNoise":
         """All magnitudes multiplied by ``factor`` (seed unchanged)."""
-        return OracleNoise(
-            jitter_sigma=self.jitter_sigma * factor,
-            size_sigma=self.size_sigma * factor,
-            label_swap_p=self.label_swap_p * factor,
-            drop_p=self.drop_p * factor,
-            spurious_p=self.spurious_p * factor,
-            dir_flip_p=self.dir_flip_p * factor,
-            seed=self.seed,
-        )
+        return replace(self, **{
+            f.name: getattr(self, f.name) * factor for f in fields(self) if f.name != "seed"
+        })
 
 
 @dataclass

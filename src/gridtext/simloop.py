@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -64,9 +64,13 @@ class StageConfig:
         # update_weight is at most e^709 and their sum stays finite.
         if not 0.0 <= self.epsilon <= 709.0:
             raise ConfigError(f"epsilon must be in [0, 709], got {self.epsilon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.halve_every is not None and self.halve_every < 1:
+            raise ConfigError(f"halve_every must be None or >= 1, got {self.halve_every}")
 
     def noise_for_pass(self, k: int) -> OracleNoise:
-        if self.halve_every:
+        if self.halve_every is not None:
             return self.noise.scaled(0.5 ** (k // self.halve_every))
         return self.noise
 
@@ -83,16 +87,9 @@ class PassReport:
     n_filtered: int
 
     def to_dict(self) -> dict:
-        return {
-            "pass": self.pass_idx,
-            "stage": self.stage,
-            "losses": self.losses,
-            "coverage": self.coverage,
-            "mean_iou": self.mean_iou,
-            "n_line_matches": self.n_line_matches,
-            "n_char_matches": self.n_char_matches,
-            "n_filtered": self.n_filtered,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("pass_idx")
+        return doc
 
 
 def _derived_seed(*parts: int) -> int:

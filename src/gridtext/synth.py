@@ -47,8 +47,10 @@ class Layout:
     def __post_init__(self) -> None:
         if self.kind not in LAYOUT_KINDS:
             raise ValueError(f"unknown layout {self.kind!r}, pick from {LAYOUT_KINDS}")
-        if self.amplitude < 0 or self.period <= 0:
-            raise ValueError("amplitude must be >= 0 and period > 0")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"period must be finite and > 0, got {self.period}")
 
 
 @dataclass(frozen=True)
@@ -198,10 +200,6 @@ def gen_page(config: PageConfig, page_index: int = 0) -> SyntheticPage:
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng([config.seed, page_index, attempt])
         page = _build(config, rng, page_id)
-        grids = [grid_of(c.box, page.shape) for c in page.chars]
-        if len(set(grids)) != len(grids):
-            last_err = GridCollisionError(f"{page_id}: duplicate character grids")
-            continue
         try:
             if _round_trip_ok(page):
                 return page
@@ -215,5 +213,7 @@ def gen_page(config: PageConfig, page_index: int = 0) -> SyntheticPage:
 
 def gen_dataset(config: PageConfig, n_pages: int) -> Iterator[SyntheticPage]:
     """Pages with per-index seeds derived from the master seed."""
+    if n_pages < 1:
+        raise ValueError(f"pages must be >= 1, got {n_pages}")
     for idx in range(n_pages):
         yield gen_page(config, page_index=idx)

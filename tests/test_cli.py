@@ -1,11 +1,19 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import math
+import re
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gridtext.cli import _from_doc, main, render_page_svg
+from gridtext.cli import _from_doc, _read_config, build_parser, main, render_page_svg
 from gridtext.decoder import DecodeConfig
 from gridtext.predictions import OracleNoise
 from gridtext.simloop import StageConfig
@@ -314,6 +322,16 @@ def _without(doc: dict, key: str) -> dict:
     pytest.param({"map.json": json.dumps(
         {"w_g": 1, "h_g": 1, "n_cls": 1, "img_w": [1], "img_h": 16})},
         ["decode", "--maps", "map.json"], id="map-header-list-value"),
+    pytest.param({"config.json": json.dumps(
+        {"pages": 1, "dataset": {"layout": {"kind": "sine", "amplitude": math.inf}}})},
+        _TRAIN_SIM, id="infinite-sine-amplitude"),
+    pytest.param({}, ["synth", "--layout", "sine", "--amplitude", "inf"],
+                 id="synth-infinite-sine-amplitude"),
+    pytest.param(_stage(seed=-1), _TRAIN_SIM, id="negative-stage-seed"),
+    pytest.param({"config.json": json.dumps({**_DATASET, "pages": -3})}, _TRAIN_SIM,
+                 id="negative-page-count"),
+    pytest.param({}, ["synth", "--pages", "-1"], id="synth-negative-page-count"),
+    pytest.param({}, ["synth", "--chars-max", "0"], id="synth-chars-max-0"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
@@ -333,3 +351,115 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, fi
 def test_from_doc_reads_back_a_dataclass_as_json(config):
     doc = json.loads(json.dumps(dataclasses.asdict(config)))
     assert _from_doc(type(config), doc, "config") == config
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+def test_flags_not_given_leave_no_trace_in_the_namespace():
+    # The dataclasses hold the only defaults: a flag of theirs that is not
+    # given must not reach them.
+    assert set(vars(_subparser("synth").parse_args([]))) == {"func", "seed", "out", "pages",
+                                                            "emit_maps"}
+    assert set(vars(_subparser("decode").parse_args([]))) == {"func", "out", "maps", "maps_dir"}
+
+
+@pytest.mark.parametrize("flags, config", [
+    ([], PageConfig()),
+    (["--chars", "6"], PageConfig(chars_per_line=(6, 6))),
+    (["--chars-max", "12"], PageConfig(chars_per_line=(10, 12))),
+    (["--chars", "6", "--chars-max", "12"], PageConfig(chars_per_line=(6, 12))),
+    (["--layout", "rot90", "--amplitude", "2", "--grid-w", "40", "--grid-h", "24",
+      "--cell-px", "8", "--lines", "3", "--n-cls", "20", "--seed", "3"],
+     PageConfig(n_lines=3, n_cls=20, layout=Layout("rot90", amplitude=2.0), w_g=40, h_g=24,
+                cell_px=8, seed=3)),
+    (["--layout", "sine", "--period", "8"], PageConfig(layout=Layout("sine", period=8.0))),
+], ids=["no-flags", "chars", "chars-max", "chars-both", "rot90", "sine"])
+def test_synth_manifest_config_is_a_train_sim_dataset(flags, config, capsys):
+    assert main(["synth", "--pages", "1", "--no-emit-maps", *flags]) == 0
+    manifest = json.loads(capsys.readouterr().out)
+    assert _from_doc(PageConfig, manifest["config"], "dataset") == config
+
+
+def test_train_sim_help_names_every_config_field():
+    words = set(re.findall(r"\w+", _read_config.__doc__))
+    for cls in (PageConfig, Layout, OracleNoise, StageConfig, DecodeConfig):
+        # StageConfig.decode is no key: its fields sit flat in the stage.
+        missing = [f.name for f in dataclasses.fields(cls)
+                   if f.name not in words and (cls, f.name) != (StageConfig, "decode")]
+        assert not missing, (cls.__name__, missing)
+
+
+def _exit_0_or_2_with_one_line(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+_TINY_SYNTH = ["synth", "--pages", "1", "--lines", "1", "--chars", "2", "--grid-w", "12",
+               "--grid-h", "12", "--layout", "sine", "--jitter-sigma", "0.1"]
+_NUMBER_FLAGS = {
+    a.option_strings[0]: a.type for a in _subparser("synth")._actions if a.type in (int, float)
+}
+_SMALL_INTS = st.integers(-3, 40)  # no draw allocates a large grid
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(sorted(_NUMBER_FLAGS)).flatmap(lambda flag: st.tuples(
+    st.just(flag), _SMALL_INTS if _NUMBER_FLAGS[flag] is int else st.floats() | _SMALL_INTS
+)))
+@example(("--amplitude", math.inf))
+@example(("--period", math.nan))
+@example(("--jitter-sigma", math.nan))
+@example(("--noise-seed", -1))
+@example(("--pages", -1))
+def test_any_synth_number_exits_0_or_2(flag_value):
+    flag, value = flag_value
+    with tempfile.TemporaryDirectory() as out:
+        _exit_0_or_2_with_one_line([*_TINY_SYNTH, f"{flag}={value}", "--out", out])
+
+
+_TINY_CONFIG = {
+    "pages": 1,
+    "dataset": {"n_lines": 1, "chars_per_line": 2, "n_cls": 5, "w_g": 12, "h_g": 12,
+                "layout": {"kind": "sine"}},
+    "stages": [{"stage": "train", "real_prob": 1.0, "noise": {"jitter_sigma": 0.1}}],
+}
+# (path to an object in the config, key) for every key a train-sim config reads.
+_CONFIG_KEYS = (
+    [((), "seed"), ((), "pages")]
+    + [(("dataset",), f.name) for f in dataclasses.fields(PageConfig)]
+    + [(("dataset", "layout"), f.name) for f in dataclasses.fields(Layout)]
+    + [(("stages", 0), f.name) for f in dataclasses.fields(StageConfig) if f.name != "decode"]
+    + [(("stages", 0), f.name) for f in dataclasses.fields(DecodeConfig)]
+    + [(("stages", 0, "noise"), f.name) for f in dataclasses.fields(OracleNoise)]
+)
+_JSON_SCALARS = _SMALL_INTS | st.floats() | st.booleans() | st.text(max_size=8) | st.none()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(_CONFIG_KEYS), _JSON_SCALARS)
+@example((("dataset", "layout"), "amplitude"), math.inf)
+@example((("stages", 0), "seed"), -1)
+@example((("stages", 0), "halve_every"), -1)
+@example((("stages", 0, "noise"), "size_sigma"), math.nan)
+@example(((), "pages"), -3)
+def test_any_train_sim_scalar_exits_0_or_2(where, value):
+    config = json.loads(json.dumps(_TINY_CONFIG))
+    path, key = where
+    doc = config
+    for step in path:
+        doc = doc[step]
+    doc[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        _exit_0_or_2_with_one_line(
+            ["train-sim", "--config", str(cfg_path), "--out", str(Path(tmp) / "run")]
+        )

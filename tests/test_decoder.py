@@ -65,7 +65,7 @@ def test_extract_nodes_nms_suppresses_overlap():
     put_char(maps, 3, 3, 1, dis=0.9, box=Box(20.0, 20.0, 0.75, 0.25))
     put_char(maps, 4, 3, 2, dis=0.7, box=Box(24.1, 20.0, 0.75, 0.25))
     assert iou(Box(20.0, 20.0, 0.75, 0.25), Box(24.1, 20.0, 0.75, 0.25), shape) > 0.8
-    nodes = extract_nodes(maps, dis_threshold=0.5, nms_threshold=0.5)
+    nodes = extract_nodes(maps, DecodeConfig(dis_threshold=0.5, nms_iou=0.5))
     assert [n.grid for n in nodes] == [(3, 3)]
 
 

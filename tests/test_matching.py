@@ -48,11 +48,11 @@ def test_edit_script_canonical_substitutions():
 
 
 def test_match_lines_single_pair():
-    assert set(match_lines([[A, B, C]], [[A, B, C], [X, X, X]])) == {(1, 1)}
+    assert set(match_lines([[A, B, C]], [[A, B, C], [X, X, X]], th_ar=0.3)) == {(1, 1)}
 
 
 def test_match_lines_best_ar_wins():
-    assert set(match_lines([[A, B, C], [A, B, D]], [[A, B, D]])) == {(2, 1)}
+    assert set(match_lines([[A, B, C], [A, B, D]], [[A, B, D]], th_ar=0.3)) == {(2, 1)}
 
 
 def test_match_lines_all_below_threshold():
@@ -62,17 +62,17 @@ def test_match_lines_all_below_threshold():
 def test_match_lines_hands_back_each_matched_pairs_script():
     results = [[A, B, X, C], [D]]
     annots = [[A, B, C], [D, D]]
-    assert match_lines(results, annots) == {(1, 1): ["E", "E", "I", "E"], (2, 2): ["D", "E"]}
+    assert match_lines(results, annots, th_ar=0.3) == {(1, 1): ["E", "E", "I", "E"], (2, 2): ["D", "E"]}
 
 
 def test_match_chars_all_equal():
-    m_c, m_ce = match_chars(match_lines([[A, B, C]], [[A, B, C]]))
+    m_c, m_ce = match_chars(match_lines([[A, B, C]], [[A, B, C]], th_ar=0.3))
     assert m_c == {(1, 1, 1, 1), (1, 2, 1, 2), (1, 3, 1, 3)}
     assert m_ce == {(1, 1), (1, 2), (1, 3)}
 
 
 def test_match_chars_substitution_breaks_consecutive():
-    m_c, m_ce = match_chars(match_lines([[A, B, C]], [[A, X, C]]))
+    m_c, m_ce = match_chars(match_lines([[A, B, C]], [[A, X, C]], th_ar=0.3))
     assert m_c == {(1, 1, 1, 1), (1, 3, 1, 3)}
     assert m_ce == {(1, 3)}
 
@@ -81,7 +81,7 @@ def test_match_chars_deletion_invisible_to_result_states():
     # hyp "ab" vs ref "acb": script E,D,E; the deletion consumes no result
     # position, so both result positions are consecutive equals.
     assert edit_script([A, B], [A, C, B]) == ["E", "D", "E"]
-    m_c, m_ce = match_chars(match_lines([[A, B]], [[A, C, B]]))
+    m_c, m_ce = match_chars(match_lines([[A, B]], [[A, C, B]], th_ar=0.3))
     assert m_c == {(1, 1, 1, 1), (1, 2, 1, 3)}
     assert m_ce == {(1, 1), (1, 2)}
 
@@ -89,7 +89,7 @@ def test_match_chars_deletion_invisible_to_result_states():
 def test_match_chars_classes_agree():
     results = [[A, B, X, C]]
     annots = [[A, B, C]]
-    m_c, _ = match_chars(match_lines(results, annots))
+    m_c, _ = match_chars(match_lines(results, annots, th_ar=0.3))
     for p, m, q, n in m_c:
         assert results[p - 1][m - 1] == annots[q - 1][n - 1]
 
@@ -102,7 +102,7 @@ def _one_char_result(box: Box) -> PageResult:
 def test_spatial_filter_missing_label_passes():
     shape = GridShape(4, 4, 64, 64)
     result = _one_char_result(Box(10, 10, 0.2, 0.2))
-    kept = spatial_filter({(1, 1, 1, 1)}, result, {}, shape)
+    kept = spatial_filter({(1, 1, 1, 1)}, result, {}, shape, th_iou=0.5)
     assert kept == {(1, 1, 1, 1)}
 
 
@@ -110,7 +110,7 @@ def test_spatial_filter_identical_box_retained():
     shape = GridShape(4, 4, 64, 64)
     box = Box(10, 10, 0.2, 0.2)
     labels = {(1, 1): PseudoLabel(box=box, gamma=0.8)}
-    kept = spatial_filter({(1, 1, 1, 1)}, _one_char_result(box), labels, shape)
+    kept = spatial_filter({(1, 1, 1, 1)}, _one_char_result(box), labels, shape, th_iou=0.5)
     assert kept == {(1, 1, 1, 1)}
 
 
@@ -122,7 +122,7 @@ def test_spatial_filter_low_iou_removed():
     label_box = Box(20, 10, 0.2, 0.2)
     assert iou(pred, label_box, shape) < 0.5
     labels = {(1, 1): PseudoLabel(box=label_box, gamma=0.8)}
-    kept = spatial_filter({(1, 1, 1, 1)}, _one_char_result(pred), labels, shape)
+    kept = spatial_filter({(1, 1, 1, 1)}, _one_char_result(pred), labels, shape, th_iou=0.5)
     assert kept == set()
 
 
@@ -131,9 +131,9 @@ def test_spatial_filter_idempotent_and_shrinking():
     result = _one_char_result(Box(10, 10, 0.2, 0.2))
     labels = {(1, 1): PseudoLabel(box=Box(40, 40, 0.2, 0.2), gamma=0.5)}
     m_c = {(1, 1, 1, 1)}
-    once = spatial_filter(m_c, result, labels, shape)
+    once = spatial_filter(m_c, result, labels, shape, th_iou=0.5)
     assert once <= m_c
-    assert spatial_filter(once, result, labels, shape) == once
+    assert spatial_filter(once, result, labels, shape, th_iou=0.5) == once
 
 
 @settings(deadline=None, max_examples=300)

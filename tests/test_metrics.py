@@ -173,7 +173,7 @@ def alignments(monkeypatch):
 def test_match_chars_and_page_counts_do_not_realign(alignments):
     results = [[A, B, E, C], [D, E], [A]]
     annots = [[A, B, C], [D, E, E]]
-    m_l = matching.match_lines(results, annots)
+    m_l = matching.match_lines(results, annots, th_ar=0.3)
     assert len(alignments) == 6
     matching.match_chars(m_l)
     assert len(alignments) == 6

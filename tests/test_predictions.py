@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -223,3 +224,20 @@ def test_load_maps_bytes_load_or_raise_map_format_error(tiny_map, data):
         raw = raw[:k] + bytes([raw[k] ^ data.draw(st.integers(1, 255))]) + raw[k + 1:]
     path.write_bytes(raw)
     _loads_or_map_format_error(path)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"jitter_sigma": math.nan}, "jitter_sigma"),
+    ({"jitter_sigma": math.inf}, "jitter_sigma"),
+    ({"size_sigma": math.nan}, "size_sigma"),
+    ({"size_sigma": -0.1}, "size_sigma"),
+    ({"seed": -1}, "seed"),
+])
+def test_oracle_noise_rejects_out_of_range_field(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        OracleNoise(**fields)
+
+
+def test_scaled_noise_multiplies_every_magnitude_and_keeps_the_seed():
+    noise = OracleNoise(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, seed=7)
+    assert noise.scaled(0.5) == OracleNoise(0.05, 0.1, 0.15, 0.2, 0.25, 0.3, seed=7)

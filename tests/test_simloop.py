@@ -159,6 +159,7 @@ def test_duplicate_page_ids_rejected():
     ("th_iou", -0.1), ("th_iou", 1.5), ("th_iou", math.nan),
     ("th_ar", math.inf), ("th_ar", -math.inf), ("th_ar", math.nan),
     ("epsilon", -1.0), ("epsilon", 709.5), ("epsilon", 1000.0), ("epsilon", math.nan),
+    ("seed", -1), ("halve_every", 0), ("halve_every", -1),
 ])
 def test_stage_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):

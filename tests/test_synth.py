@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -87,3 +88,22 @@ def test_variable_chars_per_line():
 def test_page_config_rejects_out_of_range_field(fields, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         PageConfig(**fields)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"kind": "sine", "amplitude": math.inf}, "amplitude"),
+    ({"amplitude": math.nan}, "amplitude"),
+    ({"amplitude": -1.0}, "amplitude"),
+    ({"kind": "sine", "period": math.nan}, "period"),
+    ({"period": math.inf}, "period"),
+    ({"period": 0.0}, "period"),
+])
+def test_layout_rejects_out_of_range_field(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        Layout(**fields)
+
+
+@pytest.mark.parametrize("n_pages", [0, -1])
+def test_gen_dataset_rejects_fewer_than_one_page(n_pages):
+    with pytest.raises(ValueError, match="^pages must be >= 1"):
+        list(gen_dataset(PageConfig(), n_pages))
