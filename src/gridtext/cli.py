@@ -134,6 +134,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         paths.extend(sorted(Path(args.maps_dir).iterdir()))
     if not paths:
         raise ValueError("decode needs --maps or --maps-dir")
+    by_page_id("map files", paths, lambda path: path.stem)  # each stem names a page
     config = DecodeConfig(**_given(args, "decode."))
     rows = []
     for path in paths:

@@ -12,6 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+# Image width and height bounds, in pixels.  Inside them a box read from
+# finite float32 map values (magnitudes from 1.4e-45 to 3.5e38; the decoder
+# floors non-positive extents at 1e-6) has a finite center, finite corners
+# and a finite, nonzero area.
+IMAGE_SIZE_RANGE = (1e-100, 1e100)
+
 
 @dataclass(frozen=True)
 class GridShape:
@@ -25,8 +31,11 @@ class GridShape:
     def __post_init__(self) -> None:
         if self.w_g < 1 or self.h_g < 1:
             raise ValueError(f"grid dims must be >= 1, got {self.w_g}x{self.h_g}")
-        if self.img_w <= 0 or self.img_h <= 0:
-            raise ValueError(f"image dims must be > 0, got {self.img_w}x{self.img_h}")
+        lo, hi = IMAGE_SIZE_RANGE
+        if not (lo <= self.img_w <= hi and lo <= self.img_h <= hi):
+            raise ValueError(
+                f"image dims must be in [{lo}, {hi}], got {self.img_w}x{self.img_h}"
+            )
 
     @property
     def cell_w(self) -> float:
@@ -60,9 +69,6 @@ class Box:
         hw = 0.5 * self.w * shape.img_w
         hh = 0.5 * self.h * shape.img_h
         return self.x - hw, self.y - hh, self.x + hw, self.y + hh
-
-    def area(self, shape: GridShape) -> float:
-        return self.w * shape.img_w * self.h * shape.img_h
 
 
 @dataclass(frozen=True)

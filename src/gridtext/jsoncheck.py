@@ -77,12 +77,12 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
     return out
 
 
-def by_page_id(path: str | Path, rows: Iterable[T], page_id: Callable[[T], str]) -> dict[str, T]:
+def by_page_id(source: str | Path, rows: Iterable[T], page_id: Callable[[T], str]) -> dict[str, T]:
     """``rows`` keyed by ``page_id(row)``; an id on two rows is a ValueError."""
     out: dict[str, T] = {}
     for row in rows:
         key = page_id(row)
         if key in out:
-            raise ValueError(f"{path}: page_id {key!r} is on more than one row")
+            raise ValueError(f"{source}: page_id {key!r} appears more than once")
         out[key] = row
     return out

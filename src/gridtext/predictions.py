@@ -30,6 +30,10 @@ if TYPE_CHECKING:
     from .synth import SyntheticPage
 
 EPS = 1e-6  # probability floor/ceiling written by the oracle
+# A box's size factor is exp(size_sigma * z) for a standard normal z, which
+# numpy never draws beyond |z| < 14: up to this bound the factor stays
+# within e^+-70, so every noisy box keeps a positive, finite extent.
+MAX_SIZE_SIGMA = 5.0
 
 MAGIC = b"PGNM"
 FORMAT_VERSION = 1
@@ -117,10 +121,12 @@ class OracleNoise:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in ("jitter_sigma", "size_sigma"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
+            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
+        if not 0.0 <= self.size_sigma <= MAX_SIZE_SIGMA:
+            raise ValueError(
+                f"size_sigma must be in [0, {MAX_SIZE_SIGMA}], got {self.size_sigma}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -230,7 +236,8 @@ def _clamp_to_cell(x: float, lo: float, hi: float) -> float:
 
 
 def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
-    """Synthesize prediction maps for a page, then apply the noise model.
+    """Synthesize prediction maps from a page's annotation, its ground truth,
+    then apply the noise model.
 
     Exact rendering: presence/one-hot class/relative box at every character
     grid, start/end-of-line flags at line endpoints, and reading-order rows
@@ -242,20 +249,23 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
     maps = _blank_maps(shape, page.n_cls)
     rng = np.random.default_rng(noise.seed)
 
-    chars = list(page.chars)
+    # (grid, class id, box) of every character, line by line in reading order.
+    annot = page.annotation
+    lines = [
+        [(grid_of(box, shape), cls_id, box) for cls_id, box in zip(line, boxes)]
+        for line, boxes in zip(annot.lines, annot.boxes)
+    ]
+    chars = [ch for line in lines for ch in line]
     grids: dict[tuple[int, int], int] = {}
-    for k, ch in enumerate(chars):
-        g = grid_of(ch.box, shape)
+    for k, (g, _, _) in enumerate(chars):
         if g in grids:
             raise GridCollisionError(f"characters {grids[g]} and {k} share grid {g}")
         grids[g] = k
 
-    # Lines go in line-index order: where two staircases cross, the later
+    # Lines go in reading order: where two staircases cross, the later
     # line's rd row wins.
-    lines = page.line_chars()
     for line in lines:
-        for a, b in zip(line, line[1:]):
-            ga, gb = grid_of(a.box, shape), grid_of(b.box, shape)
+        for (ga, _, _), (gb, _, _) in zip(line, line[1:]):
             for g, d in staircase(ga, gb):
                 if g != ga and g in grids:
                     raise GridCollisionError(
@@ -263,15 +273,14 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
                     )
                 maps.rd[g[0] - 1, g[1] - 1] = _rd_row(d)
 
-    for ch in chars:
-        i, j = grid_of(ch.box, shape)
+    for (i, j), cls_id, box in chars:
         maps.dis[i - 1, j - 1] = 1.0 - EPS
-        maps.cls[i - 1, j - 1] = _one_hot(page.n_cls, ch.cls_id - 1)
-        _set_rel(maps, (i, j), ch.box)
+        maps.cls[i - 1, j - 1] = _one_hot(page.n_cls, cls_id - 1)
+        _set_rel(maps, (i, j), box)
     for line in lines:
-        gi, gj = grid_of(line[0].box, shape)
+        gi, gj = line[0][0]
         maps.sol[gi - 1, gj - 1] = 1.0 - EPS
-        gi, gj = grid_of(line[-1].box, shape)
+        gi, gj = line[-1][0]
         maps.eol[gi - 1, gj - 1] = 1.0 - EPS
 
     _apply_noise(maps, chars, grids, noise, rng)
@@ -280,7 +289,7 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
 
 def _apply_noise(
     maps: PredictionMaps,
-    chars: list,
+    chars: list[tuple[tuple[int, int], int, Box]],
     grids: dict[tuple[int, int], int],
     noise: OracleNoise,
     rng: np.random.Generator,
@@ -289,7 +298,7 @@ def _apply_noise(
     n = len(chars)
     if n:
         mean_size = float(
-            np.mean([0.5 * (c.box.w * shape.img_w + c.box.h * shape.img_h) for c in chars])
+            np.mean([0.5 * (box.w * shape.img_w + box.h * shape.img_h) for _, _, box in chars])
         )
     else:
         mean_size = min(shape.cell_w, shape.cell_h)
@@ -297,29 +306,31 @@ def _apply_noise(
     drop = rng.random(n) < noise.drop_p
     swap = rng.random(n) < noise.label_swap_p
     swap_to = rng.integers(0, max(maps.n_cls - 1, 1), size=n)
-    jitter = rng.normal(0.0, 1.0, size=(n, 2)) * noise.jitter_sigma * mean_size
+    # A jitter that overflows to +-inf lands on the cell edge, as any jitter
+    # past the edge does.
+    with np.errstate(over="ignore"):
+        jitter = rng.normal(0.0, 1.0, size=(n, 2)) * noise.jitter_sigma * mean_size
     size_fac = np.exp(rng.normal(0.0, 1.0, size=(n, 2)) * noise.size_sigma)
 
-    for k, ch in enumerate(chars):
-        i, j = grid_of(ch.box, shape)
+    for k, ((i, j), cls_id, box) in enumerate(chars):
         if drop[k]:
             maps.dis[i - 1, j - 1] = EPS
             continue
         if swap[k]:
             wrong = int(swap_to[k])
-            if wrong >= ch.cls_id - 1:
+            if wrong >= cls_id - 1:
                 wrong += 1  # skip the true class
             wrong %= maps.n_cls
             maps.cls[i - 1, j - 1] = _one_hot(maps.n_cls, wrong)
         if noise.jitter_sigma > 0 or noise.size_sigma > 0:
             x = _clamp_to_cell(
-                ch.box.x + float(jitter[k, 0]), (i - 1) * shape.cell_w, i * shape.cell_w
+                box.x + float(jitter[k, 0]), (i - 1) * shape.cell_w, i * shape.cell_w
             )
             y = _clamp_to_cell(
-                ch.box.y + float(jitter[k, 1]), (j - 1) * shape.cell_h, j * shape.cell_h
+                box.y + float(jitter[k, 1]), (j - 1) * shape.cell_h, j * shape.cell_h
             )
-            w = min(ch.box.w * float(size_fac[k, 0]), 1.0)
-            h = min(ch.box.h * float(size_fac[k, 1]), 1.0)
+            w = min(box.w * float(size_fac[k, 0]), 1.0)
+            h = min(box.h * float(size_fac[k, 1]), 1.0)
             _set_rel(maps, (i, j), Box(x, y, w, h))
 
     if noise.spurious_p > 0:
@@ -419,11 +430,12 @@ def _header(w_g, h_g, n_cls, img_w, img_h) -> tuple[GridShape, int]:
         img_w, img_h = float(img_w), float(img_h)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MapFormatError(f"header: bad field ({exc})") from exc
-    if w_g < 1 or h_g < 1 or n_cls < 1:
-        raise MapFormatError("header: non-positive dimensions")
-    if not (math.isfinite(img_w) and img_w > 0 and math.isfinite(img_h) and img_h > 0):
-        raise MapFormatError("header: bad image dimensions")
-    return GridShape(w_g, h_g, img_w, img_h), n_cls
+    if n_cls < 1:
+        raise MapFormatError(f"header: n_cls must be >= 1, got {n_cls}")
+    try:
+        return GridShape(w_g, h_g, img_w, img_h), n_cls
+    except ValueError as exc:
+        raise MapFormatError(f"header: {exc}") from exc
 
 
 def _load_binary(raw: bytes) -> PredictionMaps:
@@ -466,7 +478,10 @@ def _load_json(raw: bytes) -> PredictionMaps:
         if name not in doc:
             raise MapFormatError(f"{name}: missing tensor")
         try:
-            arr = np.asarray(doc[name], dtype=np.float32)
+            # A number past the float32 range becomes inf, which validate()
+            # rejects as non-finite.
+            with np.errstate(over="ignore"):
+                arr = np.asarray(doc[name], dtype=np.float32)
         except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
             raise MapFormatError(f"{name}: not a numeric tensor ({exc})") from exc
         if arr.shape != dims:

@@ -4,9 +4,10 @@ Instead of gradient descent, the oracle's noise schedule decreases across
 passes, emulating a predictor that improves; the loop verifies that
 pseudo-labels converge and losses descend.  A pass visits pages in dataset
 order: predict, decode, match against transcripts, spatially filter, update
-the pseudo-label store, and (in the train stage) compute the loss report.
-Pages drawn as "synthetic" by the real/synthetic mix are scored against
-their full ground truth instead of the store and never touch it.
+the pseudo-label store, and (outside the initialize stage) compute the loss
+report.  Pages drawn as "synthetic" by the real/synthetic mix, and every
+pretrain page, are scored against their full ground truth instead of the
+store and never touch it.
 """
 
 from __future__ import annotations
@@ -97,12 +98,11 @@ def _derived_seed(*parts: int) -> int:
 
 
 def _gt_labels(page: SyntheticPage) -> dict[tuple[int, int], PseudoLabel]:
-    assert page.annotation.boxes is not None
-    out: dict[tuple[int, int], PseudoLabel] = {}
-    for q, line in enumerate(page.annotation.boxes, start=1):
-        for n, box in enumerate(line, start=1):
-            out[(q, n)] = PseudoLabel(box=box, gamma=1.0)
-    return out
+    return {
+        (q, n): PseudoLabel(box=box, gamma=1.0)
+        for q, line in enumerate(page.annotation.boxes, start=1)
+        for n, box in enumerate(line, start=1)
+    }
 
 
 def coverage(store: PseudoLabelStore, pages: Sequence[SyntheticPage]) -> float:
@@ -114,13 +114,11 @@ def coverage(store: PseudoLabelStore, pages: Sequence[SyntheticPage]) -> float:
 def mean_label_iou(
     store: PseudoLabelStore, pages: Sequence[SyntheticPage]
 ) -> float | None:
-    """Mean IoU between stored pseudo-labels and ground-truth boxes."""
+    """Mean IoU between stored pseudo-labels and ground-truth boxes; None
+    when the store holds no label of these pages."""
     vals: list[float] = []
     for page in pages:
-        if page.annotation.boxes is None:
-            continue
-        labels = store.page(page.page_id)
-        for (q, n), label in labels.items():
+        for (q, n), label in store.page(page.page_id).items():
             gt = page.annotation.boxes[q - 1][n - 1]
             vals.append(iou(label.box, gt, page.shape))
     if not vals:
@@ -176,12 +174,8 @@ def run_stage(
                 page, replace(noise_k, seed=_derived_seed(config.seed, k, idx))
             )
             result = decode(maps, config.decode)
-            if config.stage == PRETRAIN:
-                as_real = False
-            else:
-                as_real = bool(mix_rng.random() < config.real_prob)
+            as_real = config.stage != PRETRAIN and mix_rng.random() < config.real_prob
 
-            report = None
             if as_real:
                 transcripts = result.transcripts()
                 m_l = match_lines(transcripts, page.annotation.lines, config.th_ar)
@@ -192,13 +186,8 @@ def run_stage(
                 n_mc += len(m_c)
                 n_filtered += len(m_c) - len(m_c_kept)
                 update(store, page.page_id, m_c_kept, result, config.epsilon)
-                if config.stage == TRAIN:
-                    labels = store.page(page.page_id)
-                    targets = build_targets(
-                        labels, page.annotation, result, m_ce, page.shape, path_rng
-                    )
-                    report = compute_losses(maps, targets, labels, page.annotation)
-            elif config.stage in (PRETRAIN, TRAIN):
+                labels = store.page(page.page_id)
+            else:
                 # Synthetic treatment: full ground truth stands in for the
                 # store; all result characters supply presence negatives.
                 labels = _gt_labels(page)
@@ -207,12 +196,11 @@ def run_stage(
                     for p, line in enumerate(result.lines, start=1)
                     for m in range(1, len(line.chars) + 1)
                 }
+            if config.stage != INITIALIZE:
                 targets = build_targets(
                     labels, page.annotation, result, m_ce, page.shape, path_rng
                 )
                 report = compute_losses(maps, targets, labels, page.annotation)
-
-            if report is not None:
                 n_loss_pages += 1
                 for name, value in report.terms().items():
                     loss_sums[name] = loss_sums.get(name, 0.0) + value
@@ -241,9 +229,9 @@ def export_labels(
 ) -> tuple[list[dict], dict]:
     """Pseudo-labels as annotation rows plus a quality report.
 
-    The report carries label coverage and, when the dataset has ground-truth
-    boxes, the mean IoU between pseudo-labels and truth.  A store that does
-    not fit the dataset raises ConfigError.
+    The report carries label coverage and the mean IoU between
+    pseudo-labels and ground truth.  A store that does not fit the dataset
+    raises ConfigError.
     """
     check_store(store, dataset)
     rows = list(store.rows(page.page_id for page in dataset))

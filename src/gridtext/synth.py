@@ -2,22 +2,23 @@
 
 Characters are geometric objects (a box plus a class id) placed so that
 every character owns a distinct grid cell and the corridor between
-consecutive characters stays clear of other characters.  Each generated
-page is validated by the zero-noise round trip: exact oracle maps must
-decode back to the ground truth, which is the generator's definition of a
-well-formed page.
+consecutive characters stays clear of other characters.  A page's
+annotation is its ground truth: the class ids and boxes of its lines, in
+reading order.  Each generated page is validated by the zero-noise round
+trip: exact oracle maps must decode back to the annotation, which is the
+generator's definition of a well-formed page.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .decoder import DecodeConfig, decode
-from .geometry import Box, GridShape, grid_of
+from .geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of
 from .matching import PageAnnotation
 from .predictions import GridCollisionError, OracleNoise, oracle_predict
 
@@ -26,6 +27,7 @@ LAYOUT_KINDS = ROTATIONS + ("sine",)
 
 _MAX_ATTEMPTS = 25
 CHAR_SIZE = (0.9, 1.3)  # range of a box's width and height, in cell units
+MIN_PERIOD = 1e-6  # shortest sine period in cells: the phase 2*pi*x/period stays finite
 
 
 class GenerationError(ValueError):
@@ -49,8 +51,8 @@ class Layout:
             raise ValueError(f"unknown layout {self.kind!r}, pick from {LAYOUT_KINDS}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise ValueError(f"period must be finite and > 0, got {self.period}")
+        if not (math.isfinite(self.period) and self.period >= MIN_PERIOD):
+            raise ValueError(f"period must be finite and >= {MIN_PERIOD}, got {self.period}")
 
 
 @dataclass(frozen=True)
@@ -73,36 +75,27 @@ class PageConfig:
             raise ValueError(f"chars_per_line must be [lo, hi], 1 <= lo <= hi, got [{lo}, {hi}]")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class CharSpec:
-    line: int  # 0-based line index
-    pos: int  # 0-based position within the line
-    cls_id: int
-    box: Box
+        hi = IMAGE_SIZE_RANGE[1]
+        if max(self.w_g, self.h_g) * self.cell_px > hi:
+            raise ValueError(
+                f"image size (w_g, h_g) * cell_px must be <= {hi} pixels, "
+                f"got ({self.w_g}, {self.h_g}) * {self.cell_px}"
+            )
 
 
 @dataclass
 class SyntheticPage:
+    """A generated page; ``annotation`` holds its only ground truth, the
+    transcript and box of every character, line by line in reading order."""
+
     shape: GridShape
     n_cls: int
-    chars: list[CharSpec]
     annotation: PageAnnotation
     layout: Layout
-    page_id: str = ""
 
-    def line_chars(self) -> list[list[CharSpec]]:
-        return group_lines(self.chars)
-
-
-def group_lines(chars: Iterable[CharSpec]) -> list[list[CharSpec]]:
-    """Characters grouped into lines in line-index order, each line in
-    position order."""
-    lines: dict[int, list[CharSpec]] = {}
-    for ch in chars:
-        lines.setdefault(ch.line, []).append(ch)
-    return [sorted(lines[q], key=lambda c: c.pos) for q in sorted(lines)]
+    @property
+    def page_id(self) -> str:
+        return self.annotation.page_id
 
 
 def _rotate(box: Box, kind: str, img_w: float, img_h: float) -> Box:
@@ -138,11 +131,14 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
             f"{config.n_lines} lines do not fit in {config.h_g} grid rows"
         )
 
-    chars: list[CharSpec] = []
+    lines: list[list[int]] = []
+    boxes: list[list[Box]] = []
     for q in range(config.n_lines):
         row = row_margin + q * line_step + (line_step + 1) // 2
         lo, hi = config.chars_per_line
         n_chars = int(rng.integers(lo, hi + 1))
+        lines.append([])
+        boxes.append([])
         for k in range(n_chars):
             col = col_margin + 1 + k * spacing
             cx = (col - 0.5) * cell + float(rng.uniform(-0.2, 0.2)) * cell
@@ -154,36 +150,25 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
             sw = float(rng.uniform(*CHAR_SIZE)) * cell
             sh = float(rng.uniform(*CHAR_SIZE)) * cell
             box = Box(cx, cy, sw / img_w, sh / img_h)
-            box = _rotate(box, layout.kind, img_w, img_h)
-            chars.append(CharSpec(q, k, int(rng.integers(1, config.n_cls + 1)), box))
+            boxes[q].append(_rotate(box, layout.kind, img_w, img_h))
+            lines[q].append(int(rng.integers(1, config.n_cls + 1)))
 
     if layout.kind in ("rot90", "rot270"):
         shape = GridShape(config.h_g, config.w_g, img_h, img_w)
     else:
         shape = GridShape(config.w_g, config.h_g, img_w, img_h)
 
-    lines = group_lines(chars)
-    annotation = PageAnnotation(
-        lines=[[c.cls_id for c in line] for line in lines],
-        boxes=[[c.box for c in line] for line in lines],
-        page_id=page_id,
-    )
-    return SyntheticPage(
-        shape=shape,
-        n_cls=config.n_cls,
-        chars=chars,
-        annotation=annotation,
-        layout=layout,
-        page_id=page_id,
-    )
+    annotation = PageAnnotation(lines=lines, boxes=boxes, page_id=page_id)
+    return SyntheticPage(shape=shape, n_cls=config.n_cls, annotation=annotation, layout=layout)
 
 
 def _round_trip_ok(page: SyntheticPage) -> bool:
     maps = oracle_predict(page, OracleNoise())
     result = decode(maps, DecodeConfig())
+    annot = page.annotation
     want = {
-        tuple((grid_of(c.box, page.shape), c.cls_id) for c in line)
-        for line in page.line_chars()
+        tuple((grid_of(box, page.shape), cls_id) for box, cls_id in zip(boxes, line))
+        for line, boxes in zip(annot.lines, annot.boxes)
     }
     got = {tuple((c.grid, c.cls_id) for c in line.chars) for line in result.lines}
     return want == got and not result.dropped
@@ -192,8 +177,9 @@ def _round_trip_ok(page: SyntheticPage) -> bool:
 def gen_page(config: PageConfig, page_index: int = 0) -> SyntheticPage:
     """Generate one page; deterministic in (config.seed, page_index).
 
-    Validation regenerates with fresh jitter on a grid collision and asserts
-    the zero-noise round trip before returning.
+    The page's annotation, with id ``p{page_index:05d}``, carries its
+    transcript and boxes.  Validation regenerates with fresh jitter on a
+    grid collision and asserts the zero-noise round trip before returning.
     """
     page_id = f"p{page_index:05d}"
     last_err: Exception | None = None

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -268,6 +269,9 @@ _LABEL = {"page_id": "p00000", "q": 1, "n": 1, "x": 40.0, "y": 40.0, "w": 0.1, "
 _RESULT = {"page_id": "pg", "img_w": 64, "img_h": 64, "lines": [{"chars": [
     {"i": 1, "j": 1, "x": 10.0, "y": 10.0, "w": 0.1, "h": 0.1, "cls": 1, "score": 0.9}]}]}
 _ANNOT = {"page_id": "pg", "lines": [[1]], "boxes": [[[10.0, 10.0, 0.1, 0.1]]]}
+_MAP = json.dumps({"w_g": 1, "h_g": 1, "n_cls": 1, "img_w": 16, "img_h": 16,
+                   "box": [[[0.5, 0.5, 0.5, 0.5]]], "dis": [[0.9]], "cls": [[[1.0]]],
+                   "sol": [[0.95]], "eol": [[0.95]], "rd": [[[0.25, 0.25, 0.25, 0.25]]]})
 _TRAIN_SIM = ["train-sim", "--config", "config.json", "--out", "run"]
 _EXPORT = ["export-labels", "--store", "store.jsonl", "--config", "config.json"]
 _EVAL = ["eval", "--results", "results.jsonl", "--annotations", "annotations.jsonl"]
@@ -332,6 +336,11 @@ def _without(doc: dict, key: str) -> dict:
                  id="negative-page-count"),
     pytest.param({}, ["synth", "--pages", "-1"], id="synth-negative-page-count"),
     pytest.param({}, ["synth", "--chars-max", "0"], id="synth-chars-max-0"),
+    pytest.param({"map.json": _MAP}, ["decode", "--maps", "map.json", "map.json"],
+                 id="decode-repeated-page-id"),
+    pytest.param({"map.json": json.dumps({**json.loads(_MAP), "img_w": 1e300})},
+                 ["decode", "--maps", "map.json"], id="map-image-too-wide"),
+    pytest.param({}, ["synth", "--cell-px", str(10**400)], id="synth-cell-px-past-float"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
@@ -394,8 +403,12 @@ def test_train_sim_help_names_every_config_field():
 
 def _exit_0_or_2_with_one_line(argv) -> None:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
     assert code in (0, 2), (code, err.getvalue())
     if code == 2:
         assert out.getvalue() == ""
@@ -419,6 +432,9 @@ _SMALL_INTS = st.integers(-3, 40)  # no draw allocates a large grid
 @example(("--jitter-sigma", math.nan))
 @example(("--noise-seed", -1))
 @example(("--pages", -1))
+@example(("--size-sigma", 1000))
+@example(("--jitter-sigma", 1e308))
+@example(("--period", 1e-310))
 def test_any_synth_number_exits_0_or_2(flag_value):
     flag, value = flag_value
     with tempfile.TemporaryDirectory() as out:
@@ -450,6 +466,9 @@ _JSON_SCALARS = _SMALL_INTS | st.floats() | st.booleans() | st.text(max_size=8) 
 @example((("stages", 0), "halve_every"), -1)
 @example((("stages", 0, "noise"), "size_sigma"), math.nan)
 @example(((), "pages"), -3)
+@example((("stages", 0, "noise"), "size_sigma"), 1000)
+@example((("stages", 0, "noise"), "jitter_sigma"), 1e308)
+@example((("dataset", "layout"), "period"), 1e-310)
 def test_any_train_sim_scalar_exits_0_or_2(where, value):
     config = json.loads(json.dumps(_TINY_CONFIG))
     path, key = where

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     blank_maps,
@@ -32,9 +33,10 @@ from gridtext.decoder import (
     line_grid_sequence,
     rescore_with_lm,
     resolve_edges,
+    validate_result,
 )
-from gridtext.geometry import Box, GridShape, grid_of, iou
-from gridtext.predictions import Direction, OracleNoise, oracle_predict
+from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of, iou
+from gridtext.predictions import Direction, OracleNoise, PredictionMaps, oracle_predict
 from gridtext.synth import PageConfig, gen_page
 
 
@@ -49,7 +51,7 @@ def test_extract_nodes_round_trip():
     maps = oracle_predict(page, OracleNoise())
     nodes = extract_nodes(maps)
     assert len(nodes) == 10
-    want = sorted(grid_of(c.box, page.shape) for c in page.chars)
+    want = sorted(grid_of(box, page.shape) for box in page.annotation.boxes[0])
     assert sorted(n.grid for n in nodes) == want
 
 
@@ -336,3 +338,50 @@ def test_decode_config_rejects_out_of_range(field, value):
 def test_decode_config_accepts_closed_interval_ends():
     DecodeConfig(dis_threshold=0.0, nms_iou=1.0, sol_eol_threshold=0.0, max_steps=1)
     DecodeConfig(dis_threshold=1.0, nms_iou=0.0, sol_eol_threshold=1.0, max_steps=None)
+
+
+# Any maps that pass PredictionMaps.validate decode, under any valid
+# DecodeConfig, to a result that passes validate_result.
+
+_UNIT = st.floats(0.0, 1.0, width=32)
+
+
+def _rows(draw, shape):
+    """Float32 rows that sum to 1: drawn weights over their sum."""
+    raw = draw(arrays(np.float32, shape, elements=_UNIT)).astype(np.float64)
+    raw[raw.sum(axis=-1) == 0] = 1.0  # an all-zero row becomes uniform
+    return (raw / raw.sum(axis=-1, keepdims=True)).astype(np.float32)
+
+
+@st.composite
+def _valid_maps(draw):
+    w, h, n_cls = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    img_w, img_h = draw(st.floats(*IMAGE_SIZE_RANGE)), draw(st.floats(*IMAGE_SIZE_RANGE))
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
+    maps = PredictionMaps(
+        shape=GridShape(w, h, img_w, img_h),
+        n_cls=n_cls,
+        box=draw(arrays(np.float32, (w, h, 4), elements=finite)),
+        dis=draw(arrays(np.float32, (w, h), elements=_UNIT)),
+        cls=_rows(draw, (w, h, n_cls)),
+        sol=draw(arrays(np.float32, (w, h), elements=_UNIT)),
+        eol=draw(arrays(np.float32, (w, h), elements=_UNIT)),
+        rd=_rows(draw, (w, h, 4)),
+    )
+    maps.validate()
+    return maps
+
+
+_DECODE_CONFIGS = st.builds(
+    DecodeConfig,
+    dis_threshold=st.floats(0.0, 1.0),
+    nms_iou=st.floats(0.0, 1.0),
+    sol_eol_threshold=st.floats(0.0, 1.0),
+    max_steps=st.none() | st.integers(1, 12),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_valid_maps(), _DECODE_CONFIGS)
+def test_valid_maps_decode_to_a_valid_result(maps, config):
+    validate_result(decode(maps, config))

@@ -54,6 +54,12 @@ def test_abs_to_rel_inverse_hand_values(shape44):
     assert (rel.x_o, rel.y_o, rel.w_o, rel.h_o) == (0.5, 0.5, 0.25, 0.25)
 
 
+@pytest.mark.parametrize("img_w", [0.0, 1e-101, 1e101, math.inf, math.nan])
+def test_grid_shape_rejects_image_size_out_of_range(img_w):
+    with pytest.raises(ValueError, match="^image dims must be in"):
+        GridShape(4, 4, img_w, 64.0)
+
+
 def test_rel_to_abs_rejects_out_of_range(shape44):
     with pytest.raises(ValueError):
         rel_to_abs(RelBox(0, 0, 0.5, 0.5), 0, 1, shape44)
@@ -232,7 +238,7 @@ def test_extract_nodes_matches_reference_on_large_page(monkeypatch):
         w_g=128, h_g=128, seed=21,
     )
     page = gen_page(config)
-    assert len(page.chars) >= 800
+    assert page.annotation.n_chars() >= 800
     maps = oracle_predict(
         page, OracleNoise(size_sigma=0.3, jitter_sigma=0.2, spurious_p=0.05, seed=4)
     )

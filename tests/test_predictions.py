@@ -20,7 +20,7 @@ from gridtext.predictions import (
     save_maps,
     staircase,
 )
-from gridtext.synth import CharSpec, PageConfig, SyntheticPage, gen_page
+from gridtext.synth import PageConfig, SyntheticPage, gen_page
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +30,10 @@ def page():
 
 def test_zero_noise_dis_exact(page):
     maps = oracle_predict(page, OracleNoise())
-    for ch in page.chars:
-        i, j = grid_of(ch.box, page.shape)
-        assert maps.dis[i - 1, j - 1] == np.float32(1.0 - EPS)
+    for line in page.annotation.boxes:
+        for box in line:
+            i, j = grid_of(box, page.shape)
+            assert maps.dis[i - 1, j - 1] == np.float32(1.0 - EPS)
     assert float(maps.dis.max()) <= 1.0
     maps.validate()
 
@@ -43,9 +44,7 @@ def test_zero_noise_round_trip(page):
     result = decode(oracle_predict(page, OracleNoise()))
     assert result.transcripts() == page.annotation.lines
     got = [[c.grid for c in line.chars] for line in result.lines]
-    want = [
-        [grid_of(c.box, page.shape) for c in line] for line in page.line_chars()
-    ]
+    want = [[grid_of(box, page.shape) for box in line] for line in page.annotation.boxes]
     assert got == want
     assert not result.dropped
 
@@ -78,10 +77,8 @@ def _collision_page():
     shape = GridShape(8, 8, 128, 128)
     box_a = Box(40, 40, 0.1, 0.1)
     box_b = Box(42, 42, 0.1, 0.1)  # same grid cell as box_a
-    chars = [CharSpec(0, 0, 1, box_a), CharSpec(0, 1, 2, box_b)]
     annot = PageAnnotation(lines=[[1, 2]], boxes=[[box_a, box_b]], page_id="x")
-    return SyntheticPage(shape=shape, n_cls=4, chars=chars, annotation=annot,
-                         layout=None, page_id="x")
+    return SyntheticPage(shape=shape, n_cls=4, annotation=annot, layout=None)
 
 
 def test_grid_collision_raises():
@@ -191,6 +188,7 @@ def _loads_or_map_format_error(path):
         pass
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_load_maps_json_object_loads_or_raises_map_format_error(tiny_map, data):
@@ -207,6 +205,15 @@ def test_load_maps_json_object_loads_or_raises_map_format_error(tiny_map, data):
         doc = data.draw(st.dictionaries(keys, _JSON_VALUES, max_size=8))
     path.write_text(json.dumps(doc))
     _loads_or_map_format_error(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_json_value_past_float32_rejected_without_warning(tiny_map):
+    doc, _, path = tiny_map
+    dis = [[1e39] * len(row) for row in doc["dis"]]
+    path.write_text(json.dumps({**doc, "dis": dis}))
+    with pytest.raises(MapFormatError, match="^dis: non-finite"):
+        load_maps(path)
 
 
 @settings(deadline=None, max_examples=300)
@@ -232,6 +239,7 @@ def test_load_maps_bytes_load_or_raise_map_format_error(tiny_map, data):
     ({"size_sigma": math.nan}, "size_sigma"),
     ({"size_sigma": -0.1}, "size_sigma"),
     ({"seed": -1}, "seed"),
+    ({"size_sigma": 1000.0}, "size_sigma"),
 ])
 def test_oracle_noise_rejects_out_of_range_field(fields, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
