@@ -16,7 +16,7 @@ import typing
 from pathlib import Path
 
 from .decoder import DecodeConfig, InvariantError, PageResult, decode
-from .geometry import Box, GridShape
+from .geometry import IMAGE_SIZE_RANGE, Box, GridShape
 from .jsoncheck import by_page_id, check, expect, read_jsonl
 from .matching import ErrorCounts, PageAnnotation, load_annotations, save_annotations
 from .metrics import det_counts, page_counts, prf
@@ -151,9 +151,17 @@ _RESULT_ROW = {
 }
 
 
+def _result_from_row(doc: object) -> dict:
+    check(doc, _RESULT_ROW)
+    lo, hi = IMAGE_SIZE_RANGE
+    for key in ("img_w", "img_h"):
+        if not lo <= doc[key] <= hi:
+            raise ValueError(f"row.{key}: must be in [{lo}, {hi}], got {doc[key]}")
+    return doc
+
+
 def load_results(path: str | Path) -> dict[str, dict]:
-    rows = read_jsonl(path, lambda doc: check(doc, _RESULT_ROW))
-    return by_page_id(path, rows, lambda doc: doc["page_id"])
+    return by_page_id(path, read_jsonl(path, _result_from_row), lambda doc: doc["page_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +188,8 @@ def _det_page_counts(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.iou_th <= 1.0:
+        raise ValueError(f"--iou-th must be in [0, 1], got {args.iou_th}")
     results = load_results(args.results)
     annots = load_annotations(args.annotations)
     if not annots:

@@ -1,13 +1,15 @@
 """Semantic and spatial matching of decoded lines against transcripts.
 
-Line matching aligns every (result line, transcript line) pair once, by a
-minimum edit script, and pairs them greedily in descending accurate-rate
-order; it hands back the script of each matched pair.  Character matching
-reads those scripts into per-character states (equal / substituted /
+Line matching scores every (result line, transcript line) pair by its
+Levenshtein distance alone, computed bit-parallel, and pairs them greedily
+in descending accurate-rate order; only the pairs it matches are aligned,
+by a minimum edit script, and it hands back those scripts.  Character
+matching reads them into per-character states (equal / substituted /
 inserted), from which the reliable "consecutive equal" positions are read
 off, and AR*/CR* count their errors off the same scripts, so no pair is
-aligned twice.  Spatial matching then vetoes character pairs whose
-predicted box disagrees with the stored pseudo-label.
+aligned twice and no unmatched pair is aligned at all.  Spatial matching
+then vetoes character pairs whose predicted box disagrees with the stored
+pseudo-label.
 
 Minimum edit scripts are not unique; the canonical backtrace scans from the
 end of the DP table and prefers equal > substitution > deletion > insertion
@@ -142,6 +144,48 @@ def cr(hyp: Sequence[int], ref: Sequence[int]) -> float:
     return script_counts(edit_script(hyp, ref)).rates()[1]
 
 
+def _peq(ref: Sequence[int]) -> dict[int, int]:
+    """Class id -> bitmask of its positions in ``ref``: bit b - 1 is set when
+    ``ref[b - 1]`` is that class."""
+    peq: dict[int, int] = {}
+    bit = 1
+    for c in ref:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    return peq
+
+
+def edit_distance(hyp: Sequence[int], peq: Mapping[int, int], n: int) -> int:
+    """Levenshtein distance between ``hyp`` and the reference of length
+    ``n >= 1`` whose position table is ``peq`` (see :func:`_peq`).
+
+    Myers' bit-vector algorithm (JACM 1999) in Hyyrö's global-distance
+    form (2001): column a of the DP table D[b][a] over reference prefix b
+    and hypothesis prefix a is held as two n-bit ints, ``pv`` and ``mv``,
+    whose bit b - 1 is set when D[b][a] - D[b - 1][a] is +1 or -1.  Each
+    hypothesis element advances one column in O(1) int operations, while
+    ``d`` follows the bottom row, D[n][a].  The top row D[0][a] = a rises
+    by one per column, hence the ``| 1`` on the shifted horizontal delta.
+    """
+    mask = (1 << n) - 1
+    top = 1 << (n - 1)
+    pv, mv, d = mask, 0, n
+    for c in hyp:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask & ~(xh | pv))
+        mh = pv & xh
+        if ph & top:
+            d += 1
+        elif mh & top:
+            d -= 1
+        ph = (ph << 1) | 1
+        pv = mask & ((mh << 1) | ~(xv | ph))
+        mv = ph & xv
+    return d
+
+
 def match_lines(
     results: Sequence[Sequence[int]],
     annots: Sequence[Sequence[int]],
@@ -152,22 +196,35 @@ def match_lines(
     Maps each matched 1-based (p, q) pair to the canonical edit script of
     result line p against transcript line q.  Pairs with AR below
     ``th_ar`` are skipped, and AR ties break by (p, q) lexicographic order.
+
+    Every pair is scored by its Levenshtein distance d alone, as
+    (n - d) / n with n the transcript line's length, and only the pairs
+    the greedy loop matches get their edit script.  The AR of a pair is
+    bit-identical to the one its script gives: the canonical script is a
+    minimum script, so its I + D + S is d, the numerator is the same
+    integer over the same n, and the float, the sort and the tie order
+    are those of scoring by script.  A transcript line that is empty has
+    no AR, so it is a ValueError as soon as a result line is scored
+    against it.
     """
-    scored = []
-    for p, res in enumerate(results, start=1):
-        for q, ref in enumerate(annots, start=1):
-            ops = edit_script(res, ref)
-            scored.append((script_counts(ops).rates()[0], p, q, ops))
+    if results and not all(annots):
+        raise ValueError("an empty transcript line has no accurate rate")
+    tables = [(len(ref), _peq(ref)) for ref in annots]
+    scored = [
+        ((n - edit_distance(res, peq, n)) / n, p, q)
+        for p, res in enumerate(results, start=1)
+        for q, (n, peq) in enumerate(tables, start=1)
+    ]
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
     matched: dict[tuple[int, int], list[str]] = {}
     used_p: set[int] = set()
     used_q: set[int] = set()
-    for score, p, q, ops in scored:
+    for score, p, q in scored:
         if score < th_ar:
             break
         if p in used_p or q in used_q:
             continue
-        matched[p, q] = ops
+        matched[p, q] = edit_script(results[p - 1], annots[q - 1])
         used_p.add(p)
         used_q.add(q)
     return matched

@@ -3,10 +3,16 @@
 AR*/CR* pair result lines with annotated transcripts per page using the
 same greedy descending-AR matching as training-time line matching, but
 without any threshold, and count the errors of each matched pair off the
-edit script that line matching returns.  Characters of unmatched result
-lines count as insertions and characters of unmatched annotation lines as
-deletions, so the metrics reflect detection as well as recognition
-quality.  AR* may be negative and is never clamped.
+edit script that line matching returns.  Line matching scores each pair by
+its edit distance and builds a script only for the pairs it matches, so a
+page costs one distance per line pair and one script per matched pair.
+Characters of unmatched result lines count as insertions and characters of
+unmatched annotation lines as deletions, so the metrics reflect detection
+as well as recognition quality.  AR* may be negative and is never clamped.
+
+Detection P/R/F matches each page's results to its ground truth greedily
+by score.  Class-aware matching tests a result only against the ground
+truth of its own class; class-agnostic matching tests it against all.
 """
 
 from __future__ import annotations
@@ -61,26 +67,34 @@ def det_counts(
 
     Results are matched greedily in descending score order to the free
     ground truth with the highest IoU at or above ``iou_th`` (and equal
-    class when ``require_class``).
+    class when ``require_class``); an IoU tie goes to the lowest index.
+
+    The ground truth is bucketed by class (one bucket for all of it
+    without ``require_class``), each bucket in ascending index order, and
+    a result is tested only against the free boxes of its own bucket.
+    This is exact: a box of another class could never be chosen, the
+    boxes tested are visited in the same relative order, and the strict
+    ``>`` keeps the first of equal IoUs, so the same box wins as when
+    every ground-truth box is tested in index order.  A matched box
+    leaves its bucket, as it would be skipped as taken.
     """
+    buckets: dict[int | None, list[Box]] = {}
+    for gbox, gcls in gts:
+        buckets.setdefault(gcls if require_class else None, []).append(gbox)
     order = sorted(range(len(results)), key=lambda k: -results[k][2])
-    taken = [False] * len(gts)
     tp = 0
     for k in order:
         box, cls_id, _ = results[k]
+        bucket = buckets.get(cls_id if require_class else None, [])
         best = -1
         best_iou = 0.0
-        for g, (gbox, gcls) in enumerate(gts):
-            if taken[g]:
-                continue
-            if require_class and gcls != cls_id:
-                continue
+        for g, gbox in enumerate(bucket):
             v = iou(box, gbox, shape)
             if v >= iou_th and v > best_iou:
                 best = g
                 best_iou = v
         if best >= 0:
-            taken[best] = True
+            del bucket[best]
             tp += 1
     return tp, len(results) - tp, len(gts) - tp
 

@@ -341,12 +341,41 @@ def _without(doc: dict, key: str) -> dict:
     pytest.param({"map.json": json.dumps({**json.loads(_MAP), "img_w": 1e300})},
                  ["decode", "--maps", "map.json"], id="map-image-too-wide"),
     pytest.param({}, ["synth", "--cell-px", str(10**400)], id="synth-cell-px-past-float"),
+    pytest.param({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(_ANNOT)},
+                 [*_EVAL, "--iou-th", "nan"], id="eval-iou-th-nan"),
+    pytest.param({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(_ANNOT)},
+                 [*_EVAL, "--iou-th", "2"], id="eval-iou-th-above-1"),
+    pytest.param({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(_ANNOT)},
+                 [*_EVAL, "--iou-th", "-0.1"], id="eval-iou-th-negative"),
+    pytest.param({"results.jsonl": _jsonl({**_RESULT, "img_w": 0}),
+                  "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL, id="results-image-width-0"),
+    pytest.param({"results.jsonl": _jsonl({**_RESULT, "img_h": 1e300}),
+                  "annotations.jsonl": _jsonl(_without(_ANNOT, "boxes"))}, _EVAL,
+                 id="results-image-too-tall-no-boxes"),
+    pytest.param({"results.jsonl": _jsonl({**_RESULT, "img_w": math.nan})},
+                 ["viz", "--results", "results.jsonl"], id="results-image-width-nan-viz"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     _assert_exit_2_one_line(argv, capsys)
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(_ANNOT)},
+     [*_EVAL, "--iou-th", "nan"], "error: --iou-th must be in [0, 1], got nan\n"),
+    ({"results.jsonl": _jsonl(_RESULT, {**_RESULT, "page_id": "p2", "img_w": 0}),
+      "annotations.jsonl": _jsonl(_without(_ANNOT, "boxes"))}, _EVAL,
+     "error: results.jsonl:2: row.img_w: must be in [1e-100, 1e+100], got 0\n"),
+], ids=["iou-th", "img-w"])
+def test_eval_range_errors_name_the_flag_or_the_row(tmp_path, monkeypatch, capsys, files, argv,
+                                                    message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("config", [

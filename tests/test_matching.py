@@ -9,17 +9,41 @@ from gridtext.decoder import CharInstance, Line, PageResult
 from gridtext.geometry import Box, GridShape
 from gridtext.matching import (
     PageAnnotation,
+    _peq,
     ar,
     cr,
     edit_counts,
+    edit_distance,
     edit_script,
     match_chars,
     match_lines,
+    script_counts,
     spatial_filter,
 )
 from gridtext.pseudolabels import PseudoLabel
 
 A, B, C, D, X = 1, 2, 3, 4, 9
+
+
+def _match_lines_reference(results, annots, th_ar):
+    """All-pairs line matching: every pair scored by its full edit script."""
+    scored = []
+    for p, res in enumerate(results, start=1):
+        for q, ref in enumerate(annots, start=1):
+            ops = edit_script(res, ref)
+            scored.append((script_counts(ops).rates()[0], p, q, ops))
+    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
+    matched = {}
+    used_p, used_q = set(), set()
+    for score, p, q, ops in scored:
+        if score < th_ar:
+            break
+        if p in used_p or q in used_q:
+            continue
+        matched[p, q] = ops
+        used_p.add(p)
+        used_q.add(q)
+    return matched
 
 
 def test_ar_identity():
@@ -145,6 +169,49 @@ def test_edit_counts_match_recursive_oracle(hyp, ref):
     got = edit_counts(hyp, ref)
     assert got == edit_oracle(hyp, ref)
     assert sum(got) == plain_distance(hyp, ref)
+
+
+# Short lines, and lines whose bit vectors cross one and two 64-bit words.
+_long_line = st.lists(st.integers(1, 3), min_size=60, max_size=140)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    hyp=st.lists(st.integers(1, 4), max_size=8) | _long_line,
+    ref=st.lists(st.integers(1, 4), min_size=1, max_size=8) | _long_line,
+)
+def test_edit_distance_is_the_canonical_scripts_error_count(hyp, ref):
+    counts = script_counts(edit_script(hyp, ref))
+    assert edit_distance(hyp, _peq(ref), len(ref)) == counts.n_ie + counts.n_de + counts.n_se
+
+
+@st.composite
+def _line_sets(draw):
+    """(results, annots): lines drawn from a small pool, so repeated lines
+    force AR ties; result lines may be empty."""
+    short = st.lists(st.integers(1, 3), min_size=1, max_size=5)
+    pool = draw(st.lists(short | _long_line, min_size=1, max_size=3))
+    line = st.sampled_from(pool) | short | st.just([])
+    results = draw(st.lists(line, max_size=4))
+    annots = draw(st.lists(st.sampled_from(pool) | short, min_size=1, max_size=4))
+    return results, annots
+
+
+@settings(deadline=None, max_examples=100)
+@given(lines=_line_sets(), th_ar=st.sampled_from([-math.inf, -0.5, 0.0, 0.3, 1.0]))
+def test_match_lines_matches_all_pairs_reference(lines, th_ar):
+    results, annots = lines
+    assert match_lines(results, annots, th_ar) == _match_lines_reference(results, annots, th_ar)
+
+
+def test_match_lines_empty_transcript_line_is_a_value_error():
+    for th_ar in (-math.inf, 0.3):
+        with pytest.raises(ValueError, match="^an empty transcript line has no accurate rate$"):
+            match_lines([[A], []], [[A], []], th_ar)
+        with pytest.raises(ValueError):
+            _match_lines_reference([[A], []], [[A], []], th_ar)
+        # No result line, no pair scored: as in the reference, no error.
+        assert match_lines([], [[]], th_ar) == _match_lines_reference([], [[]], th_ar) == {}
 
 
 @settings(deadline=None, max_examples=100)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gridtext import matching, metrics
 from gridtext.cli import main
-from gridtext.geometry import Box, GridShape
+from gridtext.geometry import Box, GridShape, iou
 from gridtext.matching import edit_counts
 from gridtext.metrics import ar_star, det_prf, page_ar_cr
 
@@ -104,6 +104,62 @@ def test_ar_star_greedy_vs_exhaustive(res, ann):
         assert greedy <= optimal + 1e-12
 
 
+def _det_counts_reference(results, gts, shape, iou_th=0.5, require_class=True):
+    """All-pairs detection matching: each result against every free box."""
+    order = sorted(range(len(results)), key=lambda k: -results[k][2])
+    taken = [False] * len(gts)
+    tp = 0
+    for k in order:
+        box, cls_id, _ = results[k]
+        best = -1
+        best_iou = 0.0
+        for g, (gbox, gcls) in enumerate(gts):
+            if taken[g]:
+                continue
+            if require_class and gcls != cls_id:
+                continue
+            v = iou(box, gbox, shape)
+            if v >= iou_th and v > best_iou:
+                best = g
+                best_iou = v
+        if best >= 0:
+            taken[best] = True
+            tp += 1
+    return tp, len(results) - tp, len(gts) - tp
+
+
+# Boxes on a coarse lattice with few sizes, so duplicates, IoU ties and
+# IoU exactly 1 are common.
+_det_box = st.builds(
+    Box,
+    st.integers(0, 8).map(lambda v: 10.0 * v),
+    st.integers(0, 8).map(lambda v: 10.0 * v),
+    st.sampled_from([0.1, 0.2, 0.3]),
+    st.sampled_from([0.1, 0.2]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    pool=st.lists(_det_box, min_size=1, max_size=6),
+    picks=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3), st.sampled_from([0.5, 0.9])),
+                   max_size=12),
+    gt_picks=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), max_size=12),
+    iou_th=st.sampled_from([0.0, 0.5, 1.0]),
+    require_class=st.booleans(),
+)
+# The first result ties between the first two boxes; the second result can
+# use only the second box, so taking the later box of a tie loses a match.
+@example(pool=[Box(30, 40, 0.2, 0.1), Box(50, 40, 0.2, 0.1), Box(40, 40, 0.2, 0.1)],
+         picks=[(2, 1, 0.9), (1, 1, 0.5)], gt_picks=[(0, 1), (1, 1)], iou_th=0.0,
+         require_class=True)
+def test_det_counts_matches_all_pairs_reference(pool, picks, gt_picks, iou_th, require_class):
+    results = [(pool[k % len(pool)], c, s) for k, c, s in picks]
+    gts = [(pool[k % len(pool)], c) for k, c in gt_picks]
+    got = metrics.det_counts(results, gts, SHAPE, iou_th, require_class)
+    assert got == _det_counts_reference(results, gts, SHAPE, iou_th, require_class)
+
+
 def test_det_prf_perfect():
     gts = [(Box(10, 10, 0.1, 0.1), A), (Box(40, 40, 0.1, 0.1), B)]
     results = [(b, c, 0.9) for b, c in gts]
@@ -171,14 +227,19 @@ def alignments(monkeypatch):
 
 
 def test_match_chars_and_page_counts_do_not_realign(alignments):
+    # Line matching scores all six pairs by distance and aligns only the two
+    # it matches: (1, 1) and (2, 2) at AR 2/3; (3, 1) at AR 1/3 finds q = 1
+    # taken.  Neither match_chars nor AR* aligns a pair again.
     results = [[A, B, E, C], [D, E], [A]]
     annots = [[A, B, C], [D, E, E]]
+    matched = Counter({((A, B, E, C), (A, B, C)): 1, ((D, E), (D, E, E)): 1})
     m_l = matching.match_lines(results, annots, th_ar=0.3)
-    assert len(alignments) == 6
+    assert set(m_l) == {(1, 1), (2, 2)}
+    assert Counter(alignments) == matched
     matching.match_chars(m_l)
-    assert len(alignments) == 6
+    assert Counter(alignments) == matched
     metrics.page_counts(results, annots)  # its own line matching only
-    assert len(alignments) == 12
+    assert Counter(alignments) == matched + matched
 
 
 def test_eval_aligns_each_line_pair_of_a_page_once(tmp_path, alignments, capsys):
@@ -201,8 +262,7 @@ def test_eval_aligns_each_line_pair_of_a_page_once(tmp_path, alignments, capsys)
     ))
     assert main(["eval", "--results", str(results), "--annotations", str(annots)]) == 0
     capsys.readouterr()
-    want = Counter(
-        (tuple(r), tuple(a))
-        for res, ann in pages.values() for r in res or [] for a in ann or []
-    )
-    assert Counter(alignments) == want
+    # Only the matched pair of each page is aligned: page a's (1, 1) at AR 1
+    # (its second result line has no transcript left) and page b's (1, 1) at
+    # AR 2/3 (against [B] the AR is -1); pages c and d have no pair.
+    assert Counter(alignments) == Counter({((A, B, C), (A, B, C)): 1, ((C, D), (C, D, E)): 1})
