@@ -9,6 +9,7 @@ from .predictions import (
     PredictionMaps,
     load_maps,
     oracle_predict,
+    render_plan,
     save_maps,
 )
 from .decoder import (
@@ -20,6 +21,7 @@ from .decoder import (
     PageResult,
     SearchTrace,
     decode,
+    direction_table,
     extract_nodes,
     follow,
     fused_score,

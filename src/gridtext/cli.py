@@ -157,6 +157,17 @@ def _result_from_row(doc: object) -> dict:
     for key in ("img_w", "img_h"):
         if not lo <= doc[key] <= hi:
             raise ValueError(f"row.{key}: must be in [{lo}, {hi}], got {doc[key]}")
+    # Every character must make a valid Box and a usable sort key.  An
+    # integer past the float range is not finite either.
+    for k, line in enumerate(doc["lines"]):
+        for m, char in enumerate(line["chars"]):
+            for key in ("x", "y", "w", "h", "score"):
+                value = char[key]
+                where = f"row.lines[{k}].chars[{m}].{key}"
+                if not abs(value) <= sys.float_info.max:
+                    raise ValueError(f"{where}: must be finite, got {value}")
+                if key in ("w", "h") and value <= 0:
+                    raise ValueError(f"{where}: must be > 0, got {value}")
     return doc
 
 

@@ -8,6 +8,13 @@ enforces the at-most-one-edge-in/one-edge-out property.  Assembly emits
 each maximal chain that begins at a start-of-line node and stops at the
 first end-of-line node.
 
+The maps are read in bulk, never one numpy scalar at a time: a decode takes
+the argmax direction of every grid once, as a nested-list table that the
+walks index, and node extraction gathers each map at all its hits at once.
+``np.argmax`` keeps the first maximum of a row, as a per-row argmax does,
+and ``tolist`` turns each float32 value into the Python float that
+``float()`` gives, so every box, score and walk keeps its bits.
+
 Every stage is a pure function of its inputs, so repeated decodes of the
 same maps are bit-identical.
 """
@@ -21,8 +28,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box, rel_to_abs
-from .predictions import PredictionMaps, step
+from .geometry import Box, RelBox, rel_to_abs
+from .predictions import DIR_DELTAS, PredictionMaps, step
 
 DIS_WEIGHT = 0.8
 CLS_WEIGHT = 0.2
@@ -135,44 +142,55 @@ def fused_score(dis: float, cls_prob: float) -> float:
 def extract_nodes(
     maps: PredictionMaps, config: DecodeConfig = DecodeConfig()
 ) -> list[CharInstance]:
-    """Threshold the presence map into candidates, NMS, return row-major."""
+    """Threshold the presence map into candidates, NMS, return row-major.
+
+    Hits are taken in row-major (j, i) order, and each map is gathered at
+    all of them at once: presence, the class argmax (first maximum on ties)
+    with its probability, and the cell-relative box.  A non-positive extent
+    is floored at 1e-6 before the box is made absolute.
+    """
     from .geometry import nms
 
+    jj, ii = np.argwhere(maps.dis.T >= config.dis_threshold).T
+    cls_rows = maps.cls[ii, jj]
+    cls0 = np.argmax(cls_rows, axis=-1)
+    probs = cls_rows[np.arange(len(cls0)), cls0].tolist()
     cand: list[CharInstance] = []
-    hits = np.argwhere(maps.dis >= config.dis_threshold)
-    for i0, j0 in sorted(hits.tolist(), key=lambda t: (t[1], t[0])):
+    for i0, j0, c0, dis, prob, (x_o, y_o, w_o, h_o) in zip(
+        ii.tolist(), jj.tolist(), cls0.tolist(), maps.dis[ii, jj].tolist(), probs,
+        maps.box[ii, jj].tolist(),
+    ):
         i, j = i0 + 1, j0 + 1
-        row = maps.cls[i0, j0]
-        cls0 = int(np.argmax(row))
-        rel = maps.rel_box(i, j)
-        if rel.w_o <= 0 or rel.h_o <= 0:
-            rel = replace(rel, w_o=max(rel.w_o, 1e-6), h_o=max(rel.h_o, 1e-6))
+        if w_o <= 0 or h_o <= 0:
+            w_o, h_o = max(w_o, 1e-6), max(h_o, 1e-6)
         cand.append(
             CharInstance(
                 grid=(i, j),
-                box=rel_to_abs(rel, i, j, maps.shape),
-                score=fused_score(float(maps.dis[i0, j0]), float(row[cls0])),
-                cls_id=cls0 + 1,
-                cls_prob=float(row[cls0]),
+                box=rel_to_abs(RelBox(x_o, y_o, w_o, h_o), i, j, maps.shape),
+                score=fused_score(dis, prob),
+                cls_id=c0 + 1,
+                cls_prob=prob,
             )
         )
     keep = nms([(c.box, c.score) for c in cand], config.nms_iou, maps.shape)
     return [cand[k] for k in keep]
 
 
-def _argmax_dir(maps: PredictionMaps, g: tuple[int, int]) -> int:
-    return int(np.argmax(maps.rd[g[0] - 1, g[1] - 1]))
+def direction_table(maps: PredictionMaps) -> list[list[int]]:
+    """The argmax direction of every grid, ``table[i-1][j-1]`` for (i, j);
+    ties go to the lowest direction index."""
+    return np.argmax(maps.rd, axis=-1).tolist()
 
 
 def _neighbor_node(
-    maps: PredictionMaps,
+    dirs: list[list[int]],
     cur: tuple[int, int],
     origin: tuple[int, int],
     node_scores: Mapping[tuple[int, int], float],
 ) -> tuple[int, int] | None:
     """Relaxed target at a walk's final grid: the pointed node if any, else
     the highest-scoring node among the 4-neighbors (ties row-major)."""
-    pointed = step(cur, _argmax_dir(maps, cur))
+    pointed = step(cur, dirs[cur[0] - 1][cur[1] - 1])
     if pointed != origin and pointed in node_scores:
         return pointed
     best: tuple[int, int] | None = None
@@ -189,42 +207,44 @@ def _neighbor_node(
 
 
 def follow(
-    maps: PredictionMaps,
+    dirs: list[list[int]],
     origin: tuple[int, int],
     node_scores: Mapping[tuple[int, int], float],
     max_steps: int,
 ) -> SearchTrace:
     """Walk argmax directions from ``origin`` until a node is found.
 
-    Strict termination: the next grid of a step is a node.  Relaxed
-    termination: when the walk ends for any other reason after at least one
-    step, a node in the final grid's 4-neighborhood also counts as reached.
-    The origin itself is never a valid target.
+    ``dirs`` is the page's :func:`direction_table`, whose shape is the
+    lattice's.  Strict termination: the next grid of a step is a node.
+    Relaxed termination: when the walk ends for any other reason after at
+    least one step, a node in the final grid's 4-neighborhood also counts as
+    reached.  The origin itself is never a valid target.
     """
-    shape = maps.shape
+    w_g, h_g = len(dirs), len(dirs[0])
     visited = [origin]
     seen = {origin}
-    cur = origin
-
-    def finalize(outcome: str) -> SearchTrace:
-        if len(visited) >= 2:
-            target = _neighbor_node(maps, cur, origin, node_scores)
-            if target is not None:
-                return SearchTrace(origin, visited, REACHED, target)
-        return SearchTrace(origin, visited, outcome)
-
+    i, j = origin
+    outcome = MAX_STEPS
     for _ in range(max_steps):
-        nxt = step(cur, _argmax_dir(maps, cur))
-        if not shape.in_bounds(*nxt):
-            return finalize(BOUNDARY)
+        di, dj = DIR_DELTAS[dirs[i - 1][j - 1]]
+        i += di
+        j += dj
+        if not (0 < i <= w_g and 0 < j <= h_g):
+            outcome = BOUNDARY
+            break
+        nxt = (i, j)
         if nxt != origin and nxt in node_scores:
             return SearchTrace(origin, visited, REACHED, nxt)
         if nxt in seen:
-            return finalize(CYCLE)
+            outcome = CYCLE
+            break
         visited.append(nxt)
         seen.add(nxt)
-        cur = nxt
-    return finalize(MAX_STEPS)
+    if len(visited) >= 2:
+        target = _neighbor_node(dirs, visited[-1], origin, node_scores)
+        if target is not None:
+            return SearchTrace(origin, visited, REACHED, target)
+    return SearchTrace(origin, visited, outcome)
 
 
 def _edge_angle(src: CharInstance, dst: CharInstance) -> float:
@@ -317,13 +337,10 @@ def assemble(
     flagged end-of-line or when no outgoing edge exists.  Nodes on no line
     are kept as diagnostics in ``dropped``.
     """
-
-    def sol_at(g: tuple[int, int]) -> float:
-        return float(maps.sol[g[0] - 1, g[1] - 1])
-
-    def eol_at(g: tuple[int, int]) -> float:
-        return float(maps.eol[g[0] - 1, g[1] - 1])
-
+    ii = [n.grid[0] - 1 for n in nodes]
+    jj = [n.grid[1] - 1 for n in nodes]
+    sol = maps.sol[ii, jj].tolist()
+    eol = maps.eol[ii, jj].tolist()
     has_incoming = set(edges.values())
     order = sorted(range(len(nodes)), key=lambda k: (nodes[k].grid[1], nodes[k].grid[0]))
     used: set[int] = set()
@@ -331,11 +348,11 @@ def assemble(
     for k in order:
         if k in used or k in has_incoming:
             continue
-        if sol_at(nodes[k].grid) <= config.sol_eol_threshold:
+        if sol[k] <= config.sol_eol_threshold:
             continue
         chain = [k]
         cur = k
-        while eol_at(nodes[cur].grid) <= config.sol_eol_threshold and cur in edges:
+        while eol[cur] <= config.sol_eol_threshold and cur in edges:
             nxt = edges[cur]
             if nxt in used or nxt in chain:
                 break
@@ -346,8 +363,8 @@ def assemble(
             Line(
                 chars=[nodes[m] for m in chain],
                 traces=[traces[m] for m in chain],
-                sol_conf=sol_at(nodes[chain[0]].grid),
-                eol_conf=eol_at(nodes[chain[-1]].grid),
+                sol_conf=sol[chain[0]],
+                eol_conf=eol[chain[-1]],
             )
         )
     dropped = [nodes[k] for k in order if k not in used]
@@ -383,7 +400,8 @@ def decode(maps: PredictionMaps, config: DecodeConfig = DecodeConfig()) -> PageR
     max_steps = config.max_steps
     if max_steps is None:
         max_steps = maps.shape.w_g + maps.shape.h_g
-    traces = [follow(maps, n.grid, node_scores, max_steps) for n in nodes]
+    dirs = direction_table(maps)
+    traces = [follow(dirs, n.grid, node_scores, max_steps) for n in nodes]
     edges = resolve_edges(nodes, traces)
     result = assemble(nodes, edges, traces, maps, config)
     validate_result(result)

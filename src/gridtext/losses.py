@@ -3,7 +3,9 @@
 Losses are computed as plain numbers against possibly-incomplete target
 sets; an empty target set zeroes its (half-)term and is flagged rather than
 raised, since early passes legitimately have no pseudo-labels.  Probabilities
-are clamped to [1e-7, 1 - 1e-7] before logs.
+are clamped to [1e-7, 1 - 1e-7] before logs.  Each term gathers its map
+values in one indexing call, in the sorted order of its targets, so its sum
+adds them in that order.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping
+
+import numpy as np
 
 from .geometry import GridShape, abs_to_rel
 from .predictions import PredictionMaps
@@ -64,6 +68,16 @@ def _mean_neg_log(values: Iterable[float], flags: list[str], name: str) -> float
     return -sum(_log(v, flags, name) for v in vals) / len(vals)
 
 
+def _gather(arr: np.ndarray, cells: Iterable[tuple[int, ...]]) -> list:
+    """``arr[i - 1, j - 1, *rest]`` for each cell ``(i, j, *rest)`` of 1-based
+    grids, as Python values in the cells' order."""
+    idx = np.array(list(cells), dtype=np.intp).T
+    if not idx.size:
+        return []
+    idx[:2] -= 1
+    return arr[tuple(idx)].tolist()
+
+
 def loss_dis(maps: PredictionMaps, targets: LossTargets) -> Term:
     """Balanced presence loss: positives at labeled grids, negatives along
     consecutive-equal search paths, each half weighted 1/2."""
@@ -85,14 +99,14 @@ def loss_box(
         flags.append("box:empty")
         return Term(0.0, 0, flags)
     total = 0.0
-    for i, j, q, n in sorted(targets.s_c):
+    s_c = sorted(targets.s_c)
+    for (i, j, q, n), pred in zip(s_c, _gather(maps.box, (c[:2] for c in s_c))):
         rel = abs_to_rel(labels[(q, n)].box, i, j, shape)
-        pred = maps.box[i - 1, j - 1]
         diffs = (
-            float(pred[0]) - rel.x_o,
-            float(pred[1]) - rel.y_o,
-            float(pred[2]) - rel.w_o,
-            float(pred[3]) - rel.h_o,
+            pred[0] - rel.x_o,
+            pred[1] - rel.y_o,
+            pred[2] - rel.w_o,
+            pred[3] - rel.h_o,
         )
         total += sum(w * d * d for w, d in zip(BOX_WEIGHTS, diffs))
     return Term(total / len(targets.s_c), len(targets.s_c), flags)
@@ -104,9 +118,9 @@ def loss_cls(
     """Cross entropy of the annotated class at each labeled grid."""
     flags: list[str] = []
     value = _mean_neg_log(
-        (
-            float(maps.cls[i - 1, j - 1, annot.lines[q - 1][n - 1] - 1])
-            for i, j, q, n in sorted(targets.s_c)
+        _gather(
+            maps.cls,
+            ((i, j, annot.lines[q - 1][n - 1] - 1) for i, j, q, n in sorted(targets.s_c)),
         ),
         flags,
         "cls",
@@ -118,11 +132,9 @@ def _balanced_bce(
     grid_map, pos: Collection[tuple[int, int]], neg: Collection[tuple[int, int]], name: str
 ) -> Term:
     flags: list[str] = []
-    p = _mean_neg_log(
-        (float(grid_map[i - 1, j - 1]) for i, j in sorted(pos)), flags, f"{name}_pos"
-    )
+    p = _mean_neg_log(_gather(grid_map, sorted(pos)), flags, f"{name}_pos")
     n = _mean_neg_log(
-        (1.0 - float(grid_map[i - 1, j - 1]) for i, j in sorted(neg)), flags, f"{name}_neg"
+        (1.0 - v for v in _gather(grid_map, sorted(neg))), flags, f"{name}_neg"
     )
     return Term(0.5 * p + 0.5 * n, len(pos) + len(neg), flags)
 
@@ -138,11 +150,7 @@ def loss_eol(maps: PredictionMaps, targets: LossTargets) -> Term:
 def loss_rd(maps: PredictionMaps, targets: LossTargets) -> Term:
     """Cross entropy of the path direction at every generated path grid."""
     flags: list[str] = []
-    value = _mean_neg_log(
-        (float(maps.rd[i - 1, j - 1, d]) for i, j, d in sorted(targets.s_rd)),
-        flags,
-        "rd",
-    )
+    value = _mean_neg_log(_gather(maps.rd, sorted(targets.s_rd)), flags, "rd")
     return Term(value, len(targets.s_rd), flags)
 
 

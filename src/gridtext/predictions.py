@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import Box, GridShape, RelBox, abs_to_rel, grid_of
+from .geometry import Box, GridShape, abs_to_rel, grid_of
 
 if TYPE_CHECKING:
     from .synth import SyntheticPage
@@ -150,10 +150,6 @@ class PredictionMaps:
     eol: np.ndarray  # (w_g, h_g) end-of-line confidence
     rd: np.ndarray  # (w_g, h_g, 4) direction probabilities
 
-    def rel_box(self, i: int, j: int) -> RelBox:
-        x_o, y_o, w_o, h_o = (float(v) for v in self.box[i - 1, j - 1])
-        return RelBox(x_o, y_o, w_o, h_o)
-
     def validate(self) -> None:
         s = self.shape
         for name, want in _tensor_shapes(s.w_g, s.h_g, self.n_cls).items():
@@ -235,21 +231,47 @@ def _clamp_to_cell(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo + 1e-9 * (hi - lo)), hi)
 
 
-def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
-    """Synthesize prediction maps from a page's annotation, its ground truth,
-    then apply the noise model.
+def _cells(grids) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based (i - 1, j - 1) index arrays of 1-based grids."""
+    ij = np.array(list(grids), dtype=np.intp).reshape(-1, 2) - 1
+    return ij[:, 0], ij[:, 1]
 
-    Exact rendering: presence/one-hot class/relative box at every character
-    grid, start/end-of-line flags at line endpoints, and reading-order rows
-    along the deterministic staircase between consecutive characters.  All
-    random draws come from a generator seeded with ``noise.seed``, so equal
-    seeds give bit-identical maps.
+
+@dataclass(frozen=True, eq=False)
+class RenderPlan:
+    """A page's exact oracle maps, as index and value arrays to scatter.
+
+    ``chars`` holds (grid, class id, box) of every character, line by line
+    in reading order, and ``grids`` maps each character grid to its index
+    in ``chars``; the noise model reads both.  Each ``*_at`` field is a pair
+    of 0-based (i - 1, j - 1) index arrays: the staircase grids with their
+    directions, the character grids (in ``chars`` order) with their 0-based
+    classes and cell-relative boxes, and the line starts and ends.  A plan
+    holds O(characters + path grids) and is only read, so one plan serves
+    every pass over its page.
+    """
+
+    chars: list[tuple[tuple[int, int], int, Box]]
+    grids: dict[tuple[int, int], int]
+    rd_at: tuple[np.ndarray, np.ndarray]
+    rd_dir: np.ndarray
+    char_at: tuple[np.ndarray, np.ndarray]
+    char_cls: np.ndarray
+    char_box: np.ndarray  # (n, 4) float32
+    sol_at: tuple[np.ndarray, np.ndarray]
+    eol_at: tuple[np.ndarray, np.ndarray]
+
+
+def render_plan(page: "SyntheticPage") -> RenderPlan:
+    """Plan the exact maps of a page from its annotation, its ground truth.
+
+    Presence, one-hot class and relative box go at every character grid,
+    start/end-of-line flags at line endpoints, and reading-order rows along
+    the deterministic staircase between consecutive characters.  Raises
+    GridCollisionError when two characters share a grid or a staircase
+    crosses a character.
     """
     shape = page.shape
-    maps = _blank_maps(shape, page.n_cls)
-    rng = np.random.default_rng(noise.seed)
-
-    # (grid, class id, box) of every character, line by line in reading order.
     annot = page.annotation
     lines = [
         [(grid_of(box, shape), cls_id, box) for cls_id, box in zip(line, boxes)]
@@ -264,6 +286,7 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
 
     # Lines go in reading order: where two staircases cross, the later
     # line's rd row wins.
+    rd: dict[tuple[int, int], int] = {}
     for line in lines:
         for (ga, _, _), (gb, _, _) in zip(line, line[1:]):
             for g, d in staircase(ga, gb):
@@ -271,19 +294,49 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
                     raise GridCollisionError(
                         f"inter-character path {ga}->{gb} crosses character at {g}"
                     )
-                maps.rd[g[0] - 1, g[1] - 1] = _rd_row(d)
+                rd[g] = d
 
-    for (i, j), cls_id, box in chars:
-        maps.dis[i - 1, j - 1] = 1.0 - EPS
-        maps.cls[i - 1, j - 1] = _one_hot(page.n_cls, cls_id - 1)
-        _set_rel(maps, (i, j), box)
-    for line in lines:
-        gi, gj = line[0][0]
-        maps.sol[gi - 1, gj - 1] = 1.0 - EPS
-        gi, gj = line[-1][0]
-        maps.eol[gi - 1, gj - 1] = 1.0 - EPS
+    rels = [abs_to_rel(box, i, j, shape) for (i, j), _, box in chars]
+    return RenderPlan(
+        chars=chars,
+        grids=grids,
+        rd_at=_cells(rd),
+        rd_dir=np.array(list(rd.values()), dtype=np.intp),
+        char_at=_cells(grids),
+        char_cls=np.array([cls_id - 1 for _, cls_id, _ in chars], dtype=np.intp),
+        char_box=np.array(
+            [(r.x_o, r.y_o, r.w_o, r.h_o) for r in rels], dtype=np.float32
+        ).reshape(-1, 4),
+        sol_at=_cells(line[0][0] for line in lines),
+        eol_at=_cells(line[-1][0] for line in lines),
+    )
 
-    _apply_noise(maps, chars, grids, noise, rng)
+
+def oracle_predict(
+    page: "SyntheticPage", noise: OracleNoise, plan: RenderPlan | None = None
+) -> PredictionMaps:
+    """Synthesize prediction maps from a page's annotation, its ground truth,
+    then apply the noise model.
+
+    The exact maps come from ``plan``, the page's :func:`render_plan` (made
+    here when not given): its rows are scattered onto blank maps, which the
+    plan never shares.  The noise is then drawn, in a fixed order, from a
+    generator seeded with ``noise.seed``, so equal seeds give bit-identical
+    maps, whether or not a plan is passed.
+    """
+    if plan is None:
+        plan = render_plan(page)
+    maps = _blank_maps(page.shape, page.n_cls)
+    rng = np.random.default_rng(noise.seed)
+    maps.rd[plan.rd_at] = EPS
+    maps.rd[plan.rd_at + (plan.rd_dir,)] = 1.0 - 3 * EPS
+    maps.dis[plan.char_at] = 1.0 - EPS
+    maps.cls[plan.char_at] = 0.0
+    maps.cls[plan.char_at + (plan.char_cls,)] = 1.0
+    maps.box[plan.char_at] = plan.char_box
+    maps.sol[plan.sol_at] = 1.0 - EPS
+    maps.eol[plan.eol_at] = 1.0 - EPS
+    _apply_noise(maps, plan.chars, plan.grids, noise, rng)
     return maps
 
 

@@ -285,6 +285,12 @@ def _without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _with_char(**keys) -> dict:
+    """_RESULT with its one character's ``keys`` replaced."""
+    (line,) = _RESULT["lines"]
+    return {**_RESULT, "lines": [{"chars": [{**line["chars"][0], **keys}]}]}
+
+
 @pytest.mark.parametrize("files, argv", [
     pytest.param(_stage(nms_iou="0.3"), _TRAIN_SIM, id="stage-value-of-wrong-type"),
     pytest.param(_stage(nmsiou=0.3), _TRAIN_SIM, id="unknown-stage-key"),
@@ -354,6 +360,18 @@ def _without(doc: dict, key: str) -> dict:
                  id="results-image-too-tall-no-boxes"),
     pytest.param({"results.jsonl": _jsonl({**_RESULT, "img_w": math.nan})},
                  ["viz", "--results", "results.jsonl"], id="results-image-width-nan-viz"),
+    pytest.param({"results.jsonl": _jsonl(_with_char(x=math.nan)),
+                  "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL, id="results-char-x-nan-eval"),
+    pytest.param({"results.jsonl": _jsonl(_with_char(x=math.nan))},
+                 ["viz", "--results", "results.jsonl"], id="results-char-x-nan-viz"),
+    pytest.param({"results.jsonl": _jsonl(_with_char(w=0))},
+                 ["viz", "--results", "results.jsonl"], id="results-char-w-0-viz"),
+    pytest.param({"results.jsonl": _jsonl(_with_char(h=-0.1)),
+                  "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL, id="results-char-h-negative-eval"),
+    pytest.param({"results.jsonl": _jsonl(_with_char(y=10**400)),
+                  "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL, id="results-char-y-past-float"),
+    pytest.param({"results.jsonl": _jsonl(_with_char(score=math.nan)),
+                  "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL, id="results-char-score-nan-eval"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
@@ -368,7 +386,13 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, fi
     ({"results.jsonl": _jsonl(_RESULT, {**_RESULT, "page_id": "p2", "img_w": 0}),
       "annotations.jsonl": _jsonl(_without(_ANNOT, "boxes"))}, _EVAL,
      "error: results.jsonl:2: row.img_w: must be in [1e-100, 1e+100], got 0\n"),
-], ids=["iou-th", "img-w"])
+    ({"results.jsonl": _jsonl(_RESULT, {**_with_char(w=0), "page_id": "p2"}),
+      "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL,
+     "error: results.jsonl:2: row.lines[0].chars[0].w: must be > 0, got 0\n"),
+    ({"results.jsonl": _jsonl(_with_char(score=math.nan)),
+      "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL,
+     "error: results.jsonl:1: row.lines[0].chars[0].score: must be finite, got nan\n"),
+], ids=["iou-th", "img-w", "char-w", "char-score"])
 def test_eval_range_errors_name_the_flag_or_the_row(tmp_path, monkeypatch, capsys, files, argv,
                                                     message):
     monkeypatch.chdir(tmp_path)

@@ -22,10 +22,12 @@ from gridtext.decoder import (
     CharInstance,
     DecodeConfig,
     NGramLM,
+    PageResult,
     SearchTrace,
     assemble,
     beam_search_lm,
     decode,
+    direction_table,
     extract_nodes,
     follow,
     frame_scores,
@@ -35,8 +37,8 @@ from gridtext.decoder import (
     resolve_edges,
     validate_result,
 )
-from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of, iou
-from gridtext.predictions import Direction, OracleNoise, PredictionMaps, oracle_predict
+from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, RelBox, grid_of, iou, rel_to_abs
+from gridtext.predictions import Direction, OracleNoise, PredictionMaps, oracle_predict, step
 from gridtext.synth import PageConfig, gen_page
 
 
@@ -44,6 +46,93 @@ def test_fused_score_values():
     assert fused_score(1, 1) == 1.0
     assert fused_score(0, 0) == 0.0
     assert math.isclose(fused_score(0.9, 0.5), 0.82, abs_tol=1e-12)
+
+
+# The per-hit and per-step loops that extract_nodes and follow replaced live
+# on as test oracles: one numpy read per value, one argmax per row.
+
+
+def _extract_nodes_reference(
+    maps: PredictionMaps, config: DecodeConfig = DecodeConfig()
+) -> list[CharInstance]:
+    from gridtext.geometry import nms
+
+    cand: list[CharInstance] = []
+    hits = np.argwhere(maps.dis >= config.dis_threshold)
+    for i0, j0 in sorted(hits.tolist(), key=lambda t: (t[1], t[0])):
+        i, j = i0 + 1, j0 + 1
+        row = maps.cls[i0, j0]
+        cls0 = int(np.argmax(row))
+        rel = RelBox(*(float(v) for v in maps.box[i0, j0]))
+        if rel.w_o <= 0 or rel.h_o <= 0:
+            rel = RelBox(rel.x_o, rel.y_o, max(rel.w_o, 1e-6), max(rel.h_o, 1e-6))
+        cand.append(
+            CharInstance(
+                grid=(i, j),
+                box=rel_to_abs(rel, i, j, maps.shape),
+                score=fused_score(float(maps.dis[i0, j0]), float(row[cls0])),
+                cls_id=cls0 + 1,
+                cls_prob=float(row[cls0]),
+            )
+        )
+    keep = nms([(c.box, c.score) for c in cand], config.nms_iou, maps.shape)
+    return [cand[k] for k in keep]
+
+
+def _argmax_dir(maps: PredictionMaps, g: tuple[int, int]) -> int:
+    return int(np.argmax(maps.rd[g[0] - 1, g[1] - 1]))
+
+
+def _neighbor_node_reference(maps, cur, origin, node_scores):
+    pointed = step(cur, _argmax_dir(maps, cur))
+    if pointed != origin and pointed in node_scores:
+        return pointed
+    best = best_key = None
+    for d in range(4):
+        g = step(cur, d)
+        if g == origin or g not in node_scores:
+            continue
+        key = (-node_scores[g], g[1], g[0])
+        if best_key is None or key < best_key:
+            best_key = key
+            best = g
+    return best
+
+
+def _follow_reference(maps, origin, node_scores, max_steps) -> SearchTrace:
+    visited = [origin]
+    seen = {origin}
+    cur = origin
+
+    def finalize(outcome: str) -> SearchTrace:
+        if len(visited) >= 2:
+            target = _neighbor_node_reference(maps, cur, origin, node_scores)
+            if target is not None:
+                return SearchTrace(origin, visited, REACHED, target)
+        return SearchTrace(origin, visited, outcome)
+
+    for _ in range(max_steps):
+        nxt = step(cur, _argmax_dir(maps, cur))
+        if not maps.shape.in_bounds(*nxt):
+            return finalize(BOUNDARY)
+        if nxt != origin and nxt in node_scores:
+            return SearchTrace(origin, visited, REACHED, nxt)
+        if nxt in seen:
+            return finalize(CYCLE)
+        visited.append(nxt)
+        seen.add(nxt)
+        cur = nxt
+    return finalize(MAX_STEPS)
+
+
+def _decode_reference(maps: PredictionMaps, config: DecodeConfig) -> PageResult:
+    nodes = _extract_nodes_reference(maps, config)
+    node_scores = {n.grid: n.score for n in nodes}
+    max_steps = config.max_steps or maps.shape.w_g + maps.shape.h_g
+    traces = [_follow_reference(maps, n.grid, node_scores, max_steps) for n in nodes]
+    result = assemble(nodes, resolve_edges(nodes, traces), traces, maps, config)
+    validate_result(result)
+    return result
 
 
 def test_extract_nodes_round_trip():
@@ -87,7 +176,7 @@ def _walk_maps():
 def test_follow_reaches_adjacent_node():
     maps = _walk_maps()
     set_rd(maps, 2, 2, Direction.RIGHT)
-    trace = follow(maps, (2, 2), {(3, 2): 1.0}, max_steps=10)
+    trace = follow(direction_table(maps), (2, 2), {(3, 2): 1.0}, max_steps=10)
     assert trace.outcome == REACHED
     assert trace.target == (3, 2)
     assert trace.visited == [(2, 2)]
@@ -97,7 +186,7 @@ def test_follow_reaches_adjacent_node():
 def test_follow_boundary_at_first_column():
     maps = _walk_maps()
     set_rd(maps, 1, 3, Direction.LEFT)
-    trace = follow(maps, (1, 3), {(4, 4): 1.0}, max_steps=10)
+    trace = follow(direction_table(maps), (1, 3), {(4, 4): 1.0}, max_steps=10)
     assert trace.outcome == BOUNDARY
     assert trace.visited == [(1, 3)]
 
@@ -106,7 +195,7 @@ def test_follow_cycle_detected():
     maps = _walk_maps()
     set_rd(maps, 2, 2, Direction.RIGHT)
     set_rd(maps, 3, 2, Direction.LEFT)
-    trace = follow(maps, (2, 2), {}, max_steps=10)
+    trace = follow(direction_table(maps), (2, 2), {}, max_steps=10)
     assert trace.outcome == CYCLE
     assert len(trace.visited) <= 3
 
@@ -115,7 +204,7 @@ def test_follow_max_steps_cap():
     maps = _walk_maps()
     for i in range(1, 6):
         set_rd(maps, i, 3, Direction.RIGHT)
-    trace = follow(maps, (1, 3), {}, max_steps=2)
+    trace = follow(direction_table(maps), (1, 3), {}, max_steps=2)
     assert trace.outcome == MAX_STEPS
     assert trace.visited == [(1, 3), (2, 3), (3, 3)]
 
@@ -129,7 +218,7 @@ def test_follow_relaxed_picks_highest_score_neighbor():
     set_rd(maps, 2, 1, Direction.UP)
     scores = {(3, 1): 0.7, (2, 2): 0.0, (1, 1): 0.9}
     # origin (1,2) -> (2,2)? (2,2) is a node: use origin (2,2) instead
-    trace = follow(maps, (2, 2), {(3, 1): 0.7, (1, 1): 0.9}, max_steps=10)
+    trace = follow(direction_table(maps), (2, 2), {(3, 1): 0.7, (1, 1): 0.9}, max_steps=10)
     assert trace.outcome == REACHED
     assert trace.target == (1, 1)
     assert trace.visited == [(2, 2), (2, 1)]
@@ -138,7 +227,7 @@ def test_follow_relaxed_picks_highest_score_neighbor():
 def test_follow_relaxed_never_fires_at_origin():
     maps = _walk_maps()
     set_rd(maps, 1, 1, Direction.UP)  # immediate boundary exit, 0 steps taken
-    trace = follow(maps, (1, 1), {(2, 1): 1.0}, max_steps=10)
+    trace = follow(direction_table(maps), (1, 1), {(2, 1): 1.0}, max_steps=10)
     assert trace.outcome == BOUNDARY
 
 
@@ -344,29 +433,34 @@ def test_decode_config_accepts_closed_interval_ends():
 # DecodeConfig, to a result that passes validate_result.
 
 _UNIT = st.floats(0.0, 1.0, width=32)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=32)
+# Few distinct values: ties in every argmax and NMS score, and box extents
+# that are zero or negative.
+_COARSE_UNIT = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+_COARSE_BOX = st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0])
 
 
-def _rows(draw, shape):
+def _rows(draw, shape, unit=_UNIT):
     """Float32 rows that sum to 1: drawn weights over their sum."""
-    raw = draw(arrays(np.float32, shape, elements=_UNIT)).astype(np.float64)
+    raw = draw(arrays(np.float32, shape, elements=unit)).astype(np.float64)
     raw[raw.sum(axis=-1) == 0] = 1.0  # an all-zero row becomes uniform
     return (raw / raw.sum(axis=-1, keepdims=True)).astype(np.float32)
 
 
 @st.composite
-def _valid_maps(draw):
-    w, h, n_cls = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+def _valid_maps(draw, unit=_UNIT, box=_FINITE, max_side=5):
+    w, h = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    n_cls = draw(st.integers(1, 4))
     img_w, img_h = draw(st.floats(*IMAGE_SIZE_RANGE)), draw(st.floats(*IMAGE_SIZE_RANGE))
-    finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
     maps = PredictionMaps(
         shape=GridShape(w, h, img_w, img_h),
         n_cls=n_cls,
-        box=draw(arrays(np.float32, (w, h, 4), elements=finite)),
-        dis=draw(arrays(np.float32, (w, h), elements=_UNIT)),
-        cls=_rows(draw, (w, h, n_cls)),
-        sol=draw(arrays(np.float32, (w, h), elements=_UNIT)),
-        eol=draw(arrays(np.float32, (w, h), elements=_UNIT)),
-        rd=_rows(draw, (w, h, 4)),
+        box=draw(arrays(np.float32, (w, h, 4), elements=box)),
+        dis=draw(arrays(np.float32, (w, h), elements=unit)),
+        cls=_rows(draw, (w, h, n_cls), unit),
+        sol=draw(arrays(np.float32, (w, h), elements=unit)),
+        eol=draw(arrays(np.float32, (w, h), elements=unit)),
+        rd=_rows(draw, (w, h, 4), unit),
     )
     maps.validate()
     return maps
@@ -385,3 +479,39 @@ _DECODE_CONFIGS = st.builds(
 @given(_valid_maps(), _DECODE_CONFIGS)
 def test_valid_maps_decode_to_a_valid_result(maps, config):
     validate_result(decode(maps, config))
+
+
+# decode, with its table-driven walks and gathered reads, equals a decode
+# composed from the per-value reference layers: lines, traces and dropped
+# characters, every float included.
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    _valid_maps(max_side=8) | _valid_maps(_COARSE_UNIT, _COARSE_BOX, max_side=8),
+    _DECODE_CONFIGS | st.builds(DecodeConfig, dis_threshold=_COARSE_UNIT),
+)
+def test_decode_matches_reference_layers(maps, config):
+    result = decode(maps, config)
+    assert result == _decode_reference(maps, config)
+    for line in result.lines:
+        (i, j), (k, m) = line.chars[0].grid, line.chars[-1].grid
+        assert (line.sol_conf, line.eol_conf) == (
+            float(maps.sol[i - 1, j - 1]), float(maps.eol[k - 1, m - 1])
+        )
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_follow_matches_reference(data):
+    w, h = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    maps = blank_maps(GridShape(w, h, 16.0 * w, 16.0 * h), 1)
+    maps.rd = _rows(data.draw, (w, h, 4), data.draw(st.sampled_from([_UNIT, _COARSE_UNIT])))
+    grids = st.tuples(st.integers(1, w), st.integers(1, h))
+    node_scores = data.draw(
+        st.dictionaries(grids, _COARSE_UNIT | st.floats(0.0, 1.0), max_size=w * h)
+    )
+    origin = data.draw(grids)
+    max_steps = data.draw(st.integers(1, 2 * (w + h)))
+    trace = follow(direction_table(maps), origin, node_scores, max_steps)
+    assert trace == _follow_reference(maps, origin, node_scores, max_steps)

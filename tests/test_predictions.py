@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,12 +17,20 @@ from gridtext.predictions import (
     GridCollisionError,
     MapFormatError,
     OracleNoise,
+    _apply_noise,
+    _blank_maps,
+    _one_hot,
+    _rd_row,
+    _set_rel,
     load_maps,
     oracle_predict,
+    render_plan,
     save_maps,
     staircase,
 )
-from gridtext.synth import PageConfig, SyntheticPage, gen_page
+from gridtext.pseudolabels import PseudoLabelStore
+from gridtext.simloop import StageConfig, run_stage
+from gridtext.synth import LAYOUT_KINDS, Layout, PageConfig, SyntheticPage, gen_page
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +91,151 @@ def _collision_page():
     return SyntheticPage(shape=shape, n_cls=4, annotation=annot, layout=None)
 
 
+def _hand_page(*lines: list[tuple[int, int]]) -> SyntheticPage:
+    """A page on an 8x8 lattice of 16-pixel cells with one character
+    centred in each listed grid; character k of a line has class k % 4 + 1."""
+    shape = GridShape(8, 8, 128, 128)
+    boxes = [[Box(16 * i - 8, 16 * j - 8, 0.1, 0.1) for i, j in line] for line in lines]
+    classes = [[k % 4 + 1 for k in range(len(line))] for line in lines]
+    annot = PageAnnotation(lines=classes, boxes=boxes, page_id="hand")
+    return SyntheticPage(shape=shape, n_cls=4, annotation=annot, layout=None)
+
+
 def test_grid_collision_raises():
     with pytest.raises(GridCollisionError):
         oracle_predict(_collision_page(), OracleNoise())
+
+
+# The staircase (2,2)->(5,4) runs right through (4,2); the later line's
+# (4,1)->(4,3) runs down through it, and its row wins.
+_CROSSING_PAGE = _hand_page([(2, 2), (5, 4)], [(4, 1), (4, 3)])
+
+
+@pytest.mark.parametrize("page, message", [
+    (_collision_page(), "characters 0 and 1 share grid (3, 3)"),
+    (_hand_page([(2, 2), (5, 2)], [(3, 2)]),
+     "inter-character path (2, 2)->(5, 2) crosses character at (3, 2)"),
+], ids=["shared-grid", "path-crosses-char"])
+def test_grid_collision_messages(page, message):
+    with pytest.raises(GridCollisionError, match=f"^{re.escape(message)}$"):
+        oracle_predict(page, OracleNoise())
+    with pytest.raises(GridCollisionError, match=f"^{re.escape(message)}$"):
+        render_plan(page)
+
+
+def test_run_stage_rejects_a_collision_page_before_any_pass():
+    pages = [gen_page(PageConfig(n_lines=1, chars_per_line=(3, 3), n_cls=4)), _collision_page()]
+    store = PseudoLabelStore()
+    with pytest.raises(GridCollisionError, match="share grid"):
+        run_stage(pages, store, StageConfig(real_prob=1.0))
+    assert store.n_labels() == 0
+
+
+# The loop render that the scattered render plan replaced lives on as the
+# test oracle: one write per character, path grid and line end.
+
+
+def _oracle_reference(page: SyntheticPage, noise: OracleNoise):
+    shape = page.shape
+    maps = _blank_maps(shape, page.n_cls)
+    rng = np.random.default_rng(noise.seed)
+    annot = page.annotation
+    lines = [
+        [(grid_of(box, shape), cls_id, box) for cls_id, box in zip(line, boxes)]
+        for line, boxes in zip(annot.lines, annot.boxes)
+    ]
+    chars = [ch for line in lines for ch in line]
+    grids: dict[tuple[int, int], int] = {}
+    for k, (g, _, _) in enumerate(chars):
+        if g in grids:
+            raise GridCollisionError(f"characters {grids[g]} and {k} share grid {g}")
+        grids[g] = k
+    for line in lines:
+        for (ga, _, _), (gb, _, _) in zip(line, line[1:]):
+            for g, d in staircase(ga, gb):
+                if g != ga and g in grids:
+                    raise GridCollisionError(
+                        f"inter-character path {ga}->{gb} crosses character at {g}"
+                    )
+                maps.rd[g[0] - 1, g[1] - 1] = _rd_row(d)
+    for (i, j), cls_id, box in chars:
+        maps.dis[i - 1, j - 1] = 1.0 - EPS
+        maps.cls[i - 1, j - 1] = _one_hot(page.n_cls, cls_id - 1)
+        _set_rel(maps, (i, j), box)
+    for line in lines:
+        gi, gj = line[0][0]
+        maps.sol[gi - 1, gj - 1] = 1.0 - EPS
+        gi, gj = line[-1][0]
+        maps.eol[gi - 1, gj - 1] = 1.0 - EPS
+    _apply_noise(maps, chars, grids, noise, rng)
+    return maps
+
+
+_TENSORS = ("box", "dis", "cls", "sol", "eol", "rd")
+
+
+def _assert_same_maps(a, b):
+    assert a.shape == b.shape and a.n_cls == b.n_cls
+    for name in _TENSORS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+# Each noise kind alone at a strong setting, all of them at once, and none.
+_NOISE_KINDS = [
+    {}, {"jitter_sigma": 0.3}, {"size_sigma": 0.3}, {"label_swap_p": 0.5}, {"drop_p": 0.5},
+    {"spurious_p": 0.1}, {"dir_flip_p": 0.3},
+    {"jitter_sigma": 0.2, "size_sigma": 0.2, "label_swap_p": 0.2, "drop_p": 0.2,
+     "spurious_p": 0.05, "dir_flip_p": 0.2},
+]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(LAYOUT_KINDS),
+    page_seed=st.integers(0, 1000),
+    noise=st.sampled_from(_NOISE_KINDS),
+    noise_seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+)
+def test_oracle_predict_matches_loop_render(kind, page_seed, noise, noise_seeds):
+    layout = Layout(kind, amplitude=1.0) if kind == "sine" else Layout(kind)
+    page = gen_page(PageConfig(n_lines=3, chars_per_line=(2, 8), n_cls=7, layout=layout,
+                               w_g=24, h_g=24, seed=page_seed))
+    plan = render_plan(page)
+    for seed in noise_seeds:
+        want = _oracle_reference(page, OracleNoise(**noise, seed=seed))
+        _assert_same_maps(oracle_predict(page, OracleNoise(**noise, seed=seed), plan), want)
+        _assert_same_maps(oracle_predict(page, OracleNoise(**noise, seed=seed)), want)
+
+
+@pytest.mark.parametrize("noise", _NOISE_KINDS)
+def test_crossing_staircases_match_loop_render(noise):
+    page = _CROSSING_PAGE
+    maps = oracle_predict(page, OracleNoise(**noise, seed=5), render_plan(page))
+    _assert_same_maps(maps, _oracle_reference(page, OracleNoise(**noise, seed=5)))
+    if not noise:
+        assert int(np.argmax(maps.rd[3, 1])) == Direction.DOWN
+
+
+def test_reused_plan_is_never_changed_or_shared():
+    page = gen_page(PageConfig(n_lines=3, chars_per_line=(4, 8), n_cls=7, seed=9))
+    plan = render_plan(page)
+    before = copy.deepcopy(plan)
+    arrays = [v for f in vars(plan).values() for v in (f if isinstance(f, tuple) else (f,))
+              if isinstance(v, np.ndarray)]
+    for seed in range(3):
+        maps = oracle_predict(page, OracleNoise(**_NOISE_KINDS[-1], seed=seed), plan)
+        for name in _TENSORS:
+            tensor = getattr(maps, name)
+            assert not any(np.shares_memory(tensor, arr) for arr in arrays), name
+            tensor[...] = -1.0  # a caller that edits its maps
+    assert plan.chars == before.chars and plan.grids == before.grids
+    for name, value in vars(before).items():
+        got = getattr(plan, name)
+        for x, y in zip(got if isinstance(got, tuple) else (got,),
+                        value if isinstance(value, tuple) else (value,)):
+            if isinstance(y, np.ndarray):
+                assert np.array_equal(x, y), name
 
 
 def test_staircase_deterministic_variant():

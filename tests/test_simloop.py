@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from gridtext.predictions import OracleNoise
+from gridtext import simloop
+from gridtext.predictions import OracleNoise, oracle_predict, render_plan
 from gridtext.pseudolabels import PseudoLabel, PseudoLabelStore
 from gridtext.simloop import (
     ConfigError,
@@ -36,6 +37,26 @@ def test_zero_noise_single_pass_fills_store_exactly():
     assert rep.losses is not None
     for name in ("dis", "box", "cls", "sol", "eol", "rd"):
         assert rep.losses[name] < 1e-4, name
+
+
+def test_run_stage_plans_each_page_once_and_predicts_every_pass(monkeypatch):
+    pages = _pages(n=2)
+    plans, calls = [], []
+
+    def plan_spy(page):
+        plans.append(render_plan(page))
+        return plans[-1]
+
+    def predict_spy(page, noise, plan=None):
+        calls.append((page.page_id, plan))
+        return oracle_predict(page, noise, plan)
+
+    monkeypatch.setattr(simloop, "render_plan", plan_spy)
+    monkeypatch.setattr(simloop, "oracle_predict", predict_spy)
+    run_stage(pages, PseudoLabelStore(), StageConfig(n_passes=3, real_prob=1.0))
+    assert len(plans) == len(pages)
+    assert [pid for pid, _ in calls] == [p.page_id for p in pages] * 3
+    assert all(plan is plans[k % len(pages)] for k, (_, plan) in enumerate(calls))
 
 
 def test_initialize_updates_store_without_losses():
