@@ -20,10 +20,10 @@ from .geometry import IMAGE_SIZE_RANGE, Box, GridShape
 from .jsoncheck import by_page_id, check, expect, read_jsonl
 from .matching import ErrorCounts, PageAnnotation, load_annotations, save_annotations
 from .metrics import det_counts, page_counts, prf
-from .predictions import MapFormatError, OracleNoise, load_maps, oracle_predict, save_maps
+from .predictions import OracleNoise, load_maps, oracle_predict, save_maps
 from .pseudolabels import PseudoLabelStore
 from .simloop import ConfigError, StageConfig, export_labels, run_stage
-from .synth import LAYOUT_KINDS, GenerationError, Layout, PageConfig, SyntheticPage, gen_dataset
+from .synth import LAYOUT_KINDS, Layout, PageConfig, SyntheticPage, gen_dataset
 
 # Keys that sit flat in a train-sim stage and belong to its DecodeConfig.
 _DECODE_HINTS = typing.get_type_hints(DecodeConfig)
@@ -500,14 +500,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
-    except (
-        MapFormatError,
-        GenerationError,
-        ConfigError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    # Every data error is a ValueError (MapFormatError, GenerationError,
+    # ConfigError, json.JSONDecodeError); a MemoryError is a config whose
+    # maps cannot be allocated.
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

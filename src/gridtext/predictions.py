@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import Box, GridShape, abs_to_rel, grid_of
+from .geometry import Box, GridShape, grid_of
 
 if TYPE_CHECKING:
     from .synth import SyntheticPage
@@ -103,9 +103,12 @@ class GridCollisionError(ValueError):
 class OracleNoise:
     """Corruption model applied to otherwise exact oracle maps.
 
-    jitter_sigma and size_sigma are relative to the page's mean character
-    size; the *_p fields are per-character (or per-grid, for spurious and
-    dir_flip) probabilities.
+    jitter_sigma is the standard deviation of a character's centre shift,
+    relative to the page's mean character size.  size_sigma is the standard
+    deviation of the log of a per-axis size factor: a width w becomes
+    min(w * exp(size_sigma * z), 1) for a standard normal z, and a height
+    likewise.  The *_p fields are per-character (or per-grid, for spurious
+    and dir_flip) probabilities.
     """
 
     jitter_sigma: float = 0.0
@@ -220,44 +223,42 @@ def _one_hot(n: int, idx0: int) -> np.ndarray:
     return row
 
 
-def _set_rel(maps: PredictionMaps, grid: tuple[int, int], box: Box) -> None:
-    rel = abs_to_rel(box, grid[0], grid[1], maps.shape)
-    maps.box[grid[0] - 1, grid[1] - 1] = (rel.x_o, rel.y_o, rel.w_o, rel.h_o)
-
-
-def _clamp_to_cell(x: float, lo: float, hi: float) -> float:
-    # Valid centers for a cell lie in (lo, hi]; nudge off the open edge so
-    # the jittered box keeps its grid under the ceil mapping.
-    return min(max(x, lo + 1e-9 * (hi - lo)), hi)
-
-
 def _cells(grids) -> tuple[np.ndarray, np.ndarray]:
     """The 0-based (i - 1, j - 1) index arrays of 1-based grids."""
     ij = np.array(list(grids), dtype=np.intp).reshape(-1, 2) - 1
     return ij[:, 0], ij[:, 1]
 
 
+def _rel_rows(
+    boxes: np.ndarray, at: tuple[np.ndarray, np.ndarray], shape: GridShape
+) -> np.ndarray:
+    """Cell-relative (x_o, y_o, w_o, h_o) rows of absolute (x, y, w, h) rows
+    at the 0-based cells ``at``, in :func:`~gridtext.geometry.abs_to_rel`'s
+    float64 operation order."""
+    rel = boxes.copy()
+    rel[:, 0] = boxes[:, 0] / shape.img_w * shape.w_g - at[0]
+    rel[:, 1] = boxes[:, 1] / shape.img_h * shape.h_g - at[1]
+    return rel
+
+
 @dataclass(frozen=True, eq=False)
 class RenderPlan:
     """A page's exact oracle maps, as index and value arrays to scatter.
 
-    ``chars`` holds (grid, class id, box) of every character, line by line
-    in reading order, and ``grids`` maps each character grid to its index
-    in ``chars``; the noise model reads both.  Each ``*_at`` field is a pair
-    of 0-based (i - 1, j - 1) index arrays: the staircase grids with their
-    directions, the character grids (in ``chars`` order) with their 0-based
-    classes and cell-relative boxes, and the line starts and ends.  A plan
-    holds O(characters + path grids) and is only read, so one plan serves
-    every pass over its page.
+    Each ``*_at`` field is a pair of 0-based (i - 1, j - 1) index arrays:
+    the staircase grids with their directions, the character grids with
+    their 0-based classes and absolute (x, y, w, h) boxes, and the line
+    starts and ends.  Characters go line by line in reading order; they
+    are the noise model's only description of the page.  A plan holds
+    O(characters + path grids) and is only read, so one plan serves every
+    pass over its page.
     """
 
-    chars: list[tuple[tuple[int, int], int, Box]]
-    grids: dict[tuple[int, int], int]
     rd_at: tuple[np.ndarray, np.ndarray]
     rd_dir: np.ndarray
     char_at: tuple[np.ndarray, np.ndarray]
     char_cls: np.ndarray
-    char_box: np.ndarray  # (n, 4) float32
+    char_box: np.ndarray  # (n, 4) float64
     sol_at: tuple[np.ndarray, np.ndarray]
     eol_at: tuple[np.ndarray, np.ndarray]
 
@@ -271,15 +272,10 @@ def render_plan(page: "SyntheticPage") -> RenderPlan:
     GridCollisionError when two characters share a grid or a staircase
     crosses a character.
     """
-    shape = page.shape
     annot = page.annotation
-    lines = [
-        [(grid_of(box, shape), cls_id, box) for cls_id, box in zip(line, boxes)]
-        for line, boxes in zip(annot.lines, annot.boxes)
-    ]
-    chars = [ch for line in lines for ch in line]
+    lines = [[grid_of(box, page.shape) for box in boxes] for boxes in annot.boxes]
     grids: dict[tuple[int, int], int] = {}
-    for k, (g, _, _) in enumerate(chars):
+    for k, g in enumerate(g for line in lines for g in line):
         if g in grids:
             raise GridCollisionError(f"characters {grids[g]} and {k} share grid {g}")
         grids[g] = k
@@ -288,7 +284,7 @@ def render_plan(page: "SyntheticPage") -> RenderPlan:
     # line's rd row wins.
     rd: dict[tuple[int, int], int] = {}
     for line in lines:
-        for (ga, _, _), (gb, _, _) in zip(line, line[1:]):
+        for ga, gb in zip(line, line[1:]):
             for g, d in staircase(ga, gb):
                 if g != ga and g in grids:
                     raise GridCollisionError(
@@ -296,19 +292,16 @@ def render_plan(page: "SyntheticPage") -> RenderPlan:
                     )
                 rd[g] = d
 
-    rels = [abs_to_rel(box, i, j, shape) for (i, j), _, box in chars]
     return RenderPlan(
-        chars=chars,
-        grids=grids,
         rd_at=_cells(rd),
         rd_dir=np.array(list(rd.values()), dtype=np.intp),
         char_at=_cells(grids),
-        char_cls=np.array([cls_id - 1 for _, cls_id, _ in chars], dtype=np.intp),
+        char_cls=np.array([c - 1 for line in annot.lines for c in line], dtype=np.intp),
         char_box=np.array(
-            [(r.x_o, r.y_o, r.w_o, r.h_o) for r in rels], dtype=np.float32
+            [(b.x, b.y, b.w, b.h) for boxes in annot.boxes for b in boxes], dtype=np.float64
         ).reshape(-1, 4),
-        sol_at=_cells(line[0][0] for line in lines),
-        eol_at=_cells(line[-1][0] for line in lines),
+        sol_at=_cells(line[0] for line in lines),
+        eol_at=_cells(line[-1] for line in lines),
     )
 
 
@@ -320,9 +313,10 @@ def oracle_predict(
 
     The exact maps come from ``plan``, the page's :func:`render_plan` (made
     here when not given): its rows are scattered onto blank maps, which the
-    plan never shares.  The noise is then drawn, in a fixed order, from a
-    generator seeded with ``noise.seed``, so equal seeds give bit-identical
-    maps, whether or not a plan is passed.
+    plan never shares, with each character box made cell-relative.  The
+    noise is then drawn, in a fixed order, from a generator seeded with
+    ``noise.seed`` and applied to the plan's arrays, so equal seeds give
+    bit-identical maps, whether or not a plan is passed.
     """
     if plan is None:
         plan = render_plan(page)
@@ -333,26 +327,21 @@ def oracle_predict(
     maps.dis[plan.char_at] = 1.0 - EPS
     maps.cls[plan.char_at] = 0.0
     maps.cls[plan.char_at + (plan.char_cls,)] = 1.0
-    maps.box[plan.char_at] = plan.char_box
+    maps.box[plan.char_at] = _rel_rows(plan.char_box, plan.char_at, page.shape)
     maps.sol[plan.sol_at] = 1.0 - EPS
     maps.eol[plan.eol_at] = 1.0 - EPS
-    _apply_noise(maps, plan.chars, plan.grids, noise, rng)
+    _apply_noise(maps, plan, noise, rng)
     return maps
 
 
 def _apply_noise(
-    maps: PredictionMaps,
-    chars: list[tuple[tuple[int, int], int, Box]],
-    grids: dict[tuple[int, int], int],
-    noise: OracleNoise,
-    rng: np.random.Generator,
+    maps: PredictionMaps, plan: RenderPlan, noise: OracleNoise, rng: np.random.Generator
 ) -> None:
     shape = maps.shape
-    n = len(chars)
+    boxes = plan.char_box
+    n = len(boxes)
     if n:
-        mean_size = float(
-            np.mean([0.5 * (box.w * shape.img_w + box.h * shape.img_h) for _, _, box in chars])
-        )
+        mean_size = float(np.mean(0.5 * (boxes[:, 2] * shape.img_w + boxes[:, 3] * shape.img_h)))
     else:
         mean_size = min(shape.cell_w, shape.cell_h)
 
@@ -365,40 +354,39 @@ def _apply_noise(
         jitter = rng.normal(0.0, 1.0, size=(n, 2)) * noise.jitter_sigma * mean_size
     size_fac = np.exp(rng.normal(0.0, 1.0, size=(n, 2)) * noise.size_sigma)
 
-    for k, ((i, j), cls_id, box) in enumerate(chars):
-        if drop[k]:
-            maps.dis[i - 1, j - 1] = EPS
-            continue
-        if swap[k]:
-            wrong = int(swap_to[k])
-            if wrong >= cls_id - 1:
-                wrong += 1  # skip the true class
-            wrong %= maps.n_cls
-            maps.cls[i - 1, j - 1] = _one_hot(maps.n_cls, wrong)
-        if noise.jitter_sigma > 0 or noise.size_sigma > 0:
-            x = _clamp_to_cell(
-                box.x + float(jitter[k, 0]), (i - 1) * shape.cell_w, i * shape.cell_w
-            )
-            y = _clamp_to_cell(
-                box.y + float(jitter[k, 1]), (j - 1) * shape.cell_h, j * shape.cell_h
-            )
-            w = min(box.w * float(size_fac[k, 0]), 1.0)
-            h = min(box.h * float(size_fac[k, 1]), 1.0)
-            _set_rel(maps, (i, j), Box(x, y, w, h))
+    i0, j0 = plan.char_at
+    maps.dis[i0[drop], j0[drop]] = EPS
+    keep = ~drop
+    swap &= keep
+    wrong = swap_to[swap] + (swap_to[swap] >= plan.char_cls[swap])  # skip the true class
+    maps.cls[i0[swap], j0[swap]] = 0.0
+    maps.cls[i0[swap], j0[swap], wrong % maps.n_cls] = 1.0
+    if noise.jitter_sigma > 0 or noise.size_sigma > 0:
+        at = (i0[keep], j0[keep])
+        # Valid centres for a cell lie in (lo, hi]; nudge off the open edge
+        # so the jittered box keeps its grid under the ceil mapping.
+        cells, cell = np.stack(at, axis=1), np.array([shape.cell_w, shape.cell_h])
+        lo, hi = cells * cell, (cells + 1) * cell
+        noisy = np.concatenate([
+            np.minimum(np.maximum(boxes[keep, :2] + jitter[keep], lo + 1e-9 * (hi - lo)), hi),
+            np.minimum(boxes[keep, 2:] * size_fac[keep], 1.0),
+        ], axis=1)
+        bad = ~np.isfinite(noisy[:, :2]).all(axis=1) | (noisy[:, 2:] <= 0).any(axis=1)
+        if bad.any():
+            Box(*noisy[np.argmax(bad)].tolist())  # raises Box's error for the first bad box
+        maps.box[at] = _rel_rows(noisy, at, shape)
 
     if noise.spurious_p > 0:
         hits = rng.random((shape.w_g, shape.h_g)) < noise.spurious_p
+        hits[plan.char_at] = False
         size_frac_w = mean_size / shape.img_w
         size_frac_h = mean_size / shape.img_h
-        for i0, j0 in np.argwhere(hits):
-            g = (int(i0) + 1, int(j0) + 1)
-            if g in grids:
-                continue
-            maps.dis[i0, j0] = rng.uniform(0.55, 0.9)
-            maps.cls[i0, j0] = _one_hot(maps.n_cls, int(rng.integers(0, maps.n_cls)))
+        for i, j in np.argwhere(hits):
+            maps.dis[i, j] = rng.uniform(0.55, 0.9)
+            maps.cls[i, j] = _one_hot(maps.n_cls, int(rng.integers(0, maps.n_cls)))
             x_o, y_o = rng.uniform(0.3, 0.7, size=2)
             scale = rng.uniform(0.8, 1.2)
-            maps.box[i0, j0] = (
+            maps.box[i, j] = (
                 float(x_o),
                 float(y_o),
                 min(size_frac_w * scale, 1.0),
@@ -407,8 +395,8 @@ def _apply_noise(
 
     if noise.dir_flip_p > 0:
         flips = rng.random((shape.w_g, shape.h_g)) < noise.dir_flip_p
-        for i0, j0 in np.argwhere(flips):
-            maps.rd[i0, j0] = _rd_row(int(rng.integers(0, 4)))
+        for i, j in np.argwhere(flips):
+            maps.rd[i, j] = _rd_row(int(rng.integers(0, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gridtext.geometry import Box, GridShape, grid_of
+from gridtext.geometry import Box, GridShape, abs_to_rel, grid_of
 from gridtext.matching import PageAnnotation
 from gridtext.predictions import (
     EPS,
@@ -17,11 +17,10 @@ from gridtext.predictions import (
     GridCollisionError,
     MapFormatError,
     OracleNoise,
-    _apply_noise,
+    MAX_SIZE_SIGMA,
     _blank_maps,
     _one_hot,
     _rd_row,
-    _set_rel,
     load_maps,
     oracle_predict,
     render_plan,
@@ -131,8 +130,80 @@ def test_run_stage_rejects_a_collision_page_before_any_pass():
     assert store.n_labels() == 0
 
 
-# The loop render that the scattered render plan replaced lives on as the
-# test oracle: one write per character, path grid and line end.
+# The loop render and noise model that the render plan's arrays replaced
+# live on as the test oracle: one write per character, path grid and line
+# end, then one noise step per character.
+
+
+def _set_rel(maps, grid, box):
+    rel = abs_to_rel(box, grid[0], grid[1], maps.shape)
+    maps.box[grid[0] - 1, grid[1] - 1] = (rel.x_o, rel.y_o, rel.w_o, rel.h_o)
+
+
+def _clamp_to_cell(x, lo, hi):
+    return min(max(x, lo + 1e-9 * (hi - lo)), hi)
+
+
+def _apply_noise_reference(maps, chars, grids, noise, rng):
+    shape = maps.shape
+    n = len(chars)
+    if n:
+        mean_size = float(
+            np.mean([0.5 * (box.w * shape.img_w + box.h * shape.img_h) for _, _, box in chars])
+        )
+    else:
+        mean_size = min(shape.cell_w, shape.cell_h)
+
+    drop = rng.random(n) < noise.drop_p
+    swap = rng.random(n) < noise.label_swap_p
+    swap_to = rng.integers(0, max(maps.n_cls - 1, 1), size=n)
+    with np.errstate(over="ignore"):
+        jitter = rng.normal(0.0, 1.0, size=(n, 2)) * noise.jitter_sigma * mean_size
+    size_fac = np.exp(rng.normal(0.0, 1.0, size=(n, 2)) * noise.size_sigma)
+
+    for k, ((i, j), cls_id, box) in enumerate(chars):
+        if drop[k]:
+            maps.dis[i - 1, j - 1] = EPS
+            continue
+        if swap[k]:
+            wrong = int(swap_to[k])
+            if wrong >= cls_id - 1:
+                wrong += 1
+            wrong %= maps.n_cls
+            maps.cls[i - 1, j - 1] = _one_hot(maps.n_cls, wrong)
+        if noise.jitter_sigma > 0 or noise.size_sigma > 0:
+            x = _clamp_to_cell(
+                box.x + float(jitter[k, 0]), (i - 1) * shape.cell_w, i * shape.cell_w
+            )
+            y = _clamp_to_cell(
+                box.y + float(jitter[k, 1]), (j - 1) * shape.cell_h, j * shape.cell_h
+            )
+            w = min(box.w * float(size_fac[k, 0]), 1.0)
+            h = min(box.h * float(size_fac[k, 1]), 1.0)
+            _set_rel(maps, (i, j), Box(x, y, w, h))
+
+    if noise.spurious_p > 0:
+        hits = rng.random((shape.w_g, shape.h_g)) < noise.spurious_p
+        size_frac_w = mean_size / shape.img_w
+        size_frac_h = mean_size / shape.img_h
+        for i0, j0 in np.argwhere(hits):
+            if (int(i0) + 1, int(j0) + 1) in grids:
+                continue
+            maps.dis[i0, j0] = rng.uniform(0.55, 0.9)
+            maps.cls[i0, j0] = _one_hot(maps.n_cls, int(rng.integers(0, maps.n_cls)))
+            x_o, y_o = rng.uniform(0.3, 0.7, size=2)
+            scale = rng.uniform(0.8, 1.2)
+            maps.box[i0, j0] = (
+                float(x_o),
+                float(y_o),
+                min(size_frac_w * scale, 1.0),
+                min(size_frac_h * scale, 1.0),
+            )
+
+    if noise.dir_flip_p > 0:
+        flips = rng.random((shape.w_g, shape.h_g)) < noise.dir_flip_p
+        for i0, j0 in np.argwhere(flips):
+            maps.rd[i0, j0] = _rd_row(int(rng.integers(0, 4)))
 
 
 def _oracle_reference(page: SyntheticPage, noise: OracleNoise):
@@ -167,7 +238,7 @@ def _oracle_reference(page: SyntheticPage, noise: OracleNoise):
         maps.sol[gi - 1, gj - 1] = 1.0 - EPS
         gi, gj = line[-1][0]
         maps.eol[gi - 1, gj - 1] = 1.0 - EPS
-    _apply_noise(maps, chars, grids, noise, rng)
+    _apply_noise_reference(maps, chars, grids, noise, rng)
     return maps
 
 
@@ -190,17 +261,34 @@ _NOISE_KINDS = [
 ]
 
 
+def _off_or(values):
+    return st.just(0.0) | values
+
+
+# Drawn magnitudes, each noise kind off or on: a jitter past 1e300 overflows
+# to +-inf and lands on the cell edge, and size_sigma reaches its bound.
+_NOISE = st.fixed_dictionaries({
+    "jitter_sigma": _off_or(st.floats(0.0, 1.0) | st.floats(1e300, 1e308)),
+    "size_sigma": _off_or(st.floats(0.0, MAX_SIZE_SIGMA)),
+    **{name: _off_or(st.floats(0.0, 1.0))
+       for name in ("label_swap_p", "drop_p", "spurious_p", "dir_flip_p")},
+})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None, max_examples=60)
 @given(
     kind=st.sampled_from(LAYOUT_KINDS),
     page_seed=st.integers(0, 1000),
-    noise=st.sampled_from(_NOISE_KINDS),
+    n_cls=st.integers(1, 7),  # with one class a label swap wraps back to the true class
+    cell_px=st.sampled_from([16, 1, 10**90]),  # 10**90 puts the image near its size bound
+    noise=st.one_of(st.sampled_from(_NOISE_KINDS), _NOISE),
     noise_seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
 )
-def test_oracle_predict_matches_loop_render(kind, page_seed, noise, noise_seeds):
+def test_oracle_predict_matches_loop_render(kind, page_seed, n_cls, cell_px, noise, noise_seeds):
     layout = Layout(kind, amplitude=1.0) if kind == "sine" else Layout(kind)
-    page = gen_page(PageConfig(n_lines=3, chars_per_line=(2, 8), n_cls=7, layout=layout,
-                               w_g=24, h_g=24, seed=page_seed))
+    page = gen_page(PageConfig(n_lines=3, chars_per_line=(2, 8), n_cls=n_cls, layout=layout,
+                               w_g=24, h_g=24, cell_px=cell_px, seed=page_seed))
     plan = render_plan(page)
     for seed in noise_seeds:
         want = _oracle_reference(page, OracleNoise(**noise, seed=seed))
@@ -229,7 +317,6 @@ def test_reused_plan_is_never_changed_or_shared():
             tensor = getattr(maps, name)
             assert not any(np.shares_memory(tensor, arr) for arr in arrays), name
             tensor[...] = -1.0  # a caller that edits its maps
-    assert plan.chars == before.chars and plan.grids == before.grids
     for name, value in vars(before).items():
         got = getattr(plan, name)
         for x, y in zip(got if isinstance(got, tuple) else (got,),
