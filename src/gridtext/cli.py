@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .decoder import DecodeConfig, InvariantError, PageResult, decode
 from .geometry import IMAGE_SIZE_RANGE, Box, GridShape
-from .jsoncheck import by_page_id, check, expect, read_jsonl
+from .jsoncheck import by_page_id, check, expect, finite, read_jsonl
 from .matching import ErrorCounts, PageAnnotation, load_annotations, save_annotations
 from .metrics import det_counts, page_counts, prf
 from .predictions import OracleNoise, load_maps, oracle_predict, save_maps
@@ -145,7 +145,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-_RESULT_CHAR = {"x": float, "y": float, "w": float, "h": float, "cls": int, "score": float}
+_RESULT_CHAR = {**dict.fromkeys("xywh", finite), "cls": int, "score": finite}
 _RESULT_ROW = {
     "page_id": str, "img_w": float, "img_h": float, "lines": [{"chars": [_RESULT_CHAR]}]
 }
@@ -157,17 +157,13 @@ def _result_from_row(doc: object) -> dict:
     for key in ("img_w", "img_h"):
         if not lo <= doc[key] <= hi:
             raise ValueError(f"row.{key}: must be in [{lo}, {hi}], got {doc[key]}")
-    # Every character must make a valid Box and a usable sort key.  An
-    # integer past the float range is not finite either.
+    # Every character must make a valid Box.
     for k, line in enumerate(doc["lines"]):
         for m, char in enumerate(line["chars"]):
-            for key in ("x", "y", "w", "h", "score"):
-                value = char[key]
-                where = f"row.lines[{k}].chars[{m}].{key}"
-                if not abs(value) <= sys.float_info.max:
-                    raise ValueError(f"{where}: must be finite, got {value}")
-                if key in ("w", "h") and value <= 0:
-                    raise ValueError(f"{where}: must be > 0, got {value}")
+            for key in ("w", "h"):
+                if char[key] <= 0:
+                    where = f"row.lines[{k}].chars[{m}].{key}"
+                    raise ValueError(f"{where}: must be > 0, got {char[key]}")
     return doc
 
 

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box, RelBox, rel_to_abs
+from .geometry import Box, cells, rel_to_abs
 from .predictions import DIR_DELTAS, PredictionMaps, step
 
 DIS_WEIGHT = 0.8
@@ -146,32 +146,27 @@ def extract_nodes(
 
     Hits are taken in row-major (j, i) order, and each map is gathered at
     all of them at once: presence, the class argmax (first maximum on ties)
-    with its probability, and the cell-relative box.  A non-positive extent
-    is floored at 1e-6 before the box is made absolute.
+    with its probability, and the cell-relative box.  A box with a
+    non-positive extent has both extents floored at 1e-6, and then every box
+    is made absolute in one call.
     """
     from .geometry import nms
 
     jj, ii = np.argwhere(maps.dis.T >= config.dis_threshold).T
-    cls_rows = maps.cls[ii, jj]
+    at = (ii, jj)
+    cls_rows = maps.cls[at]
     cls0 = np.argmax(cls_rows, axis=-1)
     probs = cls_rows[np.arange(len(cls0)), cls0].tolist()
-    cand: list[CharInstance] = []
-    for i0, j0, c0, dis, prob, (x_o, y_o, w_o, h_o) in zip(
-        ii.tolist(), jj.tolist(), cls0.tolist(), maps.dis[ii, jj].tolist(), probs,
-        maps.box[ii, jj].tolist(),
-    ):
-        i, j = i0 + 1, j0 + 1
-        if w_o <= 0 or h_o <= 0:
-            w_o, h_o = max(w_o, 1e-6), max(h_o, 1e-6)
-        cand.append(
-            CharInstance(
-                grid=(i, j),
-                box=rel_to_abs(RelBox(x_o, y_o, w_o, h_o), i, j, maps.shape),
-                score=fused_score(dis, prob),
-                cls_id=c0 + 1,
-                cls_prob=prob,
-            )
+    rel = maps.box[at].astype(np.float64)
+    flat = (rel[:, 2] <= 0) | (rel[:, 3] <= 0)
+    rel[flat, 2:] = np.maximum(rel[flat, 2:], 1e-6)
+    boxes = rel_to_abs(rel, at, maps.shape).tolist()
+    cand = [
+        CharInstance((i0 + 1, j0 + 1), Box(*box), fused_score(dis, prob), c0 + 1, prob)
+        for i0, j0, c0, dis, prob, box in zip(
+            ii.tolist(), jj.tolist(), cls0.tolist(), maps.dis[at].tolist(), probs, boxes
         )
+    ]
     keep = nms([(c.box, c.score) for c in cand], config.nms_iou, maps.shape)
     return [cand[k] for k in keep]
 
@@ -337,10 +332,9 @@ def assemble(
     flagged end-of-line or when no outgoing edge exists.  Nodes on no line
     are kept as diagnostics in ``dropped``.
     """
-    ii = [n.grid[0] - 1 for n in nodes]
-    jj = [n.grid[1] - 1 for n in nodes]
-    sol = maps.sol[ii, jj].tolist()
-    eol = maps.eol[ii, jj].tolist()
+    at = cells(n.grid for n in nodes)
+    sol = maps.sol[at].tolist()
+    eol = maps.eol[at].tolist()
     has_incoming = set(edges.values())
     order = sorted(range(len(nodes)), key=lambda k: (nodes[k].grid[1], nodes[k].grid[0]))
     used: set[int] = set()

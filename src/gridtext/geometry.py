@@ -4,13 +4,22 @@ Grid indices are 1-based in the public contract: ``(i, j)`` is the i-th
 column and j-th row of a ``w_g x h_g`` lattice over the image.  Boxes store
 their center in pixels and their width/height as fractions of the image
 dimensions.
+
+Many grids at once are ``at``, a pair of 0-based ``(i - 1, j - 1)`` index
+arrays that :func:`cells` makes from 1-based grids and that index a map.
+Only this module converts between a map's cell-relative boxes (x_o, y_o,
+w_o, h_o), the centre an offset within its cell, and absolute ones:
+:func:`rel_to_abs` and :func:`abs_to_rel` map ``(n, 4)`` float64 rows at
+``at``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 # Image width and height bounds, in pixels.  Inside them a box read from
 # finite float32 map values (magnitudes from 1.4e-45 to 3.5e38; the decoder
@@ -45,9 +54,6 @@ class GridShape:
     def cell_h(self) -> float:
         return self.img_h / self.h_g
 
-    def in_bounds(self, i: int, j: int) -> bool:
-        return 1 <= i <= self.w_g and 1 <= j <= self.h_g
-
 
 @dataclass(frozen=True)
 class Box:
@@ -71,46 +77,41 @@ class Box:
         return self.x - hw, self.y - hh, self.x + hw, self.y + hh
 
 
-@dataclass(frozen=True)
-class RelBox:
-    """Grid-relative box: (x_o, y_o) offsets within a cell, w_o/h_o fractions.
-
-    Offsets are in [0, 1] for boxes centered inside their cell; converting an
-    absolute box that drifted outside the cell yields offsets outside that
-    range, which callers may clamp.
-    """
-
-    x_o: float
-    y_o: float
-    w_o: float
-    h_o: float
+Cells = tuple[np.ndarray, np.ndarray]  # 0-based (i - 1, j - 1) index arrays
 
 
-def rel_to_abs(rel: RelBox, i: int, j: int, shape: GridShape) -> Box:
-    """Convert a cell-relative box at grid (i, j) to absolute coordinates.
-
-    x = (i - 1 + x_o) / w_g * img_w, y likewise; w/h pass through.
-    """
-    if not shape.in_bounds(i, j):
-        raise ValueError(f"grid index ({i}, {j}) outside {shape.w_g}x{shape.h_g}")
-    return Box(
-        x=(i - 1 + rel.x_o) / shape.w_g * shape.img_w,
-        y=(j - 1 + rel.y_o) / shape.h_g * shape.img_h,
-        w=rel.w_o,
-        h=rel.h_o,
-    )
+def cells(grids: Iterable[tuple[int, int]]) -> Cells:
+    """The 0-based (i - 1, j - 1) index arrays of 1-based grids."""
+    ij = np.array(list(grids), dtype=np.intp).reshape(-1, 2) - 1
+    return ij[:, 0], ij[:, 1]
 
 
-def abs_to_rel(box: Box, i: int, j: int, shape: GridShape) -> RelBox:
-    """Exact inverse of :func:`rel_to_abs` at grid (i, j). Never clamps."""
-    if not shape.in_bounds(i, j):
-        raise ValueError(f"grid index ({i}, {j}) outside {shape.w_g}x{shape.h_g}")
-    return RelBox(
-        x_o=box.x / shape.img_w * shape.w_g - (i - 1),
-        y_o=box.y / shape.img_h * shape.h_g - (j - 1),
-        w_o=box.w,
-        h_o=box.h,
-    )
+def _float_rows(rows: np.ndarray, at: Cells, shape: GridShape) -> np.ndarray:
+    """A float64 copy of ``rows``, once every cell of ``at`` is in the lattice."""
+    i0, j0 = at
+    out = (i0 < 0) | (i0 >= shape.w_g) | (j0 < 0) | (j0 >= shape.h_g)
+    if out.any():
+        k = np.argmax(out)
+        raise ValueError(f"grid index ({i0[k] + 1}, {j0[k] + 1}) outside {shape.w_g}x{shape.h_g}")
+    return rows.astype(np.float64)
+
+
+def rel_to_abs(rows: np.ndarray, at: Cells, shape: GridShape) -> np.ndarray:
+    """Absolute (x, y, w, h) rows of cell-relative (x_o, y_o, w_o, h_o) rows
+    at the cells ``at``: x = (i0 + x_o) / w_g * img_w, y likewise; w/h pass
+    through."""
+    out = _float_rows(rows, at, shape)
+    out[:, 0] = (at[0] + out[:, 0]) / shape.w_g * shape.img_w
+    out[:, 1] = (at[1] + out[:, 1]) / shape.h_g * shape.img_h
+    return out
+
+
+def abs_to_rel(rows: np.ndarray, at: Cells, shape: GridShape) -> np.ndarray:
+    """Exact inverse of :func:`rel_to_abs` at the cells ``at``. Never clamps."""
+    out = _float_rows(rows, at, shape)
+    out[:, 0] = out[:, 0] / shape.img_w * shape.w_g - at[0]
+    out[:, 1] = out[:, 1] / shape.img_h * shape.h_g - at[1]
+    return out
 
 
 def grid_of(box: Box, shape: GridShape) -> tuple[int, int]:

@@ -9,6 +9,7 @@ TypeError.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
@@ -34,12 +35,21 @@ def expect(value: Any, kind: type, where: str, error: type[ValueError] = ValueEr
     raise error(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
 
 
+def finite(value: float, where: str) -> float:
+    """``value`` if it is finite, else a ValueError naming ``where``; JSON
+    reads NaN and Infinity, and an integer past the float range is not."""
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{where}: must be finite, got {value}")
+    return value
+
+
 def check(value: Any, schema: Any, where: str = "row") -> Any:
     """``value`` checked against ``schema`` and returned unchanged.
 
-    A schema is a JSON kind (see :func:`expect`), ``[item]`` for a list of
-    items, a tuple of schemas for a list of exactly that many items, or
-    ``{key: schema}`` for an object that has at least those keys.
+    A schema is a JSON kind (see :func:`expect`), :func:`finite` for a
+    finite number, ``[item]`` for a list of items, a tuple of schemas for a
+    list of exactly that many items, or ``{key: schema}`` for an object that
+    has at least those keys.
     """
     if isinstance(schema, dict):
         expect(value, dict, where)
@@ -55,6 +65,8 @@ def check(value: Any, schema: Any, where: str = "row") -> Any:
             raise ValueError(f"{where}: expected {len(schema)} items, got {len(value)}")
         for k, (item, sub) in enumerate(zip(value, schema)):
             check(item, sub, f"{where}[{k}]")
+    elif schema is finite:
+        finite(expect(value, float, where), where)
     else:
         expect(value, schema, where)
     return value

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 import numpy as np
 
-from .geometry import GridShape, abs_to_rel
+from .geometry import GridShape, abs_to_rel, cells
 from .predictions import PredictionMaps
 from .pseudolabels import LossTargets, PseudoLabel
 
@@ -98,16 +98,12 @@ def loss_box(
     if not targets.s_c:
         flags.append("box:empty")
         return Term(0.0, 0, flags)
-    total = 0.0
     s_c = sorted(targets.s_c)
-    for (i, j, q, n), pred in zip(s_c, _gather(maps.box, (c[:2] for c in s_c))):
-        rel = abs_to_rel(labels[(q, n)].box, i, j, shape)
-        diffs = (
-            pred[0] - rel.x_o,
-            pred[1] - rel.y_o,
-            pred[2] - rel.w_o,
-            pred[3] - rel.h_o,
-        )
+    at = cells((i, j) for i, j, _, _ in s_c)
+    boxes = [labels[(q, n)].box for _, _, q, n in s_c]
+    want = abs_to_rel(np.array([(b.x, b.y, b.w, b.h) for b in boxes]), at, shape)
+    total = 0.0
+    for diffs in (maps.box[at] - want).tolist():
         total += sum(w * d * d for w, d in zip(BOX_WEIGHTS, diffs))
     return Term(total / len(targets.s_c), len(targets.s_c), flags)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .geometry import Box, GridShape, iou
-from .jsoncheck import by_page_id, check, read_jsonl
+from .jsoncheck import by_page_id, check, finite, read_jsonl
 
 if TYPE_CHECKING:
     from .decoder import PageResult
@@ -295,7 +295,7 @@ def _annotation_from_row(doc: object) -> PageAnnotation:
     check(doc, {"lines": [[int]]})
     boxes = None
     if doc.get("boxes") is not None:
-        check(doc["boxes"], [[(float, float, float, float)]], "row.boxes")
+        check(doc["boxes"], [[(finite,) * 4]], "row.boxes")
         boxes = [[Box(*vals) for vals in line] for line in doc["boxes"]]
     return PageAnnotation(
         lines=doc["lines"],

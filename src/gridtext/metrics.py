@@ -33,12 +33,13 @@ def page_counts(
     script, an unmatched result line as insertions and an unmatched
     annotation line as deletions."""
     pairs = match_lines(results, annots, th_ar=float("-inf"))
-    ops = [op for script in pairs.values() for op in script]
+    counts = script_counts([op for script in pairs.values() for op in script])
     matched_p = {p for p, _ in pairs}
     matched_q = {q for _, q in pairs}
-    ops += ["I"] * sum(len(res) for p, res in enumerate(results, 1) if p not in matched_p)
-    ops += ["D"] * sum(len(ann) for q, ann in enumerate(annots, 1) if q not in matched_q)
-    return script_counts(ops)
+    n_ie = sum(len(res) for p, res in enumerate(results, 1) if p not in matched_p)
+    n_de = sum(len(ann) for q, ann in enumerate(annots, 1) if q not in matched_q)
+    counts.add(ErrorCounts(n_ie=n_ie, n_de=n_de, n_total=n_de))
+    return counts
 
 
 def ar_star(

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import Box, GridShape, grid_of
+from .geometry import Box, GridShape, abs_to_rel, cells, grid_of
+from .jsoncheck import expect
 
 if TYPE_CHECKING:
     from .synth import SyntheticPage
@@ -223,24 +224,6 @@ def _one_hot(n: int, idx0: int) -> np.ndarray:
     return row
 
 
-def _cells(grids) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based (i - 1, j - 1) index arrays of 1-based grids."""
-    ij = np.array(list(grids), dtype=np.intp).reshape(-1, 2) - 1
-    return ij[:, 0], ij[:, 1]
-
-
-def _rel_rows(
-    boxes: np.ndarray, at: tuple[np.ndarray, np.ndarray], shape: GridShape
-) -> np.ndarray:
-    """Cell-relative (x_o, y_o, w_o, h_o) rows of absolute (x, y, w, h) rows
-    at the 0-based cells ``at``, in :func:`~gridtext.geometry.abs_to_rel`'s
-    float64 operation order."""
-    rel = boxes.copy()
-    rel[:, 0] = boxes[:, 0] / shape.img_w * shape.w_g - at[0]
-    rel[:, 1] = boxes[:, 1] / shape.img_h * shape.h_g - at[1]
-    return rel
-
-
 @dataclass(frozen=True, eq=False)
 class RenderPlan:
     """A page's exact oracle maps, as index and value arrays to scatter.
@@ -293,15 +276,15 @@ def render_plan(page: "SyntheticPage") -> RenderPlan:
                 rd[g] = d
 
     return RenderPlan(
-        rd_at=_cells(rd),
+        rd_at=cells(rd),
         rd_dir=np.array(list(rd.values()), dtype=np.intp),
-        char_at=_cells(grids),
+        char_at=cells(grids),
         char_cls=np.array([c - 1 for line in annot.lines for c in line], dtype=np.intp),
         char_box=np.array(
             [(b.x, b.y, b.w, b.h) for boxes in annot.boxes for b in boxes], dtype=np.float64
         ).reshape(-1, 4),
-        sol_at=_cells(line[0] for line in lines),
-        eol_at=_cells(line[-1] for line in lines),
+        sol_at=cells(line[0] for line in lines),
+        eol_at=cells(line[-1] for line in lines),
     )
 
 
@@ -327,7 +310,7 @@ def oracle_predict(
     maps.dis[plan.char_at] = 1.0 - EPS
     maps.cls[plan.char_at] = 0.0
     maps.cls[plan.char_at + (plan.char_cls,)] = 1.0
-    maps.box[plan.char_at] = _rel_rows(plan.char_box, plan.char_at, page.shape)
+    maps.box[plan.char_at] = abs_to_rel(plan.char_box, plan.char_at, page.shape)
     maps.sol[plan.sol_at] = 1.0 - EPS
     maps.eol[plan.eol_at] = 1.0 - EPS
     _apply_noise(maps, plan, noise, rng)
@@ -365,8 +348,8 @@ def _apply_noise(
         at = (i0[keep], j0[keep])
         # Valid centres for a cell lie in (lo, hi]; nudge off the open edge
         # so the jittered box keeps its grid under the ceil mapping.
-        cells, cell = np.stack(at, axis=1), np.array([shape.cell_w, shape.cell_h])
-        lo, hi = cells * cell, (cells + 1) * cell
+        ij, cell = np.stack(at, axis=1), np.array([shape.cell_w, shape.cell_h])
+        lo, hi = ij * cell, (ij + 1) * cell
         noisy = np.concatenate([
             np.minimum(np.maximum(boxes[keep, :2] + jitter[keep], lo + 1e-9 * (hi - lo)), hi),
             np.minimum(boxes[keep, 2:] * size_fac[keep], 1.0),
@@ -374,7 +357,7 @@ def _apply_noise(
         bad = ~np.isfinite(noisy[:, :2]).all(axis=1) | (noisy[:, 2:] <= 0).any(axis=1)
         if bad.any():
             Box(*noisy[np.argmax(bad)].tolist())  # raises Box's error for the first bad box
-        maps.box[at] = _rel_rows(noisy, at, shape)
+        maps.box[at] = abs_to_rel(noisy, at, shape)
 
     if noise.spurious_p > 0:
         hits = rng.random((shape.w_g, shape.h_g)) < noise.spurious_p
@@ -465,17 +448,13 @@ def load_maps(path: str | Path) -> PredictionMaps:
 
 
 def _header(w_g, h_g, n_cls, img_w, img_h) -> tuple[GridShape, int]:
-    """The grid shape and class count of a map file's header fields."""
-    try:
-        w_g, h_g, n_cls = int(w_g), int(h_g), int(n_cls)
-        img_w, img_h = float(img_w), float(img_h)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MapFormatError(f"header: bad field ({exc})") from exc
+    """The grid shape and class count of a map file's header fields: integer
+    grid dims and class count, and a numeric image size."""
     if n_cls < 1:
         raise MapFormatError(f"header: n_cls must be >= 1, got {n_cls}")
     try:
-        return GridShape(w_g, h_g, img_w, img_h), n_cls
-    except ValueError as exc:
+        return GridShape(w_g, h_g, float(img_w), float(img_h)), n_cls
+    except (ValueError, OverflowError) as exc:  # an integer past the float range
         raise MapFormatError(f"header: {exc}") from exc
 
 
@@ -505,15 +484,21 @@ def _load_binary(raw: bytes) -> PredictionMaps:
     return maps
 
 
+# The JSON kind of each header field; the binary header's struct types its own.
+_JSON_HEADER = {"w_g": int, "h_g": int, "n_cls": int, "img_w": float, "img_h": float}
+
+
 def _load_json(raw: bytes) -> PredictionMaps:
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # malformed JSON or not UTF-8
         raise MapFormatError(f"header: invalid JSON ({exc})") from exc
-    try:
-        shape, n_cls = _header(*(doc[k] for k in ("w_g", "h_g", "n_cls", "img_w", "img_h")))
-    except KeyError as exc:
-        raise MapFormatError(f"header: missing field {exc}") from exc
+    fields = []
+    for key, kind in _JSON_HEADER.items():
+        if key not in doc:
+            raise MapFormatError(f"header: missing field {key!r}")
+        fields.append(expect(doc[key], kind, f"header.{key}", MapFormatError))
+    shape, n_cls = _header(*fields)
     tensors: dict[str, np.ndarray] = {}
     for name, dims in _tensor_shapes(shape.w_g, shape.h_g, n_cls).items():
         if name not in doc:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 import numpy as np
 
 from .geometry import Box, GridShape, grid_of
-from .jsoncheck import check, read_jsonl
+from .jsoncheck import check, finite, read_jsonl
 from .predictions import staircase
 
 if TYPE_CHECKING:
@@ -89,18 +89,27 @@ class PseudoLabelStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "PseudoLabelStore":
+        """Read the rows of :meth:`save`; a label on two rows is an error."""
         store = cls()
-        for page_id, q, n, label in read_jsonl(path, _label_from_row):
+
+        def add(doc: object) -> None:
+            page_id, q, n, label = _label_from_row(doc)
+            if store.get(page_id, q, n) is not None:
+                raise ValueError(f"label ({page_id!r}, {q}, {n}) appears more than once")
             store.set(page_id, q, n, label)
+
+        read_jsonl(path, add)
         return store
 
 
-_LABEL_ROW = {"page_id": str, "q": int, "n": int, **dict.fromkeys("xywh", float), "gamma": float}
+_LABEL_ROW = {"page_id": str, "q": int, "n": int, **dict.fromkeys("xywh", finite), "gamma": finite}
 
 
 def _label_from_row(doc: object) -> tuple[str, int, int, PseudoLabel]:
     row = check(doc, _LABEL_ROW)
     count = check(row.get("count", 1), int, "row.count")
+    if count < 1:
+        raise ValueError(f"row.count: must be >= 1, got {count}")
     box = Box(row["x"], row["y"], row["w"], row["h"])
     return row["page_id"], row["q"], row["n"], PseudoLabel(box, float(row["gamma"]), count)
 

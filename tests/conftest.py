@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from gridtext.geometry import Box, GridShape, abs_to_rel, grid_of
+from gridtext.geometry import Box, GridShape, grid_of
 from gridtext.predictions import EPS, PredictionMaps, _blank_maps
 
 
@@ -50,8 +50,12 @@ def put_char(
     row = np.zeros(maps.n_cls, dtype=np.float32)
     row[cls_id - 1] = 1.0
     maps.cls[i - 1, j - 1] = row
-    rel = abs_to_rel(box, i, j, shape)
-    maps.box[i - 1, j - 1] = (rel.x_o, rel.y_o, rel.w_o, rel.h_o)
+    maps.box[i - 1, j - 1] = (
+        box.x / shape.img_w * shape.w_g - (i - 1),
+        box.y / shape.img_h * shape.h_g - (j - 1),
+        box.w,
+        box.h,
+    )
     if sol is not None:
         maps.sol[i - 1, j - 1] = sol
     if eol is not None:
@@ -202,8 +206,8 @@ def naive_losses(maps, targets, labels, annot) -> dict[str, float]:
 
     box = 0.0
     for i, j, q, n in s_c:
-        rel = abs_to_rel(labels[(q, n)].box, i, j, maps.shape)
-        want = [rel.x_o, rel.y_o, rel.w_o, rel.h_o]
+        lab, s = labels[(q, n)].box, maps.shape
+        want = [lab.x / s.img_w * s.w_g - (i - 1), lab.y / s.img_h * s.h_g - (j - 1), lab.w, lab.h]
         got = [float(v) for v in maps.box[i - 1, j - 1]]
         ws = [1.0, 1.0, 0.1, 0.1]
         box += sum(w * (a - b) ** 2 for w, a, b in zip(ws, got, want))

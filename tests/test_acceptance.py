@@ -30,7 +30,7 @@ from gridtext.decoder import (
     rescore_with_lm,
     validate_result,
 )
-from gridtext.geometry import Box, GridShape, rel_to_abs, RelBox
+from gridtext.geometry import Box, GridShape, cells, rel_to_abs
 from gridtext.losses import compute_losses, loss_box, loss_cls, loss_dis, loss_rd, loss_sol
 from gridtext.matching import PageAnnotation, edit_counts, match_chars, match_lines
 from gridtext.metrics import ar_star, det_prf
@@ -168,10 +168,11 @@ def test_criterion_05_loss_identities():
     maps.box[2, 2] = (0.5, 0.5, 0.4, 0.4)
     x_o, y_o, w_o, h_o = (float(v) for v in maps.box[2, 2])
     sc = LossTargets(s_c={(3, 3, 1, 1)})
-    lab = {(1, 1): PseudoLabel(box=rel_to_abs(RelBox(x_o - 0.1, y_o, w_o, h_o), 3, 3, shape), gamma=1.0)}
-    assert math.isclose(loss_box(maps, sc, lab, shape).value, 0.01, abs_tol=1e-9)
-    lab = {(1, 1): PseudoLabel(box=rel_to_abs(RelBox(x_o, y_o, w_o - 0.1, h_o), 3, 3, shape), gamma=1.0)}
-    assert math.isclose(loss_box(maps, sc, lab, shape).value, 0.001, abs_tol=1e-9)
+    rel = np.array([[x_o - 0.1, y_o, w_o, h_o], [x_o, y_o, w_o - 0.1, h_o]])
+    boxes = rel_to_abs(rel, cells([(3, 3)] * 2), shape).tolist()
+    for box, want in zip(boxes, (0.01, 0.001)):
+        lab = {(1, 1): PseudoLabel(box=Box(*box), gamma=1.0)}
+        assert math.isclose(loss_box(maps, sc, lab, shape).value, want, abs_tol=1e-9)
     print("\n[criterion 5] PASS: perfect-map terms < 1e-4, exact total, "
           "ln2 / 0.5ln2 / ln4 / 0.01 / 0.001 reproduced to 1e-9")
 

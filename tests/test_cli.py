@@ -286,6 +286,11 @@ def _without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _map_with(**header) -> str:
+    """_MAP with its ``header`` fields replaced."""
+    return json.dumps({**json.loads(_MAP), **header})
+
+
 def _with_char(**keys) -> dict:
     """_RESULT with its one character's ``keys`` replaced."""
     (line,) = _RESULT["lines"]
@@ -345,8 +350,8 @@ def _with_char(**keys) -> dict:
     pytest.param({}, ["synth", "--chars-max", "0"], id="synth-chars-max-0"),
     pytest.param({"map.json": _MAP}, ["decode", "--maps", "map.json", "map.json"],
                  id="decode-repeated-page-id"),
-    pytest.param({"map.json": json.dumps({**json.loads(_MAP), "img_w": 1e300})},
-                 ["decode", "--maps", "map.json"], id="map-image-too-wide"),
+    pytest.param({"map.json": _map_with(img_w=1e300)}, ["decode", "--maps", "map.json"],
+                 id="map-image-too-wide"),
     pytest.param({}, ["synth", "--cell-px", str(10**400)], id="synth-cell-px-past-float"),
     pytest.param({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(_ANNOT)},
                  [*_EVAL, "--iou-th", "nan"], id="eval-iou-th-nan"),
@@ -373,6 +378,37 @@ def _with_char(**keys) -> dict:
                   "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL, id="results-char-y-past-float"),
     pytest.param({"results.jsonl": _jsonl(_with_char(score=math.nan)),
                   "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL, id="results-char-score-nan-eval"),
+    pytest.param({"map.json": _map_with(w_g="1")}, ["decode", "--maps", "map.json"],
+                 id="map-header-text-w-g"),
+    pytest.param({"map.json": _map_with(h_g=1.5)}, ["decode", "--maps", "map.json"],
+                 id="map-header-fractional-h-g"),
+    pytest.param({"map.json": _map_with(n_cls=1.0)}, ["decode", "--maps", "map.json"],
+                 id="map-header-float-n-cls"),
+    pytest.param({"map.json": _map_with(img_w="16.0")}, ["decode", "--maps", "map.json"],
+                 id="map-header-text-img-w"),
+    pytest.param({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(
+        {**_ANNOT, "boxes": [[[10.0, 10.0, math.nan, 0.1]]]})}, _EVAL, id="annotation-box-w-nan"),
+    pytest.param({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(
+        {**_ANNOT, "boxes": [[[10.0, 10.0, math.inf, 0.1]]]})}, _EVAL,
+        id="annotation-box-w-infinite"),
+    pytest.param({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(
+        {**_ANNOT, "boxes": [[[10**400, 10.0, 0.1, 0.1]]]})}, _EVAL,
+        id="annotation-box-x-past-float"),
+    pytest.param({"config.json": json.dumps(_DATASET),
+                  "store.jsonl": _jsonl({**_LABEL, "w": math.nan})}, _EXPORT,
+                 id="store-row-w-nan"),
+    pytest.param({"config.json": json.dumps(_DATASET),
+                  "store.jsonl": _jsonl({**_LABEL, "gamma": math.nan})}, _EXPORT,
+                 id="store-row-gamma-nan"),
+    pytest.param({"config.json": json.dumps(_DATASET),
+                  "store.jsonl": _jsonl({**_LABEL, "y": 10**400})}, _EXPORT,
+                 id="store-row-y-past-float"),
+    pytest.param({"config.json": json.dumps(_DATASET),
+                  "store.jsonl": _jsonl(_LABEL, {**_LABEL, "x": 41.0})}, _EXPORT,
+                 id="store-repeated-label"),
+    pytest.param({"config.json": json.dumps(_DATASET),
+                  "store.jsonl": _jsonl({**_LABEL, "count": 0})}, _EXPORT,
+                 id="store-row-count-0"),
     # 3.6 PiB of class maps: the allocation fails at once on any 64-bit host.
     pytest.param({}, ["synth", "--pages", "1", "--n-cls", str(10**12)], id="synth-maps-too-large"),
     pytest.param({"config.json": json.dumps({"pages": 1, "dataset": {"n_cls": 10**12}})},

@@ -37,7 +37,7 @@ from gridtext.decoder import (
     resolve_edges,
     validate_result,
 )
-from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, RelBox, grid_of, iou, rel_to_abs
+from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of, iou
 from gridtext.predictions import Direction, OracleNoise, PredictionMaps, oracle_predict, step
 from gridtext.synth import PageConfig, gen_page
 
@@ -63,13 +63,14 @@ def _extract_nodes_reference(
         i, j = i0 + 1, j0 + 1
         row = maps.cls[i0, j0]
         cls0 = int(np.argmax(row))
-        rel = RelBox(*(float(v) for v in maps.box[i0, j0]))
-        if rel.w_o <= 0 or rel.h_o <= 0:
-            rel = RelBox(rel.x_o, rel.y_o, max(rel.w_o, 1e-6), max(rel.h_o, 1e-6))
+        x_o, y_o, w_o, h_o = (float(v) for v in maps.box[i0, j0])
+        if w_o <= 0 or h_o <= 0:
+            w_o, h_o = max(w_o, 1e-6), max(h_o, 1e-6)
+        s = maps.shape
         cand.append(
             CharInstance(
                 grid=(i, j),
-                box=rel_to_abs(rel, i, j, maps.shape),
+                box=Box((i0 + x_o) / s.w_g * s.img_w, (j0 + y_o) / s.h_g * s.img_h, w_o, h_o),
                 score=fused_score(float(maps.dis[i0, j0]), float(row[cls0])),
                 cls_id=cls0 + 1,
                 cls_prob=float(row[cls0]),
@@ -113,7 +114,7 @@ def _follow_reference(maps, origin, node_scores, max_steps) -> SearchTrace:
 
     for _ in range(max_steps):
         nxt = step(cur, _argmax_dir(maps, cur))
-        if not maps.shape.in_bounds(*nxt):
+        if not (1 <= nxt[0] <= maps.shape.w_g and 1 <= nxt[1] <= maps.shape.h_g):
             return finalize(BOUNDARY)
         if nxt != origin and nxt in node_scores:
             return SearchTrace(origin, visited, REACHED, nxt)

@@ -1,12 +1,14 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtext import geometry
 from gridtext.decoder import extract_nodes
-from gridtext.geometry import Box, GridShape, RelBox, abs_to_rel, grid_of, iou, nms, rel_to_abs
+from gridtext.geometry import Box, GridShape, abs_to_rel, cells, grid_of, iou, nms, rel_to_abs
 from gridtext.predictions import OracleNoise, oracle_predict
 from gridtext.synth import Layout, PageConfig, gen_page
 
@@ -38,20 +40,19 @@ def _nms_reference(candidates, iou_threshold, shape):
 
 
 def test_rel_to_abs_zero_offset_corner(shape44):
-    box = rel_to_abs(RelBox(0, 0, 0.5, 0.5), 1, 1, shape44)
-    assert (box.x, box.y, box.w, box.h) == (0, 0, 0.5, 0.5)
+    box = rel_to_abs(np.array([[0, 0, 0.5, 0.5]]), cells([(1, 1)]), shape44)
+    assert box.tolist() == [[0, 0, 0.5, 0.5]]
 
 
 def test_rel_to_abs_hand_value(shape44):
-    box = rel_to_abs(RelBox(0.5, 0.5, 0.25, 0.25), 3, 2, shape44)
-    assert (box.x, box.y, box.w, box.h) == (40, 24, 0.25, 0.25)
+    box = rel_to_abs(np.array([[0.5, 0.5, 0.25, 0.25]]), cells([(3, 2)]), shape44)
+    assert box.tolist() == [[40, 24, 0.25, 0.25]]
 
 
 def test_abs_to_rel_inverse_hand_values(shape44):
-    rel = abs_to_rel(Box(0, 0, 0.5, 0.5), 1, 1, shape44)
-    assert (rel.x_o, rel.y_o, rel.w_o, rel.h_o) == (0, 0, 0.5, 0.5)
-    rel = abs_to_rel(Box(40, 24, 0.25, 0.25), 3, 2, shape44)
-    assert (rel.x_o, rel.y_o, rel.w_o, rel.h_o) == (0.5, 0.5, 0.25, 0.25)
+    rows = np.array([[0, 0, 0.5, 0.5], [40, 24, 0.25, 0.25]])
+    rel = abs_to_rel(rows, cells([(1, 1), (3, 2)]), shape44)
+    assert rel.tolist() == [[0, 0, 0.5, 0.5], [0.5, 0.5, 0.25, 0.25]]
 
 
 @pytest.mark.parametrize("img_w", [0.0, 1e-101, 1e101, math.inf, math.nan])
@@ -61,10 +62,12 @@ def test_grid_shape_rejects_image_size_out_of_range(img_w):
 
 
 def test_rel_to_abs_rejects_out_of_range(shape44):
-    with pytest.raises(ValueError):
-        rel_to_abs(RelBox(0, 0, 0.5, 0.5), 0, 1, shape44)
-    with pytest.raises(ValueError):
-        rel_to_abs(RelBox(0, 0, 0.5, 0.5), 1, 5, shape44)
+    # The message names the first grid outside the lattice, 1-based.
+    rows = np.array([[0.5, 0.5, 0.5, 0.5]] * 2)
+    for grid in ((0, 1), (1, 5)):
+        for convert in (rel_to_abs, abs_to_rel):
+            with pytest.raises(ValueError, match=re.escape(f"grid index {grid} outside 4x4")):
+                convert(rows, cells([(2, 2), grid]), shape44)
 
 
 @given(
@@ -77,11 +80,13 @@ def test_rel_to_abs_rejects_out_of_range(shape44):
 )
 def test_round_trip_identity(x_o, y_o, w_o, h_o, i, j):
     shape = GridShape(4, 4, 64, 64)
-    rel = RelBox(x_o, y_o, w_o, h_o)
-    back = abs_to_rel(rel_to_abs(rel, i, j, shape), i, j, shape)
-    assert math.isclose(back.x_o, x_o, abs_tol=1e-12)
-    assert math.isclose(back.y_o, y_o, abs_tol=1e-12)
-    assert back.w_o == w_o and back.h_o == h_o
+    at = cells([(i, j)])
+    ((bx, by, bw, bh),) = abs_to_rel(
+        rel_to_abs(np.array([[x_o, y_o, w_o, h_o]]), at, shape), at, shape
+    ).tolist()
+    assert math.isclose(bx, x_o, abs_tol=1e-12)
+    assert math.isclose(by, y_o, abs_tol=1e-12)
+    assert bw == w_o and bh == h_o
 
 
 @given(
@@ -92,8 +97,8 @@ def test_round_trip_identity(x_o, y_o, w_o, h_o, i, j):
 )
 def test_cell_membership(x_o, y_o, i, j):
     shape = GridShape(4, 4, 64, 64)
-    box = rel_to_abs(RelBox(x_o, y_o, 0.5, 0.5), i, j, shape)
-    assert grid_of(box, shape) == (i, j)
+    (row,) = rel_to_abs(np.array([[x_o, y_o, 0.5, 0.5]]), cells([(i, j)]), shape).tolist()
+    assert grid_of(Box(*row), shape) == (i, j)
 
 
 def test_grid_of_hand_values(shape44):
@@ -243,7 +248,14 @@ def test_extract_nodes_matches_reference_on_large_page(monkeypatch):
         page, OracleNoise(size_sigma=0.3, jitter_sigma=0.2, spurious_p=0.05, seed=4)
     )
     nodes = extract_nodes(maps)
-    monkeypatch.setattr(geometry, "nms", _nms_reference)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _nms_reference(*args)
+
+    monkeypatch.setattr(geometry, "nms", counted)
     reference = extract_nodes(maps)
+    assert calls == [1]  # extract_nodes looked nms up at call time
     assert len(reference) < len(maps.dis[maps.dis >= 0.5])  # NMS did suppress
     assert nodes == reference

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import blank_maps, gt_label_map, naive_losses, put_char, set_rd
-from gridtext.geometry import Box, GridShape, abs_to_rel, grid_of, rel_to_abs
+from gridtext.geometry import Box, GridShape, cells, grid_of, rel_to_abs
 from gridtext.losses import (
     compute_losses,
     loss_box,
@@ -66,21 +66,17 @@ def test_loss_box_zero_when_equal():
 def test_loss_box_offset_and_extent_weights():
     # The 0.1 difference is constructed against the float32 value actually
     # stored in the map, so the expected 0.01 / 0.001 hold to 1e-9.
-    from gridtext.geometry import RelBox
-
     maps = _maps()
     targets = LossTargets(s_c={(3, 3, 1, 1)})
     maps.box[2, 2] = (0.5, 0.5, 0.4, 0.4)
     x_o, y_o, w_o, h_o = (float(v) for v in maps.box[2, 2])
 
-    label = PseudoLabel(box=rel_to_abs(RelBox(x_o - 0.1, y_o, w_o, h_o), 3, 3, SHAPE),
-                        gamma=1.0)
-    assert math.isclose(loss_box(maps, targets, {(1, 1): label}, SHAPE).value,
-                        0.01, abs_tol=1e-9)
-    label = PseudoLabel(box=rel_to_abs(RelBox(x_o, y_o, w_o - 0.1, h_o), 3, 3, SHAPE),
-                        gamma=1.0)
-    assert math.isclose(loss_box(maps, targets, {(1, 1): label}, SHAPE).value,
-                        0.001, abs_tol=1e-9)
+    rel = np.array([[x_o - 0.1, y_o, w_o, h_o], [x_o, y_o, w_o - 0.1, h_o]])
+    boxes = rel_to_abs(rel, cells([(3, 3)] * 2), SHAPE).tolist()
+    for box, want in zip(boxes, (0.01, 0.001)):
+        label = PseudoLabel(box=Box(*box), gamma=1.0)
+        assert math.isclose(loss_box(maps, targets, {(1, 1): label}, SHAPE).value,
+                            want, abs_tol=1e-9)
 
 
 def test_loss_cls_values():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gridtext.geometry import Box, GridShape, abs_to_rel, grid_of
+from gridtext.geometry import Box, GridShape, grid_of
 from gridtext.matching import PageAnnotation
 from gridtext.predictions import (
     EPS,
@@ -136,8 +136,13 @@ def test_run_stage_rejects_a_collision_page_before_any_pass():
 
 
 def _set_rel(maps, grid, box):
-    rel = abs_to_rel(box, grid[0], grid[1], maps.shape)
-    maps.box[grid[0] - 1, grid[1] - 1] = (rel.x_o, rel.y_o, rel.w_o, rel.h_o)
+    s = maps.shape
+    maps.box[grid[0] - 1, grid[1] - 1] = (
+        box.x / s.img_w * s.w_g - (grid[0] - 1),
+        box.y / s.img_h * s.h_g - (grid[1] - 1),
+        box.w,
+        box.h,
+    )
 
 
 def _clamp_to_cell(x, lo, hi):
