@@ -7,9 +7,9 @@ Arrays are indexed ``arr[i-1, j-1]`` for grid (i, j), stored float32 so the
 on-disk format round-trips losslessly.
 
 The oracle stands in for a trained predictor: it renders exact maps from a
-synthetic page's ground truth, then corrupts them according to
-:class:`OracleNoise`.  With all-zero noise the maps decode back to the
-ground truth exactly.
+synthetic page's ground truth, planned once per page, then corrupts them
+according to :class:`OracleNoise`.  With all-zero noise the maps decode
+back to the ground truth exactly.
 """
 
 from __future__ import annotations
@@ -155,8 +155,7 @@ class PredictionMaps:
     rd: np.ndarray  # (w_g, h_g, 4) direction probabilities
 
     def validate(self) -> None:
-        s = self.shape
-        for name, want in _tensor_shapes(s.w_g, s.h_g, self.n_cls).items():
+        for name, want in _tensor_shapes(self.shape, self.n_cls).items():
             arr = getattr(self, name)
             if arr.shape != want:
                 raise MapFormatError(f"{name}: expected shape {want}, got {arr.shape}")
@@ -177,7 +176,7 @@ class PredictionMaps:
             and self.n_cls == other.n_cls
             and all(
                 np.array_equal(getattr(self, f), getattr(other, f))
-                for f in ("box", "dis", "cls", "sol", "eol", "rd")
+                for f in _tensor_shapes(self.shape, self.n_cls)
             )
         )
 
@@ -233,8 +232,8 @@ class RenderPlan:
     their 0-based classes and absolute (x, y, w, h) boxes, and the line
     starts and ends.  Characters go line by line in reading order; they
     are the noise model's only description of the page.  A plan holds
-    O(characters + path grids) and is only read, so one plan serves every
-    pass over its page.
+    O(characters + path grids) and is only read, so one plan, kept by its
+    page as ``SyntheticPage.plan``, serves every use of that page.
     """
 
     rd_at: tuple[np.ndarray, np.ndarray]
@@ -288,21 +287,17 @@ def render_plan(page: "SyntheticPage") -> RenderPlan:
     )
 
 
-def oracle_predict(
-    page: "SyntheticPage", noise: OracleNoise, plan: RenderPlan | None = None
-) -> PredictionMaps:
+def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
     """Synthesize prediction maps from a page's annotation, its ground truth,
     then apply the noise model.
 
-    The exact maps come from ``plan``, the page's :func:`render_plan` (made
-    here when not given): its rows are scattered onto blank maps, which the
-    plan never shares, with each character box made cell-relative.  The
-    noise is then drawn, in a fixed order, from a generator seeded with
-    ``noise.seed`` and applied to the plan's arrays, so equal seeds give
-    bit-identical maps, whether or not a plan is passed.
+    The exact maps come from ``page.plan``, which serves every use of the
+    page: its rows are scattered onto blank maps, which the plan never
+    shares, with each character box made cell-relative.  The noise is then
+    drawn, in a fixed order, from a generator seeded with ``noise.seed`` and
+    applied to the plan's arrays, so equal seeds give bit-identical maps.
     """
-    if plan is None:
-        plan = render_plan(page)
+    plan = page.plan
     maps = _blank_maps(page.shape, page.n_cls)
     rng = np.random.default_rng(noise.seed)
     maps.rd[plan.rd_at] = EPS
@@ -385,13 +380,12 @@ def _apply_noise(
 # ---------------------------------------------------------------------------
 # Serialization: binary with a "PGNM" header, plus a JSON mirror accepted for
 # hand-written fixtures.  Tensors are float32, row-major, written in the
-# fixed order box, dis, cls, sol, eol, rd.
+# fixed order of _tensor_shapes: box, dis, cls, sol, eol, rd.
 # ---------------------------------------------------------------------------
 
-_TENSOR_ORDER = ("box", "dis", "cls", "sol", "eol", "rd")
 
-
-def _tensor_shapes(w_g: int, h_g: int, n_cls: int) -> dict[str, tuple[int, ...]]:
+def _tensor_shapes(shape: GridShape, n_cls: int) -> dict[str, tuple[int, ...]]:
+    w_g, h_g = shape.w_g, shape.h_g
     return {
         "box": (w_g, h_g, 4),
         "dis": (w_g, h_g),
@@ -405,6 +399,7 @@ def _tensor_shapes(w_g: int, h_g: int, n_cls: int) -> dict[str, tuple[int, ...]]
 def save_maps(maps: PredictionMaps, path: str | Path) -> None:
     """Write maps to ``path``; ``.json`` selects the JSON mirror format."""
     path = Path(path)
+    names = _tensor_shapes(maps.shape, maps.n_cls)
     if path.suffix == ".json":
         doc = {
             "version": FORMAT_VERSION,
@@ -414,7 +409,7 @@ def save_maps(maps: PredictionMaps, path: str | Path) -> None:
             "img_w": maps.shape.img_w,
             "img_h": maps.shape.img_h,
         }
-        for name in _TENSOR_ORDER:
+        for name in names:
             doc[name] = getattr(maps, name).astype(np.float32).tolist()
         path.write_text(json.dumps(doc))
         return
@@ -430,7 +425,7 @@ def save_maps(maps: PredictionMaps, path: str | Path) -> None:
                 float(maps.shape.img_h),
             )
         )
-        for name in _TENSOR_ORDER:
+        for name in names:
             arr = np.ascontiguousarray(getattr(maps, name), dtype=np.float32)
             fh.write(arr.tobytes())
 
@@ -458,18 +453,22 @@ def _header(w_g, h_g, n_cls, img_w, img_h) -> tuple[GridShape, int]:
         raise MapFormatError(f"header: {exc}") from exc
 
 
+def _check_version(version: int) -> None:
+    if version != FORMAT_VERSION:
+        raise MapFormatError(f"header: unsupported version {version}")
+
+
 def _load_binary(raw: bytes) -> PredictionMaps:
     if len(raw) < _HEADER.size:
         raise MapFormatError("header: truncated file")
     magic, version, *fields = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise MapFormatError("header: bad magic")
-    if version != FORMAT_VERSION:
-        raise MapFormatError(f"header: unsupported version {version}")
+    _check_version(version)
     shape, n_cls = _header(*fields)
     offset = _HEADER.size
     tensors: dict[str, np.ndarray] = {}
-    for name, dims in _tensor_shapes(shape.w_g, shape.h_g, n_cls).items():
+    for name, dims in _tensor_shapes(shape, n_cls).items():
         count = math.prod(dims)
         end = offset + 4 * count
         if end > len(raw):
@@ -484,6 +483,19 @@ def _load_binary(raw: bytes) -> PredictionMaps:
     return maps
 
 
+def _check_numbers(tensor: object, name: str) -> None:
+    """Raise MapFormatError naming ``name`` unless every element of the
+    nested JSON lists ``tensor`` is a number: numpy would read a string or a
+    boolean as one."""
+    stack = [tensor]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        else:
+            expect(item, float, name, MapFormatError)
+
+
 # The JSON kind of each header field; the binary header's struct types its own.
 _JSON_HEADER = {"w_g": int, "h_g": int, "n_cls": int, "img_w": float, "img_h": float}
 
@@ -493,6 +505,8 @@ def _load_json(raw: bytes) -> PredictionMaps:
         doc = json.loads(raw)
     except ValueError as exc:  # malformed JSON or not UTF-8
         raise MapFormatError(f"header: invalid JSON ({exc})") from exc
+    if "version" in doc:  # a hand-written map may leave it out
+        _check_version(expect(doc["version"], int, "header.version", MapFormatError))
     fields = []
     for key, kind in _JSON_HEADER.items():
         if key not in doc:
@@ -500,9 +514,10 @@ def _load_json(raw: bytes) -> PredictionMaps:
         fields.append(expect(doc[key], kind, f"header.{key}", MapFormatError))
     shape, n_cls = _header(*fields)
     tensors: dict[str, np.ndarray] = {}
-    for name, dims in _tensor_shapes(shape.w_g, shape.h_g, n_cls).items():
+    for name, dims in _tensor_shapes(shape, n_cls).items():
         if name not in doc:
             raise MapFormatError(f"{name}: missing tensor")
+        _check_numbers(doc[name], name)
         try:
             # A number past the float32 range becomes inf, which validate()
             # rejects as non-finite.

@@ -23,7 +23,7 @@ from .decoder import DecodeConfig, decode
 from .geometry import iou
 from .losses import compute_losses
 from .matching import match_chars, match_lines, spatial_filter
-from .predictions import OracleNoise, oracle_predict, render_plan
+from .predictions import OracleNoise, oracle_predict
 from .pseudolabels import EPSILON_SCALE, PseudoLabel, PseudoLabelStore, build_targets, update
 from .synth import SyntheticPage
 
@@ -153,11 +153,9 @@ def run_stage(
     derived per (stage seed, pass, page) and the path/mix draws come from
     stage-seeded generators consumed in page order.
 
-    The oracle's exact maps of each page are planned once, before the first
-    pass: the stage holds one :class:`~gridtext.predictions.RenderPlan` per
-    page, never whole maps, and every pass scatters it onto blank maps and
-    draws that pass's noise.  A page whose characters collide raises
-    GridCollisionError before any pass touches the store.
+    Every pass of every stage predicts a page from its one ``page.plan``,
+    read for each page before the first pass, so a page whose characters
+    collide raises GridCollisionError before any pass touches the store.
     """
     dataset = list(dataset)
     ids = Counter(p.page_id for p in dataset)
@@ -166,7 +164,8 @@ def run_stage(
         raise ConfigError(f"duplicate page ids in the dataset: {dup[:5]}")
     check_store(store, dataset)
 
-    plans = [render_plan(page) for page in dataset]
+    for page in dataset:
+        page.plan  # a colliding page raises GridCollisionError here
     mix_rng = np.random.default_rng([config.seed, 1])
     reports: list[PassReport] = []
     for k in range(config.n_passes):
@@ -176,10 +175,8 @@ def run_stage(
         n_loss_pages = 0
         n_ml = n_mc = n_filtered = 0
 
-        for idx, (page, plan) in enumerate(zip(dataset, plans)):
-            maps = oracle_predict(
-                page, replace(noise_k, seed=_derived_seed(config.seed, k, idx)), plan
-            )
+        for idx, page in enumerate(dataset):
+            maps = oracle_predict(page, replace(noise_k, seed=_derived_seed(config.seed, k, idx)))
             result = decode(maps, config.decode)
             as_real = config.stage != PRETRAIN and mix_rng.random() < config.real_prob
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .decoder import DecodeConfig, decode
 from .geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of
 from .matching import PageAnnotation
-from .predictions import GridCollisionError, OracleNoise, oracle_predict
+from .predictions import GridCollisionError, OracleNoise, RenderPlan, oracle_predict, render_plan
 
 ROTATIONS = ("horizontal", "rot90", "rot180", "rot270")
 LAYOUT_KINDS = ROTATIONS + ("sine",)
@@ -83,10 +84,10 @@ class PageConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticPage:
-    """A generated page; ``annotation`` holds its only ground truth, the
-    transcript and box of every character, line by line in reading order."""
+    """A generated, frozen page; ``annotation`` holds its only ground truth,
+    and ``plan``, made on first use, its oracle render plan."""
 
     shape: GridShape
     n_cls: int
@@ -96,6 +97,11 @@ class SyntheticPage:
     @property
     def page_id(self) -> str:
         return self.annotation.page_id
+
+    @cached_property
+    def plan(self) -> RenderPlan:
+        """A colliding page raises GridCollisionError on every access."""
+        return render_plan(self)
 
 
 def _rotate(box: Box, kind: str, img_w: float, img_h: float) -> Box:

@@ -286,9 +286,9 @@ def _without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
 
-def _map_with(**header) -> str:
-    """_MAP with its ``header`` fields replaced."""
-    return json.dumps({**json.loads(_MAP), **header})
+def _map_with(**keys) -> str:
+    """_MAP with its header fields or tensors ``keys`` replaced."""
+    return json.dumps({**json.loads(_MAP), **keys})
 
 
 def _with_char(**keys) -> dict:
@@ -386,6 +386,16 @@ def _with_char(**keys) -> dict:
                  id="map-header-float-n-cls"),
     pytest.param({"map.json": _map_with(img_w="16.0")}, ["decode", "--maps", "map.json"],
                  id="map-header-text-img-w"),
+    pytest.param({"map.json": _map_with(version=99)}, ["decode", "--maps", "map.json"],
+                 id="map-version-99"),
+    pytest.param({"map.json": _map_with(version="x")}, ["decode", "--maps", "map.json"],
+                 id="map-version-text"),
+    pytest.param({"map.json": _map_with(dis=[["0.9"]])}, ["decode", "--maps", "map.json"],
+                 id="map-tensor-text"),
+    pytest.param({"map.json": _map_with(dis=[[True]])}, ["decode", "--maps", "map.json"],
+                 id="map-tensor-bool"),
+    pytest.param({"map.json": _map_with(cls=[[[True]]])}, ["decode", "--maps", "map.json"],
+                 id="map-class-tensor-bool"),
     pytest.param({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(
         {**_ANNOT, "boxes": [[[10.0, 10.0, math.nan, 0.1]]]})}, _EVAL, id="annotation-box-w-nan"),
     pytest.param({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,8 +102,10 @@ def _hand_page(*lines: list[tuple[int, int]]) -> SyntheticPage:
 
 
 def test_grid_collision_raises():
-    with pytest.raises(GridCollisionError):
-        oracle_predict(_collision_page(), OracleNoise())
+    page = _collision_page()
+    for _ in range(2):  # a failed plan is never kept
+        with pytest.raises(GridCollisionError):
+            oracle_predict(page, OracleNoise())
 
 
 # The staircase (2,2)->(5,4) runs right through (4,2); the later line's
@@ -294,17 +297,18 @@ def test_oracle_predict_matches_loop_render(kind, page_seed, n_cls, cell_px, noi
     layout = Layout(kind, amplitude=1.0) if kind == "sine" else Layout(kind)
     page = gen_page(PageConfig(n_lines=3, chars_per_line=(2, 8), n_cls=n_cls, layout=layout,
                                w_g=24, h_g=24, cell_px=cell_px, seed=page_seed))
-    plan = render_plan(page)
     for seed in noise_seeds:
         want = _oracle_reference(page, OracleNoise(**noise, seed=seed))
-        _assert_same_maps(oracle_predict(page, OracleNoise(**noise, seed=seed), plan), want)
+        # The page's kept plan, made by gen_page's round trip, and a fresh
+        # copy's plan, made by this prediction.
         _assert_same_maps(oracle_predict(page, OracleNoise(**noise, seed=seed)), want)
+        _assert_same_maps(oracle_predict(replace(page), OracleNoise(**noise, seed=seed)), want)
 
 
 @pytest.mark.parametrize("noise", _NOISE_KINDS)
 def test_crossing_staircases_match_loop_render(noise):
     page = _CROSSING_PAGE
-    maps = oracle_predict(page, OracleNoise(**noise, seed=5), render_plan(page))
+    maps = oracle_predict(page, OracleNoise(**noise, seed=5))
     _assert_same_maps(maps, _oracle_reference(page, OracleNoise(**noise, seed=5)))
     if not noise:
         assert int(np.argmax(maps.rd[3, 1])) == Direction.DOWN
@@ -312,12 +316,12 @@ def test_crossing_staircases_match_loop_render(noise):
 
 def test_reused_plan_is_never_changed_or_shared():
     page = gen_page(PageConfig(n_lines=3, chars_per_line=(4, 8), n_cls=7, seed=9))
-    plan = render_plan(page)
+    plan = page.plan
     before = copy.deepcopy(plan)
     arrays = [v for f in vars(plan).values() for v in (f if isinstance(f, tuple) else (f,))
               if isinstance(v, np.ndarray)]
     for seed in range(3):
-        maps = oracle_predict(page, OracleNoise(**_NOISE_KINDS[-1], seed=seed), plan)
+        maps = oracle_predict(page, OracleNoise(**_NOISE_KINDS[-1], seed=seed))
         for name in _TENSORS:
             tensor = getattr(maps, name)
             assert not any(np.shares_memory(tensor, arr) for arr in arrays), name
@@ -328,6 +332,7 @@ def test_reused_plan_is_never_changed_or_shared():
                         value if isinstance(value, tuple) else (value,)):
             if isinstance(y, np.ndarray):
                 assert np.array_equal(x, y), name
+    assert page.plan is plan
 
 
 def test_staircase_deterministic_variant():
@@ -457,6 +462,35 @@ def test_json_value_past_float32_rejected_without_warning(tiny_map):
     dis = [[1e39] * len(row) for row in doc["dis"]]
     path.write_text(json.dumps({**doc, "dis": dis}))
     with pytest.raises(MapFormatError, match="^dis: non-finite"):
+        load_maps(path)
+
+
+def test_json_version_is_optional_but_checked(tiny_map):
+    doc, _, path = tiny_map
+    want = load_maps(path.with_name("map.json"))
+    path.write_text(json.dumps({k: v for k, v in doc.items() if k != "version"}))
+    assert load_maps(path).equals(want)
+    for version, message in [(99, "header: unsupported version 99"),
+                             ("x", "header.version: expected an integer, got str"),
+                             (True, "header.version: expected an integer, got bool")]:
+        path.write_text(json.dumps({**doc, "version": version}))
+        with pytest.raises(MapFormatError, match=f"^{re.escape(message)}$"):
+            load_maps(path)
+
+
+@pytest.mark.parametrize("name, element, kind", [
+    ("dis", "0.9", "str"), ("dis", True, "bool"), ("cls", False, "bool"), ("rd", None, "NoneType"),
+])
+def test_json_tensor_element_must_be_a_number(tiny_map, name, element, kind):
+    doc, _, path = tiny_map
+    tensor = copy.deepcopy(doc[name])
+    cell = tensor[-1][-1]
+    if isinstance(cell, list):  # a boolean among floats, which numpy reads as 0 or 1
+        cell[-1] = element
+    else:
+        tensor[-1][-1] = element
+    path.write_text(json.dumps({**doc, name: tensor}))
+    with pytest.raises(MapFormatError, match=f"^{name}: expected a number, got {kind}$"):
         load_maps(path)
 
 

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from gridtext import simloop
+from gridtext import simloop, synth
+from gridtext.cli import main
 from gridtext.predictions import OracleNoise, oracle_predict, render_plan
 from gridtext.pseudolabels import PseudoLabel, PseudoLabelStore
 from gridtext.simloop import (
@@ -39,24 +40,41 @@ def test_zero_noise_single_pass_fills_store_exactly():
         assert rep.losses[name] < 1e-4, name
 
 
-def test_run_stage_plans_each_page_once_and_predicts_every_pass(monkeypatch):
-    pages = _pages(n=2)
-    plans, calls = [], []
+def test_a_page_is_planned_once_for_its_lifetime(monkeypatch, tmp_path):
+    build, built, planned, predicted = synth._build, [], [], []
+
+    def build_spy(config, rng, page_id):
+        built.append(page_id)
+        return build(config, rng, page_id)
 
     def plan_spy(page):
-        plans.append(render_plan(page))
-        return plans[-1]
+        planned.append(page.page_id)
+        return render_plan(page)
 
-    def predict_spy(page, noise, plan=None):
-        calls.append((page.page_id, plan))
-        return oracle_predict(page, noise, plan)
+    def predict_spy(page, noise):
+        predicted.append((page.page_id, page.plan))
+        return oracle_predict(page, noise)
 
-    monkeypatch.setattr(simloop, "render_plan", plan_spy)
+    monkeypatch.setattr(synth, "render_plan", plan_spy)
+    monkeypatch.setattr(synth, "_build", build_spy)
+    pages = _pages(n=2)
+    # gen_page's round trip plans each page it builds, and nothing else does.
+    assert planned == built and len(built) >= len(pages)
+    n_planned = len(planned)
     monkeypatch.setattr(simloop, "oracle_predict", predict_spy)
-    run_stage(pages, PseudoLabelStore(), StageConfig(n_passes=3, real_prob=1.0))
-    assert len(plans) == len(pages)
-    assert [pid for pid, _ in calls] == [p.page_id for p in pages] * 3
-    assert all(plan is plans[k % len(pages)] for k, (_, plan) in enumerate(calls))
+    store = PseudoLabelStore()
+    run_stage(pages, store, StageConfig(stage="initialize", n_passes=3, real_prob=1.0))
+    run_stage(pages, store, StageConfig(stage="train", n_passes=2, real_prob=1.0))
+    oracle_predict(pages[0], OracleNoise(jitter_sigma=0.1))
+    assert len(planned) == n_planned
+    assert [pid for pid, _ in predicted] == [p.page_id for p in pages] * 5
+    assert all(plan is pages[k % len(pages)].plan for k, (_, plan) in enumerate(predicted))
+
+    built.clear()
+    planned.clear()
+    assert main(["synth", "--pages", "3", "--out", str(tmp_path), "--emit-maps"]) == 0
+    assert len(list((tmp_path / "maps").iterdir())) == 3
+    assert planned == built and len(built) >= 3
 
 
 def test_initialize_updates_store_without_losses():
