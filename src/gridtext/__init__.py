@@ -30,8 +30,6 @@ from .decoder import (
 from .matching import (
     ErrorCounts,
     PageAnnotation,
-    ar,
-    cr,
     edit_counts,
     edit_script,
     match_chars,

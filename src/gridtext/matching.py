@@ -11,9 +11,11 @@ aligned twice and no unmatched pair is aligned at all.  Spatial matching
 then vetoes character pairs whose predicted box disagrees with the stored
 pseudo-label.
 
-Minimum edit scripts are not unique; the canonical backtrace scans from the
-end of the DP table and prefers equal > substitution > deletion > insertion
-on cost ties, which makes every downstream set deterministic.
+The distance and the script read one Levenshtein table, whose columns
+``_columns`` computes by Myers' bit vectors.  Minimum edit scripts are not
+unique; the canonical backtrace scans from the end of the table and prefers
+equal > substitution > deletion > insertion on cost ties, which makes every
+downstream set deterministic; the bit vectors leave that rule unchanged.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .geometry import Box, GridShape, iou
-from .jsoncheck import by_page_id, check, finite, read_jsonl
+from .jsoncheck import by_page_id, check, expect, finite, read_jsonl
 
 if TYPE_CHECKING:
     from .decoder import PageResult
@@ -84,40 +86,37 @@ def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
     Ops are "E" (equal), "S" (substitution), "I" (insertion: a hyp element
     absent from ref), "D" (deletion: a ref element absent from hyp), in
     forward order.
+
+    Backtraces :func:`_columns` (Hyyrö 2004) by the canonical tie rule,
+    where c = D[a][b]: E when the elements are equal and D[a-1][b-1] = c,
+    S when they differ and D[a-1][b-1] = c - 1, else D when bit b - 1 of
+    ``pv_a`` is set (D[a][b-1] = c - 1), else I.
     """
     m, n = len(hyp), len(ref)
-    cost = [[0] * (n + 1) for _ in range(m + 1)]
-    for a in range(1, m + 1):
-        cost[a][0] = a
-    for b in range(1, n + 1):
-        cost[0][b] = b
-    for a in range(1, m + 1):
-        row = cost[a]
-        prev = cost[a - 1]
-        ha = hyp[a - 1]
-        for b in range(1, n + 1):
-            if ha == ref[b - 1]:
-                row[b] = prev[b - 1]
-            else:
-                row[b] = 1 + min(prev[b - 1], row[b - 1], prev[b])
+    cols = _columns(hyp, _peq(ref), n)
+    pv, mv = cols[m]
+    c = m + pv.bit_count() - mv.bit_count()
     ops: list[str] = []
     a, b = m, n
     while a > 0 or b > 0:
-        c = cost[a][b]
-        if a > 0 and b > 0 and hyp[a - 1] == ref[b - 1] and cost[a - 1][b - 1] == c:
-            ops.append("E")
-            a -= 1
-            b -= 1
-        elif a > 0 and b > 0 and hyp[a - 1] != ref[b - 1] and cost[a - 1][b - 1] + 1 == c:
-            ops.append("S")
-            a -= 1
-            b -= 1
-        elif b > 0 and cost[a][b - 1] + 1 == c:
+        if a > 0 and b > 0:
+            pv, mv = cols[a - 1]
+            low = (1 << (b - 1)) - 1
+            diag = a - 1 + (pv & low).bit_count() - (mv & low).bit_count()
+            unequal = hyp[a - 1] != ref[b - 1]
+            if diag + unequal == c:
+                ops.append("S" if unequal else "E")
+                a -= 1
+                b -= 1
+                c = diag
+                continue
+        if b > 0 and cols[a][0] >> (b - 1) & 1:
             ops.append("D")
             b -= 1
         else:
             ops.append("I")
             a -= 1
+        c -= 1
     ops.reverse()
     return ops
 
@@ -134,16 +133,6 @@ def edit_counts(hyp: Sequence[int], ref: Sequence[int]) -> tuple[int, int, int]:
     return counts.n_ie, counts.n_de, counts.n_se
 
 
-def ar(hyp: Sequence[int], ref: Sequence[int]) -> float:
-    """Accurate rate (N - Ie - De - Se) / N; may be negative, never > 1."""
-    return script_counts(edit_script(hyp, ref)).rates()[0]
-
-
-def cr(hyp: Sequence[int], ref: Sequence[int]) -> float:
-    """Correct rate (N - De - Se) / N under the canonical script."""
-    return script_counts(edit_script(hyp, ref)).rates()[1]
-
-
 def _peq(ref: Sequence[int]) -> dict[int, int]:
     """Class id -> bitmask of its positions in ``ref``: bit b - 1 is set when
     ``ref[b - 1]`` is that class."""
@@ -155,35 +144,40 @@ def _peq(ref: Sequence[int]) -> dict[int, int]:
     return peq
 
 
-def edit_distance(hyp: Sequence[int], peq: Mapping[int, int], n: int) -> int:
-    """Levenshtein distance between ``hyp`` and the reference of length
-    ``n >= 1`` whose position table is ``peq`` (see :func:`_peq`).
+def _columns(hyp: Sequence[int], peq: Mapping[int, int], n: int) -> list[tuple[int, int]]:
+    """Every column (pv, mv) of the Levenshtein table D[b][a] of ``hyp``
+    against the reference of length ``n`` whose position table is ``peq``.
 
-    Myers' bit-vector algorithm (JACM 1999) in Hyyrö's global-distance
-    form (2001): column a of the DP table D[b][a] over reference prefix b
-    and hypothesis prefix a is held as two n-bit ints, ``pv`` and ``mv``,
-    whose bit b - 1 is set when D[b][a] - D[b - 1][a] is +1 or -1.  Each
-    hypothesis element advances one column in O(1) int operations, while
-    ``d`` follows the bottom row, D[n][a].  The top row D[0][a] = a rises
-    by one per column, hence the ``| 1`` on the shifted horizontal delta.
+    Myers' bit vectors (JACM 1999) in Hyyrö's global form (2001): bit b - 1
+    of ``pv`` / ``mv`` is set when D[b][a] - D[b - 1][a] is +1 / -1, so
+    D[b][a] = a + popcount(pv_a & (2^b - 1)) - popcount(mv_a & (2^b - 1)).
+    Column 0 is (mask, 0), as D[b][0] = b; the top row D[0][a] = a rises by
+    one per column, hence the ``| 1`` on the shifted horizontal delta.
     """
     mask = (1 << n) - 1
-    top = 1 << (n - 1)
-    pv, mv, d = mask, 0, n
+    pv, mv = mask, 0
+    cols = [(pv, mv)]
     for c in hyp:
         eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (mask & ~(xh | pv))
         mh = pv & xh
-        if ph & top:
-            d += 1
-        elif mh & top:
-            d -= 1
         ph = (ph << 1) | 1
         pv = mask & ((mh << 1) | ~(xv | ph))
         mv = ph & xv
-    return d
+        cols.append((pv, mv))
+    return cols
+
+
+def edit_distance(hyp: Sequence[int], peq: Mapping[int, int], n: int) -> int:
+    """Levenshtein distance between ``hyp`` and the reference of length
+    ``n >= 1`` whose position table is ``peq`` (see :func:`_peq`).
+
+    D[n][m], read off the last of :func:`_columns` by its popcount identity.
+    """
+    pv, mv = _columns(hyp, peq, n)[-1]
+    return len(hyp) + pv.bit_count() - mv.bit_count()
 
 
 def match_lines(
@@ -300,7 +294,7 @@ def _annotation_from_row(doc: object) -> PageAnnotation:
     return PageAnnotation(
         lines=doc["lines"],
         boxes=boxes,
-        page_id=str(doc.get("page_id", "")),
+        page_id=expect(doc.get("page_id", ""), str, "row.page_id"),
     )
 
 

@@ -54,9 +54,9 @@ class StageConfig:
         if self.stage not in STAGES:
             raise ConfigError(f"unknown stage {self.stage!r}")
         if self.n_passes < 1:
-            raise ConfigError("n_passes must be >= 1")
+            raise ConfigError(f"n_passes must be >= 1, got {self.n_passes}")
         if not 0.0 <= self.real_prob <= 1.0:
-            raise ConfigError("real_prob must be in [0, 1]")
+            raise ConfigError(f"real_prob must be in [0, 1], got {self.real_prob}")
         if not 0.0 <= self.th_iou <= 1.0:
             raise ConfigError(f"th_iou must be in [0, 1], got {self.th_iou}")
         if not math.isfinite(self.th_ar):

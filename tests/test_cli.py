@@ -318,6 +318,10 @@ def _with_char(**keys) -> dict:
     pytest.param({"results.jsonl": _jsonl(_RESULT),
                   "annotations.jsonl": _jsonl(_without(_ANNOT, "lines"))}, _EVAL,
                  id="annotation-row-no-lines"),
+    *[pytest.param({"results.jsonl": _jsonl({**_RESULT, "page_id": "p00000"}),
+                    "annotations.jsonl": _jsonl({**_ANNOT, "page_id": page_id})}, _EVAL,
+                   id=f"annotation-page-id-{kind}")
+      for kind, page_id in (("null", None), ("0", 0), ("true", True), ("list", ["p00000"]))],
     pytest.param({"results.jsonl": _jsonl(_RESULT),
                   "annotations.jsonl": _jsonl({**_ANNOT, "boxes": [[[10.0, 10.0]]]})}, _EVAL,
                  id="annotation-two-number-box"),
@@ -464,6 +468,17 @@ def test_eval_range_errors_name_the_flag_or_the_row(tmp_path, monkeypatch, capsy
 def test_from_doc_reads_back_a_dataclass_as_json(config):
     doc = json.loads(json.dumps(dataclasses.asdict(config)))
     assert _from_doc(type(config), doc, "config") == config
+
+
+@pytest.mark.parametrize("keys, message", [
+    ({"n_passes": 0}, "error: n_passes must be >= 1, got 0\n"),
+    ({"real_prob": 1.5}, "error: real_prob must be in [0, 1], got 1.5\n"),
+], ids=["n-passes", "real-prob"])
+def test_stage_range_errors_give_the_value(tmp_path, monkeypatch, capsys, keys, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(_stage(**keys)["config.json"])
+    assert main(_TRAIN_SIM) == 2
+    assert capsys.readouterr().err == message
 
 
 def _subparser(command: str) -> argparse.ArgumentParser:

@@ -10,8 +10,6 @@ from gridtext.geometry import Box, GridShape
 from gridtext.matching import (
     PageAnnotation,
     _peq,
-    ar,
-    cr,
     edit_counts,
     edit_distance,
     edit_script,
@@ -20,9 +18,49 @@ from gridtext.matching import (
     script_counts,
     spatial_filter,
 )
+from gridtext.metrics import page_ar_cr
 from gridtext.pseudolabels import PseudoLabel
 
 A, B, C, D, X = 1, 2, 3, 4, 9
+
+
+def _edit_script_reference(hyp, ref):
+    """Canonical minimum edit script by a list-of-lists DP and its backtrace."""
+    m, n = len(hyp), len(ref)
+    cost = [[0] * (n + 1) for _ in range(m + 1)]
+    for a in range(1, m + 1):
+        cost[a][0] = a
+    for b in range(1, n + 1):
+        cost[0][b] = b
+    for a in range(1, m + 1):
+        row = cost[a]
+        prev = cost[a - 1]
+        ha = hyp[a - 1]
+        for b in range(1, n + 1):
+            if ha == ref[b - 1]:
+                row[b] = prev[b - 1]
+            else:
+                row[b] = 1 + min(prev[b - 1], row[b - 1], prev[b])
+    ops = []
+    a, b = m, n
+    while a > 0 or b > 0:
+        c = cost[a][b]
+        if a > 0 and b > 0 and hyp[a - 1] == ref[b - 1] and cost[a - 1][b - 1] == c:
+            ops.append("E")
+            a -= 1
+            b -= 1
+        elif a > 0 and b > 0 and hyp[a - 1] != ref[b - 1] and cost[a - 1][b - 1] + 1 == c:
+            ops.append("S")
+            a -= 1
+            b -= 1
+        elif b > 0 and cost[a][b - 1] + 1 == c:
+            ops.append("D")
+            b -= 1
+        else:
+            ops.append("I")
+            a -= 1
+    ops.reverse()
+    return ops
 
 
 def _match_lines_reference(results, annots, th_ar):
@@ -30,7 +68,7 @@ def _match_lines_reference(results, annots, th_ar):
     scored = []
     for p, res in enumerate(results, start=1):
         for q, ref in enumerate(annots, start=1):
-            ops = edit_script(res, ref)
+            ops = _edit_script_reference(res, ref)
             scored.append((script_counts(ops).rates()[0], p, q, ops))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
     matched = {}
@@ -47,21 +85,22 @@ def _match_lines_reference(results, annots, th_ar):
 
 
 def test_ar_identity():
-    assert ar([A, B], [A, B]) == 1.0
+    assert page_ar_cr([A, B], [A, B])[0] == 1.0
 
 
 def test_ar_single_substitution():
-    assert math.isclose(ar([A, X, C], [A, B, C]), 2 / 3, abs_tol=1e-12)
+    assert math.isclose(page_ar_cr([A, X, C], [A, B, C])[0], 2 / 3, abs_tol=1e-12)
 
 
 def test_ar_insertion_cr_unaffected():
-    assert math.isclose(ar([A, B, C, D], [A, B, C]), 2 / 3, abs_tol=1e-12)
-    assert cr([A, B, C, D], [A, B, C]) == 1.0
+    ar, cr = page_ar_cr([A, B, C, D], [A, B, C])
+    assert math.isclose(ar, 2 / 3, abs_tol=1e-12)
+    assert cr == 1.0
 
 
 def test_ar_empty_reference_rejected():
     with pytest.raises(ValueError):
-        ar([A], [])
+        page_ar_cr([A], [])
 
 
 def test_edit_script_canonical_substitutions():
@@ -185,6 +224,15 @@ def test_edit_distance_is_the_canonical_scripts_error_count(hyp, ref):
     assert edit_distance(hyp, _peq(ref), len(ref)) == counts.n_ie + counts.n_de + counts.n_se
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    hyp=st.lists(st.integers(1, 4), max_size=8) | _long_line,
+    ref=st.lists(st.integers(1, 4), max_size=8) | _long_line,
+)
+def test_edit_script_matches_dp_reference(hyp, ref):
+    assert edit_script(hyp, ref) == _edit_script_reference(hyp, ref)
+
+
 @st.composite
 def _line_sets(draw):
     """(results, annots): lines drawn from a small pool, so repeated lines
@@ -229,7 +277,7 @@ def test_match_lines_greedy_maximal(results, annots, th):
     for p in range(1, len(results) + 1):
         for q in range(1, len(annots) + 1):
             if p not in used_p and q not in used_q:
-                assert ar(results[p - 1], annots[q - 1]) < th
+                assert page_ar_cr(results[p - 1], annots[q - 1])[0] < th
 
 
 def test_annotation_rejects_empty_line():
