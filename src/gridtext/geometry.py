@@ -55,6 +55,9 @@ class GridShape:
         return self.img_h / self.h_g
 
 
+Corners = tuple[float, float, float, float]  # pixel-space (x1, y1, x2, y2)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box: center (x, y) in pixels, w/h as image fractions."""
@@ -70,7 +73,7 @@ class Box:
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box extent must be > 0, got ({self.w}, {self.h})")
 
-    def corners(self, shape: GridShape) -> tuple[float, float, float, float]:
+    def corners(self, shape: GridShape) -> Corners:
         """Pixel-space (x1, y1, x2, y2)."""
         hw = 0.5 * self.w * shape.img_w
         hh = 0.5 * self.h * shape.img_h
@@ -129,13 +132,18 @@ def grid_of(box: Box, shape: GridShape) -> tuple[int, int]:
 
 
 def iou(a: Box, b: Box, shape: GridShape) -> float:
-    """Intersection over union in absolute pixel space.
+    """Intersection over union in absolute pixel space; see :func:`corner_iou`."""
+    return corner_iou(a.corners(shape), b.corners(shape))
+
+
+def corner_iou(a: Corners, b: Corners) -> float:
+    """Intersection over union of two pixel-space (x1, y1, x2, y2) corners.
 
     Areas are derived from the same corner values as the intersection so
     that identical boxes score exactly 1.0.
     """
-    ax1, ay1, ax2, ay2 = a.corners(shape)
-    bx1, by1, bx2, by2 = b.corners(shape)
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
     iw = min(ax2, bx2) - max(ax1, bx1)
     ih = min(ay2, by2) - max(ay1, by1)
     if iw <= 0.0 or ih <= 0.0:

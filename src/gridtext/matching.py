@@ -1,20 +1,21 @@
 """Semantic and spatial matching of decoded lines against transcripts.
 
 Line matching scores every (result line, transcript line) pair by its
-Levenshtein distance alone, computed bit-parallel, and pairs them greedily
-in descending accurate-rate order; only the pairs it matches are aligned,
-by a minimum edit script, and it hands back those scripts.  Character
-matching reads them into per-character states (equal / substituted /
-inserted), from which the reliable "consecutive equal" positions are read
-off, and AR*/CR* count their errors off the same scripts, so no pair is
-aligned twice and no unmatched pair is aligned at all.  Spatial matching
-then vetoes character pairs whose predicted box disagrees with the stored
-pseudo-label.
+Levenshtein distance alone, one packed bit-parallel pass per result line,
+and pairs them greedily in descending accurate-rate order; only the pairs
+it matches are aligned, by a minimum edit script, and it hands back those
+scripts.  Character matching reads them into per-character states (equal /
+substituted / inserted), from which the reliable "consecutive equal"
+positions are read off, and AR*/CR* count their errors off the same
+scripts, so no pair is aligned twice and no unmatched pair is aligned at
+all.  Spatial matching then vetoes character pairs whose predicted box
+disagrees with the stored pseudo-label.
 
-The distance and the script read one Levenshtein table, whose columns
-``_columns`` computes by Myers' bit vectors.  Minimum edit scripts are not
-unique; the canonical backtrace scans from the end of the table and prefers
-equal > substitution > deletion > insertion on cost ties, which makes every
+Distances and scripts read Levenshtein tables whose columns ``_columns``
+computes by Myers' bit vectors, over ``_table``'s one bit segment per
+transcript line.  Minimum edit scripts are not unique; the canonical
+backtrace scans from the end of the table and prefers equal >
+substitution > deletion > insertion on cost ties, which makes every
 downstream set deterministic; the bit vectors leave that rule unchanged.
 """
 
@@ -93,7 +94,7 @@ def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
     ``pv_a`` is set (D[a][b-1] = c - 1), else I.
     """
     m, n = len(hyp), len(ref)
-    cols = _columns(hyp, _peq(ref), n)
+    cols = _columns(hyp, _table([ref]))
     pv, mv = cols[m]
     c = m + pv.bit_count() - mv.bit_count()
     ops: list[str] = []
@@ -133,51 +134,61 @@ def edit_counts(hyp: Sequence[int], ref: Sequence[int]) -> tuple[int, int, int]:
     return counts.n_ie, counts.n_de, counts.n_se
 
 
-def _peq(ref: Sequence[int]) -> dict[int, int]:
-    """Class id -> bitmask of its positions in ``ref``: bit b - 1 is set when
-    ``ref[b - 1]`` is that class."""
+_Table = tuple[dict[int, int], int, int, int, list[int]]
+
+
+def _table(refs: Sequence[Sequence[int]]) -> _Table:
+    """(peq, mask, low, high, segs): the position table of ``refs`` packed
+    end to end, one bit segment per line.  Bit k of ``peq[c]`` is set when
+    the position at bit k holds class c; ``mask`` has every segment's bits,
+    ``low`` / ``high`` each segment's lowest / highest bit and ``segs[q]``
+    line q's bits, none for an empty line."""
     peq: dict[int, int] = {}
     bit = 1
-    for c in ref:
-        peq[c] = peq.get(c, 0) | bit
-        bit <<= 1
-    return peq
+    low = high = 0
+    segs: list[int] = []
+    for ref in refs:
+        first = bit
+        for c in ref:
+            peq[c] = peq.get(c, 0) | bit
+            bit <<= 1
+        segs.append(bit - first)
+        if ref:
+            low |= first
+            high |= bit >> 1
+    return peq, bit - 1, low, high, segs
 
 
-def _columns(hyp: Sequence[int], peq: Mapping[int, int], n: int) -> list[tuple[int, int]]:
-    """Every column (pv, mv) of the Levenshtein table D[b][a] of ``hyp``
-    against the reference of length ``n`` whose position table is ``peq``.
+def _columns(hyp: Sequence[int], table: _Table) -> list[tuple[int, int]]:
+    """Every column (pv, mv) of the Levenshtein tables of ``hyp`` against
+    each reference line of ``table`` at once.
 
-    Myers' bit vectors (JACM 1999) in Hyyrö's global form (2001): bit b - 1
-    of ``pv`` / ``mv`` is set when D[b][a] - D[b - 1][a] is +1 / -1, so
-    D[b][a] = a + popcount(pv_a & (2^b - 1)) - popcount(mv_a & (2^b - 1)).
+    Myers' bit vectors (JACM 1999) in Hyyrö's global form (2001), packed
+    one segment per line (Hyyrö, Fredriksson & Navarro 2005): within the
+    segment of a line of table D, bit b - 1 of ``pv`` / ``mv`` is set when
+    D[b][a] - D[b - 1][a] is +1 / -1, so with s_b the segment's lowest b
+    bits, D[b][a] = a + popcount(pv_a & s_b) - popcount(mv_a & s_b).
     Column 0 is (mask, 0), as D[b][0] = b; the top row D[0][a] = a rises by
-    one per column, hence the ``| 1`` on the shifted horizontal delta.
+    one per column, hence the fresh 1 at each segment's low bit of the
+    shifted horizontal delta ``ph``, where ``mh`` takes a 0.  The add sums
+    each segment's high bit by xor, so no carry crosses segments.
     """
-    mask = (1 << n) - 1
+    peq, mask, low, high, _ = table
+    keep = mask & ~high
     pv, mv = mask, 0
     cols = [(pv, mv)]
     for c in hyp:
         eq = peq.get(c, 0)
         xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
+        x = eq & pv
+        xh = ((((x & keep) + (pv & keep)) ^ ((x ^ pv) & high)) ^ pv) | eq
         ph = mv | (mask & ~(xh | pv))
         mh = pv & xh
-        ph = (ph << 1) | 1
-        pv = mask & ((mh << 1) | ~(xv | ph))
+        ph = ((ph & keep) << 1) | low
+        pv = (mh & keep) << 1 | (mask & ~(xv | ph))
         mv = ph & xv
         cols.append((pv, mv))
     return cols
-
-
-def edit_distance(hyp: Sequence[int], peq: Mapping[int, int], n: int) -> int:
-    """Levenshtein distance between ``hyp`` and the reference of length
-    ``n >= 1`` whose position table is ``peq`` (see :func:`_peq`).
-
-    D[n][m], read off the last of :func:`_columns` by its popcount identity.
-    """
-    pv, mv = _columns(hyp, peq, n)[-1]
-    return len(hyp) + pv.bit_count() - mv.bit_count()
 
 
 def match_lines(
@@ -192,23 +203,26 @@ def match_lines(
     ``th_ar`` are skipped, and AR ties break by (p, q) lexicographic order.
 
     Every pair is scored by its Levenshtein distance d alone, as
-    (n - d) / n with n the transcript line's length, and only the pairs
-    the greedy loop matches get their edit script.  The AR of a pair is
-    bit-identical to the one its script gives: the canonical script is a
-    minimum script, so its I + D + S is d, the numerator is the same
-    integer over the same n, and the float, the sort and the tie order
-    are those of scoring by script.  A transcript line that is empty has
-    no AR, so it is a ValueError as soon as a result line is scored
-    against it.
+    (n - d) / n with n the transcript line's length.  One :func:`_columns`
+    pass per result line gives all of its distances: d = len(result) +
+    popcount(pv & seg) - popcount(mv & seg) in the last column, seg the
+    transcript line's segment.  Only the pairs the greedy loop matches get
+    their edit script.  The AR of a pair is bit-identical to the one its
+    script gives: the canonical script is a minimum script, so its
+    I + D + S is d, the numerator is the same integer over the same n, and
+    the float, the sort and the tie order are those of scoring by script.
+    A transcript line that is empty has no AR, so it is a ValueError as
+    soon as a result line is scored against it.
     """
     if results and not all(annots):
         raise ValueError("an empty transcript line has no accurate rate")
-    tables = [(len(ref), _peq(ref)) for ref in annots]
-    scored = [
-        ((n - edit_distance(res, peq, n)) / n, p, q)
-        for p, res in enumerate(results, start=1)
-        for q, (n, peq) in enumerate(tables, start=1)
-    ]
+    table = _table(annots)
+    scored = []
+    for p, res in enumerate(results, start=1):
+        pv, mv = _columns(res, table)[-1]
+        for q, (ref, seg) in enumerate(zip(annots, table[-1]), start=1):
+            d = len(res) + (pv & seg).bit_count() - (mv & seg).bit_count()
+            scored.append(((len(ref) - d) / len(ref), p, q))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
     matched: dict[tuple[int, int], list[str]] = {}
     used_p: set[int] = set()

@@ -5,7 +5,7 @@ same greedy descending-AR matching as training-time line matching, but
 without any threshold, and count the errors of each matched pair off the
 edit script that line matching returns.  Line matching scores each pair by
 its edit distance and builds a script only for the pairs it matches, so a
-page costs one distance per line pair and one script per matched pair.
+page costs one packed pass per result line and one script per matched pair.
 Characters of unmatched result lines count as insertions and characters of
 unmatched annotation lines as deletions, so the metrics reflect detection
 as well as recognition quality.  AR* may be negative and is never clamped.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from typing import Mapping, Sequence
 
-from .geometry import Box, GridShape, iou
+from .geometry import Box, Corners, GridShape, corner_iou
 from .matching import ErrorCounts, edit_script, match_lines, script_counts
 
 logger = logging.getLogger(__name__)
@@ -77,20 +77,22 @@ def det_counts(
     boxes tested are visited in the same relative order, and the strict
     ``>`` keeps the first of equal IoUs, so the same box wins as when
     every ground-truth box is tested in index order.  A matched box
-    leaves its bucket, as it would be skipped as taken.
+    leaves its bucket, as it would be skipped as taken.  Each box's corners
+    are computed once, and :func:`corner_iou` of them is ``iou``'s float.
     """
-    buckets: dict[int | None, list[Box]] = {}
+    buckets: dict[int | None, list[Corners]] = {}
     for gbox, gcls in gts:
-        buckets.setdefault(gcls if require_class else None, []).append(gbox)
+        buckets.setdefault(gcls if require_class else None, []).append(gbox.corners(shape))
     order = sorted(range(len(results)), key=lambda k: -results[k][2])
     tp = 0
     for k in order:
         box, cls_id, _ = results[k]
         bucket = buckets.get(cls_id if require_class else None, [])
+        corners = box.corners(shape)
         best = -1
         best_iou = 0.0
-        for g, gbox in enumerate(bucket):
-            v = iou(box, gbox, shape)
+        for g, gcorners in enumerate(bucket):
+            v = corner_iou(corners, gcorners)
             if v >= iou_th and v > best_iou:
                 best = g
                 best_iou = v

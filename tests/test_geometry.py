@@ -1,14 +1,25 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridtext import geometry
 from gridtext.decoder import extract_nodes
-from gridtext.geometry import Box, GridShape, abs_to_rel, cells, grid_of, iou, nms, rel_to_abs
+from gridtext.geometry import (
+    Box,
+    GridShape,
+    abs_to_rel,
+    cells,
+    corner_iou,
+    grid_of,
+    iou,
+    nms,
+    rel_to_abs,
+)
 from gridtext.predictions import OracleNoise, oracle_predict
 from gridtext.synth import Layout, PageConfig, gen_page
 
@@ -137,6 +148,46 @@ def test_iou_symmetric_bounded(ax, ay, bx, by, aw, ah, bw, bh):
     v = iou(a, b, shape)
     assert v == iou(b, a, shape)
     assert 0.0 <= v <= 1.0 + 1e-12
+
+
+def _iou_reference(a, b, shape):
+    """IoU written out from the boxes' centres and extents."""
+    ahw, ahh = 0.5 * a.w * shape.img_w, 0.5 * a.h * shape.img_h
+    bhw, bhh = 0.5 * b.w * shape.img_w, 0.5 * b.h * shape.img_h
+    ax1, ay1, ax2, ay2 = a.x - ahw, a.y - ahh, a.x + ahw, a.y + ahh
+    bx1, by1, bx2, by2 = b.x - bhw, b.y - bhh, b.x + bhw, b.y + bhh
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return inter / union if union > 0.0 else 0.0
+
+
+# Centres on the page or anywhere finite; extents from image fractions to
+# ones whose corners overflow to infinity.
+_centre = st.floats(0, 64) | st.floats(-1e300, 1e300)
+_extent = st.sampled_from([0.1, 0.5]) | st.floats(5e-324, 1.7e308)
+_iou_box = st.builds(Box, _centre, _centre, _extent, _extent)
+
+
+@settings(max_examples=300)
+@given(a=_iou_box, b=_iou_box, img=st.tuples(*[st.sampled_from([1e-100, 1.0, 64.0, 1e100])] * 2))
+@example(a=Box(0.0, 0.0, 1e300, 1e300), b=Box(1.0, 1.0, 0.5, 0.5), img=(1e100, 1e100))
+@example(a=Box(0.0, 0.0, 1e300, 1e300), b=Box(0.0, 0.0, 1e300, 1e300), img=(1e100, 1e100))
+def test_iou_is_the_corner_iou_of_the_corners(a, b, img):
+    shape = GridShape(4, 4, *img)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = iou(a, b, shape)
+        assert v == corner_iou(a.corners(shape), b.corners(shape)) == _iou_reference(a, b, shape)
+        assert math.isfinite(v)
+        x1, y1, x2, y2 = a.corners(shape)
+        area = (x2 - x1) * (y2 - y1)
+        # Identical boxes score exactly 1.0 whenever their union is a
+        # positive finite float; otherwise, as with infinite corners, 0.0.
+        assert iou(a, a, shape) == (1.0 if 0.0 < 2 * area < math.inf else 0.0)
 
 
 def test_nms_identical_pair(shape44):

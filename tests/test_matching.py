@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from conftest import edit_oracle, plain_distance
@@ -9,9 +9,9 @@ from gridtext.decoder import CharInstance, Line, PageResult
 from gridtext.geometry import Box, GridShape
 from gridtext.matching import (
     PageAnnotation,
-    _peq,
+    _columns,
+    _table,
     edit_counts,
-    edit_distance,
     edit_script,
     match_chars,
     match_lines,
@@ -61,6 +61,18 @@ def _edit_script_reference(hyp, ref):
             a -= 1
     ops.reverse()
     return ops
+
+
+def _packed_distances(hyp, refs):
+    """The distance of ``hyp`` to each of ``refs``, read off the last column
+    of one packed pass as len(hyp) + popcount(pv & seg) - popcount(mv & seg)."""
+    table = _table(refs)
+    pv, mv = _columns(hyp, table)[-1]
+    return [len(hyp) + (pv & seg).bit_count() - (mv & seg).bit_count() for seg in table[-1]]
+
+
+def _error_count(ops):
+    return sum(op != "E" for op in ops)
 
 
 def _match_lines_reference(results, annots, th_ar):
@@ -210,24 +222,56 @@ def test_edit_counts_match_recursive_oracle(hyp, ref):
     assert sum(got) == plain_distance(hyp, ref)
 
 
-# Short lines, and lines whose bit vectors cross one and two 64-bit words.
-_long_line = st.lists(st.integers(1, 3), min_size=60, max_size=140)
+@st.composite
+def _patterned(draw, n):
+    """A line of ``n`` elements: a short drawn pattern repeated, with up to
+    four elements overwritten.  Few draws make it, so a failing example
+    shrinks in seconds; the repeats make many cost ties for the backtrace."""
+    pattern = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    line = (pattern * n)[:n]
+    for k, c in draw(st.lists(st.tuples(st.integers(0, 139), st.integers(1, 3)), max_size=4)):
+        if n:
+            line[k % n] = c
+    return line
+
+
+@st.composite
+def _long_line(draw):
+    """A line of 60-140 elements, so its bit vectors cross one or two 64-bit
+    words."""
+    return draw(_patterned(draw(st.integers(60, 140))))
+
+
+def test_long_lines_cross_one_and_two_words():
+    for edge in (64, 128):
+        line = find(_long_line(), lambda line: len(line) > edge, settings=settings(database=None))
+        assert len(line) == edge + 1
 
 
 @settings(deadline=None, max_examples=100)
 @given(
-    hyp=st.lists(st.integers(1, 4), max_size=8) | _long_line,
-    ref=st.lists(st.integers(1, 4), min_size=1, max_size=8) | _long_line,
+    hyp=st.lists(st.integers(1, 4), max_size=8) | _long_line(),
+    ref=st.lists(st.integers(1, 4), min_size=1, max_size=8) | _long_line(),
 )
 def test_edit_distance_is_the_canonical_scripts_error_count(hyp, ref):
-    counts = script_counts(edit_script(hyp, ref))
-    assert edit_distance(hyp, _peq(ref), len(ref)) == counts.n_ie + counts.n_de + counts.n_se
+    assert _packed_distances(hyp, [ref]) == [_error_count(edit_script(hyp, ref))]
+
+
+def test_an_empty_line_adds_no_bits_to_the_table():
+    peq, mask, low, high, segs = _table([[A, B], [], [C], []])
+    assert (peq, mask, low, high, segs) == ({A: 0b1, B: 0b10, C: 0b100}, 0b111, 0b101, 0b110,
+                                            [0b11, 0, 0b100, 0])
+    assert _table([[]]) == ({}, 0, 0, 0, [0])
+    assert _packed_distances([A, X, C], [[A, B], [], [C], []]) == [2, 3, 2, 3]
+    assert _packed_distances([], [[A, B], []]) == [2, 0]
+    assert edit_script([A, B], []) == ["I", "I"]
+    assert edit_script([], [A, B]) == ["D", "D"]
 
 
 @settings(deadline=None, max_examples=300)
 @given(
-    hyp=st.lists(st.integers(1, 4), max_size=8) | _long_line,
-    ref=st.lists(st.integers(1, 4), max_size=8) | _long_line,
+    hyp=st.lists(st.integers(1, 4), max_size=8) | _long_line(),
+    ref=st.lists(st.integers(1, 4), max_size=8) | _long_line(),
 )
 def test_edit_script_matches_dp_reference(hyp, ref):
     assert edit_script(hyp, ref) == _edit_script_reference(hyp, ref)
@@ -238,7 +282,7 @@ def _line_sets(draw):
     """(results, annots): lines drawn from a small pool, so repeated lines
     force AR ties; result lines may be empty."""
     short = st.lists(st.integers(1, 3), min_size=1, max_size=5)
-    pool = draw(st.lists(short | _long_line, min_size=1, max_size=3))
+    pool = draw(st.lists(short | _long_line(), min_size=1, max_size=3))
     line = st.sampled_from(pool) | short | st.just([])
     results = draw(st.lists(line, max_size=4))
     annots = draw(st.lists(st.sampled_from(pool) | short, min_size=1, max_size=4))
@@ -250,6 +294,40 @@ def _line_sets(draw):
 def test_match_lines_matches_all_pairs_reference(lines, th_ar):
     results, annots = lines
     assert match_lines(results, annots, th_ar) == _match_lines_reference(results, annots, th_ar)
+
+
+@st.composite
+def _packed_page(draw):
+    """(results, lines): 1-30 patterned transcript lines of at most 16
+    elements, empty ones among them.  A line of min(16, bits to the next
+    64-bit word edge) steps the packed table towards that edge and ends
+    exactly at it; the other lengths end inside a word or straddle an edge.
+    Result lines are copies of them, edited copies, short lines or empty.
+    Short lines keep each example cheap, so a failure shrinks in seconds."""
+    lines, end = [], 0
+    for _ in range(draw(st.integers(1, 30))):
+        to_edge = -end % 64 or 64
+        n = min(to_edge, 16) if draw(st.booleans()) else draw(st.sampled_from([1, 5, 0, 13, 2]))
+        lines.append(draw(_patterned(n)))
+        end += n
+    copy = st.sampled_from(lines)
+    edited = st.tuples(copy, st.integers(0, 16), st.integers(1, 3)).map(
+        lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
+    short = st.lists(st.integers(1, 3), max_size=5)
+    results = draw(st.lists(copy | edited | short | st.just([]), min_size=1, max_size=6))
+    return results, lines
+
+
+@settings(deadline=None, max_examples=100)
+@given(page=_packed_page(), th_ar=st.sampled_from([-math.inf, 0.0, 0.5]))
+def test_packed_page_matches_references(page, th_ar):
+    results, lines = page
+    for res in results:
+        want = [_error_count(_edit_script_reference(res, ref)) for ref in lines]
+        assert _packed_distances(res, lines) == want
+    annots = [line for line in lines if line]
+    if annots:
+        assert match_lines(results, annots, th_ar) == _match_lines_reference(results, annots, th_ar)
 
 
 def test_match_lines_empty_transcript_line_is_a_value_error():
