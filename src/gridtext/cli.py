@@ -16,8 +16,8 @@ import typing
 from pathlib import Path
 
 from .decoder import DecodeConfig, InvariantError, PageResult, decode
-from .geometry import IMAGE_SIZE_RANGE, Box, GridShape
-from .jsoncheck import by_page_id, check, expect, finite, read_jsonl
+from .geometry import Box, GridShape
+from .jsoncheck import BOX, by_page_id, check, expect, finite, image_size, read_jsonl
 from .matching import ErrorCounts, PageAnnotation, load_annotations, save_annotations
 from .metrics import det_counts, page_counts, prf
 from .predictions import OracleNoise, load_maps, oracle_predict, save_maps
@@ -145,30 +145,15 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-_RESULT_CHAR = {**dict.fromkeys("xywh", finite), "cls": int, "score": finite}
+_RESULT_CHAR = {**dict(zip("xywh", BOX)), "cls": int, "score": finite}
 _RESULT_ROW = {
-    "page_id": str, "img_w": float, "img_h": float, "lines": [{"chars": [_RESULT_CHAR]}]
+    "page_id": str, "img_w": image_size, "img_h": image_size, "lines": [{"chars": [_RESULT_CHAR]}]
 }
 
 
-def _result_from_row(doc: object) -> dict:
-    check(doc, _RESULT_ROW)
-    lo, hi = IMAGE_SIZE_RANGE
-    for key in ("img_w", "img_h"):
-        if not lo <= doc[key] <= hi:
-            raise ValueError(f"row.{key}: must be in [{lo}, {hi}], got {doc[key]}")
-    # Every character must make a valid Box.
-    for k, line in enumerate(doc["lines"]):
-        for m, char in enumerate(line["chars"]):
-            for key in ("w", "h"):
-                if char[key] <= 0:
-                    where = f"row.lines[{k}].chars[{m}].{key}"
-                    raise ValueError(f"{where}: must be > 0, got {char[key]}")
-    return doc
-
-
 def load_results(path: str | Path) -> dict[str, dict]:
-    return by_page_id(path, read_jsonl(path, _result_from_row), lambda doc: doc["page_id"])
+    rows = read_jsonl(path, lambda doc: check(doc, _RESULT_ROW))
+    return by_page_id(path, rows, lambda doc: doc["page_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +347,13 @@ def cmd_export_labels(args: argparse.Namespace) -> int:
 def render_page_svg(doc: dict) -> str:
     """SVG overlay: per-character rectangles, a polyline per line through the
     character centers, and distinct start/end-of-line markers."""
-    img_w = float(doc.get("img_w", 512))
-    img_h = float(doc.get("img_h", 512))
+    img_w = float(doc["img_w"])
+    img_h = float(doc["img_h"])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{img_w:.0f}" '
         f'height="{img_h:.0f}" viewBox="0 0 {img_w:.0f} {img_h:.0f}">'
     ]
-    for ln in doc.get("lines", []):
+    for ln in doc["lines"]:
         chars = ln["chars"]
         if not chars:
             continue

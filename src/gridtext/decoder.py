@@ -496,25 +496,17 @@ def beam_search_lm(
         else:
             idx = np.lexsort((np.arange(len(probs)), -probs))[:top_k]
             cand = [int(i) + 1 for i in idx]
-        new: dict[tuple[int, ...], list[float]] = {}
-
-        def bucket(prefix: tuple[int, ...]) -> list[float]:
-            b = new.get(prefix)
-            if b is None:
-                b = [0.0, 0.0]
-                new[prefix] = b
-            return b
-
+        new: dict[tuple[int, ...], list[float]] = defaultdict(lambda: [0.0, 0.0])
         for prefix, (pb, pnb) in beams.items():
             total = pb + pnb
-            bucket(prefix)[0] += blank_p * total
+            new[prefix][0] += blank_p * total
             if prefix:
-                bucket(prefix)[1] += float(probs[prefix[-1] - 1]) * pnb
+                new[prefix][1] += float(probs[prefix[-1] - 1]) * pnb
             for c in cand:
                 p_sym = float(probs[c - 1]) * lm.prob(c, prefix)
                 if p_sym == 0.0:
                     continue
-                ext = bucket(prefix + (c,))
+                ext = new[prefix + (c,)]
                 if prefix and c == prefix[-1]:
                     ext[1] += p_sym * pb
                 else:

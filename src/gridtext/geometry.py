@@ -174,11 +174,12 @@ def nms(
     division by the cell size, floor and clamping are all monotone, its
     bucket lies within both boxes' bucket ranges.  A pair that shares no
     bucket therefore has ``iw <= 0`` or ``ih <= 0`` and could not suppress.
-    The suppress test is the same floating-point expression as the
-    textbook all-pairs loop, so the kept set is identical to it.
+    The suppress test is :func:`corner_iou`, whose ratio is the textbook
+    all-pairs loop's floating-point expression; its ``union > 0`` guard
+    answers 0.0 only where that ratio is NaN or negative, which never
+    exceeds a threshold >= 0.  The kept set is identical to the loop's.
     """
     corners = [c[0].corners(shape) for c in candidates]
-    areas = [(x2 - x1) * (y2 - y1) for x1, y1, x2, y2 in corners]
     order = sorted(range(len(candidates)), key=lambda k: -candidates[k][1])
     cw, ch = shape.cell_w, shape.cell_h
     # Clamp the float before int(): corners may lie far outside the page or
@@ -201,21 +202,11 @@ def nms(
         near: set[int] = set()  # a kept box may share several buckets
         for cell in cells:
             near.update(buckets.get(cell, ()))
-        area = areas[k]
-        ok = True
+        box = corners[k]
         for m in near:
-            mx1, my1, mx2, my2 = corners[m]
-            iw = min(x2, mx2) - max(x1, mx1)
-            if iw <= 0.0:
-                continue
-            ih = min(y2, my2) - max(y1, my1)
-            if ih <= 0.0:
-                continue
-            inter = iw * ih
-            if inter / (area + areas[m] - inter) > iou_threshold:
-                ok = False
+            if corner_iou(box, corners[m]) > iou_threshold:
                 break
-        if ok:
+        else:
             kept.append(k)
             for cell in cells:
                 buckets.setdefault(cell, []).append(k)

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
+from .geometry import IMAGE_SIZE_RANGE
+
 T = TypeVar("T")
 
 _KINDS = {
@@ -43,13 +45,32 @@ def finite(value: float, where: str) -> float:
     return value
 
 
+def positive(value: float, where: str) -> float:
+    """``value`` if it is finite and > 0, else a ValueError naming ``where``."""
+    if not finite(value, where) > 0:
+        raise ValueError(f"{where}: must be > 0, got {value}")
+    return value
+
+
+def image_size(value: float, where: str) -> float:
+    """``value`` if it is in ``IMAGE_SIZE_RANGE``, else a ValueError naming ``where``."""
+    lo, hi = IMAGE_SIZE_RANGE
+    if not lo <= value <= hi:
+        raise ValueError(f"{where}: must be in [{lo}, {hi}], got {value}")
+    return value
+
+
+# A Box's (x, y, w, h): a finite center and positive extents.
+BOX = (finite, finite, positive, positive)
+
+
 def check(value: Any, schema: Any, where: str = "row") -> Any:
     """``value`` checked against ``schema`` and returned unchanged.
 
-    A schema is a JSON kind (see :func:`expect`), :func:`finite` for a
-    finite number, ``[item]`` for a list of items, a tuple of schemas for a
-    list of exactly that many items, or ``{key: schema}`` for an object that
-    has at least those keys.
+    A schema is a JSON kind (see :func:`expect`), a rule for a number
+    (:func:`finite`, :func:`positive`, :func:`image_size`), ``[item]`` for a
+    list of items, a tuple of schemas for a list of exactly that many items,
+    or ``{key: schema}`` for an object that has at least those keys.
     """
     if isinstance(schema, dict):
         expect(value, dict, where)
@@ -65,10 +86,10 @@ def check(value: Any, schema: Any, where: str = "row") -> Any:
             raise ValueError(f"{where}: expected {len(schema)} items, got {len(value)}")
         for k, (item, sub) in enumerate(zip(value, schema)):
             check(item, sub, f"{where}[{k}]")
-    elif schema is finite:
-        finite(expect(value, float, where), where)
-    else:
+    elif isinstance(schema, type):
         expect(value, schema, where)
+    else:
+        schema(expect(value, float, where), where)
     return value
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .geometry import Box, GridShape, iou
-from .jsoncheck import by_page_id, check, expect, finite, read_jsonl
+from .jsoncheck import BOX, by_page_id, check, expect, read_jsonl
 
 if TYPE_CHECKING:
     from .decoder import PageResult
@@ -303,7 +303,7 @@ def _annotation_from_row(doc: object) -> PageAnnotation:
     check(doc, {"lines": [[int]]})
     boxes = None
     if doc.get("boxes") is not None:
-        check(doc["boxes"], [[(finite,) * 4]], "row.boxes")
+        check(doc["boxes"], [[BOX]], "row.boxes")
         boxes = [[Box(*vals) for vals in line] for line in doc["boxes"]]
     return PageAnnotation(
         lines=doc["lines"],

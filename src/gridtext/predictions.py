@@ -514,7 +514,7 @@ def _load_json(raw: bytes) -> PredictionMaps:
         fields.append(expect(doc[key], kind, f"header.{key}", MapFormatError))
     shape, n_cls = _header(*fields)
     tensors: dict[str, np.ndarray] = {}
-    for name, dims in _tensor_shapes(shape, n_cls).items():
+    for name in _tensor_shapes(shape, n_cls):
         if name not in doc:
             raise MapFormatError(f"{name}: missing tensor")
         _check_numbers(doc[name], name)
@@ -525,8 +525,6 @@ def _load_json(raw: bytes) -> PredictionMaps:
                 arr = np.asarray(doc[name], dtype=np.float32)
         except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
             raise MapFormatError(f"{name}: not a numeric tensor ({exc})") from exc
-        if arr.shape != dims:
-            raise MapFormatError(f"{name}: expected shape {dims}, got {arr.shape}")
         tensors[name] = arr
     maps = PredictionMaps(shape=shape, n_cls=n_cls, **tensors)
     maps.validate()

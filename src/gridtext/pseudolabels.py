@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 import numpy as np
 
 from .geometry import Box, GridShape, grid_of
-from .jsoncheck import check, finite, read_jsonl
+from .jsoncheck import BOX, check, finite, read_jsonl
 from .predictions import staircase
 
 if TYPE_CHECKING:
@@ -102,7 +102,7 @@ class PseudoLabelStore:
         return store
 
 
-_LABEL_ROW = {"page_id": str, "q": int, "n": int, **dict.fromkeys("xywh", finite), "gamma": finite}
+_LABEL_ROW = {"page_id": str, "q": int, "n": int, **dict(zip("xywh", BOX)), "gamma": finite}
 
 
 def _label_from_row(doc: object) -> tuple[str, int, int, PseudoLabel]:

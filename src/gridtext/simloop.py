@@ -190,7 +190,6 @@ def run_stage(
                 n_mc += len(m_c)
                 n_filtered += len(m_c) - len(m_c_kept)
                 update(store, page.page_id, m_c_kept, result, config.epsilon)
-                labels = store.page(page.page_id)
             else:
                 # Synthetic treatment: full ground truth stands in for the
                 # store; all result characters supply presence negatives.

@@ -447,7 +447,16 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, fi
     ({"results.jsonl": _jsonl(_with_char(score=math.nan)),
       "annotations.jsonl": _jsonl(_ANNOT)}, _EVAL,
      "error: results.jsonl:1: row.lines[0].chars[0].score: must be finite, got nan\n"),
-], ids=["iou-th", "img-w", "char-w", "char-score"])
+    ({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(
+        {**_ANNOT, "lines": [[1, 2]], "boxes": [[[10.0, 10.0, 0.1, 0.1], [20.0, 10.0, 0, 0.1]]]})},
+     _EVAL, "error: annotations.jsonl:1: row.boxes[0][1][2]: must be > 0, got 0\n"),
+    ({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(
+        {**_ANNOT, "boxes": [[[10.0, 10.0, 0.1, -0.5]]]})},
+     _EVAL, "error: annotations.jsonl:1: row.boxes[0][0][3]: must be > 0, got -0.5\n"),
+    ({"config.json": json.dumps(_DATASET), "store.jsonl": _jsonl({**_LABEL, "h": 0})},
+     _EXPORT, "error: store.jsonl:1: row.h: must be > 0, got 0\n"),
+], ids=["iou-th", "img-w", "char-w", "char-score", "annotation-box-w-0",
+        "annotation-box-h-negative", "store-row-h-0"])
 def test_eval_range_errors_name_the_flag_or_the_row(tmp_path, monkeypatch, capsys, files, argv,
                                                     message):
     monkeypatch.chdir(tmp_path)

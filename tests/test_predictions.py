@@ -478,6 +478,14 @@ def test_json_version_is_optional_but_checked(tiny_map):
             load_maps(path)
 
 
+def test_json_class_tensor_of_the_wrong_shape_names_both_shapes(tiny_map):
+    doc, _, path = tiny_map
+    path.write_text(json.dumps({**doc, "n_cls": doc["n_cls"] + 1}))
+    with pytest.raises(MapFormatError,
+                       match=f"^{re.escape('cls: expected shape (8, 4, 4), got (8, 4, 3)')}$"):
+        load_maps(path)
+
+
 @pytest.mark.parametrize("name, element, kind", [
     ("dis", "0.9", "str"), ("dis", True, "bool"), ("cls", False, "bool"), ("rd", None, "NoneType"),
 ])
