@@ -11,9 +11,12 @@ first end-of-line node.
 The maps are read in bulk, never one numpy scalar at a time: a decode takes
 the argmax direction of every grid once, as a nested-list table that the
 walks index, and node extraction gathers each map at all its hits at once.
-``np.argmax`` keeps the first maximum of a row, as a per-row argmax does,
-and ``tolist`` turns each float32 value into the Python float that
-``float()`` gives, so every box, score and walk keeps its bits.
+Node extraction scores the hits and suppresses duplicates on float64 arrays,
+with the scalar expressions' operations in their order, and builds a
+:class:`CharInstance` only for the candidates NMS keeps.  ``np.argmax``
+keeps the first maximum of a row, as a per-row argmax does, and ``tolist``
+turns each float32 value into the Python float that ``float()`` gives, so
+every box, score and walk keeps its bits.
 
 Every stage is a pure function of its inputs, so repeated decodes of the
 same maps are bit-identical.
@@ -148,7 +151,9 @@ def extract_nodes(
     all of them at once: presence, the class argmax (first maximum on ties)
     with its probability, and the cell-relative box.  A box with a
     non-positive extent has both extents floored at 1e-6, and then every box
-    is made absolute in one call.
+    is made absolute in one call.  :func:`fused_score` scores them all on
+    float64 arrays, and NMS takes the boxes and scores as rows, so a
+    :class:`CharInstance` is built only for a kept candidate.
     """
     from .geometry import nms
 
@@ -156,19 +161,20 @@ def extract_nodes(
     at = (ii, jj)
     cls_rows = maps.cls[at]
     cls0 = np.argmax(cls_rows, axis=-1)
-    probs = cls_rows[np.arange(len(cls0)), cls0].tolist()
+    probs = cls_rows[np.arange(len(cls0)), cls0].astype(np.float64)
     rel = maps.box[at].astype(np.float64)
     flat = (rel[:, 2] <= 0) | (rel[:, 3] <= 0)
     rel[flat, 2:] = np.maximum(rel[flat, 2:], 1e-6)
-    boxes = rel_to_abs(rel, at, maps.shape).tolist()
-    cand = [
-        CharInstance((i0 + 1, j0 + 1), Box(*box), fused_score(dis, prob), c0 + 1, prob)
-        for i0, j0, c0, dis, prob, box in zip(
-            ii.tolist(), jj.tolist(), cls0.tolist(), maps.dis[at].tolist(), probs, boxes
+    scores = fused_score(maps.dis[at].astype(np.float64), probs)
+    rows = np.column_stack((rel_to_abs(rel, at, maps.shape), scores))
+    keep = nms(rows, config.nms_iou, maps.shape)
+    return [
+        CharInstance((i0 + 1, j0 + 1), Box(x, y, w, h), score, c0 + 1, prob)
+        for i0, j0, c0, (x, y, w, h, score), prob in zip(
+            ii[keep].tolist(), jj[keep].tolist(), cls0[keep].tolist(),
+            rows[keep].tolist(), probs[keep].tolist(),
         )
     ]
-    keep = nms([(c.box, c.score) for c in cand], config.nms_iou, maps.shape)
-    return [cand[k] for k in keep]
 
 
 def direction_table(maps: PredictionMaps) -> list[list[int]]:

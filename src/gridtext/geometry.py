@@ -10,14 +10,16 @@ arrays that :func:`cells` makes from 1-based grids and that index a map.
 Only this module converts between a map's cell-relative boxes (x_o, y_o,
 w_o, h_o), the centre an offset within its cell, and absolute ones:
 :func:`rel_to_abs` and :func:`abs_to_rel` map ``(n, 4)`` float64 rows at
-``at``.
+``at``.  :func:`nms` likewise takes its candidates as ``(n, 5)`` float64
+``x, y, w, h, score`` rows, and tests overlapping pairs in bulk with
+:func:`corner_iou`'s expression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -153,61 +155,92 @@ def corner_iou(a: Corners, b: Corners) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def nms(
-    candidates: Sequence[tuple[Box, float]],
-    iou_threshold: float,
-    shape: GridShape,
-) -> list[int]:
+# Candidate pairs listed, tested or passed to the greedy loop at a time.
+# This bounds the working memory of nms at a few MB however many boxes
+# overlap; only the pairs over the threshold are kept, at 8 bytes each.
+_PAIR_CHUNK = 1 << 16
+
+
+def nms(candidates: np.ndarray, iou_threshold: float, shape: GridShape) -> list[int]:
     """Greedy non-maximum suppression; returns surviving indices, ascending.
 
-    Candidates are visited in descending score; equal scores keep input
-    order, so callers that supply candidates row-major get row-major ties.
-    A candidate is suppressed when its IoU with an already-kept candidate
-    exceeds ``iou_threshold``.
+    ``candidates`` is an ``(n, 5)`` float64 array of ``x, y, w, h, score``
+    rows, each box as a :class:`Box` holds it.  Candidates are visited in
+    descending score; equal scores keep input order, so callers that supply
+    candidates row-major get row-major ties.  A candidate is suppressed when
+    its IoU with an already-kept candidate exceeds ``iou_threshold`` (>= 0).
 
-    Kept boxes are bucketed by grid cell: a box is entered in every
-    ``cell_w x cell_h`` bucket its corners span, with bucket indices
-    clamped into the lattice, and a candidate is tested only against the
-    kept boxes in the buckets it spans.  This is exact.  A pair with
-    ``iw > 0`` and ``ih > 0`` overlaps on an interval in each axis; the
-    interval's lower end lies within both boxes' corner ranges, and since
-    division by the cell size, floor and clamping are all monotone, its
-    bucket lies within both boxes' bucket ranges.  A pair that shares no
-    bucket therefore has ``iw <= 0`` or ``ih <= 0`` and could not suppress.
-    The suppress test is :func:`corner_iou`, whose ratio is the textbook
-    all-pairs loop's floating-point expression; its ``union > 0`` guard
-    answers 0.0 only where that ratio is NaN or negative, which never
-    exceeds a threshold >= 0.  The kept set is identical to the loop's.
+    The kept set is exactly the textbook all-pairs loop's:
+
+    - Corners are :meth:`Box.corners`'s float expression, elementwise.
+    - Each box spans a range of bucket columns and rows: its corners over
+      the cell size, floored and clamped into the lattice (clamped as
+      floats, so overhanging, infinite and NaN corners are safe).  A pair
+      with ``iw > 0`` and ``ih > 0`` overlaps on an interval in each axis;
+      the interval's lower end lies within both boxes' corner ranges, and
+      since division, floor and clamping are all monotone, its bucket lies
+      within both boxes' bucket ranges.  Only pairs whose ranges intersect
+      in both axes can suppress.
+    - Sorted by first column, each box is paired with the boxes after it
+      whose first column lies in its column range, so each pair whose
+      column ranges intersect is listed once, from whichever comes first.
+      The listing runs in chunks of ``_PAIR_CHUNK`` pairs.
+    - A listed pair whose row ranges also intersect conflicts where ``iw >
+      0``, ``ih > 0``, ``union > 0`` and ``inter / union > iou_threshold``:
+      :func:`corner_iou`'s expression, elementwise, whose guards answer 0.0
+      only where the ratio is NaN or negative.  A NaN corner makes the area,
+      and so the union, NaN; such a box neither suppresses nor is
+      suppressed, here as in the loop.
+    - A greedy pass takes the conflict pairs in order of the later
+      candidate's rank, and suppresses the later one when the earlier one
+      is unsuppressed.  The earlier one's fate is settled by then, as all of
+      its own pairs come first.  By induction on rank, a candidate is kept
+      exactly when no kept candidate before it conflicts with it: the
+      kept-box loop.
     """
-    corners = [c[0].corners(shape) for c in candidates]
-    order = sorted(range(len(candidates)), key=lambda k: -candidates[k][1])
-    cw, ch = shape.cell_w, shape.cell_h
-    # Clamp the float before int(): corners may lie far outside the page or
-    # be infinite.  max(0.0, v) also sends NaN to bucket 0; a NaN extent
-    # never suppresses nor is suppressed, as every comparison with it fails.
+    n = len(candidates)
+    x, y, w, h, score = candidates.T
+    rank = np.empty(n, np.intp)
+    rank[np.argsort(-score, kind="stable")] = np.arange(n)
     last_i, last_j = float(shape.w_g - 1), float(shape.h_g - 1)
-    buckets: dict[int, list[int]] = {}  # cell (i, j) as i * h_g + j, 0-based
-    kept: list[int] = []
-    for k in order:
-        x1, y1, x2, y2 = corners[k]
-        i_lo = int(min(last_i, max(0.0, x1 / cw)))
-        i_hi = int(min(last_i, max(0.0, x2 / cw)))
-        j_lo = int(min(last_j, max(0.0, y1 / ch)))
-        j_hi = int(min(last_j, max(0.0, y2 / ch)))
-        cells = [
-            i * shape.h_g + j
-            for i in range(i_lo, i_hi + 1)
-            for j in range(j_lo, j_hi + 1)
-        ]
-        near: set[int] = set()  # a kept box may share several buckets
-        for cell in cells:
-            near.update(buckets.get(cell, ()))
-        box = corners[k]
-        for m in near:
-            if corner_iou(box, corners[m]) > iou_threshold:
-                break
-        else:
-            kept.append(k)
-            for cell in cells:
-                buckets.setdefault(cell, []).append(k)
-    return sorted(kept)
+    conflicts = [np.empty(0, np.intp)]  # later rank * n + earlier rank
+    with np.errstate(all="ignore"):  # corners may overflow to inf or be NaN
+        hw = 0.5 * w * shape.img_w
+        hh = 0.5 * h * shape.img_h
+        x1, y1, x2, y2 = x - hw, y - hh, x + hw, y + hh
+        area = (x2 - x1) * (y2 - y1)
+        # Clamp the float before the cast; fmax also sends NaN to bucket 0.
+        i_lo, i_hi = (
+            np.minimum(np.fmax(v / shape.cell_w, 0.0), last_i).astype(np.intp) for v in (x1, x2)
+        )
+        j_lo, j_hi = (
+            np.minimum(np.fmax(v / shape.cell_h, 0.0), last_j).astype(np.intp) for v in (y1, y2)
+        )
+        by_i = np.argsort(i_lo, kind="stable")
+        count = np.searchsorted(i_lo[by_i], i_hi[by_i], side="right") - np.arange(1, n + 1)
+        before = np.concatenate(([0], np.cumsum(count)))
+        p = 0
+        while p < n:
+            q = max(p + 1, int(np.searchsorted(before, before[p] + _PAIR_CHUNK, "right")) - 1)
+            a = np.repeat(np.arange(p, q), count[p:q])
+            b = a + 1 + np.arange(len(a)) - np.repeat(before[p:q] - before[p], count[p:q])
+            a, b = by_i[a], by_i[b]
+            near = (j_lo[a] <= j_hi[b]) & (j_lo[b] <= j_hi[a])
+            a, b = a[near], b[near]
+            iw = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
+            ih = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
+            inter = iw * ih
+            union = area[a] + area[b] - inter
+            hit = (iw > 0.0) & (ih > 0.0) & (union > 0.0) & (inter / union > iou_threshold)
+            ra, rb = rank[a[hit]], rank[b[hit]]
+            conflicts.append(np.maximum(ra, rb) * n + np.minimum(ra, rb))
+            p = q
+    keys = np.concatenate(conflicts)
+    keys.sort()
+    suppressed = [False] * n  # by rank
+    for start in range(0, len(keys), _PAIR_CHUNK):
+        later, earlier = np.divmod(keys[start:start + _PAIR_CHUNK], n)
+        for l, e in zip(later.tolist(), earlier.tolist()):
+            if not suppressed[e]:
+                suppressed[l] = True
+    return np.flatnonzero(~np.array(suppressed, dtype=bool)[rank]).tolist()

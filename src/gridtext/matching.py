@@ -44,11 +44,17 @@ class PageAnnotation:
     page_id: str = ""
 
     def __post_init__(self) -> None:
-        if any(len(line) == 0 for line in self.lines):
-            raise ValueError("annotation lines must be non-empty")
-        if self.boxes is not None:
-            if [len(b) for b in self.boxes] != [len(t) for t in self.lines]:
-                raise ValueError("boxes must parallel transcripts")
+        # Named as keys of the annotation row, as the row readers name them.
+        for q, line in enumerate(self.lines):
+            if not line:
+                raise ValueError(f"row.lines[{q}]: must be non-empty")
+        if self.boxes is None:
+            return
+        if len(self.boxes) != len(self.lines):
+            raise ValueError(f"row.boxes: expected {len(self.lines)} lines, got {len(self.boxes)}")
+        for q, (boxes, line) in enumerate(zip(self.boxes, self.lines)):
+            if len(boxes) != len(line):
+                raise ValueError(f"row.boxes[{q}]: expected {len(line)} boxes, got {len(boxes)}")
 
     def n_chars(self) -> int:
         return sum(len(line) for line in self.lines)

@@ -69,6 +69,38 @@ def set_rd(maps: PredictionMaps, i: int, j: int, d: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# NMS oracle: the textbook greedy loop over (Box, score) candidates, each
+# candidate tested against every kept box with the IoU written out.
+# ---------------------------------------------------------------------------
+
+
+def _nms_reference(candidates, iou_threshold, shape):
+    """All-pairs greedy NMS: each candidate against every kept box."""
+    corners = [c[0].corners(shape) for c in candidates]
+    areas = [(x2 - x1) * (y2 - y1) for x1, y1, x2, y2 in corners]
+    order = sorted(range(len(candidates)), key=lambda k: -candidates[k][1])
+    kept = []
+    for k in order:
+        x1, y1, x2, y2 = corners[k]
+        ok = True
+        for m in kept:
+            mx1, my1, mx2, my2 = corners[m]
+            iw = min(x2, mx2) - max(x1, mx1)
+            if iw <= 0.0:
+                continue
+            ih = min(y2, my2) - max(y1, my1)
+            if ih <= 0.0:
+                continue
+            inter = iw * ih
+            if inter / (areas[k] + areas[m] - inter) > iou_threshold:
+                ok = False
+                break
+        if ok:
+            kept.append(k)
+    return sorted(kept)
+
+
+# ---------------------------------------------------------------------------
 # Edit-distance oracle: recursive, memoized over (hyp, ref) suffix pairs.
 # Preference on cost ties is equal > substitution > deletion > insertion,
 # applied from the end of both sequences, mirroring the canonical contract.

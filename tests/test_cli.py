@@ -455,8 +455,17 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, fi
      _EVAL, "error: annotations.jsonl:1: row.boxes[0][0][3]: must be > 0, got -0.5\n"),
     ({"config.json": json.dumps(_DATASET), "store.jsonl": _jsonl({**_LABEL, "h": 0})},
      _EXPORT, "error: store.jsonl:1: row.h: must be > 0, got 0\n"),
+    ({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(
+        {**_without(_ANNOT, "boxes"), "lines": [[1], [2], []]})},
+     _EVAL, "error: annotations.jsonl:1: row.lines[2]: must be non-empty\n"),
+    ({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl({**_ANNOT, "boxes": []})},
+     _EVAL, "error: annotations.jsonl:1: row.boxes: expected 1 lines, got 0\n"),
+    ({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(
+        {**_ANNOT, "boxes": [_ANNOT["boxes"][0] * 2]})},
+     _EVAL, "error: annotations.jsonl:1: row.boxes[0]: expected 1 boxes, got 2\n"),
 ], ids=["iou-th", "img-w", "char-w", "char-score", "annotation-box-w-0",
-        "annotation-box-h-negative", "store-row-h-0"])
+        "annotation-box-h-negative", "store-row-h-0", "annotation-empty-line",
+        "annotation-no-box-lines", "annotation-extra-box"])
 def test_eval_range_errors_name_the_flag_or_the_row(tmp_path, monkeypatch, capsys, files, argv,
                                                     message):
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (
+    _nms_reference,
     blank_maps,
     ctc_forward,
     exhaustive_best_labeling,
@@ -49,14 +51,13 @@ def test_fused_score_values():
 
 
 # The per-hit and per-step loops that extract_nodes and follow replaced live
-# on as test oracles: one numpy read per value, one argmax per row.
+# on as test oracles: one numpy read per value, one argmax per row, and
+# conftest's all-pairs NMS loop.
 
 
 def _extract_nodes_reference(
     maps: PredictionMaps, config: DecodeConfig = DecodeConfig()
 ) -> list[CharInstance]:
-    from gridtext.geometry import nms
-
     cand: list[CharInstance] = []
     hits = np.argwhere(maps.dis >= config.dis_threshold)
     for i0, j0 in sorted(hits.tolist(), key=lambda t: (t[1], t[0])):
@@ -76,7 +77,7 @@ def _extract_nodes_reference(
                 cls_prob=float(row[cls0]),
             )
         )
-    keep = nms([(c.box, c.score) for c in cand], config.nms_iou, maps.shape)
+    keep = _nms_reference([(c.box, c.score) for c in cand], config.nms_iou, maps.shape)
     return [cand[k] for k in keep]
 
 
@@ -168,6 +169,27 @@ def test_extract_nodes_row_major_order():
         put_char(maps, grid[0], grid[1], 1)
     nodes = extract_nodes(maps)
     assert [n.grid for n in nodes] == [(2, 2), (5, 2), (3, 7)]
+
+
+@pytest.mark.parametrize("nms_iou", [0.3, 1.0])
+def test_extract_nodes_on_page_spanning_boxes_matches_reference(nms_iou):
+    # Every grid is a hit whose box spans the page, so every pair of the
+    # 576 candidates shares every bucket; nms must still list each pair in
+    # bounded memory.
+    shape = GridShape(24, 24, 384.0, 384.0)
+    maps = blank_maps(shape, 1)
+    maps.dis[:] = np.random.default_rng(0).uniform(0.5, 1.0, (24, 24))
+    maps.box[:] = (0.5, 0.5, 2.0, 2.0)
+    maps.validate()
+    config = DecodeConfig(nms_iou=nms_iou)
+    tracemalloc.start()
+    try:
+        nodes = extract_nodes(maps, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
+    assert nodes == _extract_nodes_reference(maps, config)
 
 
 def _walk_maps():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _nms_reference
 from gridtext import geometry
 from gridtext.decoder import extract_nodes
 from gridtext.geometry import (
@@ -22,32 +23,6 @@ from gridtext.geometry import (
 )
 from gridtext.predictions import OracleNoise, oracle_predict
 from gridtext.synth import Layout, PageConfig, gen_page
-
-
-def _nms_reference(candidates, iou_threshold, shape):
-    """All-pairs greedy NMS: each candidate against every kept box."""
-    corners = [c[0].corners(shape) for c in candidates]
-    areas = [(x2 - x1) * (y2 - y1) for x1, y1, x2, y2 in corners]
-    order = sorted(range(len(candidates)), key=lambda k: -candidates[k][1])
-    kept = []
-    for k in order:
-        x1, y1, x2, y2 = corners[k]
-        ok = True
-        for m in kept:
-            mx1, my1, mx2, my2 = corners[m]
-            iw = min(x2, mx2) - max(x1, mx1)
-            if iw <= 0.0:
-                continue
-            ih = min(y2, my2) - max(y1, my1)
-            if ih <= 0.0:
-                continue
-            inter = iw * ih
-            if inter / (areas[k] + areas[m] - inter) > iou_threshold:
-                ok = False
-                break
-        if ok:
-            kept.append(k)
-    return sorted(kept)
 
 
 def test_rel_to_abs_zero_offset_corner(shape44):
@@ -190,16 +165,25 @@ def test_iou_is_the_corner_iou_of_the_corners(a, b, img):
         assert iou(a, a, shape) == (1.0 if 0.0 < 2 * area < math.inf else 0.0)
 
 
+def _rows(cands):
+    """The (n, 5) rows nms takes, from (Box, score) candidates."""
+    return np.array([[b.x, b.y, b.w, b.h, s] for b, s in cands]).reshape(-1, 5)
+
+
+def test_nms_no_candidates(shape44):
+    assert nms(np.empty((0, 5)), 0.3, shape44) == []
+
+
 def test_nms_identical_pair(shape44):
     box = Box(32, 32, 0.3, 0.3)
-    keep = nms([(box, 0.9), (box, 0.8)], 0.5, shape44)
+    keep = nms(_rows([(box, 0.9), (box, 0.8)]), 0.5, shape44)
     assert keep == [0]
 
 
 def test_nms_disjoint_all_kept(shape44):
     cands = [(Box(10, 10, 0.1, 0.1), 0.5), (Box(30, 30, 0.1, 0.1), 0.4),
              (Box(50, 50, 0.1, 0.1), 0.3)]
-    assert nms(cands, 0.5, shape44) == [0, 1, 2]
+    assert nms(_rows(cands), 0.5, shape44) == [0, 1, 2]
 
 
 def test_nms_chain_keeps_ends():
@@ -211,12 +195,12 @@ def test_nms_chain_keeps_ends():
     c = (Box(15, 5, 0.10, 0.10), 0.7)
     assert iou(a[0], b[0], shape) > 0.3
     assert iou(a[0], c[0], shape) == 0.0
-    assert nms([a, b, c], 0.3, shape) == [0, 2]
+    assert nms(_rows([a, b, c]), 0.3, shape) == [0, 2]
 
 
 def test_nms_equal_scores_keep_lower_index(shape44):
     box = Box(32, 32, 0.3, 0.3)
-    assert nms([(box, 0.7), (box, 0.7)], 0.5, shape44) == [0]
+    assert nms(_rows([(box, 0.7), (box, 0.7)]), 0.5, shape44) == [0]
 
 
 @given(
@@ -234,7 +218,7 @@ def test_nms_equal_scores_keep_lower_index(shape44):
 def test_nms_invariants(raw, threshold):
     shape = GridShape(4, 4, 64, 64)
     cands = [(Box(x, y, w, h), s) for x, y, w, h, s in raw]
-    keep = nms(cands, threshold, shape)
+    keep = nms(_rows(cands), threshold, shape)
     assert set(keep) <= set(range(len(cands)))
     for k in keep:
         for m in keep:
@@ -272,7 +256,7 @@ def test_nms_matches_all_pairs_reference(w_g, h_g, img, raw, threshold):
     cands = [
         (Box(x * shape.img_w, y * shape.img_h, w, h), s) for x, y, w, h, s in raw
     ]
-    assert nms(cands, threshold, shape) == _nms_reference(cands, threshold, shape)
+    assert nms(_rows(cands), threshold, shape) == _nms_reference(cands, threshold, shape)
 
 
 def test_nms_non_finite_extents_match_reference(shape44):
@@ -285,7 +269,7 @@ def test_nms_non_finite_extents_match_reference(shape44):
         (Box(12, 48, 0.25, 0.25), 0.5),
     ]
     for threshold in (0.0, 0.3, 1.0):
-        assert nms(cands, threshold, shape44) == _nms_reference(cands, threshold, shape44)
+        assert nms(_rows(cands), threshold, shape44) == _nms_reference(cands, threshold, shape44)
 
 
 def test_extract_nodes_matches_reference_on_large_page(monkeypatch):
@@ -301,9 +285,9 @@ def test_extract_nodes_matches_reference_on_large_page(monkeypatch):
     nodes = extract_nodes(maps)
     calls = []
 
-    def counted(*args):
+    def counted(rows, *args):
         calls.append(1)
-        return _nms_reference(*args)
+        return _nms_reference([(Box(*r[:4]), r[4]) for r in rows.tolist()], *args)
 
     monkeypatch.setattr(geometry, "nms", counted)
     reference = extract_nodes(maps)
