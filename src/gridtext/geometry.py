@@ -10,16 +10,17 @@ arrays that :func:`cells` makes from 1-based grids and that index a map.
 Only this module converts between a map's cell-relative boxes (x_o, y_o,
 w_o, h_o), the centre an offset within its cell, and absolute ones:
 :func:`rel_to_abs` and :func:`abs_to_rel` map ``(n, 4)`` float64 rows at
-``at``.  :func:`nms` likewise takes its candidates as ``(n, 5)`` float64
-``x, y, w, h, score`` rows, and tests overlapping pairs in bulk with
-:func:`corner_iou`'s expression.
+``at``.  :func:`corners` and :func:`corner_ious` are :meth:`Box.corners` and
+:func:`corner_iou` over :func:`box_rows`.  :func:`nms` likewise takes its
+candidates as ``(n, 5)`` float64 ``x, y, w, h, score`` rows, and tests
+overlapping pairs in bulk with :func:`corner_iou`'s expression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -153,6 +154,41 @@ def corner_iou(a: Corners, b: Corners) -> float:
     inter = iw * ih
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union if union > 0.0 else 0.0
+
+
+def box_rows(boxes: Sequence[Box]) -> np.ndarray:
+    """The ``(n, 4)`` float64 ``x, y, w, h`` rows of ``boxes``."""
+    xs, ys = [b.x for b in boxes], [b.y for b in boxes]
+    ws, hs = [b.w for b in boxes], [b.h for b in boxes]
+    return np.array([xs, ys, ws, hs], dtype=np.float64).T
+
+
+def corners(rows: np.ndarray, shape: GridShape) -> np.ndarray:
+    """:meth:`Box.corners` of ``(n, 4)`` float64 ``x, y, w, h`` rows, with
+    the same float expression, as a ``(4, n)`` array of x1, y1, x2, y2."""
+    x, y, w, h = rows.T
+    with np.errstate(all="ignore"):  # huge extents overflow to inf
+        hw = 0.5 * w * shape.img_w
+        hh = 0.5 * h * shape.img_h
+        return np.array([x - hw, y - hh, x + hw, y + hh])
+
+
+def corner_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`corner_iou` of each pair of columns of two ``(4, n)`` arrays of
+    :func:`corners`, with the same float expression elementwise.
+
+    Its guards answer 0.0 only where the ratio is NaN or negative.  Where a
+    corner is NaN, ``np.minimum`` gives NaN where ``min`` may not, but the
+    area, and so the union, is NaN either way, and the answer is 0.0.
+    """
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    with np.errstate(all="ignore"):  # corners may be inf or NaN
+        iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+        ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+        inter = iw * ih
+        union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+        return np.where((iw > 0.0) & (ih > 0.0) & (union > 0.0), inter / union, 0.0)
 
 
 # Candidate pairs listed, tested or passed to the greedy loop at a time.

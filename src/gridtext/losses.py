@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping
+from itertools import chain
+from typing import TYPE_CHECKING, Collection, Mapping
 
 import numpy as np
 
-from .geometry import GridShape, abs_to_rel, cells
+from .geometry import GridShape, abs_to_rel, box_rows
 from .predictions import PredictionMaps
 from .pseudolabels import LossTargets, PseudoLabel
 
@@ -52,30 +53,30 @@ class LossReport:
         return {name: getattr(self, f"l_{name}") for name in TERM_NAMES}
 
 
-def _log(p: float, flags: list[str], name: str) -> float:
-    if p < CLAMP or p > 1.0 - CLAMP:
-        if f"{name}:clamped" not in flags:
-            flags.append(f"{name}:clamped")
-        p = min(max(p, CLAMP), 1.0 - CLAMP)
-    return math.log(p)
-
-
-def _mean_neg_log(values: Iterable[float], flags: list[str], name: str) -> float:
-    vals = list(values)
-    if not vals:
+def _mean_neg_log(vals: np.ndarray, flags: list[str], name: str) -> float:
+    """Mean of -log over ``vals``, each clamped into [CLAMP, 1 - CLAMP]; the
+    logs are summed in order, as Python floats."""
+    if not len(vals):
         flags.append(f"{name}:empty")
         return 0.0
-    return -sum(_log(v, flags, name) for v in vals) / len(vals)
+    if ((vals < CLAMP) | (vals > 1.0 - CLAMP)).any():
+        flags.append(f"{name}:clamped")
+        vals = np.minimum(np.maximum(vals, CLAMP), 1.0 - CLAMP)
+    return -sum(map(math.log, vals.tolist())) / len(vals)
 
 
-def _gather(arr: np.ndarray, cells: Iterable[tuple[int, ...]]) -> list:
-    """``arr[i - 1, j - 1, *rest]`` for each cell ``(i, j, *rest)`` of 1-based
-    grids, as Python values in the cells' order."""
-    idx = np.array(list(cells), dtype=np.intp).T
-    if not idx.size:
-        return []
-    idx[:2] -= 1
-    return arr[tuple(idx)].tolist()
+def _sorted_cells(targets: Collection[tuple[int, ...]], width: int) -> np.ndarray:
+    """The ``width``-int tuples of ``targets`` as the columns of an intp
+    array, in the order ``sorted`` lists them."""
+    idx = np.fromiter(chain.from_iterable(targets), np.intp, width * len(targets))
+    idx = idx.reshape(-1, width).T
+    return idx[:, np.lexsort(idx[::-1])]
+
+
+def _gather(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``arr[i - 1, j - 1, *rest]`` for each column ``(i, j, *rest)`` of
+    ``idx``, 1-based grids, as float64 in the columns' order."""
+    return arr[(idx[0] - 1, idx[1] - 1, *idx[2:])].astype(np.float64)
 
 
 def loss_dis(maps: PredictionMaps, targets: LossTargets) -> Term:
@@ -93,18 +94,22 @@ def loss_box(
     shape: GridShape,
 ) -> Term:
     """Weighted mean square error between predicted and pseudo-label boxes,
-    both in cell-relative form; offsets weigh 1.0, extents 0.1."""
+    both in cell-relative form; offsets weigh 1.0, extents 0.1.  Each row's
+    weighted squares are summed, then the rows, in the order of s_c."""
     flags: list[str] = []
     if not targets.s_c:
         flags.append("box:empty")
         return Term(0.0, 0, flags)
-    s_c = sorted(targets.s_c)
-    at = cells((i, j) for i, j, _, _ in s_c)
-    boxes = [labels[(q, n)].box for _, _, q, n in s_c]
-    want = abs_to_rel(np.array([(b.x, b.y, b.w, b.h) for b in boxes]), at, shape)
+    i, j, q, n = _sorted_cells(targets.s_c, 4)
+    at = (i - 1, j - 1)
+    boxes = [labels[key].box for key in zip(q.tolist(), n.tolist())]
+    want = abs_to_rel(box_rows(boxes), at, shape)
+    with np.errstate(over="ignore"):  # as Python floats, far boxes give inf
+        diffs = maps.box[at] - want
+        squares = np.array(BOX_WEIGHTS) * diffs * diffs
     total = 0.0
-    for diffs in (maps.box[at] - want).tolist():
-        total += sum(w * d * d for w, d in zip(BOX_WEIGHTS, diffs))
+    for row in squares.tolist():
+        total += sum(row)
     return Term(total / len(targets.s_c), len(targets.s_c), flags)
 
 
@@ -113,14 +118,9 @@ def loss_cls(
 ) -> Term:
     """Cross entropy of the annotated class at each labeled grid."""
     flags: list[str] = []
-    value = _mean_neg_log(
-        _gather(
-            maps.cls,
-            ((i, j, annot.lines[q - 1][n - 1] - 1) for i, j, q, n in sorted(targets.s_c)),
-        ),
-        flags,
-        "cls",
-    )
+    i, j, q, n = _sorted_cells(targets.s_c, 4)
+    cls = [annot.lines[a - 1][b - 1] - 1 for a, b in zip(q.tolist(), n.tolist())]
+    value = _mean_neg_log(_gather(maps.cls, np.array([i, j, cls], np.intp)), flags, "cls")
     return Term(value, len(targets.s_c), flags)
 
 
@@ -128,10 +128,8 @@ def _balanced_bce(
     grid_map, pos: Collection[tuple[int, int]], neg: Collection[tuple[int, int]], name: str
 ) -> Term:
     flags: list[str] = []
-    p = _mean_neg_log(_gather(grid_map, sorted(pos)), flags, f"{name}_pos")
-    n = _mean_neg_log(
-        (1.0 - v for v in _gather(grid_map, sorted(neg))), flags, f"{name}_neg"
-    )
+    p = _mean_neg_log(_gather(grid_map, _sorted_cells(pos, 2)), flags, f"{name}_pos")
+    n = _mean_neg_log(1.0 - _gather(grid_map, _sorted_cells(neg, 2)), flags, f"{name}_neg")
     return Term(0.5 * p + 0.5 * n, len(pos) + len(neg), flags)
 
 
@@ -146,7 +144,7 @@ def loss_eol(maps: PredictionMaps, targets: LossTargets) -> Term:
 def loss_rd(maps: PredictionMaps, targets: LossTargets) -> Term:
     """Cross entropy of the path direction at every generated path grid."""
     flags: list[str] = []
-    value = _mean_neg_log(_gather(maps.rd, sorted(targets.s_rd)), flags, "rd")
+    value = _mean_neg_log(_gather(maps.rd, _sorted_cells(targets.s_rd, 3)), flags, "rd")
     return Term(value, len(targets.s_rd), flags)
 
 

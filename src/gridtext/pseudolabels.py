@@ -49,10 +49,16 @@ class PseudoLabelStore:
         self._pages: dict[str, dict[tuple[int, int], PseudoLabel]] = {}
 
     def page(self, page_id: str) -> dict[tuple[int, int], PseudoLabel]:
+        """The labels of one page to write into; an absent page is added."""
         return self._pages.setdefault(page_id, {})
 
+    def labels(self, page_id: str) -> Mapping[tuple[int, int], PseudoLabel]:
+        """The labels of one page to read; an absent page reads as empty and
+        is not added."""
+        return self._pages.get(page_id, {})
+
     def get(self, page_id: str, q: int, n: int) -> PseudoLabel | None:
-        return self._pages.get(page_id, {}).get((q, n))
+        return self.labels(page_id).get((q, n))
 
     def set(self, page_id: str, q: int, n: int, label: PseudoLabel) -> None:
         self.page(page_id)[(q, n)] = label
@@ -67,7 +73,7 @@ class PseudoLabelStore:
         """One JSON row per label of each page in ``page_ids``, in (q, n)
         order; :meth:`load` reads the rows back."""
         for page_id in page_ids:
-            labels = self._pages.get(page_id, {})
+            labels = self.labels(page_id)
             for (q, n) in sorted(labels):
                 lab = labels[(q, n)]
                 yield {
@@ -174,30 +180,34 @@ class LossTargets:
 
 
 def gen_paths(
-    labels: Mapping[tuple[int, int], PseudoLabel],
+    grids: Mapping[tuple[int, int], tuple[int, int]],
     annot: "PageAnnotation",
-    shape: GridShape,
     rng: np.random.Generator,
 ) -> set[tuple[int, int, int]]:
     """Random monotone paths between grids of consecutive pseudo-labels.
 
-    For each consecutive pair that both exist, the path takes the required
+    ``grids`` maps each label's (q, n) to its :func:`grid_of`.  For each
+    consecutive pair that both exist, the path takes the required
     horizontal and vertical unit moves with the vertical positions drawn
     uniformly at random; every step emits (i, j, direction).
+
+    Only a pair with vertical moves draws: a size-0 ``rng.choice`` returns
+    nothing and leaves the generator's state as it was, so skipping it
+    changes no later draw.
     """
     s_rd: set[tuple[int, int, int]] = set()
     for q, line in enumerate(annot.lines, start=1):
         for n in range(1, len(line)):
-            a = labels.get((q, n))
-            b = labels.get((q, n + 1))
-            if a is None or b is None:
+            src = grids.get((q, n))
+            dst = grids.get((q, n + 1))
+            if src is None or dst is None:
                 continue
-            src = grid_of(a.box, shape)
-            dst = grid_of(b.box, shape)
-            total = abs(dst[0] - src[0]) + abs(dst[1] - src[1])
             n_vert = abs(dst[1] - src[1])
-            slots = rng.choice(total, size=n_vert, replace=False) if total else []
-            for g, d in staircase(src, dst, vertical_slots=[int(s) for s in slots]):
+            slots = []
+            if n_vert:
+                total = abs(dst[0] - src[0]) + n_vert
+                slots = rng.choice(total, size=n_vert, replace=False).tolist()
+            for g, d in staircase(src, dst, vertical_slots=slots):
                 s_rd.add((g[0], g[1], int(d)))
     return s_rd
 
@@ -219,9 +229,10 @@ def build_targets(
     """
     targets = LossTargets()
 
+    grids = {key: grid_of(label.box, shape) for key, label in labels.items()}
     per_grid: dict[tuple[int, int], tuple[int, int]] = {}
     for (q, n) in sorted(labels):
-        g = grid_of(labels[(q, n)].box, shape)
+        g = grids[(q, n)]
         prev = per_grid.get(g)
         if prev is None:
             per_grid[g] = (q, n)
@@ -249,5 +260,5 @@ def build_targets(
     targets.s_s_neg = all_grids - targets.s_s_pos
     targets.s_e_neg = all_grids - targets.s_e_pos
 
-    targets.s_rd = gen_paths(labels, annot, shape, rng)
+    targets.s_rd = gen_paths(grids, annot, rng)
     return targets

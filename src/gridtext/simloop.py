@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .decoder import DecodeConfig, decode
-from .geometry import iou
+from .geometry import box_rows, corner_ious, corners
 from .losses import compute_losses
 from .matching import match_chars, match_lines, spatial_filter
 from .predictions import OracleNoise, oracle_predict
@@ -107,7 +107,7 @@ def _gt_labels(page: SyntheticPage) -> dict[tuple[int, int], PseudoLabel]:
 
 def coverage(store: PseudoLabelStore, pages: Sequence[SyntheticPage]) -> float:
     total = sum(p.annotation.n_chars() for p in pages)
-    have = sum(len(store.page(p.page_id)) for p in pages)
+    have = sum(len(store.labels(p.page_id)) for p in pages)
     return have / total if total else 0.0
 
 
@@ -115,12 +115,19 @@ def mean_label_iou(
     store: PseudoLabelStore, pages: Sequence[SyntheticPage]
 ) -> float | None:
     """Mean IoU between stored pseudo-labels and ground-truth boxes; None
-    when the store holds no label of these pages."""
+    when the store holds no label of these pages.
+
+    Each page's labels are scored with :func:`corner_ious` at once, and
+    the IoUs are summed in store order, as :func:`iou` gives each."""
     vals: list[float] = []
     for page in pages:
-        for (q, n), label in store.page(page.page_id).items():
-            gt = page.annotation.boxes[q - 1][n - 1]
-            vals.append(iou(label.box, gt, page.shape))
+        labels = store.labels(page.page_id)
+        if labels:
+            gt = page.annotation.boxes
+            boxes = [label.box for label in labels.values()]
+            boxes += [gt[q - 1][n - 1] for q, n in labels]
+            both = corners(box_rows(boxes), page.shape)
+            vals.extend(corner_ious(both[:, :len(labels)], both[:, len(labels):]).tolist())
     if not vals:
         return None
     return sum(vals) / len(vals)
@@ -135,7 +142,7 @@ def check_store(store: PseudoLabelStore, dataset: Sequence[SyntheticPage]) -> No
         raise ConfigError(f"store holds pages not in the dataset: {stale[:5]}")
     for pid in store.page_ids():
         lines = pages[pid].annotation.lines
-        for q, n in store.page(pid):
+        for q, n in store.labels(pid):
             if not (1 <= q <= len(lines) and 1 <= n <= len(lines[q - 1])):
                 raise ConfigError(
                     f"store label ({q}, {n}) of page {pid!r} is outside its transcript"

@@ -30,7 +30,7 @@ from gridtext.decoder import (
     rescore_with_lm,
     validate_result,
 )
-from gridtext.geometry import Box, GridShape, cells, rel_to_abs
+from gridtext.geometry import Box, GridShape, cells, grid_of, rel_to_abs
 from gridtext.losses import compute_losses, loss_box, loss_cls, loss_dis, loss_rd, loss_sol
 from gridtext.matching import PageAnnotation, edit_counts, match_chars, match_lines
 from gridtext.metrics import ar_star, det_prf
@@ -219,12 +219,13 @@ def test_criterion_08_path_generation_distribution():
         (1, 1): PseudoLabel(box=cell_box(2, 2), gamma=0.9),
         (1, 2): PseudoLabel(box=cell_box(3, 3), gamma=0.9),
     }
+    grids = {key: grid_of(label.box, shape) for key, label in labels.items()}
     annot = PageAnnotation(lines=[[1, 2]])
     right_then_down = {(2, 2, 1), (3, 2, 2)}
     down_then_right = {(2, 2, 2), (2, 3, 1)}
     counts = {True: 0, False: 0}
     for seed in range(10_000):
-        s_rd = gen_paths(labels, annot, shape, np.random.default_rng(seed))
+        s_rd = gen_paths(grids, annot, np.random.default_rng(seed))
         assert s_rd in (right_then_down, down_then_right)
         counts[s_rd == right_then_down] += 1
         pos = (2, 2)

@@ -14,8 +14,11 @@ from gridtext.geometry import (
     Box,
     GridShape,
     abs_to_rel,
+    box_rows,
     cells,
     corner_iou,
+    corner_ious,
+    corners,
     grid_of,
     iou,
     nms,
@@ -163,6 +166,23 @@ def test_iou_is_the_corner_iou_of_the_corners(a, b, img):
         # Identical boxes score exactly 1.0 whenever their union is a
         # positive finite float; otherwise, as with infinite corners, 0.0.
         assert iou(a, a, shape) == (1.0 if 0.0 < 2 * area < math.inf else 0.0)
+
+
+@settings(max_examples=200)
+@given(
+    pairs=st.lists(st.tuples(_iou_box, _iou_box), max_size=8),
+    img=st.tuples(*[st.sampled_from([1e-100, 1.0, 64.0, 1e100])] * 2),
+)
+def test_corner_ious_are_corner_iou_elementwise(pairs, img):
+    shape = GridShape(4, 4, *img)
+    a = corners(box_rows([p[0] for p in pairs]), shape)
+    b = corners(box_rows([p[1] for p in pairs]), shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = corner_ious(a, b)
+    assert a.shape == b.shape == (4, len(pairs))
+    assert a.T.tolist() == [list(p[0].corners(shape)) for p in pairs]
+    assert got.tolist() == [iou(p, q, shape) for p, q in pairs]
 
 
 def _rows(cands):

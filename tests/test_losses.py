@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import blank_maps, gt_label_map, naive_losses, put_char, set_rd
-from gridtext.geometry import Box, GridShape, cells, grid_of, rel_to_abs
+from gridtext.geometry import Box, GridShape, abs_to_rel, cells, grid_of, rel_to_abs
 from gridtext.losses import (
+    BOX_WEIGHTS,
+    CLAMP,
+    Term,
+    _mean_neg_log,
+    _sorted_cells,
     compute_losses,
     loss_box,
     loss_cls,
@@ -184,3 +191,146 @@ def test_clamping_flags_extreme_probabilities():
     term = loss_dis(maps, targets)
     assert math.isclose(term.value, 0.5 * -math.log(1e-7), rel_tol=1e-9)
     assert "dis_pos:clamped" in term.flags
+
+
+# ---------------------------------------------------------------------------
+# The per-element loops the loss terms ran before they worked on arrays.  The
+# array forms must give the same floats, not close ones, and the same flags.
+# ---------------------------------------------------------------------------
+
+
+def _mean_neg_log_reference(values, flags, name):
+    def log(p):
+        if p < CLAMP or p > 1.0 - CLAMP:
+            if f"{name}:clamped" not in flags:
+                flags.append(f"{name}:clamped")
+            p = min(max(p, CLAMP), 1.0 - CLAMP)
+        return math.log(p)
+
+    vals = list(values)
+    if not vals:
+        flags.append(f"{name}:empty")
+        return 0.0
+    return -sum(log(v) for v in vals) / len(vals)
+
+
+def _loss_box_reference(maps, targets, labels, shape):
+    flags = []
+    if not targets.s_c:
+        flags.append("box:empty")
+        return Term(0.0, 0, flags)
+    s_c = sorted(targets.s_c)
+    at = cells((i, j) for i, j, _, _ in s_c)
+    boxes = [labels[(q, n)].box for _, _, q, n in s_c]
+    want = abs_to_rel(np.array([(b.x, b.y, b.w, b.h) for b in boxes]), at, shape)
+    total = 0.0
+    for diffs in (maps.box[at] - want).tolist():
+        total += sum(w * d * d for w, d in zip(BOX_WEIGHTS, diffs))
+    return Term(total / len(targets.s_c), len(targets.s_c), flags)
+
+
+def _log_terms_reference(maps, targets, annot):
+    """dis, cls, sol, eol and rd, each value read with ``float`` in the
+    sorted order of its targets."""
+
+    def values(arr, cells):
+        return [float(arr[(i - 1, j - 1, *rest)]) for i, j, *rest in cells]
+
+    def bce(arr, pos, neg, name):
+        flags = []
+        p = _mean_neg_log_reference(values(arr, sorted(pos)), flags, f"{name}_pos")
+        n = _mean_neg_log_reference(
+            [1.0 - v for v in values(arr, sorted(neg))], flags, f"{name}_neg")
+        return Term(0.5 * p + 0.5 * n, len(pos) + len(neg), flags)
+
+    s_c = sorted(targets.s_c)
+    cls_flags, rd_flags = [], []
+    cls_cells = [(i, j, annot.lines[q - 1][n - 1] - 1) for i, j, q, n in s_c]
+    return {
+        "dis": bce(maps.dis, [(i, j) for i, j, _, _ in s_c], targets.s_d_neg, "dis"),
+        "cls": Term(_mean_neg_log_reference(values(maps.cls, cls_cells), cls_flags, "cls"),
+                    len(s_c), cls_flags),
+        "sol": bce(maps.sol, targets.s_s_pos, targets.s_s_neg, "sol"),
+        "eol": bce(maps.eol, targets.s_e_pos, targets.s_e_neg, "eol"),
+        "rd": Term(_mean_neg_log_reference(values(maps.rd, sorted(targets.s_rd)), rd_flags, "rd"),
+                   len(targets.s_rd), rd_flags),
+    }
+
+
+# The clamp's ends and the points around them, subnormals, and values
+# outside [0, 1] that a hand-built map may hold.
+_EDGES = [0.0, -0.0, CLAMP, 1.0 - CLAMP, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+          float(np.float32(1e-45)), float(np.float32(CLAMP)), float(np.float32(1.0 - CLAMP)),
+          np.nextafter(CLAMP, 0.0), np.nextafter(1.0 - CLAMP, 1.0), -0.25, 1.5]
+_prob = st.sampled_from(_EDGES) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300)
+@given(vals=st.lists(_prob, max_size=12))
+@example(vals=[])
+@example(vals=[CLAMP, 1.0 - CLAMP])
+def test_mean_neg_log_matches_reference_exactly(vals):
+    flags, want_flags = ["other"], ["other"]
+    got = _mean_neg_log(np.array(vals, dtype=np.float64), flags, "t")
+    assert got == _mean_neg_log_reference(vals, want_flags, "t")
+    assert flags == want_flags
+
+
+@given(width=st.integers(2, 4), data=st.data())
+def test_sorted_cells_lists_targets_as_sorted_does(width, data):
+    cells = data.draw(st.lists(st.tuples(*[st.integers(-2, 9)] * width), max_size=40)
+                      | st.sets(st.tuples(*[st.integers(0, 3)] * width), max_size=40))
+    got = _sorted_cells(cells, width)
+    assert got.shape == (width, len(cells))
+    assert [tuple(c) for c in got.T.tolist()] == sorted(cells)
+
+
+_grid = st.tuples(st.integers(1, 8), st.integers(1, 8))
+_annot = PageAnnotation(lines=[[1, 4, 2], [3, 3]])
+_label_keys = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+
+
+@st.composite
+def _loss_case(draw):
+    """Maps filled with clamp edges, subnormals and uniform values, and
+    target sets that may be empty, may share grids, and may be large."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = _maps()
+    edges = np.array(_EDGES[:12], dtype=np.float32)
+    for arr in (maps.dis, maps.sol, maps.eol, maps.cls, maps.rd):
+        arr[...] = rng.uniform(0.0, 1.0, arr.shape)
+        mask = rng.random(arr.shape) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+        arr[mask] = rng.choice(edges, mask.sum())
+    maps.box[...] = rng.normal(0.5, draw(st.sampled_from([0.1, 1e3])), maps.box.shape)
+    sets = lambda elem: st.sets(elem, max_size=draw(st.sampled_from([0, 3, 64])))
+    s_c = draw(sets(st.tuples(st.integers(1, 8), st.integers(1, 8), st.sampled_from(_label_keys))))
+    labels = {
+        key: PseudoLabel(
+            box=Box(*draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                                    st.floats(1e-6, 4.0) | st.just(5e-324),
+                                    st.floats(1e-6, 4.0)))),
+            gamma=1.0)
+        for key in _label_keys
+    }
+    targets = LossTargets(
+        s_c={(i, j, q, n) for i, j, (q, n) in s_c},
+        s_d_neg=draw(sets(_grid)),
+        s_s_pos=draw(sets(_grid)), s_s_neg=draw(sets(_grid)),
+        s_e_pos=draw(sets(_grid)), s_e_neg=draw(sets(_grid)),
+        s_rd=draw(sets(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(0, 3)))),
+    )
+    return maps, targets, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_loss_case())
+def test_loss_terms_match_reference_loops_exactly(case):
+    maps, targets, labels = case
+    want = _log_terms_reference(maps, targets, _annot)
+    assert loss_dis(maps, targets) == want["dis"]
+    assert loss_cls(maps, targets, _annot) == want["cls"]
+    assert loss_sol(maps, targets) == want["sol"]
+    assert loss_eol(maps, targets) == want["eol"]
+    assert loss_rd(maps, targets) == want["rd"]
+    assert loss_box(maps, targets, labels, SHAPE) == _loss_box_reference(
+        maps, targets, labels, SHAPE)

@@ -16,7 +16,7 @@ from gridtext.pseudolabels import (
     update,
     update_weight,
 )
-from gridtext.predictions import DIR_DELTAS
+from gridtext.predictions import DIR_DELTAS, staircase
 
 SHAPE = GridShape(8, 8, 128, 128)
 
@@ -95,13 +95,17 @@ def _labels(*grid_pairs):
     return out
 
 
+def _grids(labels):
+    return {key: grid_of(label.box, SHAPE) for key, label in labels.items()}
+
+
 def test_gen_paths_same_grid_contributes_nothing():
     labels = _labels(((1, 1), (2, 2)))
     labels[(1, 2)] = PseudoLabel(box=Box(_cell_box(2, 2).x + 1, _cell_box(2, 2).y, 0.08, 0.08), gamma=0.9)
     annot = PageAnnotation(lines=[[1, 2]])
     rng = np.random.default_rng(0)
     assert grid_of(labels[(1, 2)].box, SHAPE) == (2, 2)
-    assert gen_paths(labels, annot, SHAPE, rng) == set()
+    assert gen_paths(_grids(labels), annot, rng) == set()
 
 
 def test_gen_paths_horizontal_pair_deterministic():
@@ -109,7 +113,7 @@ def test_gen_paths_horizontal_pair_deterministic():
     annot = PageAnnotation(lines=[[1, 2]])
     rng = np.random.default_rng(0)
     want = {(2, 2, 1), (3, 2, 1)}  # two RIGHT moves
-    assert gen_paths(labels, annot, SHAPE, rng) == want
+    assert gen_paths(_grids(labels), annot, rng) == want
 
 
 def test_gen_paths_two_staircases_both_occur():
@@ -117,7 +121,7 @@ def test_gen_paths_two_staircases_both_occur():
     annot = PageAnnotation(lines=[[1, 2]])
     variants = set()
     for seed in range(64):
-        s_rd = gen_paths(labels, annot, SHAPE, np.random.default_rng(seed))
+        s_rd = gen_paths(_grids(labels), annot, np.random.default_rng(seed))
         variants.add(frozenset(s_rd))
     right_then_down = frozenset({(2, 2, 1), (3, 2, 2)})
     down_then_right = frozenset({(2, 2, 2), (2, 3, 1)})
@@ -134,7 +138,7 @@ def test_gen_paths_adjacency_and_endpoint(si, sj, ti, tj, seed):
     labels = _labels(((1, 1), (si, sj)), ((1, 2), (ti, tj)))
     annot = PageAnnotation(lines=[[1, 2]])
     rng = np.random.default_rng(seed)
-    s_rd = gen_paths(labels, annot, SHAPE, rng)
+    s_rd = gen_paths(_grids(labels), annot, rng)
     dist = abs(ti - si) + abs(tj - sj)
     assert len(s_rd) == dist
     # replay the emitted steps: they must chain 4-adjacent from source to target
@@ -146,6 +150,76 @@ def test_gen_paths_adjacency_and_endpoint(si, sj, ti, tj, seed):
         pos = (pos[0] + di, pos[1] + dj)
     assert pos == (ti, tj)
     assert not remaining
+
+
+def _gen_paths_reference(labels, annot, shape, rng):
+    """The loop before pairs without vertical moves stopped drawing: every
+    pair with any move calls ``rng.choice``, and each grid is recomputed."""
+    s_rd = set()
+    for q, line in enumerate(annot.lines, start=1):
+        for n in range(1, len(line)):
+            a = labels.get((q, n))
+            b = labels.get((q, n + 1))
+            if a is None or b is None:
+                continue
+            src = grid_of(a.box, shape)
+            dst = grid_of(b.box, shape)
+            total = abs(dst[0] - src[0]) + abs(dst[1] - src[1])
+            n_vert = abs(dst[1] - src[1])
+            slots = rng.choice(total, size=n_vert, replace=False) if total else []
+            for g, d in staircase(src, dst, vertical_slots=[int(s) for s in slots]):
+                s_rd.add((g[0], g[1], int(d)))
+    return s_rd
+
+
+_MOVES = ("same grid", "same cell", "horizontal", "vertical", "mixed", "missing")
+
+
+@st.composite
+def _path_cases(draw):
+    """Lines whose consecutive labels mix every kind of pair: on one grid,
+    horizontal only, vertical only, both, and with a label missing."""
+    lines, labels = [], {}
+    for q in range(1, draw(st.integers(1, 3)) + 1):
+        lines.append(list(range(1, draw(st.integers(1, 6)) + 1)))
+        i, j = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        for n in lines[-1]:
+            move = draw(st.sampled_from(_MOVES))
+            if move in ("horizontal", "mixed"):
+                i = draw(st.integers(1, 8).filter(lambda v, i=i: v != i))
+            if move in ("vertical", "mixed"):
+                j = draw(st.integers(1, 8).filter(lambda v, j=j: v != j))
+            box = _cell_box(i, j)
+            if move == "same cell":  # off the centre, in the same grid
+                box = Box(box.x + 3.0, box.y - 2.0, 0.05, 0.1)
+            if move != "missing":
+                labels[(q, n)] = PseudoLabel(box=box, gamma=0.9)
+    return labels, PageAnnotation(lines=lines)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_path_cases(), seed=st.integers(0, 2**32 - 1))
+def test_gen_paths_matches_reference_and_leaves_the_same_rng_state(case, seed):
+    labels, annot = case
+    want_rng = np.random.default_rng(seed)
+    want = _gen_paths_reference(labels, annot, SHAPE, want_rng)
+    rng = np.random.default_rng(seed)
+    assert gen_paths(_grids(labels), annot, rng) == want
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    rng = np.random.default_rng(seed)
+    targets = build_targets(labels, annot, PageResult(lines=[]), set(), SHAPE, rng)
+    assert targets.s_rd == want
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_store_labels_reads_without_adding_a_page():
+    store = PseudoLabelStore()
+    assert store.labels("absent") == {} and store.get("absent", 1, 1) is None
+    assert store.page_ids() == []
+    label = PseudoLabel(box=_cell_box(2, 2), gamma=0.5)
+    store.page("written")[(1, 1)] = label
+    assert store.labels("written") == {(1, 1): label}
+    assert store.page_ids() == ["written"]
 
 
 def test_build_targets_single_char_line():

@@ -1,6 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridtext import simloop, synth
 from gridtext.cli import main
@@ -15,7 +18,8 @@ from gridtext.simloop import (
     run_stage,
 )
 from gridtext.synth import PageConfig, gen_dataset
-from gridtext.geometry import Box, iou
+from gridtext.geometry import Box, GridShape, iou
+from gridtext.matching import PageAnnotation
 
 
 def _pages(n=4, seed=50, **overrides):
@@ -175,6 +179,69 @@ def test_coverage_and_iou_helpers():
     store.set(pages[0].page_id, 1, 1, PseudoLabel(box=q1_box, gamma=1.0))
     assert 0.0 < coverage(store, pages) < 1.0
     assert mean_label_iou(store, pages) == 1.0
+
+
+def test_scoring_and_export_leave_the_store_pages_as_they_were():
+    pages = _pages(n=2)
+    store = PseudoLabelStore()
+    for filled in ([], [pages[0].page_id]):
+        for score in (coverage, mean_label_iou, export_labels):
+            score(store, pages)
+            assert store.page_ids() == filled, score.__name__
+        store.set(pages[0].page_id, 1, 1, PseudoLabel(pages[0].annotation.boxes[0][0], 1.0))
+
+
+def _mean_label_iou_reference(store, pages):
+    """The per-label loop mean_label_iou ran before it scored a page at once."""
+    vals = []
+    for page in pages:
+        for (q, n), label in store.labels(page.page_id).items():
+            vals.append(iou(label.box, page.annotation.boxes[q - 1][n - 1], page.shape))
+    if not vals:
+        return None
+    return sum(vals) / len(vals)
+
+
+# Centres on a 64-pixel page or anywhere finite; extents from subnormal to
+# ones whose corners overflow to infinity.
+_centre = st.floats(0, 64) | st.floats(-1e300, 1e300)
+_extent = st.sampled_from([0.1, 0.5]) | st.floats(5e-324, 1.7e308)
+_box = st.builds(Box, _centre, _centre, _extent, _extent)
+_on_page = st.builds(Box, *[st.floats(0, 64)] * 2, *[st.floats(0.01, 1)] * 2)
+# Scales of at least 1: a smaller one could round a subnormal extent to 0.
+_shift, _scale = st.floats(-8.0, 8.0), st.floats(1.0, 2.0)
+
+
+@st.composite
+def _scored_store(draw):
+    """Pages of up to three lines, and a store holding some of their labels,
+    in a drawn order: on the ground truth, shifted and scaled near it, or
+    anywhere."""
+    store, pages = PseudoLabelStore(), []
+    for k in range(draw(st.integers(0, 3))):
+        lines = [[1] * draw(st.integers(1, 12)) for _ in range(draw(st.integers(1, 3)))]
+        boxes = [[draw(_on_page | _box) for _ in line] for line in lines]
+        img = draw(st.sampled_from([1e-100, 1.0, 64.0, 1e100]))
+        page = SimpleNamespace(page_id=f"p{k}", shape=GridShape(4, 4, img, img),
+                               annotation=PageAnnotation(lines=lines, boxes=boxes))
+        pages.append(page)
+        keys = [(q, n) for q, line in enumerate(lines, 1) for n in range(1, len(line) + 1)]
+        for q, n in draw(st.permutations(keys).flatmap(
+                lambda ks: st.integers(0, len(ks)).map(lambda m: ks[:m]))):
+            gt = boxes[q - 1][n - 1]
+            near = st.builds(lambda dx, dy, sw, sh: Box(gt.x + dx, gt.y + dy, gt.w * sw, gt.h * sh),
+                             _shift, _shift, _scale, _scale)
+            box = draw(st.just(gt) | near | _box)
+            store.set(page.page_id, q, n, PseudoLabel(box, 1.0))
+    return store, pages
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_scored_store())
+@example(case=(PseudoLabelStore(), []))
+def test_mean_label_iou_matches_reference_loop_exactly(case):
+    store, pages = case
+    assert mean_label_iou(store, pages) == _mean_label_iou_reference(store, pages)
 
 
 def test_mixed_treatment_consumes_fewer_updates():
