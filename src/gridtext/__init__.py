@@ -1,6 +1,6 @@
 """Grid-based page text decoding with a weakly supervised training loop."""
 
-from .geometry import Box, GridShape, abs_to_rel, grid_of, iou, nms, rel_to_abs
+from .geometry import Box, GridShape, abs_to_rel, grid_of, ious, nms, rel_to_abs
 from .predictions import (
     Direction,
     GridCollisionError,

@@ -10,10 +10,9 @@ arrays that :func:`cells` makes from 1-based grids and that index a map.
 Only this module converts between a map's cell-relative boxes (x_o, y_o,
 w_o, h_o), the centre an offset within its cell, and absolute ones:
 :func:`rel_to_abs` and :func:`abs_to_rel` map ``(n, 4)`` float64 rows at
-``at``.  :func:`corners` and :func:`corner_ious` are :meth:`Box.corners` and
-:func:`corner_iou` over :func:`box_rows`.  :func:`nms` likewise takes its
-candidates as ``(n, 5)`` float64 ``x, y, w, h, score`` rows, and tests
-overlapping pairs in bulk with :func:`corner_iou`'s expression.
+``at``.  :meth:`Box.corners` and :func:`corner_iou` score one pair at a
+time; :func:`corners` and :func:`corner_ious`, the same float expressions
+elementwise, serve the bulk callers :func:`ious` and :func:`nms`.
 """
 
 from __future__ import annotations
@@ -134,11 +133,6 @@ def grid_of(box: Box, shape: GridShape) -> tuple[int, int]:
     )
 
 
-def iou(a: Box, b: Box, shape: GridShape) -> float:
-    """Intersection over union in absolute pixel space; see :func:`corner_iou`."""
-    return corner_iou(a.corners(shape), b.corners(shape))
-
-
 def corner_iou(a: Corners, b: Corners) -> float:
     """Intersection over union of two pixel-space (x1, y1, x2, y2) corners.
 
@@ -191,6 +185,14 @@ def corner_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where((iw > 0.0) & (ih > 0.0) & (union > 0.0), inter / union, 0.0)
 
 
+def ious(a: Sequence[Box], b: Sequence[Box], shape: GridShape) -> list[float]:
+    """The IoU of each pair ``(a[k], b[k])`` in absolute pixel space, as
+    :func:`corner_iou` of their corners gives it; ``ValueError`` when ``a``
+    and ``b`` differ in length."""
+    both = corners(box_rows([box for pair in zip(a, b, strict=True) for box in pair]), shape)
+    return corner_ious(both[:, 0::2], both[:, 1::2]).tolist()
+
+
 # Candidate pairs listed, tested or passed to the greedy loop at a time.
 # This bounds the working memory of nms at a few MB however many boxes
 # overlap; only the pairs over the threshold are kept, at 8 bytes each.
@@ -204,11 +206,13 @@ def nms(candidates: np.ndarray, iou_threshold: float, shape: GridShape) -> list[
     rows, each box as a :class:`Box` holds it.  Candidates are visited in
     descending score; equal scores keep input order, so callers that supply
     candidates row-major get row-major ties.  A candidate is suppressed when
-    its IoU with an already-kept candidate exceeds ``iou_threshold`` (>= 0).
+    its IoU with an already-kept candidate exceeds ``iou_threshold``, which
+    must be >= 0: a negative one would let a pair that does not overlap
+    suppress.
 
     The kept set is exactly the textbook all-pairs loop's:
 
-    - Corners are :meth:`Box.corners`'s float expression, elementwise.
+    - Corners are :func:`corners`, :meth:`Box.corners`'s float expression.
     - Each box spans a range of bucket columns and rows: its corners over
       the cell size, floored and clamped into the lattice (clamped as
       floats, so overhanging, infinite and NaN corners are safe).  A pair
@@ -221,11 +225,11 @@ def nms(candidates: np.ndarray, iou_threshold: float, shape: GridShape) -> list[
       whose first column lies in its column range, so each pair whose
       column ranges intersect is listed once, from whichever comes first.
       The listing runs in chunks of ``_PAIR_CHUNK`` pairs.
-    - A listed pair whose row ranges also intersect conflicts where ``iw >
-      0``, ``ih > 0``, ``union > 0`` and ``inter / union > iou_threshold``:
-      :func:`corner_iou`'s expression, elementwise, whose guards answer 0.0
-      only where the ratio is NaN or negative.  A NaN corner makes the area,
-      and so the union, NaN; such a box neither suppresses nor is
+    - A listed pair whose row ranges also intersect conflicts where its
+      :func:`corner_ious` exceeds ``iou_threshold``.  That is
+      :func:`corner_iou`'s float, and its 0.0 for a pair that does not
+      overlap (or whose union is NaN, as a NaN corner makes it) never
+      exceeds a threshold >= 0, so such a box neither suppresses nor is
       suppressed, here as in the loop.
     - A greedy pass takes the conflict pairs in order of the later
       candidate's rank, and suppresses the later one when the earlier one
@@ -234,17 +238,16 @@ def nms(candidates: np.ndarray, iou_threshold: float, shape: GridShape) -> list[
       exactly when no kept candidate before it conflicts with it: the
       kept-box loop.
     """
+    if not iou_threshold >= 0.0:
+        raise ValueError(f"nms iou_threshold must be >= 0, got {iou_threshold}")
     n = len(candidates)
-    x, y, w, h, score = candidates.T
     rank = np.empty(n, np.intp)
-    rank[np.argsort(-score, kind="stable")] = np.arange(n)
+    rank[np.argsort(-candidates[:, 4], kind="stable")] = np.arange(n)
     last_i, last_j = float(shape.w_g - 1), float(shape.h_g - 1)
     conflicts = [np.empty(0, np.intp)]  # later rank * n + earlier rank
-    with np.errstate(all="ignore"):  # corners may overflow to inf or be NaN
-        hw = 0.5 * w * shape.img_w
-        hh = 0.5 * h * shape.img_h
-        x1, y1, x2, y2 = x - hw, y - hh, x + hw, y + hh
-        area = (x2 - x1) * (y2 - y1)
+    box = corners(candidates[:, :4], shape)
+    x1, y1, x2, y2 = box
+    with np.errstate(all="ignore"):  # a corner over a tiny cell may overflow to inf
         # Clamp the float before the cast; fmax also sends NaN to bucket 0.
         i_lo, i_hi = (
             np.minimum(np.fmax(v / shape.cell_w, 0.0), last_i).astype(np.intp) for v in (x1, x2)
@@ -263,11 +266,7 @@ def nms(candidates: np.ndarray, iou_threshold: float, shape: GridShape) -> list[
             a, b = by_i[a], by_i[b]
             near = (j_lo[a] <= j_hi[b]) & (j_lo[b] <= j_hi[a])
             a, b = a[near], b[near]
-            iw = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
-            ih = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
-            inter = iw * ih
-            union = area[a] + area[b] - inter
-            hit = (iw > 0.0) & (ih > 0.0) & (union > 0.0) & (inter / union > iou_threshold)
+            hit = corner_ious(box[:, a], box[:, b]) > iou_threshold
             ra, rb = rank[a[hit]], rank[b[hit]]
             conflicts.append(np.maximum(ra, rb) * n + np.minimum(ra, rb))
             p = q

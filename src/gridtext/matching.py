@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .geometry import Box, GridShape, iou
+from .geometry import Box, GridShape, ious
 from .jsoncheck import BOX, by_page_id, check, expect, read_jsonl
 
 if TYPE_CHECKING:
@@ -279,18 +279,14 @@ def spatial_filter(
     """Drop character pairs whose box disagrees with an existing pseudo-label.
 
     Pairs without a stored pseudo-label pass through; a pair is removed only
-    when IoU(predicted box, pseudo-label box) falls below ``th_iou``.
+    when IoU(predicted box, pseudo-label box) falls below ``th_iou``.  The
+    labelled pairs are scored with one :func:`ious` call.
     """
-    kept: set[tuple[int, int, int, int]] = set()
-    for p, m, q, n in m_c:
-        label = pseudo.get((q, n))
-        if label is None:
-            kept.add((p, m, q, n))
-            continue
-        box = result.lines[p - 1].chars[m - 1].box
-        if iou(box, label.box, shape) >= th_iou:
-            kept.add((p, m, q, n))
-    return kept
+    pairs = set(m_c)
+    labelled = [pair for pair in pairs if pair[2:] in pseudo]
+    scores = ious([result.lines[p - 1].chars[m - 1].box for p, m, _, _ in labelled],
+                  [pseudo[pair[2:]].box for pair in labelled], shape)
+    return pairs - {pair for pair, v in zip(labelled, scores) if v < th_iou}
 
 
 # ---------------------------------------------------------------------------

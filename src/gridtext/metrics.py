@@ -78,7 +78,7 @@ def det_counts(
     ``>`` keeps the first of equal IoUs, so the same box wins as when
     every ground-truth box is tested in index order.  A matched box
     leaves its bucket, as it would be skipped as taken.  Each box's corners
-    are computed once, and :func:`corner_iou` of them is ``iou``'s float.
+    are computed once.
     """
     buckets: dict[int | None, list[Corners]] = {}
     for gbox, gcls in gts:

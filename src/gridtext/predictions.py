@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import Box, GridShape, abs_to_rel, cells, grid_of
+from .geometry import Box, GridShape, abs_to_rel, box_rows, cells, grid_of
 from .jsoncheck import expect
 
 if TYPE_CHECKING:
@@ -279,9 +279,7 @@ def render_plan(page: "SyntheticPage") -> RenderPlan:
         rd_dir=np.array(list(rd.values()), dtype=np.intp),
         char_at=cells(grids),
         char_cls=np.array([c - 1 for line in annot.lines for c in line], dtype=np.intp),
-        char_box=np.array(
-            [(b.x, b.y, b.w, b.h) for boxes in annot.boxes for b in boxes], dtype=np.float64
-        ).reshape(-1, 4),
+        char_box=box_rows([b for boxes in annot.boxes for b in boxes]),
         sol_at=cells(line[0] for line in lines),
         eol_at=cells(line[-1] for line in lines),
     )

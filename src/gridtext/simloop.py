@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .decoder import DecodeConfig, decode
-from .geometry import box_rows, corner_ious, corners
+from .geometry import ious
 from .losses import compute_losses
 from .matching import match_chars, match_lines, spatial_filter
 from .predictions import OracleNoise, oracle_predict
@@ -117,17 +117,15 @@ def mean_label_iou(
     """Mean IoU between stored pseudo-labels and ground-truth boxes; None
     when the store holds no label of these pages.
 
-    Each page's labels are scored with :func:`corner_ious` at once, and
-    the IoUs are summed in store order, as :func:`iou` gives each."""
+    Each page's labels are scored with one :func:`ious` call, and the
+    IoUs are summed in store order."""
     vals: list[float] = []
     for page in pages:
         labels = store.labels(page.page_id)
         if labels:
             gt = page.annotation.boxes
             boxes = [label.box for label in labels.values()]
-            boxes += [gt[q - 1][n - 1] for q, n in labels]
-            both = corners(box_rows(boxes), page.shape)
-            vals.extend(corner_ious(both[:, :len(labels)], both[:, len(labels):]).tolist())
+            vals.extend(ious(boxes, [gt[q - 1][n - 1] for q, n in labels], page.shape))
     if not vals:
         return None
     return sum(vals) / len(vals)

@@ -69,33 +69,46 @@ def set_rd(maps: PredictionMaps, i: int, j: int, d: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# NMS oracle: the textbook greedy loop over (Box, score) candidates, each
-# candidate tested against every kept box with the IoU written out.
+# IoU oracle, written out from the boxes' centres and extents; and the NMS
+# oracle, the textbook greedy loop over (Box, score) candidates, each
+# candidate tested against every kept box.
 # ---------------------------------------------------------------------------
+
+
+def _corners_reference(box, shape):
+    """Pixel-space (x1, y1, x2, y2) of a box's centre and extents."""
+    hw, hh = 0.5 * box.w * shape.img_w, 0.5 * box.h * shape.img_h
+    return box.x - hw, box.y - hh, box.x + hw, box.y + hh
+
+
+def _corner_iou_reference(a, b):
+    """IoU written out from two boxes' corners."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return inter / union if union > 0.0 else 0.0
+
+
+def _iou_reference(a, b, shape):
+    """IoU written out from the boxes' centres and extents."""
+    return _corner_iou_reference(_corners_reference(a, shape), _corners_reference(b, shape))
 
 
 def _nms_reference(candidates, iou_threshold, shape):
     """All-pairs greedy NMS: each candidate against every kept box."""
-    corners = [c[0].corners(shape) for c in candidates]
-    areas = [(x2 - x1) * (y2 - y1) for x1, y1, x2, y2 in corners]
+    corners = [_corners_reference(c[0], shape) for c in candidates]
     order = sorted(range(len(candidates)), key=lambda k: -candidates[k][1])
     kept = []
     for k in order:
-        x1, y1, x2, y2 = corners[k]
-        ok = True
         for m in kept:
-            mx1, my1, mx2, my2 = corners[m]
-            iw = min(x2, mx2) - max(x1, mx1)
-            if iw <= 0.0:
-                continue
-            ih = min(y2, my2) - max(y1, my1)
-            if ih <= 0.0:
-                continue
-            inter = iw * ih
-            if inter / (areas[k] + areas[m] - inter) > iou_threshold:
-                ok = False
+            if _corner_iou_reference(corners[k], corners[m]) > iou_threshold:
                 break
-        if ok:
+        else:
             kept.append(k)
     return sorted(kept)
 

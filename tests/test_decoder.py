@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (
+    _iou_reference,
     _nms_reference,
     blank_maps,
     ctc_forward,
@@ -39,7 +40,7 @@ from gridtext.decoder import (
     resolve_edges,
     validate_result,
 )
-from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of, iou
+from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of
 from gridtext.predictions import Direction, OracleNoise, PredictionMaps, oracle_predict, step
 from gridtext.synth import PageConfig, gen_page
 
@@ -157,7 +158,7 @@ def test_extract_nodes_nms_suppresses_overlap():
     # adjacent grids, nearly coincident large boxes
     put_char(maps, 3, 3, 1, dis=0.9, box=Box(20.0, 20.0, 0.75, 0.25))
     put_char(maps, 4, 3, 2, dis=0.7, box=Box(24.1, 20.0, 0.75, 0.25))
-    assert iou(Box(20.0, 20.0, 0.75, 0.25), Box(24.1, 20.0, 0.75, 0.25), shape) > 0.8
+    assert _iou_reference(Box(20.0, 20.0, 0.75, 0.25), Box(24.1, 20.0, 0.75, 0.25), shape) > 0.8
     nodes = extract_nodes(maps, DecodeConfig(dis_threshold=0.5, nms_iou=0.5))
     assert [n.grid for n in nodes] == [(3, 3)]
 

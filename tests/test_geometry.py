@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _nms_reference
+from conftest import _iou_reference, _nms_reference
 from gridtext import geometry
 from gridtext.decoder import extract_nodes
 from gridtext.geometry import (
@@ -20,7 +20,7 @@ from gridtext.geometry import (
     corner_ious,
     corners,
     grid_of,
-    iou,
+    ious,
     nms,
     rel_to_abs,
 )
@@ -101,17 +101,23 @@ def test_grid_of_hand_values(shape44):
 
 
 def test_iou_identical_and_disjoint(shape44):
-    a = Box(10, 10, 0.2, 0.2)
-    assert iou(a, a, shape44) == 1.0
-    b = Box(50, 50, 0.2, 0.2)
-    assert iou(a, b, shape44) == 0.0
+    a, b = Box(10, 10, 0.2, 0.2), Box(50, 50, 0.2, 0.2)
+    assert ious([a, a], [a, b], shape44) == [1.0, 0.0]
 
 
 def test_iou_one_third():
     shape = GridShape(4, 4, 4, 4)
     a = Box(1, 1, 0.5, 0.5)  # spans [0,2] x [0,2]
     b = Box(2, 1, 0.5, 0.5)  # shifted +1 in x
-    assert math.isclose(iou(a, b, shape), 1 / 3, abs_tol=1e-12)
+    (v,) = ious([a], [b], shape)
+    assert math.isclose(v, 1 / 3, abs_tol=1e-12)
+
+
+def test_ious_of_no_pairs_and_of_unequal_lengths(shape44):
+    a = Box(10, 10, 0.2, 0.2)
+    assert ious([], [], shape44) == []
+    with pytest.raises(ValueError, match="^zip\\(\\) argument 2 is shorter than argument 1$"):
+        ious([a, a], [a], shape44)
 
 
 @given(
@@ -123,24 +129,9 @@ def test_iou_one_third():
 def test_iou_symmetric_bounded(ax, ay, bx, by, aw, ah, bw, bh):
     shape = GridShape(4, 4, 64, 64)
     a, b = Box(ax, ay, aw, ah), Box(bx, by, bw, bh)
-    v = iou(a, b, shape)
-    assert v == iou(b, a, shape)
+    (v,) = ious([a], [b], shape)
+    assert [v] == ious([b], [a], shape)
     assert 0.0 <= v <= 1.0 + 1e-12
-
-
-def _iou_reference(a, b, shape):
-    """IoU written out from the boxes' centres and extents."""
-    ahw, ahh = 0.5 * a.w * shape.img_w, 0.5 * a.h * shape.img_h
-    bhw, bhh = 0.5 * b.w * shape.img_w, 0.5 * b.h * shape.img_h
-    ax1, ay1, ax2, ay2 = a.x - ahw, a.y - ahh, a.x + ahw, a.y + ahh
-    bx1, by1, bx2, by2 = b.x - bhw, b.y - bhh, b.x + bhw, b.y + bhh
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union if union > 0.0 else 0.0
 
 
 # Centres on the page or anywhere finite; extents from image fractions to
@@ -148,31 +139,29 @@ def _iou_reference(a, b, shape):
 _centre = st.floats(0, 64) | st.floats(-1e300, 1e300)
 _extent = st.sampled_from([0.1, 0.5]) | st.floats(5e-324, 1.7e308)
 _iou_box = st.builds(Box, _centre, _centre, _extent, _extent)
+_img = st.tuples(*[st.sampled_from([1e-100, 1.0, 64.0, 1e100])] * 2)
 
 
 @settings(max_examples=300)
-@given(a=_iou_box, b=_iou_box, img=st.tuples(*[st.sampled_from([1e-100, 1.0, 64.0, 1e100])] * 2))
+@given(a=_iou_box, b=_iou_box, img=_img)
 @example(a=Box(0.0, 0.0, 1e300, 1e300), b=Box(1.0, 1.0, 0.5, 0.5), img=(1e100, 1e100))
 @example(a=Box(0.0, 0.0, 1e300, 1e300), b=Box(0.0, 0.0, 1e300, 1e300), img=(1e100, 1e100))
 def test_iou_is_the_corner_iou_of_the_corners(a, b, img):
     shape = GridShape(4, 4, *img)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = iou(a, b, shape)
+        v, same = ious([a, a], [b, a], shape)
         assert v == corner_iou(a.corners(shape), b.corners(shape)) == _iou_reference(a, b, shape)
         assert math.isfinite(v)
         x1, y1, x2, y2 = a.corners(shape)
         area = (x2 - x1) * (y2 - y1)
         # Identical boxes score exactly 1.0 whenever their union is a
         # positive finite float; otherwise, as with infinite corners, 0.0.
-        assert iou(a, a, shape) == (1.0 if 0.0 < 2 * area < math.inf else 0.0)
+        assert same == (1.0 if 0.0 < 2 * area < math.inf else 0.0)
 
 
 @settings(max_examples=200)
-@given(
-    pairs=st.lists(st.tuples(_iou_box, _iou_box), max_size=8),
-    img=st.tuples(*[st.sampled_from([1e-100, 1.0, 64.0, 1e100])] * 2),
-)
+@given(pairs=st.lists(st.tuples(_iou_box, _iou_box), max_size=8), img=_img)
 def test_corner_ious_are_corner_iou_elementwise(pairs, img):
     shape = GridShape(4, 4, *img)
     a = corners(box_rows([p[0] for p in pairs]), shape)
@@ -180,9 +169,12 @@ def test_corner_ious_are_corner_iou_elementwise(pairs, img):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = corner_ious(a, b)
+        pairwise = ious([p[0] for p in pairs], [p[1] for p in pairs], shape)
     assert a.shape == b.shape == (4, len(pairs))
     assert a.T.tolist() == [list(p[0].corners(shape)) for p in pairs]
-    assert got.tolist() == [iou(p, q, shape) for p, q in pairs]
+    want = [_iou_reference(p, q, shape) for p, q in pairs]
+    assert got.tolist() == pairwise == want
+    assert all(type(v) is float for v in pairwise)
 
 
 def _rows(cands):
@@ -213,14 +205,23 @@ def test_nms_chain_keeps_ends():
     a = (Box(5, 5, 0.10, 0.10), 0.9)
     b = (Box(10, 5, 0.10, 0.10), 0.8)
     c = (Box(15, 5, 0.10, 0.10), 0.7)
-    assert iou(a[0], b[0], shape) > 0.3
-    assert iou(a[0], c[0], shape) == 0.0
+    assert _iou_reference(a[0], b[0], shape) > 0.3
+    assert _iou_reference(a[0], c[0], shape) == 0.0
     assert nms(_rows([a, b, c]), 0.3, shape) == [0, 2]
 
 
 def test_nms_equal_scores_keep_lower_index(shape44):
     box = Box(32, 32, 0.3, 0.3)
     assert nms(_rows([(box, 0.7), (box, 0.7)]), 0.5, shape44) == [0]
+
+
+@pytest.mark.parametrize("threshold", [-1e-300, -0.5, -math.inf, math.nan])
+def test_nms_rejects_a_threshold_below_zero_or_nan(shape44, threshold):
+    # Two disjoint boxes in one bucket: a negative threshold would let
+    # their IoU of 0.0 suppress one, which the all-pairs loop never does.
+    cands = _rows([(Box(4, 4, 0.05, 0.05), 0.9), (Box(12, 12, 0.05, 0.05), 0.8)])
+    with pytest.raises(ValueError, match=f"^nms iou_threshold must be >= 0, got {threshold}$"):
+        nms(cands, threshold, shape44)
 
 
 @given(
@@ -243,7 +244,7 @@ def test_nms_invariants(raw, threshold):
     for k in keep:
         for m in keep:
             if k < m:
-                assert iou(cands[k][0], cands[m][0], shape) <= threshold + 1e-12
+                assert _iou_reference(cands[k][0], cands[m][0], shape) <= threshold + 1e-12
     best = max(s for _, s in cands)
     assert any(cands[k][1] == best for k in keep)
 

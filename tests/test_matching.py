@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import edit_oracle, plain_distance
+from conftest import _iou_reference, edit_oracle, plain_distance
 from gridtext.decoder import CharInstance, Line, PageResult
 from gridtext.geometry import Box, GridShape
 from gridtext.matching import (
@@ -191,11 +191,9 @@ def test_spatial_filter_identical_box_retained():
 
 def test_spatial_filter_low_iou_removed():
     shape = GridShape(4, 4, 64, 64)
-    from gridtext.geometry import iou
-
     pred = Box(10, 10, 0.2, 0.2)
     label_box = Box(20, 10, 0.2, 0.2)
-    assert iou(pred, label_box, shape) < 0.5
+    assert _iou_reference(pred, label_box, shape) < 0.5
     labels = {(1, 1): PseudoLabel(box=label_box, gamma=0.8)}
     kept = spatial_filter({(1, 1, 1, 1)}, _one_char_result(pred), labels, shape, th_iou=0.5)
     assert kept == set()
@@ -209,6 +207,75 @@ def test_spatial_filter_idempotent_and_shrinking():
     once = spatial_filter(m_c, result, labels, shape, th_iou=0.5)
     assert once <= m_c
     assert spatial_filter(once, result, labels, shape, th_iou=0.5) == once
+
+
+def _spatial_filter_reference(m_c, result, pseudo, shape, th_iou):
+    """The per-pair loop spatial_filter ran before it scored a page at once."""
+    kept = set()
+    for p, m, q, n in m_c:
+        label = pseudo.get((q, n))
+        if label is None:
+            kept.add((p, m, q, n))
+            continue
+        box = result.lines[p - 1].chars[m - 1].box
+        if _iou_reference(box, label.box, shape) >= th_iou:
+            kept.add((p, m, q, n))
+    return kept
+
+
+_SF_SHAPE = GridShape(4, 4, 64, 64)
+# On a 64-pixel page: a box, itself (IoU 1), one half of it (IoU exactly
+# 0.5) and one beside it (IoU 0), so IoUs fall exactly on each threshold.
+_SF_POOL = [Box(8, 8, 0.25, 0.25), Box(4, 8, 0.125, 0.25), Box(40, 40, 0.25, 0.25)]
+_sf_box = st.sampled_from(_SF_POOL) | st.builds(
+    Box, *[st.floats(0, 64)] * 2, *[st.floats(0.01, 1)] * 2
+)
+
+
+@st.composite
+def _spatial_case(draw):
+    """A result of up to three lines, matched pairs into it, and labels for
+    some of the pairs' transcript positions (and for positions no pair has)."""
+    lines = [
+        Line(chars=[CharInstance((1, 1), draw(_sf_box), 0.9, A, 1.0)
+                    for _ in range(draw(st.integers(1, 4)))],
+             traces=[], sol_conf=1.0, eol_conf=1.0)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    slots = [(p, m) for p, line in enumerate(lines, 1) for m in range(1, len(line.chars) + 1)]
+    qn = st.tuples(st.integers(1, 3), st.integers(1, 4))
+    m_c = draw(st.sets(st.tuples(st.sampled_from(slots), qn).map(lambda t: t[0] + t[1]),
+                       max_size=12))
+    pseudo = {k: PseudoLabel(draw(_sf_box), 0.5) for k in draw(st.sets(qn, max_size=12))}
+    return m_c, PageResult(lines=lines), pseudo
+
+
+# One result position per pool box, each labelled with the first box: IoUs
+# of exactly 1, 0.5 and 0, so each example threshold meets one of them.
+_SF_EXACT = (
+    {(1, m, 1, m) for m in (1, 2, 3)},
+    PageResult(lines=[Line(chars=[CharInstance((m, 1), box, 0.9, A, 1.0)
+                                  for m, box in enumerate(_SF_POOL, 1)],
+                           traces=[], sol_conf=1.0, eol_conf=1.0)]),
+    {(1, m): PseudoLabel(_SF_POOL[0], 0.5) for m in (1, 2, 3)},
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_spatial_case(), th_iou=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1))
+@example(case=(set(), PageResult(lines=[]), {}), th_iou=0.5)
+@example(case=_SF_EXACT, th_iou=0.0)
+@example(case=_SF_EXACT, th_iou=0.5)
+@example(case=_SF_EXACT, th_iou=1.0)
+def test_spatial_filter_matches_per_pair_reference(case, th_iou):
+    m_c, result, pseudo = case
+    want = _spatial_filter_reference(m_c, result, pseudo, _SF_SHAPE, th_iou)
+    assert spatial_filter(m_c, result, pseudo, _SF_SHAPE, th_iou) == want
+
+
+def test_spatial_pool_ious_are_exactly_one_half_and_zero():
+    first = [_SF_POOL[0]] * 3
+    assert [_iou_reference(a, b, _SF_SHAPE) for a, b in zip(first, _SF_POOL)] == [1.0, 0.5, 0.0]
 
 
 @settings(deadline=None, max_examples=300)

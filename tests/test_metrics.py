@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _iou_reference
 from gridtext import matching, metrics
 from gridtext.cli import main
-from gridtext.geometry import Box, GridShape, iou
+from gridtext.geometry import Box, GridShape
 from gridtext.matching import edit_counts
 from gridtext.metrics import ar_star, det_prf, page_ar_cr
 
@@ -118,7 +119,7 @@ def _det_counts_reference(results, gts, shape, iou_th=0.5, require_class=True):
                 continue
             if require_class and gcls != cls_id:
                 continue
-            v = iou(box, gbox, shape)
+            v = _iou_reference(box, gbox, shape)
             if v >= iou_th and v > best_iou:
                 best = g
                 best_iou = v

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _iou_reference
 from gridtext import simloop, synth
 from gridtext.cli import main
 from gridtext.predictions import OracleNoise, oracle_predict, render_plan
@@ -18,7 +19,7 @@ from gridtext.simloop import (
     run_stage,
 )
 from gridtext.synth import PageConfig, gen_dataset
-from gridtext.geometry import Box, GridShape, iou
+from gridtext.geometry import Box, GridShape
 from gridtext.matching import PageAnnotation
 
 
@@ -157,7 +158,7 @@ def test_export_labels_full_and_empty():
     assert report["n_labels"] == len(rows) == report["n_chars"]
     # statistics agree with an independent recomputation
     want = [
-        iou(store.get(p.page_id, q, n).box, box, p.shape)
+        _iou_reference(store.get(p.page_id, q, n).box, box, p.shape)
         for p in pages
         for q, line in enumerate(p.annotation.boxes, start=1)
         for n, box in enumerate(line, start=1)
@@ -196,7 +197,7 @@ def _mean_label_iou_reference(store, pages):
     vals = []
     for page in pages:
         for (q, n), label in store.labels(page.page_id).items():
-            vals.append(iou(label.box, page.annotation.boxes[q - 1][n - 1], page.shape))
+            vals.append(_iou_reference(label.box, page.annotation.boxes[q - 1][n - 1], page.shape))
     if not vals:
         return None
     return sum(vals) / len(vals)
