@@ -13,10 +13,15 @@ the argmax direction of every grid once, as a nested-list table that the
 walks index, and node extraction gathers each map at all its hits at once.
 Node extraction scores the hits and suppresses duplicates on float64 arrays,
 with the scalar expressions' operations in their order, and builds a
-:class:`CharInstance` only for the candidates NMS keeps.  ``np.argmax``
-keeps the first maximum of a row, as a per-row argmax does, and ``tolist``
-turns each float32 value into the Python float that ``float()`` gives, so
-every box, score and walk keeps its bits.
+:class:`CharInstance` only for the candidates NMS keeps, from one list per
+field.  ``np.argmax`` keeps the first maximum of a row, as a per-row argmax
+does, and ``tolist`` turns each float32 value into the Python float that
+``float()`` gives, so every box, score and walk keeps its bits.
+
+A decode's records are slotted dataclasses.  :class:`CharInstance` and its
+:class:`~gridtext.geometry.Box` are value records, one per kept node, that
+nothing in ``gridtext`` mutates or hashes; :class:`SearchTrace`,
+:class:`Line` and :class:`PageResult` hold them.
 
 Every stage is a pure function of its inputs, so repeated decodes of the
 same maps are bit-identical.
@@ -63,9 +68,14 @@ class DecodeConfig:
             raise ValueError(f"max_steps must be None or >= 1, got {self.max_steps}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CharInstance:
-    """One decoded character: grid cell, box, fused score, and class."""
+    """One decoded character: grid cell, box, fused score, and class.
+
+    A slotted value record, like its :class:`Box`: nothing in ``gridtext``
+    mutates or hashes one, and :func:`rescore_with_lm` changes a class
+    through :func:`dataclasses.replace`.
+    """
 
     grid: tuple[int, int]
     box: Box
@@ -74,7 +84,7 @@ class CharInstance:
     cls_prob: float
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchTrace:
     """Grid walk from one node toward its successor.
 
@@ -93,7 +103,7 @@ class SearchTrace:
         return self.visited[1:]
 
 
-@dataclass
+@dataclass(slots=True)
 class Line:
     chars: list[CharInstance]
     traces: list[SearchTrace]
@@ -104,7 +114,7 @@ class Line:
         return [c.cls_id for c in self.chars]
 
 
-@dataclass
+@dataclass(slots=True)
 class PageResult:
     lines: list[Line]
     dropped: list[CharInstance] = field(default_factory=list)
@@ -153,7 +163,8 @@ def extract_nodes(
     non-positive extent has both extents floored at 1e-6, and then every box
     is made absolute in one call.  :func:`fused_score` scores them all on
     float64 arrays, and NMS takes the boxes and scores as rows, so a
-    :class:`CharInstance` is built only for a kept candidate.
+    :class:`CharInstance` is built only for a kept candidate, field by field
+    from the kept rows' column lists.
     """
     from .geometry import nms
 
@@ -168,13 +179,12 @@ def extract_nodes(
     scores = fused_score(maps.dis[at].astype(np.float64), probs)
     rows = np.column_stack((rel_to_abs(rel, at, maps.shape), scores))
     keep = nms(rows, config.nms_iou, maps.shape)
-    return [
-        CharInstance((i0 + 1, j0 + 1), Box(x, y, w, h), score, c0 + 1, prob)
-        for i0, j0, c0, (x, y, w, h, score), prob in zip(
-            ii[keep].tolist(), jj[keep].tolist(), cls0[keep].tolist(),
-            rows[keep].tolist(), probs[keep].tolist(),
-        )
-    ]
+    x, y, w, h, score = rows[keep].T.tolist()
+    grids = zip((ii[keep] + 1).tolist(), (jj[keep] + 1).tolist())
+    return list(map(
+        CharInstance, grids, map(Box, x, y, w, h), score,
+        (cls0[keep] + 1).tolist(), probs[keep].tolist(),
+    ))
 
 
 def direction_table(maps: PredictionMaps) -> list[list[int]]:

@@ -60,9 +60,14 @@ class GridShape:
 Corners = tuple[float, float, float, float]  # pixel-space (x1, y1, x2, y2)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Box:
-    """Axis-aligned box: center (x, y) in pixels, w/h as image fractions."""
+    """Axis-aligned box: center (x, y) in pixels, w/h as image fractions.
+
+    A slotted value record, built once per decoded character.  Nothing in
+    ``gridtext`` mutates or hashes one, so it is not frozen: a frozen
+    dataclass's ``__init__`` sets each field through ``object.__setattr__``.
+    """
 
     x: float
     y: float

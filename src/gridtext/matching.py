@@ -87,12 +87,9 @@ class ErrorCounts:
         return (n - self.n_ie - self.n_de - self.n_se) / n, (n - self.n_de - self.n_se) / n
 
 
-def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
-    """Canonical minimum edit script from ``ref`` to ``hyp``.
-
-    Ops are "E" (equal), "S" (substitution), "I" (insertion: a hyp element
-    absent from ref), "D" (deletion: a ref element absent from hyp), in
-    forward order.
+def _backtrace(hyp: Sequence[int], ref: Sequence[int]) -> tuple[list[str], int, int]:
+    """The canonical minimum edit script from ``ref`` to ``hyp``, its ops
+    last first, with its cost and its number of substitutions.
 
     Backtraces :func:`_columns` (Hyyrö 2004) by the canonical tie rule,
     where c = D[a][b]: E when the elements are equal and D[a-1][b-1] = c,
@@ -102,7 +99,8 @@ def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
     m, n = len(hyp), len(ref)
     cols = _columns(hyp, _table([ref]))
     pv, mv = cols[m]
-    c = m + pv.bit_count() - mv.bit_count()
+    cost = c = m + pv.bit_count() - mv.bit_count()
+    n_se = 0
     ops: list[str] = []
     a, b = m, n
     while a > 0 or b > 0:
@@ -113,6 +111,7 @@ def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
             unequal = hyp[a - 1] != ref[b - 1]
             if diag + unequal == c:
                 ops.append("S" if unequal else "E")
+                n_se += unequal
                 a -= 1
                 b -= 1
                 c = diag
@@ -124,6 +123,17 @@ def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
             ops.append("I")
             a -= 1
         c -= 1
+    return ops, cost, n_se
+
+
+def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
+    """Canonical minimum edit script from ``ref`` to ``hyp``.
+
+    Ops are "E" (equal), "S" (substitution), "I" (insertion: a hyp element
+    absent from ref), "D" (deletion: a ref element absent from hyp), in
+    forward order, as :func:`_backtrace` finds them.
+    """
+    ops = _backtrace(hyp, ref)[0]
     ops.reverse()
     return ops
 
@@ -135,9 +145,15 @@ def script_counts(ops: Sequence[str]) -> ErrorCounts:
 
 
 def edit_counts(hyp: Sequence[int], ref: Sequence[int]) -> tuple[int, int, int]:
-    """(insertions, deletions, substitutions) of the canonical script."""
-    counts = script_counts(edit_script(hyp, ref))
-    return counts.n_ie, counts.n_de, counts.n_se
+    """(insertions, deletions, substitutions) of the canonical script.
+
+    :func:`_backtrace` counts the substitutions S; the script's cost is
+    I + D + S, and as every op but D consumes a hyp element and every op
+    but I a ref element, I - D = len(hyp) - len(ref).
+    """
+    _, cost, n_se = _backtrace(hyp, ref)
+    n_ie = (cost - n_se + len(hyp) - len(ref)) // 2
+    return n_ie, cost - n_se - n_ie, n_se
 
 
 _Table = tuple[dict[int, int], int, int, int, list[int]]

@@ -155,15 +155,23 @@ class PredictionMaps:
     rd: np.ndarray  # (w_g, h_g, 4) direction probabilities
 
     def validate(self) -> None:
+        """Check every tensor's shape, finiteness and probability range, and
+        that class and direction rows sum to 1, reading each tensor's
+        extremes once: ``min`` and ``max`` propagate NaN, and an infinite
+        value is an extreme, so both extremes are finite exactly when every
+        element is."""
+        extremes = {}
         for name, want in _tensor_shapes(self.shape, self.n_cls).items():
             arr = getattr(self, name)
             if arr.shape != want:
                 raise MapFormatError(f"{name}: expected shape {want}, got {arr.shape}")
-            if not np.isfinite(arr).all():
+            lo, hi = float(arr.min()), float(arr.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise MapFormatError(f"{name}: non-finite payload (NaN or inf)")
+            extremes[name] = lo, hi
         for name in ("dis", "cls", "sol", "eol", "rd"):
-            arr = getattr(self, name)
-            if arr.min() < 0.0 or arr.max() > 1.0:
+            lo, hi = extremes[name]
+            if lo < 0.0 or hi > 1.0:
                 raise MapFormatError(f"{name}: probability outside [0, 1]")
         for name in ("cls", "rd"):
             sums = getattr(self, name).sum(axis=-1, dtype=np.float64)

@@ -18,10 +18,12 @@ from gridtext.predictions import (
     GridCollisionError,
     MapFormatError,
     OracleNoise,
+    PredictionMaps,
     MAX_SIZE_SIGMA,
     _blank_maps,
     _one_hot,
     _rd_row,
+    _tensor_shapes,
     load_maps,
     oracle_predict,
     render_plan,
@@ -517,6 +519,63 @@ def test_load_maps_bytes_load_or_raise_map_format_error(tiny_map, data):
         raw = raw[:k] + bytes([raw[k] ^ data.draw(st.integers(1, 255))]) + raw[k + 1:]
     path.write_bytes(raw)
     _loads_or_map_format_error(path)
+
+
+def _validate_reference(maps):
+    """PredictionMaps.validate as it was before it read each tensor's
+    extremes once: a finiteness pass per tensor, then a min and a max pass
+    per probability tensor."""
+    for name, want in _tensor_shapes(maps.shape, maps.n_cls).items():
+        arr = getattr(maps, name)
+        if arr.shape != want:
+            raise MapFormatError(f"{name}: expected shape {want}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise MapFormatError(f"{name}: non-finite payload (NaN or inf)")
+    for name in ("dis", "cls", "sol", "eol", "rd"):
+        arr = getattr(maps, name)
+        if arr.min() < 0.0 or arr.max() > 1.0:
+            raise MapFormatError(f"{name}: probability outside [0, 1]")
+    for name in ("cls", "rd"):
+        sums = getattr(maps, name).sum(axis=-1, dtype=np.float64)
+        if np.abs(sums - 1.0).max() > 1e-5:
+            raise MapFormatError(f"{name}: rows not normalized")
+
+
+def _map_format_error(check, maps):
+    """The message of the MapFormatError ``check(maps)`` raises, or None."""
+    try:
+        check(maps)
+    except MapFormatError as exc:
+        return str(exc)
+    return None
+
+
+# NaN, the infinities, each side of 0 and 1, and the float32 extremes.
+_EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -1e-45, 1e-45,
+                float(np.nextafter(np.float32(1), np.float32(2))), 3.4e38, -3.4e38]
+
+
+@pytest.fixture(scope="module")
+def noisy_maps(page):
+    return oracle_predict(page, OracleNoise(0.2, 0.1, 0.1, 0.1, 0.05, 0.05, seed=3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_validate_raises_what_the_reference_raises(noisy_maps, data):
+    """Values injected into one or two tensors: NaN, infinities, values
+    below 0 or above 1, and rows scaled off a sum of 1."""
+    maps = copy.deepcopy(noisy_maps)
+    for _ in range(data.draw(st.integers(1, 2))):
+        arr = getattr(maps, data.draw(st.sampled_from(list(_tensor_shapes(maps.shape, maps.n_cls)))))
+        at = np.unravel_index(data.draw(st.integers(0, arr.size - 1)), arr.shape)
+        if arr.ndim == 3 and data.draw(st.booleans()):  # scale the row
+            arr[at[:2]] *= np.float32(data.draw(st.floats(0.0, 2.0)))
+        else:
+            arr[at] = data.draw(st.sampled_from(_EDGE_VALUES) | st.floats(width=32))
+    assert _map_format_error(PredictionMaps.validate, maps) == _map_format_error(
+        _validate_reference, maps)
 
 
 @pytest.mark.parametrize("fields, name", [

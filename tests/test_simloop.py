@@ -1,6 +1,8 @@
+import copy
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,12 @@ from gridtext.simloop import (
     run_stage,
 )
 from gridtext.synth import PageConfig, gen_dataset
+from gridtext.decoder import NGramLM, decode, rescore_with_lm
 from gridtext.geometry import Box, GridShape
-from gridtext.matching import PageAnnotation
+from gridtext.losses import compute_losses
+from gridtext.matching import PageAnnotation, match_chars, match_lines, spatial_filter
+from gridtext.metrics import ar_star, det_prf
+from gridtext.pseudolabels import build_targets, update
 
 
 def _pages(n=4, seed=50, **overrides):
@@ -190,6 +196,41 @@ def test_scoring_and_export_leave_the_store_pages_as_they_were():
             score(store, pages)
             assert store.page_ids() == filled, score.__name__
         store.set(pages[0].page_id, 1, 1, PseudoLabel(pages[0].annotation.boxes[0][0], 1.0))
+
+
+def test_no_stage_changes_a_decoded_record_or_a_stored_box():
+    """Box and CharInstance are slotted, not frozen, and a new label shares
+    its Box with the result's CharInstance: a training pass, scoring, export
+    and LM rescoring must change neither in place."""
+    page = synth.gen_page(PageConfig(n_lines=4, chars_per_line=(8, 10), n_cls=20, seed=50))
+    store = PseudoLabelStore()
+    for seed in (1, 2):  # the second pass blends labels and adds new ones
+        maps = oracle_predict(page, OracleNoise(0.3, 0.1, 0.1, 0.05, 0.02, 0.02, seed=seed))
+        result = decode(maps)
+        m_l = match_lines(result.transcripts(), page.annotation.lines, 0.5)
+        m_c, m_ce = match_chars(m_l)
+        labels = store.page(page.page_id)
+        held = [(label.box, copy.copy(label.box)) for label in labels.values()]
+        snapshot = copy.deepcopy(result)
+        update(store, page.page_id, spatial_filter(m_c, result, labels, page.shape, 0.5), result)
+        stored = copy.deepcopy(store)
+        targets = build_targets(labels, page.annotation, result, m_ce, page.shape,
+                                np.random.default_rng(seed))
+        compute_losses(maps, targets, labels, page.annotation)
+        ar_star({page.page_id: result.transcripts()}, {page.page_id: page.annotation.lines})
+        det_prf([(c.box, c.cls_id, c.score) for line in result.lines for c in line.chars],
+                [(b, c) for boxes, line in zip(page.annotation.boxes, page.annotation.lines)
+                 for b, c in zip(boxes, line)], page.shape)
+        export_labels(store, [page])
+        # Soft class rows, so that the LM can overrule a swapped label.
+        maps.cls = (maps.cls + np.float32(0.1)) / np.float32(1 + 0.1 * page.n_cls)
+        lm = NGramLM.fit(page.annotation.lines, page.n_cls, order=2, smoothing=0.01)
+        rescored = rescore_with_lm(maps, result, lm, beam=4, top_k=4)
+        assert result == snapshot
+        assert all(box == before for box, before in held)
+        assert list(store.rows([page.page_id])) == list(stored.rows([page.page_id]))
+    assert any(label.count > 1 for label in store.labels(page.page_id).values())
+    assert rescored != result  # rescoring changed a class
 
 
 def _mean_label_iou_reference(store, pages):
