@@ -20,7 +20,7 @@ from .geometry import Box, GridShape
 from .jsoncheck import BOX, by_page_id, check, expect, finite, image_size, read_jsonl
 from .matching import ErrorCounts, PageAnnotation, load_annotations, save_annotations
 from .metrics import det_counts, page_counts, prf
-from .predictions import OracleNoise, load_maps, oracle_predict, save_maps
+from .predictions import MapFormatError, OracleNoise, load_maps, oracle_predict, save_maps
 from .pseudolabels import PseudoLabelStore
 from .simloop import ConfigError, StageConfig, export_labels, run_stage
 from .synth import LAYOUT_KINDS, Layout, PageConfig, SyntheticPage, gen_dataset
@@ -138,7 +138,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     config = DecodeConfig(**_given(args, "decode."))
     rows = []
     for path in paths:
-        maps = load_maps(path)
+        try:
+            maps = load_maps(path)
+        except MapFormatError as exc:
+            raise MapFormatError(f"{path}: {exc}") from None
         result = decode(maps, config)
         rows.append(_result_row(path.stem, result, maps.shape.img_w, maps.shape.img_h))
     _write_jsonl(rows, args.out)
@@ -294,7 +297,11 @@ def _read_config(path: str, seed: int) -> tuple[list[SyntheticPage], list[StageC
     value of the wrong type is an error that names its path, such as
     stages[0].nms_iou.
     """
-    doc = _fields(json.loads(Path(path).read_text()), _CONFIG_KEYS, "")
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise ConfigError(f"{path}: {exc}") from None
+    doc = _fields(raw, _CONFIG_KEYS, "")
     seed = doc.get("seed", seed)
     stages = []
     for k, stage_doc in enumerate(doc.get("stages", [{}])):

@@ -96,11 +96,16 @@ def check(value: Any, schema: Any, where: str = "row") -> Any:
 def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
     """``parse`` applied to each non-blank line of a JSON-lines file.
 
-    Malformed JSON, and any ValueError that ``parse`` raises, comes out as a
-    ValueError that starts with ``<path>:<line>:``.
+    A file that is not UTF-8 comes out as a ValueError that starts with
+    ``<path>:``; malformed JSON, and any ValueError that ``parse`` raises,
+    with ``<path>:<line>:``.
     """
+    try:
+        text = Path(path).read_text()
+    except ValueError as exc:  # not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

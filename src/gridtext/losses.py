@@ -39,18 +39,16 @@ class Term:
 
 @dataclass
 class LossReport:
-    l_dis: float
-    l_box: float
-    l_cls: float
-    l_sol: float
-    l_eol: float
-    l_rd: float
-    l_total: float
+    """Each term's value and count in ``TERM_NAMES`` order, the values'
+    sum, added in that order, and every term's flags."""
+
+    values: dict[str, float]
     counts: dict[str, int]
     flags: list[str]
+    l_total: float = 0.0
 
     def terms(self) -> dict[str, float]:
-        return {name: getattr(self, f"l_{name}") for name in TERM_NAMES}
+        return self.values
 
 
 def _mean_neg_log(vals: np.ndarray, flags: list[str], name: str) -> float:
@@ -149,26 +147,16 @@ def loss_rd(maps: PredictionMaps, targets: LossTargets) -> Term:
 
 
 def loss_total(terms: Mapping[str, Term]) -> LossReport:
-    """Unweighted sum of the six terms, with per-term counts and flags."""
-    total = 0.0
-    flags: list[str] = []
-    counts: dict[str, int] = {}
+    """The six terms' values, counts, flags and unweighted sum, in
+    ``TERM_NAMES`` order."""
+    report = LossReport(values={}, counts={}, flags=[])
     for name in TERM_NAMES:
         term = terms[name]
-        total += term.value
-        counts[name] = term.count
-        flags.extend(term.flags)
-    return LossReport(
-        l_dis=terms["dis"].value,
-        l_box=terms["box"].value,
-        l_cls=terms["cls"].value,
-        l_sol=terms["sol"].value,
-        l_eol=terms["eol"].value,
-        l_rd=terms["rd"].value,
-        l_total=total,
-        counts=counts,
-        flags=flags,
-    )
+        report.values[name] = term.value
+        report.counts[name] = term.count
+        report.flags.extend(term.flags)
+        report.l_total += term.value
+    return report
 
 
 def compute_losses(

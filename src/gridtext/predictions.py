@@ -10,6 +10,10 @@ The oracle stands in for a trained predictor: it renders exact maps from a
 synthetic page's ground truth, planned once per page, then corrupts them
 according to :class:`OracleNoise`.  With all-zero noise the maps decode
 back to the ground truth exactly.
+
+A reading-order path is a list of (i, j, d) int triples from
+:func:`staircase`, d a :class:`Direction` index.  Every one-hot row the
+oracle writes, clean or noisy, direction or class, goes through ``_set_rows``.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ class Direction(IntEnum):
 
 
 DIR_DELTAS: tuple[tuple[int, int], ...] = ((0, -1), (1, 0), (0, 1), (-1, 0))
-_DELTA_TO_DIR = {d: Direction(k) for k, d in enumerate(DIR_DELTAS)}
 
 
 def step(grid: tuple[int, int], d: int) -> tuple[int, int]:
@@ -63,14 +66,14 @@ def staircase(
     src: tuple[int, int],
     dst: tuple[int, int],
     vertical_slots: Sequence[int] | None = None,
-) -> list[tuple[tuple[int, int], Direction]]:
-    """Monotone grid path from ``src`` to ``dst`` as (grid, direction) steps.
+) -> list[tuple[int, int, int]]:
+    """Monotone grid path from ``src`` to ``dst`` as (i, j, d) steps.
 
     The path takes |di| horizontal and |dj| vertical unit moves; the vertical
     moves occupy ``vertical_slots`` (0-based positions among the total
     |di|+|dj| steps).  ``None`` selects the deterministic variant with all
-    horizontal moves first.  Each emitted pair is the grid a move leaves
-    from; the final move lands on ``dst``.
+    horizontal moves first.  Each step is the grid a move leaves from and
+    the move's :class:`Direction` index d; the final move lands on ``dst``.
     """
     di = dst[0] - src[0]
     dj = dst[1] - src[1]
@@ -80,15 +83,19 @@ def staircase(
     slots = set(vertical_slots)
     if len(slots) != abs(dj):
         raise ValueError(f"need {abs(dj)} vertical slots, got {len(slots)}")
-    sx = (di > 0) - (di < 0)
-    sy = (dj > 0) - (dj < 0)
-    out: list[tuple[tuple[int, int], Direction]] = []
-    cur = src
+    # Direction indices as plain ints: an enum member's .value is a slow lookup.
+    sx, dx = (1, 1) if di > 0 else (-1, 3)  # RIGHT or LEFT
+    sy, dy = (1, 2) if dj > 0 else (-1, 0)  # DOWN or UP
+    out: list[tuple[int, int, int]] = []
+    i, j = src
     for k in range(total):
-        move = (0, sy) if k in slots else (sx, 0)
-        out.append((cur, _DELTA_TO_DIR[move]))
-        cur = (cur[0] + move[0], cur[1] + move[1])
-    assert cur == dst
+        if k in slots:
+            out.append((i, j, dy))
+            j += sy
+        else:
+            out.append((i, j, dx))
+            i += sx
+    assert (i, j) == dst
     return out
 
 
@@ -219,16 +226,11 @@ def _blank_maps(shape: GridShape, n_cls: int) -> PredictionMaps:
     )
 
 
-def _rd_row(d: int) -> np.ndarray:
-    row = np.full(4, EPS, dtype=np.float32)
-    row[d] = 1.0 - 3 * EPS
-    return row
-
-
-def _one_hot(n: int, idx0: int) -> np.ndarray:
-    row = np.zeros(n, dtype=np.float32)
-    row[idx0] = 1.0
-    return row
+def _set_rows(arr: np.ndarray, at: tuple, idx: int | np.ndarray, on: float, off: float) -> None:
+    """Make each row ``arr[at]`` ``off`` but for ``on`` at its index ``idx``;
+    ``at`` and ``idx`` are scalars or parallel index arrays."""
+    arr[at] = off
+    arr[at + (idx,)] = on
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +277,8 @@ def render_plan(page: "SyntheticPage") -> RenderPlan:
     rd: dict[tuple[int, int], int] = {}
     for line in lines:
         for ga, gb in zip(line, line[1:]):
-            for g, d in staircase(ga, gb):
+            for i, j, d in staircase(ga, gb):
+                g = (i, j)
                 if g != ga and g in grids:
                     raise GridCollisionError(
                         f"inter-character path {ga}->{gb} crosses character at {g}"
@@ -306,11 +309,9 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
     plan = page.plan
     maps = _blank_maps(page.shape, page.n_cls)
     rng = np.random.default_rng(noise.seed)
-    maps.rd[plan.rd_at] = EPS
-    maps.rd[plan.rd_at + (plan.rd_dir,)] = 1.0 - 3 * EPS
+    _set_rows(maps.rd, plan.rd_at, plan.rd_dir, 1.0 - 3 * EPS, EPS)
     maps.dis[plan.char_at] = 1.0 - EPS
-    maps.cls[plan.char_at] = 0.0
-    maps.cls[plan.char_at + (plan.char_cls,)] = 1.0
+    _set_rows(maps.cls, plan.char_at, plan.char_cls, 1.0, 0.0)
     maps.box[plan.char_at] = abs_to_rel(plan.char_box, plan.char_at, page.shape)
     maps.sol[plan.sol_at] = 1.0 - EPS
     maps.eol[plan.eol_at] = 1.0 - EPS
@@ -343,8 +344,7 @@ def _apply_noise(
     keep = ~drop
     swap &= keep
     wrong = swap_to[swap] + (swap_to[swap] >= plan.char_cls[swap])  # skip the true class
-    maps.cls[i0[swap], j0[swap]] = 0.0
-    maps.cls[i0[swap], j0[swap], wrong % maps.n_cls] = 1.0
+    _set_rows(maps.cls, (i0[swap], j0[swap]), wrong % maps.n_cls, 1.0, 0.0)
     if noise.jitter_sigma > 0 or noise.size_sigma > 0:
         at = (i0[keep], j0[keep])
         # Valid centres for a cell lie in (lo, hi]; nudge off the open edge
@@ -367,7 +367,7 @@ def _apply_noise(
         size_frac_h = mean_size / shape.img_h
         for i, j in np.argwhere(hits):
             maps.dis[i, j] = rng.uniform(0.55, 0.9)
-            maps.cls[i, j] = _one_hot(maps.n_cls, int(rng.integers(0, maps.n_cls)))
+            _set_rows(maps.cls, (i, j), int(rng.integers(0, maps.n_cls)), 1.0, 0.0)
             x_o, y_o = rng.uniform(0.3, 0.7, size=2)
             scale = rng.uniform(0.8, 1.2)
             maps.box[i, j] = (
@@ -377,10 +377,11 @@ def _apply_noise(
                 min(size_frac_h * scale, 1.0),
             )
 
+    # One call draws the same directions as one draw per flip; the spurious
+    # draws above mix doubles with integers, so they go one hit at a time.
     if noise.dir_flip_p > 0:
-        flips = rng.random((shape.w_g, shape.h_g)) < noise.dir_flip_p
-        for i, j in np.argwhere(flips):
-            maps.rd[i, j] = _rd_row(int(rng.integers(0, 4)))
+        flips = np.nonzero(rng.random((shape.w_g, shape.h_g)) < noise.dir_flip_p)
+        _set_rows(maps.rd, flips, rng.integers(0, 4, size=len(flips[0])), 1.0 - 3 * EPS, EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +442,14 @@ def load_maps(path: str | Path) -> PredictionMaps:
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] == MAGIC:
-        return _load_binary(raw)
-    head = raw.lstrip()[:1]
-    if head == b"{":
-        return _load_json(raw)
-    raise MapFormatError(f"header: not a prediction-map file ({path})")
+        shape, n_cls, tensors = _load_binary(raw)
+    elif raw.lstrip()[:1] == b"{":
+        shape, n_cls, tensors = _load_json(raw)
+    else:
+        raise MapFormatError(f"header: not a prediction-map file ({path})")
+    maps = PredictionMaps(shape=shape, n_cls=n_cls, **tensors)
+    maps.validate()
+    return maps
 
 
 def _header(w_g, h_g, n_cls, img_w, img_h) -> tuple[GridShape, int]:
@@ -464,7 +468,7 @@ def _check_version(version: int) -> None:
         raise MapFormatError(f"header: unsupported version {version}")
 
 
-def _load_binary(raw: bytes) -> PredictionMaps:
+def _load_binary(raw: bytes) -> tuple[GridShape, int, dict[str, np.ndarray]]:
     if len(raw) < _HEADER.size:
         raise MapFormatError("header: truncated file")
     magic, version, *fields = _HEADER.unpack_from(raw)
@@ -484,9 +488,7 @@ def _load_binary(raw: bytes) -> PredictionMaps:
         offset = end
     if offset != len(raw):
         raise MapFormatError("payload: trailing bytes after tensors")
-    maps = PredictionMaps(shape=shape, n_cls=n_cls, **tensors)
-    maps.validate()
-    return maps
+    return shape, n_cls, tensors
 
 
 def _check_numbers(tensor: object, name: str) -> None:
@@ -506,7 +508,7 @@ def _check_numbers(tensor: object, name: str) -> None:
 _JSON_HEADER = {"w_g": int, "h_g": int, "n_cls": int, "img_w": float, "img_h": float}
 
 
-def _load_json(raw: bytes) -> PredictionMaps:
+def _load_json(raw: bytes) -> tuple[GridShape, int, dict[str, np.ndarray]]:
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # malformed JSON or not UTF-8
@@ -532,6 +534,4 @@ def _load_json(raw: bytes) -> PredictionMaps:
         except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
             raise MapFormatError(f"{name}: not a numeric tensor ({exc})") from exc
         tensors[name] = arr
-    maps = PredictionMaps(shape=shape, n_cls=n_cls, **tensors)
-    maps.validate()
-    return maps
+    return shape, n_cls, tensors

@@ -207,8 +207,7 @@ def gen_paths(
             if n_vert:
                 total = abs(dst[0] - src[0]) + n_vert
                 slots = rng.choice(total, size=n_vert, replace=False).tolist()
-            for g, d in staircase(src, dst, vertical_slots=slots):
-                s_rd.add((g[0], g[1], int(d)))
+            s_rd.update(staircase(src, dst, vertical_slots=slots))
     return s_rd
 
 

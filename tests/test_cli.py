@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import struct
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -496,6 +497,49 @@ def test_stage_range_errors_give_the_value(tmp_path, monkeypatch, capsys, keys, 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(_stage(**keys)["config.json"])
     assert main(_TRAIN_SIM) == 2
+    assert capsys.readouterr().err == message
+
+
+def _nan_last_value(path: Path) -> None:
+    """Overwrite the last float32 of a binary map file, an rd value, with NaN."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4] + struct.pack("<f", math.nan))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    ("p00001.pgnm", "rd: non-finite payload (NaN or inf)"),
+    ("p00001.json", "header: missing field 'h_g'"),
+], ids=["binary-nan", "json-missing-field"])
+def test_decode_error_names_the_map_file(tmp_path, capsys, corrupt, message):
+    maps_dir = tmp_path / "maps"
+    if corrupt.endswith(".pgnm"):
+        assert main(["synth", "--pages", "2", "--lines", "1", "--chars", "3",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        _nan_last_value(maps_dir / corrupt)
+    else:
+        maps_dir.mkdir()
+        (maps_dir / "p00000.json").write_text(_MAP)
+        (maps_dir / corrupt).write_text(json.dumps(_without(json.loads(_MAP), "h_g")))
+    assert main(["decode", "--maps-dir", str(maps_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {maps_dir / corrupt}: {message}\n"
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"config.json": b"{bad"}, _TRAIN_SIM, "error: config.json: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)\n"),
+    ({"results.jsonl": b"\xff\xfe", "annotations.jsonl": _jsonl(_ANNOT).encode()}, _EVAL,
+     "error: results.jsonl: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte\n"),
+], ids=["config-bad-json", "results-not-utf8"])
+def test_unreadable_input_errors_name_the_file(tmp_path, monkeypatch, capsys, files, argv,
+                                              message):
+    monkeypatch.chdir(tmp_path)
+    for name, raw in files.items():
+        (tmp_path / name).write_bytes(raw)
+    assert main(argv) == 2
     assert capsys.readouterr().err == message
 
 

@@ -144,8 +144,9 @@ def test_loss_total_is_exact_sum():
     targets = build_targets(labels, annot, result, m_ce, page.shape,
                             np.random.default_rng(0))
     report = compute_losses(maps, targets, labels, annot)
-    want = (report.l_dis + report.l_box + report.l_cls + report.l_sol
-            + report.l_eol + report.l_rd)
+    terms = report.terms()
+    want = (terms["dis"] + terms["box"] + terms["cls"] + terms["sol"]
+            + terms["eol"] + terms["rd"])
     assert report.l_total == want
     assert report.counts["cls"] == len(targets.s_c)
     assert report.counts["rd"] == len(targets.s_rd)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gridtext.geometry import Box, GridShape, grid_of
 from gridtext.matching import PageAnnotation
 from gridtext.predictions import (
+    DIR_DELTAS,
     EPS,
     MAGIC,
     Direction,
@@ -21,8 +22,6 @@ from gridtext.predictions import (
     PredictionMaps,
     MAX_SIZE_SIGMA,
     _blank_maps,
-    _one_hot,
-    _rd_row,
     _tensor_shapes,
     load_maps,
     oracle_predict,
@@ -140,6 +139,18 @@ def test_run_stage_rejects_a_collision_page_before_any_pass():
 # end, then one noise step per character.
 
 
+def _rd_row(d: int) -> np.ndarray:
+    row = np.full(4, EPS, dtype=np.float32)
+    row[d] = 1.0 - 3 * EPS
+    return row
+
+
+def _one_hot(n: int, idx0: int) -> np.ndarray:
+    row = np.zeros(n, dtype=np.float32)
+    row[idx0] = 1.0
+    return row
+
+
 def _set_rel(maps, grid, box):
     s = maps.shape
     maps.box[grid[0] - 1, grid[1] - 1] = (
@@ -233,12 +244,12 @@ def _oracle_reference(page: SyntheticPage, noise: OracleNoise):
         grids[g] = k
     for line in lines:
         for (ga, _, _), (gb, _, _) in zip(line, line[1:]):
-            for g, d in staircase(ga, gb):
-                if g != ga and g in grids:
+            for i, j, d in staircase(ga, gb):
+                if (i, j) != ga and (i, j) in grids:
                     raise GridCollisionError(
-                        f"inter-character path {ga}->{gb} crosses character at {g}"
+                        f"inter-character path {ga}->{gb} crosses character at {(i, j)}"
                     )
-                maps.rd[g[0] - 1, g[1] - 1] = _rd_row(d)
+                maps.rd[i - 1, j - 1] = _rd_row(d)
     for (i, j), cls_id, box in chars:
         maps.dis[i - 1, j - 1] = 1.0 - EPS
         maps.cls[i - 1, j - 1] = _one_hot(page.n_cls, cls_id - 1)
@@ -339,10 +350,75 @@ def test_reused_plan_is_never_changed_or_shared():
 
 def test_staircase_deterministic_variant():
     steps = staircase((2, 2), (5, 4))
-    assert [g for g, _ in steps] == [(2, 2), (3, 2), (4, 2), (5, 2), (5, 3)]
-    assert [d for _, d in steps] == [Direction.RIGHT] * 3 + [Direction.DOWN] * 2
+    assert [(i, j) for i, j, _ in steps] == [(2, 2), (3, 2), (4, 2), (5, 2), (5, 3)]
+    assert [d for _, _, d in steps] == [Direction.RIGHT] * 3 + [Direction.DOWN] * 2
     with pytest.raises(ValueError):
         staircase((2, 2), (5, 4), vertical_slots=[0])
+
+
+_DELTA_TO_DIR = {d: Direction(k) for k, d in enumerate(DIR_DELTAS)}
+
+
+def _staircase_reference(src, dst, vertical_slots=None):
+    """The per-step loop that ``staircase`` replaced: one delta, one
+    ``Direction`` and one grid tuple per step, as (grid, Direction) pairs."""
+    di = dst[0] - src[0]
+    dj = dst[1] - src[1]
+    total = abs(di) + abs(dj)
+    if vertical_slots is None:
+        vertical_slots = range(abs(di), total)
+    slots = set(vertical_slots)
+    if len(slots) != abs(dj):
+        raise ValueError(f"need {abs(dj)} vertical slots, got {len(slots)}")
+    sx = (di > 0) - (di < 0)
+    sy = (dj > 0) - (dj < 0)
+    out = []
+    cur = src
+    for k in range(total):
+        move = (0, sy) if k in slots else (sx, 0)
+        out.append((cur, _DELTA_TO_DIR[move]))
+        cur = (cur[0] + move[0], cur[1] + move[1])
+    assert cur == dst
+    return out
+
+
+_LATTICE = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+@settings(deadline=None, max_examples=300)
+@given(src=_LATTICE, dst=_LATTICE, data=st.data())
+def test_staircase_matches_per_step_reference(src, dst, data):
+    total = abs(dst[0] - src[0]) + abs(dst[1] - src[1])
+    n_vert = abs(dst[1] - src[1])
+    slots = data.draw(st.none() | st.permutations(range(total)).map(lambda p: p[:n_vert]))
+    got = staircase(src, dst, vertical_slots=slots)
+    assert got == [(i, j, int(d)) for (i, j), d in _staircase_reference(src, dst, slots)]
+    assert all(type(d) is int for _, _, d in got)
+    if total:  # a slot count other than the vertical distance
+        size = data.draw(st.integers(0, total).filter(lambda k: k != n_vert))
+        wrong = data.draw(st.permutations(range(total)))[:size]
+        for fn in (staircase, _staircase_reference):
+            with pytest.raises(ValueError, match="vertical slots"):
+                fn(src, dst, vertical_slots=wrong)
+
+
+@pytest.mark.parametrize("warmup", [0, 1, 2, 5])
+def test_batched_direction_draws_equal_scalar_draws(warmup):
+    # The direction-flip pass draws its k directions in one call; that
+    # keeps the maps of one draw per flip only while numpy's bounded
+    # integer sampler gives the same numbers and the same generator state
+    # either way.  An odd number of warm-up draws leaves a buffered 32-bit
+    # half-word, an even number none.
+    for seed in (0, 7):
+        for k in range(41):
+            batched = np.random.default_rng(seed)
+            batched.integers(0, 100, size=warmup)
+            assert batched.bit_generator.state["has_uint32"] == warmup % 2
+            scalar = np.random.default_rng()
+            scalar.bit_generator.state = batched.bit_generator.state
+            draws = batched.integers(0, 4, size=k)
+            assert draws.tolist() == [int(scalar.integers(0, 4)) for _ in range(k)]
+            assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 def test_save_load_binary_round_trip(tmp_path, page):

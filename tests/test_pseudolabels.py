@@ -167,8 +167,8 @@ def _gen_paths_reference(labels, annot, shape, rng):
             total = abs(dst[0] - src[0]) + abs(dst[1] - src[1])
             n_vert = abs(dst[1] - src[1])
             slots = rng.choice(total, size=n_vert, replace=False) if total else []
-            for g, d in staircase(src, dst, vertical_slots=[int(s) for s in slots]):
-                s_rd.add((g[0], g[1], int(d)))
+            for i, j, d in staircase(src, dst, vertical_slots=[int(s) for s in slots]):
+                s_rd.add((i, j, int(d)))
     return s_rd
 
 
