@@ -2,11 +2,11 @@
 
 Decoding runs in three steps.  Node extraction thresholds the presence map
 and removes duplicate detections with NMS.  Edge resolution walks the
-per-grid direction field from every node until another node is reached (or
-the walk exits the lattice, revisits a grid, or hits the step cap), then
-enforces the at-most-one-edge-in/one-edge-out property.  Assembly emits
-each maximal chain that begins at a start-of-line node and stops at the
-first end-of-line node.
+per-grid direction field from every node except an end-of-line node until
+another node is reached (or the walk exits the lattice, revisits a grid, or
+hits the step cap), then enforces the at-most-one-edge-in/one-edge-out
+property.  An end-of-line node ends its line, so no walk and no edge leaves
+it.  Assembly emits each maximal chain that begins at a start-of-line node.
 
 The maps are read in bulk, never one numpy scalar at a time: a decode takes
 the argmax direction of every grid once, as a nested-list table that the
@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box, cells, rel_to_abs
+from .geometry import Box, cells, ordered_sum, rel_to_abs
 from .predictions import DIR_DELTAS, PredictionMaps, step
 
 DIS_WEIGHT = 0.8
@@ -46,6 +46,7 @@ REACHED = "reached"
 BOUNDARY = "boundary"
 CYCLE = "cycle"
 MAX_STEPS = "max_steps"
+END_OF_LINE = "end_of_line"  # no walk ran: the node's end-of-line flag ends its line
 
 
 class InvariantError(RuntimeError):
@@ -90,7 +91,8 @@ class SearchTrace:
 
     ``visited`` holds the grids the walk stood on, origin first; the reached
     node's grid is never included, so ``path`` (everything after the origin)
-    is exactly the character-free corridor between two nodes.
+    is exactly the character-free corridor between two nodes.  An end-of-line
+    node never walks: its trace has outcome END_OF_LINE and an empty path.
     """
 
     origin: tuple[int, int]
@@ -264,8 +266,8 @@ def _edge_angle(src: CharInstance, dst: CharInstance) -> float:
 
 def _circular_mean(angles: Sequence[float]) -> float:
     return math.atan2(
-        sum(math.sin(a) for a in angles) / len(angles),
-        sum(math.cos(a) for a in angles) / len(angles),
+        ordered_sum(map(math.sin, angles)) / len(angles),
+        ordered_sum(map(math.cos, angles)) / len(angles),
     )
 
 
@@ -344,9 +346,10 @@ def assemble(
     """Chase edges from start-of-line nodes into ordered line results.
 
     A line starts at every node whose start-of-line confidence exceeds the
-    threshold and that has no incoming edge; it ends at the first node
-    flagged end-of-line or when no outgoing edge exists.  Nodes on no line
-    are kept as diagnostics in ``dropped``.
+    threshold and that has no incoming edge; it ends where no outgoing edge
+    exists, as :func:`decode` makes it at every end-of-line node, and reports
+    that node's end-of-line confidence.  Nodes on no line are kept as
+    diagnostics in ``dropped``.
     """
     at = cells(n.grid for n in nodes)
     sol = maps.sol[at].tolist()
@@ -362,7 +365,7 @@ def assemble(
             continue
         chain = [k]
         cur = k
-        while eol[cur] <= config.sol_eol_threshold and cur in edges:
+        while cur in edges:
             nxt = edges[cur]
             if nxt in used or nxt in chain:
                 break
@@ -407,11 +410,14 @@ def decode(maps: PredictionMaps, config: DecodeConfig = DecodeConfig()) -> PageR
     """Full pipeline: extract nodes, follow directions, resolve, assemble."""
     nodes = extract_nodes(maps, config)
     node_scores = {n.grid: n.score for n in nodes}
-    max_steps = config.max_steps
-    if max_steps is None:
-        max_steps = maps.shape.w_g + maps.shape.h_g
+    max_steps = config.max_steps or maps.shape.w_g + maps.shape.h_g
     dirs = direction_table(maps)
-    traces = [follow(dirs, n.grid, node_scores, max_steps) for n in nodes]
+    eol = maps.eol[cells(n.grid for n in nodes)].tolist()
+    traces = [
+        follow(dirs, n.grid, node_scores, max_steps) if e <= config.sol_eol_threshold
+        else SearchTrace(n.grid, [n.grid], END_OF_LINE)
+        for n, e in zip(nodes, eol)
+    ]
     edges = resolve_edges(nodes, traces)
     result = assemble(nodes, edges, traces, maps, config)
     validate_result(result)

@@ -30,6 +30,15 @@ import numpy as np
 IMAGE_SIZE_RANGE = (1e-100, 1e100)
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, as ``sum`` adds floats before
+    Python 3.12; every float sum whose bits reach an output uses it."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class GridShape:
     """Lattice geometry: grid columns/rows and the image size in pixels."""

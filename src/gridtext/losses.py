@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Collection, Mapping
 
 import numpy as np
 
-from .geometry import GridShape, abs_to_rel, box_rows
+from .geometry import GridShape, abs_to_rel, box_rows, ordered_sum
 from .predictions import PredictionMaps
 from .pseudolabels import LossTargets, PseudoLabel
 
@@ -45,7 +45,7 @@ class LossReport:
     values: dict[str, float]
     counts: dict[str, int]
     flags: list[str]
-    l_total: float = 0.0
+    l_total: float
 
     def terms(self) -> dict[str, float]:
         return self.values
@@ -53,14 +53,14 @@ class LossReport:
 
 def _mean_neg_log(vals: np.ndarray, flags: list[str], name: str) -> float:
     """Mean of -log over ``vals``, each clamped into [CLAMP, 1 - CLAMP]; the
-    logs are summed in order, as Python floats."""
+    logs are summed in order, as Python floats, by :func:`ordered_sum`."""
     if not len(vals):
         flags.append(f"{name}:empty")
         return 0.0
     if ((vals < CLAMP) | (vals > 1.0 - CLAMP)).any():
         flags.append(f"{name}:clamped")
         vals = np.minimum(np.maximum(vals, CLAMP), 1.0 - CLAMP)
-    return -sum(map(math.log, vals.tolist())) / len(vals)
+    return -ordered_sum(map(math.log, vals.tolist())) / len(vals)
 
 
 def _sorted_cells(targets: Collection[tuple[int, ...]], width: int) -> np.ndarray:
@@ -105,9 +105,7 @@ def loss_box(
     with np.errstate(over="ignore"):  # as Python floats, far boxes give inf
         diffs = maps.box[at] - want
         squares = np.array(BOX_WEIGHTS) * diffs * diffs
-    total = 0.0
-    for row in squares.tolist():
-        total += sum(row)
+    total = ordered_sum(map(ordered_sum, squares.tolist()))
     return Term(total / len(targets.s_c), len(targets.s_c), flags)
 
 
@@ -149,14 +147,10 @@ def loss_rd(maps: PredictionMaps, targets: LossTargets) -> Term:
 def loss_total(terms: Mapping[str, Term]) -> LossReport:
     """The six terms' values, counts, flags and unweighted sum, in
     ``TERM_NAMES`` order."""
-    report = LossReport(values={}, counts={}, flags=[])
-    for name in TERM_NAMES:
-        term = terms[name]
-        report.values[name] = term.value
-        report.counts[name] = term.count
-        report.flags.extend(term.flags)
-        report.l_total += term.value
-    return report
+    values = {name: terms[name].value for name in TERM_NAMES}
+    counts = {name: terms[name].count for name in TERM_NAMES}
+    flags = [flag for name in TERM_NAMES for flag in terms[name].flags]
+    return LossReport(values, counts, flags, ordered_sum(values.values()))
 
 
 def compute_losses(

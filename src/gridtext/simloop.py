@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .decoder import DecodeConfig, decode
-from .geometry import ious
+from .geometry import ious, ordered_sum
 from .losses import compute_losses
 from .matching import match_chars, match_lines, spatial_filter
 from .predictions import OracleNoise, oracle_predict
@@ -118,7 +118,7 @@ def mean_label_iou(
     when the store holds no label of these pages.
 
     Each page's labels are scored with one :func:`ious` call, and the
-    IoUs are summed in store order."""
+    IoUs are summed in store order by :func:`ordered_sum`."""
     vals: list[float] = []
     for page in pages:
         labels = store.labels(page.page_id)
@@ -128,7 +128,7 @@ def mean_label_iou(
             vals.extend(ious(boxes, [gt[q - 1][n - 1] for q, n in labels], page.shape))
     if not vals:
         return None
-    return sum(vals) / len(vals)
+    return ordered_sum(vals) / len(vals)
 
 
 def check_store(store: PseudoLabelStore, dataset: Sequence[SyntheticPage]) -> None:

@@ -4,9 +4,9 @@ Characters are geometric objects (a box plus a class id) placed so that
 every character owns a distinct grid cell and the corridor between
 consecutive characters stays clear of other characters.  A page's
 annotation is its ground truth: the class ids and boxes of its lines, in
-reading order.  Each generated page is validated by the zero-noise round
+reading order.  A page is built once and validated by the zero-noise round
 trip: exact oracle maps must decode back to the annotation, which is the
-generator's definition of a well-formed page.
+generator's definition of a well-formed page, so a mismatch is a defect.
 """
 
 from __future__ import annotations
@@ -18,21 +18,20 @@ from typing import Iterator
 
 import numpy as np
 
-from .decoder import DecodeConfig, decode
+from .decoder import DecodeConfig, InvariantError, decode
 from .geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of
 from .matching import PageAnnotation
-from .predictions import GridCollisionError, OracleNoise, RenderPlan, oracle_predict, render_plan
+from .predictions import OracleNoise, RenderPlan, oracle_predict, render_plan
 
 ROTATIONS = ("horizontal", "rot90", "rot180", "rot270")
 LAYOUT_KINDS = ROTATIONS + ("sine",)
 
-_MAX_ATTEMPTS = 25
 CHAR_SIZE = (0.9, 1.3)  # range of a box's width and height, in cell units
 MIN_PERIOD = 1e-6  # shortest sine period in cells: the phase 2*pi*x/period stays finite
 
 
 class GenerationError(ValueError):
-    """The requested page cannot be generated (infeasible or unlucky)."""
+    """The requested characters or lines do not fit the page's grid."""
 
 
 @dataclass(frozen=True)
@@ -184,23 +183,14 @@ def gen_page(config: PageConfig, page_index: int = 0) -> SyntheticPage:
     """Generate one page; deterministic in (config.seed, page_index).
 
     The page's annotation, with id ``p{page_index:05d}``, carries its
-    transcript and boxes.  Validation regenerates with fresh jitter on a
-    grid collision and asserts the zero-noise round trip before returning.
+    transcript and boxes.  The page is built once and must pass the
+    zero-noise round trip; a page that does not raises InvariantError.
     """
     page_id = f"p{page_index:05d}"
-    last_err: Exception | None = None
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([config.seed, page_index, attempt])
-        page = _build(config, rng, page_id)
-        try:
-            if _round_trip_ok(page):
-                return page
-            last_err = GenerationError(f"{page_id}: round trip mismatch")
-        except GridCollisionError as exc:
-            last_err = exc
-    raise GenerationError(
-        f"could not generate a valid page after {_MAX_ATTEMPTS} attempts: {last_err}"
-    )
+    page = _build(config, np.random.default_rng([config.seed, page_index]), page_id)
+    if not _round_trip_ok(page):
+        raise InvariantError(f"{page_id}: zero-noise round trip mismatch")
+    return page
 
 
 def gen_dataset(config: PageConfig, n_pages: int) -> Iterator[SyntheticPage]:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridtext import synth
 from gridtext.cli import _from_doc, _read_config, build_parser, main, render_page_svg
 from gridtext.decoder import DecodeConfig
 from gridtext.predictions import OracleNoise
@@ -598,6 +599,23 @@ def _exit_0_or_2_with_one_line(argv) -> None:
 
 _TINY_SYNTH = ["synth", "--pages", "1", "--lines", "1", "--chars", "2", "--grid-w", "12",
                "--grid-h", "12", "--layout", "sine", "--jitter-sigma", "0.1"]
+
+
+def test_synth_round_trip_mismatch_exits_3_with_one_line(monkeypatch, tmp_path, capsys):
+    decode = synth.decode
+
+    def decode_dropping_a_char(maps, config):
+        result = decode(maps, config)
+        del result.lines[0].chars[-1]
+        return result
+
+    monkeypatch.setattr(synth, "decode", decode_dropping_a_char)
+    assert main([*_TINY_SYNTH, "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: p00000: zero-noise round trip mismatch\n"
+
+
 _NUMBER_FLAGS = {
     a.option_strings[0]: a.type for a in _subparser("synth")._actions if a.type in (int, float)
 }

@@ -20,6 +20,7 @@ from conftest import (
 from gridtext.decoder import (
     BOUNDARY,
     CYCLE,
+    END_OF_LINE,
     MAX_STEPS,
     REACHED,
     CharInstance,
@@ -132,7 +133,12 @@ def _decode_reference(maps: PredictionMaps, config: DecodeConfig) -> PageResult:
     nodes = _extract_nodes_reference(maps, config)
     node_scores = {n.grid: n.score for n in nodes}
     max_steps = config.max_steps or maps.shape.w_g + maps.shape.h_g
-    traces = [_follow_reference(maps, n.grid, node_scores, max_steps) for n in nodes]
+    traces = [
+        SearchTrace(n.grid, [n.grid], END_OF_LINE)
+        if float(maps.eol[n.grid[0] - 1, n.grid[1] - 1]) > config.sol_eol_threshold
+        else _follow_reference(maps, n.grid, node_scores, max_steps)
+        for n in nodes
+    ]
     result = assemble(nodes, resolve_edges(nodes, traces), traces, maps, config)
     validate_result(result)
     return result
@@ -328,6 +334,31 @@ def test_assemble_chain_without_eol_ends_at_last_edge():
     traces = [_reached((1, 2), (2, 2)), _reached((2, 2), (3, 2)), _dead((3, 2))]
     result = assemble(nodes, {0: 1, 1: 2}, traces, maps)
     assert [c.cls_id for c in result.lines[0].chars] == [1, 2, 3]
+
+
+def test_no_walk_leaves_an_end_of_line_node():
+    # Both lines read right to left.  The upper line ends at (2, 5), whose
+    # walk would drift down the blank field into (2, 6), the corridor of the
+    # lower line, and reach (1, 6), the lower line's last character.  That
+    # walk has chain history and the lower line's true walk from (3, 6) has
+    # none, so it would win the edge and cut the lower line short.
+    maps = blank_maps(GridShape(8, 6, 128, 96), 4)
+    put_char(maps, 6, 5, 1, sol=1.0 - 1e-6)
+    put_char(maps, 4, 5, 2)
+    put_char(maps, 2, 5, 3, eol=1.0 - 1e-6)
+    put_char(maps, 3, 6, 4, sol=1.0 - 1e-6)
+    put_char(maps, 1, 6, 1, eol=1.0 - 1e-6)
+    for i, j in ((6, 5), (5, 5), (4, 5), (3, 5), (3, 6), (2, 6)):
+        set_rd(maps, i, j, Direction.LEFT)
+    assert direction_table(maps)[1][4] == Direction.DOWN  # the drift at (2, 5)
+    result = decode(maps)
+    assert [[c.grid for c in line.chars] for line in result.lines] == [
+        [(6, 5), (4, 5), (2, 5)], [(3, 6), (1, 6)]
+    ]
+    assert not result.dropped
+    for line in result.lines:
+        assert line.traces[-1] == SearchTrace(line.chars[-1].grid, [line.chars[-1].grid],
+                                              END_OF_LINE)
 
 
 def test_assemble_three_line_page():

@@ -1,4 +1,7 @@
+import builtins
+import importlib
 import math
+import pkgutil
 import re
 import warnings
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gridtext
 from conftest import _iou_reference, _nms_reference
 from gridtext import geometry
 from gridtext.decoder import extract_nodes
@@ -22,10 +26,12 @@ from gridtext.geometry import (
     grid_of,
     ious,
     nms,
+    ordered_sum,
     rel_to_abs,
 )
 from gridtext.predictions import OracleNoise, oracle_predict
 from gridtext.synth import Layout, PageConfig, gen_page
+from test_pins import PINS, pipeline_digests
 
 
 def test_rel_to_abs_zero_offset_corner(shape44):
@@ -315,3 +321,29 @@ def test_extract_nodes_matches_reference_on_large_page(monkeypatch):
     assert calls == [1]  # extract_nodes looked nms up at call time
     assert len(reference) < len(maps.dis[maps.dis >= 0.5])  # NMS did suppress
     assert nodes == reference
+
+
+def _compensated_sum(values, start=0):
+    """The builtin ``sum`` of Python 3.12 and later: floats are added with
+    Neumaier compensation; any other items go to the running builtin."""
+    items = list(values)
+    if not items or not all(type(v) is float for v in items):
+        return builtins.sum(items, start)
+    total, comp = float(start), 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_pins_hold_when_builtin_sum_compensates(tmp_path, monkeypatch, capsys):
+    # Every float sum whose bits reach an output goes through ordered_sum,
+    # so the outputs do not depend on how the running Python's sum adds.
+    assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0 == sum([1e16, 1.0, -1e16])
+    for info in pkgutil.iter_modules(gridtext.__path__):
+        module = importlib.import_module(f"gridtext.{info.name}")
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert pipeline_digests(tmp_path) == PINS
+    capsys.readouterr()

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtext.decoder import CharInstance, Line, PageResult, SearchTrace
+from gridtext.decoder import (
+    BOUNDARY,
+    END_OF_LINE,
+    CharInstance,
+    Line,
+    PageResult,
+    SearchTrace,
+    decode,
+)
 from gridtext.geometry import Box, GridShape, grid_of
 from gridtext.matching import PageAnnotation
 from gridtext.pseudolabels import (
@@ -16,7 +24,8 @@ from gridtext.pseudolabels import (
     update,
     update_weight,
 )
-from gridtext.predictions import DIR_DELTAS, staircase
+from gridtext.predictions import DIR_DELTAS, OracleNoise, oracle_predict, staircase
+from gridtext.synth import PageConfig, gen_page
 
 SHAPE = GridShape(8, 8, 128, 128)
 
@@ -278,6 +287,28 @@ def test_build_targets_d_neg_from_traces():
     targets = build_targets({}, annot, result, {(1, 1)}, SHAPE,
                             np.random.default_rng(0))
     assert targets.s_d_neg == {(3, 2), (4, 2)}
+
+
+def test_build_targets_d_neg_skips_end_of_line_chars_on_a_decoded_page():
+    # A line's last character has a path only when no end-of-line flag ended
+    # its line: an end-of-line node never walks.  Line 2's last flag is
+    # cleared, so its last node walks off the page and its path counts.
+    page = gen_page(PageConfig(n_lines=3, chars_per_line=(4, 6), n_cls=10, seed=11))
+    maps = oracle_predict(page, OracleNoise())
+    i, j = grid_of(page.annotation.boxes[1][-1], page.shape)
+    maps.eol[i - 1, j - 1] = 1e-6
+    result = decode(maps)
+    assert result.transcripts() == page.annotation.lines
+    m_ce = {(p, m) for p, line in enumerate(result.lines, 1)
+            for m in range(1, len(line.chars) + 1)}
+    targets = build_targets({}, page.annotation, result, m_ce, page.shape,
+                            np.random.default_rng(0))
+    last = [line.traces[-1] for line in result.lines]
+    assert [t.outcome for t in last] == [END_OF_LINE, BOUNDARY, END_OF_LINE]
+    assert last[0].path == last[2].path == [] and last[1].path
+    assert targets.s_d_neg == {
+        g for line in result.lines for trace in line.traces for g in trace.path
+    }
 
 
 def test_store_save_load_round_trip(tmp_path):

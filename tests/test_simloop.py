@@ -69,8 +69,9 @@ def test_a_page_is_planned_once_for_its_lifetime(monkeypatch, tmp_path):
     monkeypatch.setattr(synth, "render_plan", plan_spy)
     monkeypatch.setattr(synth, "_build", build_spy)
     pages = _pages(n=2)
-    # gen_page's round trip plans each page it builds, and nothing else does.
-    assert planned == built and len(built) >= len(pages)
+    # gen_page builds each page once, its round trip plans it, and nothing
+    # else does.
+    assert planned == built and len(built) == len(pages)
     n_planned = len(planned)
     monkeypatch.setattr(simloop, "oracle_predict", predict_spy)
     store = PseudoLabelStore()

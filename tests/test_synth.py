@@ -1,10 +1,15 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gridtext import synth
 from gridtext.geometry import grid_of
 from gridtext.synth import (
+    LAYOUT_KINDS,
     GenerationError,
     Layout,
     PageConfig,
@@ -106,3 +111,28 @@ def test_layout_rejects_out_of_range_field(fields, name):
 def test_gen_dataset_rejects_fewer_than_one_page(n_pages):
     with pytest.raises(ValueError, match="^pages must be >= 1"):
         list(gen_dataset(PageConfig(), n_pages))
+
+
+# (lines, characters per line) of a paper-default, a dense and a large page.
+_FIRST_BUILD_SIZES = {32: (5, (10, 10)), 64: (12, (16, 20)), 128: (27, (30, 36))}
+
+
+@pytest.mark.parametrize("kind", LAYOUT_KINDS)
+@pytest.mark.parametrize("grid", sorted(_FIRST_BUILD_SIZES))
+@settings(deadline=None, max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1), page_index=st.integers(0, 99_999),
+       amplitude=st.sampled_from([1.0, 1.5]))
+def test_first_build_round_trips(grid, kind, seed, page_index, amplitude):
+    # gen_page builds a page once and has no retry, so every first build of a
+    # config that fits must pass the zero-noise round trip, which raises
+    # GridCollisionError on a collision.
+    n_lines, chars = _FIRST_BUILD_SIZES[grid]
+    config = PageConfig(n_lines=n_lines, chars_per_line=chars, n_cls=100,
+                        layout=Layout(kind, amplitude=amplitude), w_g=grid, h_g=grid,
+                        seed=seed)
+    rng = np.random.default_rng([seed, page_index])
+    try:
+        page = synth._build(config, rng, "p")
+    except GenerationError:
+        assume(False)  # amplitude-1.5 sine lines fit only at 32x32
+    assert synth._round_trip_ok(page)
