@@ -3,20 +3,25 @@
 Line matching scores every (result line, transcript line) pair by its
 Levenshtein distance alone, one packed bit-parallel pass per result line,
 and pairs them greedily in descending accurate-rate order; only the pairs
-it matches are aligned, by a minimum edit script, and it hands back those
-scripts.  Character matching reads them into per-character states (equal /
-substituted / inserted), from which the reliable "consecutive equal"
-positions are read off, and AR*/CR* count their errors off the same
-scripts, so no pair is aligned twice and no unmatched pair is aligned at
-all.  Spatial matching then vetoes character pairs whose predicted box
-disagrees with the stored pseudo-label.
+it matches are aligned, by a minimum edit script backtraced from the
+columns of that same pass, and it hands back those scripts.  Character
+matching reads them into per-character states (equal / substituted /
+inserted), from which the reliable "consecutive equal" positions are read
+off, and AR*/CR* count their errors off the same scripts, so no pair is
+aligned twice and no unmatched pair is aligned at all.  Spatial matching
+then vetoes character pairs whose predicted box disagrees with the stored
+pseudo-label.
 
 Distances and scripts read Levenshtein tables whose columns ``_columns``
 computes by Myers' bit vectors, over ``_table``'s one bit segment per
-transcript line.  Minimum edit scripts are not unique; the canonical
-backtrace scans from the end of the table and prefers equal >
-substitution > deletion > insertion on cost ties, which makes every
-downstream set deterministic; the bit vectors leave that rule unchanged.
+transcript line.  A matched pair's script backtraces its transcript line's
+segment of the packed columns, shifted down to bit 0: no carry crosses
+segments, so a segment is exactly the column of that line alone, and the
+script is the one :func:`edit_script` builds from a pass of its own.
+Minimum edit scripts are not unique; the canonical backtrace scans from
+the end of the table and prefers equal > substitution > deletion >
+insertion on cost ties, which makes every downstream set deterministic;
+the bit vectors leave that rule unchanged.
 """
 
 from __future__ import annotations
@@ -87,17 +92,19 @@ class ErrorCounts:
         return (n - self.n_ie - self.n_de - self.n_se) / n, (n - self.n_de - self.n_se) / n
 
 
-def _backtrace(hyp: Sequence[int], ref: Sequence[int]) -> tuple[list[str], int, int]:
+def _backtrace(
+    hyp: Sequence[int], ref: Sequence[int], cols: Sequence[tuple[int, int]]
+) -> tuple[list[str], int, int]:
     """The canonical minimum edit script from ``ref`` to ``hyp``, its ops
     last first, with its cost and its number of substitutions.
 
-    Backtraces :func:`_columns` (Hyyrö 2004) by the canonical tie rule,
-    where c = D[a][b]: E when the elements are equal and D[a-1][b-1] = c,
-    S when they differ and D[a-1][b-1] = c - 1, else D when bit b - 1 of
-    ``pv_a`` is set (D[a][b-1] = c - 1), else I.
+    ``cols`` are the :func:`_columns` of ``hyp`` against ``ref`` alone, its
+    bits from bit 0 up.  Backtraces them (Hyyrö 2004) by the canonical tie
+    rule, where c = D[a][b]: E when the elements are equal and
+    D[a-1][b-1] = c, S when they differ and D[a-1][b-1] = c - 1, else D
+    when bit b - 1 of ``pv_a`` is set (D[a][b-1] = c - 1), else I.
     """
     m, n = len(hyp), len(ref)
-    cols = _columns(hyp, _table([ref]))
     pv, mv = cols[m]
     cost = c = m + pv.bit_count() - mv.bit_count()
     n_se = 0
@@ -133,7 +140,7 @@ def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
     absent from ref), "D" (deletion: a ref element absent from hyp), in
     forward order, as :func:`_backtrace` finds them.
     """
-    ops = _backtrace(hyp, ref)[0]
+    ops = _backtrace(hyp, ref, _columns(hyp, _table([ref])))[0]
     ops.reverse()
     return ops
 
@@ -151,7 +158,7 @@ def edit_counts(hyp: Sequence[int], ref: Sequence[int]) -> tuple[int, int, int]:
     I + D + S, and as every op but D consumes a hyp element and every op
     but I a ref element, I - D = len(hyp) - len(ref).
     """
-    _, cost, n_se = _backtrace(hyp, ref)
+    _, cost, n_se = _backtrace(hyp, ref, _columns(hyp, _table([ref])))
     n_ie = (cost - n_se + len(hyp) - len(ref)) // 2
     return n_ie, cost - n_se - n_ie, n_se
 
@@ -229,20 +236,29 @@ def match_lines(
     pass per result line gives all of its distances: d = len(result) +
     popcount(pv & seg) - popcount(mv & seg) in the last column, seg the
     transcript line's segment.  Only the pairs the greedy loop matches get
-    their edit script.  The AR of a pair is bit-identical to the one its
-    script gives: the canonical script is a minimum script, so its
-    I + D + S is d, the numerator is the same integer over the same n, and
-    the float, the sort and the tie order are those of scoring by script.
+    their edit script, backtraced from result line p's kept columns, each
+    cut down to line q's segment as ((pv & seg) >> off, (mv & seg) >> off)
+    with ``off`` the segment's lowest bit.  Each segment evolves as the
+    table of its line alone (see :func:`_columns`), so the script is
+    :func:`edit_script`'s, without a second pass.  The AR of a pair is
+    bit-identical to the one its script gives: the canonical script is a
+    minimum script, so its I + D + S is d, the numerator is the same
+    integer over the same n, and the float, the sort and the tie order are
+    those of scoring by script.
     A transcript line that is empty has no AR, so it is a ValueError as
     soon as a result line is scored against it.
     """
     if results and not all(annots):
         raise ValueError("an empty transcript line has no accurate rate")
     table = _table(annots)
+    segs = table[-1]
+    columns = []
     scored = []
     for p, res in enumerate(results, start=1):
-        pv, mv = _columns(res, table)[-1]
-        for q, (ref, seg) in enumerate(zip(annots, table[-1]), start=1):
+        cols = _columns(res, table)
+        columns.append(cols)
+        pv, mv = cols[-1]
+        for q, (ref, seg) in enumerate(zip(annots, segs), start=1):
             d = len(res) + (pv & seg).bit_count() - (mv & seg).bit_count()
             scored.append(((len(ref) - d) / len(ref), p, q))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
@@ -254,7 +270,10 @@ def match_lines(
             break
         if p in used_p or q in used_q:
             continue
-        matched[p, q] = edit_script(results[p - 1], annots[q - 1])
+        ref, seg = annots[q - 1], segs[q - 1]
+        off = seg.bit_length() - len(ref)
+        cols = [((pv & seg) >> off, (mv & seg) >> off) for pv, mv in columns[p - 1]]
+        matched[p, q] = _backtrace(results[p - 1], ref, cols)[0][::-1]
         used_p.add(p)
         used_q.add(q)
     return matched

@@ -4,8 +4,9 @@ AR*/CR* pair result lines with annotated transcripts per page using the
 same greedy descending-AR matching as training-time line matching, but
 without any threshold, and count the errors of each matched pair off the
 edit script that line matching returns.  Line matching scores each pair by
-its edit distance and builds a script only for the pairs it matches, so a
-page costs one packed pass per result line and one script per matched pair.
+its edit distance and backtraces a script only for the pairs it matches,
+from the columns its packed pass already holds, so a page costs one packed
+pass per result line and one backtrace per matched pair.
 Characters of unmatched result lines count as insertions and characters of
 unmatched annotation lines as deletions, so the metrics reflect detection
 as well as recognition quality.  AR* may be negative and is never clamped.
@@ -13,6 +14,8 @@ as well as recognition quality.  AR* may be negative and is never clamped.
 Detection P/R/F matches each page's results to its ground truth greedily
 by score.  Class-aware matching tests a result only against the ground
 truth of its own class; class-agnostic matching tests it against all.
+Either way a ground-truth box that does not overlap the result in x is
+skipped before its IoU is computed, as it could not be matched.
 """
 
 from __future__ import annotations
@@ -79,6 +82,14 @@ def det_counts(
     every ground-truth box is tested in index order.  A matched box
     leaves its bucket, as it would be skipped as taken.  Each box's corners
     are computed once.
+
+    A free box wholly left or right of the result, ``gx1 >= ax2`` or
+    ``gx2 <= ax1``, is skipped before :func:`corner_iou`.  This is exact
+    too: for such a pair the x intersection min(ax2, gx2) - max(ax1, gx1)
+    is at most 0, or NaN where infinite extents meet, and ``corner_iou``
+    returns 0.0 either way, which never beats ``best_iou``: it starts at
+    0.0 and ``>`` is strict.  A NaN x corner makes both comparisons false,
+    so such a box is tested as before.
     """
     buckets: dict[int | None, list[Corners]] = {}
     for gbox, gcls in gts:
@@ -88,10 +99,12 @@ def det_counts(
     for k in order:
         box, cls_id, _ = results[k]
         bucket = buckets.get(cls_id if require_class else None, [])
-        corners = box.corners(shape)
+        corners = ax1, _, ax2, _ = box.corners(shape)
         best = -1
         best_iou = 0.0
         for g, gcorners in enumerate(bucket):
+            if gcorners[0] >= ax2 or gcorners[2] <= ax1:
+                continue
             v = corner_iou(corners, gcorners)
             if v >= iou_th and v > best_iou:
                 best = g

@@ -397,6 +397,35 @@ def test_packed_page_matches_references(page, th_ar):
         assert match_lines(results, annots, th_ar) == _match_lines_reference(results, annots, th_ar)
 
 
+_one_line = (st.lists(st.integers(1, 3), min_size=1, max_size=8) | _long_line()
+             | st.integers(1, 3).map(lambda c: [c]) | st.just([]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    hyp=st.lists(st.integers(1, 3), max_size=8) | _long_line(),
+    refs=st.lists(_one_line, min_size=1, max_size=5),
+)
+def test_each_packed_segment_is_the_columns_of_its_line_alone(hyp, refs):
+    # Classes 1-3 repeat within and across lines; lines of one element and
+    # of 60-140 elements put segment edges inside and across 64-bit words.
+    table = _table(refs)
+    packed = _columns(hyp, table)
+    for ref, seg in zip(refs, table[-1]):
+        off = seg.bit_length() - len(ref)
+        segment = [((pv & seg) >> off, (mv & seg) >> off) for pv, mv in packed]
+        assert segment == _columns(hyp, _table([ref]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(page=_packed_page() | _line_sets())
+def test_match_lines_scripts_are_edit_scripts(page):
+    results, annots = page
+    annots = [line for line in annots if line]
+    for (p, q), ops in match_lines(results, annots, -math.inf).items():
+        assert ops == edit_script(results[p - 1], annots[q - 1])
+
+
 def test_match_lines_empty_transcript_line_is_a_value_error():
     for th_ar in (-math.inf, 0.3):
         with pytest.raises(ValueError, match="^an empty transcript line has no accurate rate$"):

@@ -129,13 +129,14 @@ def _det_counts_reference(results, gts, shape, iou_th=0.5, require_class=True):
     return tp, len(results) - tp, len(gts) - tp
 
 
-# Boxes on a coarse lattice with few sizes, so duplicates, IoU ties and
-# IoU exactly 1 are common.
+# Boxes on a coarse lattice with few sizes, so duplicates, IoU ties,
+# IoU exactly 1 and boxes that abut exactly in x are common.  ``Box``
+# accepts an infinite or NaN extent, so widths include both.
 _det_box = st.builds(
     Box,
     st.integers(0, 8).map(lambda v: 10.0 * v),
     st.integers(0, 8).map(lambda v: 10.0 * v),
-    st.sampled_from([0.1, 0.2, 0.3]),
+    st.sampled_from([0.1, 0.2, 0.3, math.inf, math.nan]),
     st.sampled_from([0.1, 0.2]),
 )
 
@@ -154,11 +155,46 @@ _det_box = st.builds(
 @example(pool=[Box(30, 40, 0.2, 0.1), Box(50, 40, 0.2, 0.1), Box(40, 40, 0.2, 0.1)],
          picks=[(2, 1, 0.9), (1, 1, 0.5)], gt_picks=[(0, 1), (1, 1)], iou_th=0.0,
          require_class=True)
+# A result abutting a box on each side (x1 == x2 of one, x2 == x1 of the
+# other) in a bucket of four; at iou_th 0 their IoU of 0 still must not match.
+@example(pool=[Box(30, 40, 0.1, 0.1), Box(20, 40, 0.1, 0.1), Box(40, 40, 0.1, 0.1),
+               Box(30, 40, 0.2, 0.2)],
+         picks=[(0, 1, 0.9), (3, 1, 0.5)], gt_picks=[(1, 1), (2, 1), (3, 1), (1, 1)],
+         iou_th=0.0, require_class=True)
+# A 0.5-pixel overlap in x, on a result's left and on one's right, still
+# matches at iou_th 0.
+@example(pool=[Box(30, 40, 0.1, 0.1), Box(39.5, 40, 0.1, 0.1), Box(20.5, 40, 0.1, 0.1)],
+         picks=[(1, 1, 0.9), (2, 1, 0.5)], gt_picks=[(0, 1), (0, 1)], iou_th=0.0,
+         require_class=True)
+# Infinite and NaN widths: corners at +-inf or NaN, on either side of a pair.
+@example(pool=[Box(30, 40, math.inf, 0.1), Box(80, 40, 0.1, 0.1), Box(0, 40, math.nan, 0.1)],
+         picks=[(0, 1, 0.9), (1, 1, 0.5), (2, 1, 0.5)],
+         gt_picks=[(0, 1), (1, 1), (2, 1), (1, 1)], iou_th=0.0, require_class=False)
 def test_det_counts_matches_all_pairs_reference(pool, picks, gt_picks, iou_th, require_class):
     results = [(pool[k % len(pool)], c, s) for k, c, s in picks]
     gts = [(pool[k % len(pool)], c) for k, c in gt_picks]
     got = metrics.det_counts(results, gts, SHAPE, iou_th, require_class)
     assert got == _det_counts_reference(results, gts, SHAPE, iou_th, require_class)
+
+
+def test_det_counts_tests_no_box_apart_in_x(monkeypatch):
+    calls = []
+    real = metrics.corner_iou
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(metrics, "corner_iou", counted)
+    # Ground truth spans x 25-55 in three 10-pixel boxes, neighbours abutting.
+    gts = [(Box(x, 50, 0.1, 0.1), A) for x in (30, 40, 50)]
+    # Wholly left or right of every box, two of them abutting one: no test.
+    apart = [(Box(x, 50, 0.1, 0.1), A, 0.9) for x in (10, 20, 60, 90)]
+    assert metrics.det_counts(apart, gts, SHAPE, iou_th=0.0) == (0, 4, 3)
+    assert calls == []
+    # x 37-47 overlaps the boxes at 40 and 50 only.
+    assert metrics.det_counts([(Box(42, 50, 0.1, 0.1), A, 0.9)], gts, SHAPE) == (1, 0, 2)
+    assert len(calls) == 2
 
 
 def test_det_prf_perfect():
@@ -213,17 +249,16 @@ def test_page_ar_cr_values():
 
 @pytest.fixture
 def alignments(monkeypatch):
-    """Every (hyp, ref) pair that edit_script aligns while the test runs."""
+    """Every (hyp, ref) pair aligned while the test runs: edit_script,
+    edit_counts and match_lines all align through _backtrace."""
     calls = []
-    real = matching.edit_script
+    real = matching._backtrace
 
-    def counted(hyp, ref):
+    def counted(hyp, ref, cols):
         calls.append((tuple(hyp), tuple(ref)))
-        return real(hyp, ref)
+        return real(hyp, ref, cols)
 
-    for module in (matching, metrics):
-        if hasattr(module, "edit_script"):
-            monkeypatch.setattr(module, "edit_script", counted)
+    monkeypatch.setattr(matching, "_backtrace", counted)
     return calls
 
 
