@@ -246,7 +246,7 @@ def follow(
             outcome = BOUNDARY
             break
         nxt = (i, j)
-        if nxt != origin and nxt in node_scores:
+        if nxt in node_scores and nxt != origin:
             return SearchTrace(origin, visited, REACHED, nxt)
         if nxt in seen:
             outcome = CYCLE

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,7 +102,7 @@ Cells = tuple[np.ndarray, np.ndarray]  # 0-based (i - 1, j - 1) index arrays
 
 def cells(grids: Iterable[tuple[int, int]]) -> Cells:
     """The 0-based (i - 1, j - 1) index arrays of 1-based grids."""
-    ij = np.array(list(grids), dtype=np.intp).reshape(-1, 2) - 1
+    ij = np.fromiter(chain.from_iterable(grids), np.intp).reshape(-1, 2) - 1
     return ij[:, 0], ij[:, 1]
 
 

@@ -14,17 +14,37 @@ back to the ground truth exactly.
 A reading-order path is a list of (i, j, d) int triples from
 :func:`staircase`, d a :class:`Direction` index.  Every one-hot row the
 oracle writes, clean or noisy, direction or class, goes through ``_set_rows``.
+
+A map is valid when its class and direction rows sum to 1 within
+``ROW_SUM_TOL``, summed in float64.  :meth:`PredictionMaps.validate` first
+sums each row in float32, which is about five times cheaper.  Once every
+value is known to be finite and in [0, 1], a sum of n of them, added in
+any order, is within gamma_n = n*u / (1 - n*u) times the exact sum S of S,
+where u is the unit roundoff: 2**-24 in float32, 2**-53 in float64
+(Higham, *Accuracy and Stability of Numerical Algorithms*, section 4.2).
+A row's float32 sum s and float64 sum f are each that close to S, and
+S <= (1 + ROW_SUM_TOL) / (1 - gamma32_n) once |s - 1| <= ROW_SUM_TOL.  So
+|s - 1| <= ROW_SUM_TOL - (gamma32_n + gamma64_n) * (1 + ROW_SUM_TOL) /
+(1 - gamma32_n) puts f within ROW_SUM_TOL of 1.  Rows the float32 sums
+cannot clear, and every row once n is 168 or more, where the bound leaves
+no margin, are summed in float64; so every map gets the float64 check's
+decision.
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
+from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 import numpy as np
 
@@ -39,6 +59,8 @@ EPS = 1e-6  # probability floor/ceiling written by the oracle
 # numpy never draws beyond |z| < 14: up to this bound the factor stays
 # within e^+-70, so every noisy box keeps a positive, finite extent.
 MAX_SIZE_SIGMA = 5.0
+
+ROW_SUM_TOL = 1e-5  # how far a class or direction row's float64 sum may be from 1
 
 MAGIC = b"PGNM"
 FORMAT_VERSION = 1
@@ -166,7 +188,14 @@ class PredictionMaps:
         that class and direction rows sum to 1, reading each tensor's
         extremes once: ``min`` and ``max`` propagate NaN, and an infinite
         value is an extreme, so both extremes are finite exactly when every
-        element is."""
+        element is.
+
+        The row sums come from one float32 pass when its error bound, the
+        module docstring's gamma_n, proves every float64 row sum within
+        ``ROW_SUM_TOL`` of 1; otherwise the rows are summed in float64 and
+        each sum is checked against ``ROW_SUM_TOL``.  The float32 pass
+        accepts only what the float64 check accepts, so which maps pass and
+        which message a failing map raises do not depend on it."""
         extremes = {}
         for name, want in _tensor_shapes(self.shape, self.n_cls).items():
             arr = getattr(self, name)
@@ -181,9 +210,11 @@ class PredictionMaps:
             if lo < 0.0 or hi > 1.0:
                 raise MapFormatError(f"{name}: probability outside [0, 1]")
         for name in ("cls", "rd"):
-            sums = getattr(self, name).sum(axis=-1, dtype=np.float64)
-            if np.abs(sums - 1.0).max() > 1e-5:
-                raise MapFormatError(f"{name}: rows not normalized")
+            arr = getattr(self, name)
+            if not _rows_sum_to_one(arr):
+                sums = arr.sum(axis=-1, dtype=np.float64)
+                if np.abs(sums - 1.0).max() > ROW_SUM_TOL:
+                    raise MapFormatError(f"{name}: rows not normalized")
 
     def equals(self, other: "PredictionMaps") -> bool:
         return (
@@ -194,6 +225,35 @@ class PredictionMaps:
                 for f in _tensor_shapes(self.shape, self.n_cls)
             )
         )
+
+
+def _rows_sum_to_one(arr: np.ndarray) -> bool:
+    """True when a float32 sum of each last-axis row of ``arr`` proves that
+    every row's float64 sum is within ``ROW_SUM_TOL`` of 1; False when it
+    cannot tell.  Every element must be finite and in [0, 1]."""
+    n = arr.shape[-1]
+    if arr.dtype != np.float32 or n >= 2**24:  # the bound is for float32 sums of n < 1/u terms
+        return False
+    limit = _row_sum_limit(n)
+    if limit <= 0:
+        return False
+    # numpy's own reduction: a BLAS call might start threads.
+    sums = np.einsum("...k->...", arr)
+    # Both extremes lie in [0.5, 2] when accepted, where ``s - 1.0`` is exact.
+    return abs(float(sums.min()) - 1.0) <= limit and abs(float(sums.max()) - 1.0) <= limit
+
+
+@functools.lru_cache(maxsize=8)
+def _row_sum_limit(n: int) -> float:
+    """The largest float at most ROW_SUM_TOL - (gamma32_n + gamma64_n) *
+    (1 + ROW_SUM_TOL) / (1 - gamma32_n), the module docstring's bound on
+    |s - 1| for a float32 row sum s of n terms; at most 0 from n = 168.
+    Worked in exact rationals, so no rounding of its own moves the bound."""
+    gamma32, gamma64 = Fraction(n, 2**24 - n), Fraction(n, 2**53 - n)  # n*u / (1 - n*u)
+    tol = Fraction(ROW_SUM_TOL)
+    limit = tol - (gamma32 + gamma64) * (1 + tol) / (1 - gamma32)
+    nearest = float(limit)
+    return nearest if Fraction(nearest) <= limit else math.nextafter(nearest, -math.inf)
 
 
 def _blank_maps(shape: GridShape, n_cls: int) -> PredictionMaps:
@@ -363,22 +423,27 @@ def _apply_noise(
     if noise.spurious_p > 0:
         hits = rng.random((shape.w_g, shape.h_g)) < noise.spurious_p
         hits[plan.char_at] = False
+        at = np.nonzero(hits)
+        # A hit's four draws mix doubles with integers taken from a buffered
+        # 32-bit half-word, so they go one hit at a time, in row-major order;
+        # the hits are distinct cells, so one scatter per tensor writes them.
+        uniform, integers = rng.uniform, rng.integers
+        draws = [
+            (uniform(0.55, 0.9), integers(0, maps.n_cls), *uniform(0.3, 0.7, size=2),
+             uniform(0.8, 1.2))
+            for _ in range(len(at[0]))
+        ]
+        dis, cls, x_o, y_o, scale = np.array(draws, dtype=np.float64).reshape(-1, 5).T
         size_frac_w = mean_size / shape.img_w
         size_frac_h = mean_size / shape.img_h
-        for i, j in np.argwhere(hits):
-            maps.dis[i, j] = rng.uniform(0.55, 0.9)
-            _set_rows(maps.cls, (i, j), int(rng.integers(0, maps.n_cls)), 1.0, 0.0)
-            x_o, y_o = rng.uniform(0.3, 0.7, size=2)
-            scale = rng.uniform(0.8, 1.2)
-            maps.box[i, j] = (
-                float(x_o),
-                float(y_o),
-                min(size_frac_w * scale, 1.0),
-                min(size_frac_h * scale, 1.0),
-            )
+        maps.dis[at] = dis
+        _set_rows(maps.cls, at, cls.astype(np.intp), 1.0, 0.0)
+        maps.box[at] = np.stack(
+            [x_o, y_o, np.minimum(size_frac_w * scale, 1.0), np.minimum(size_frac_h * scale, 1.0)],
+            axis=1,
+        )
 
-    # One call draws the same directions as one draw per flip; the spurious
-    # draws above mix doubles with integers, so they go one hit at a time.
+    # One call draws the same directions as one draw per flip.
     if noise.dir_flip_p > 0:
         flips = np.nonzero(rng.random((shape.w_g, shape.h_g)) < noise.dir_flip_p)
         _set_rows(maps.rd, flips, rng.integers(0, 4, size=len(flips[0])), 1.0 - 3 * EPS, EPS)
@@ -438,15 +503,28 @@ def save_maps(maps: PredictionMaps, path: str | Path) -> None:
 
 
 def load_maps(path: str | Path) -> PredictionMaps:
-    """Read maps saved by :func:`save_maps` (binary or JSON, sniffed)."""
+    """Read maps saved by :func:`save_maps` (binary or JSON, sniffed).
+
+    A binary file's tensors are read straight into their arrays, each once
+    the bytes left in the file are known to hold it.  A regular file's size
+    tells that; any other file, such as a pipe, is read whole first.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] == MAGIC:
-        shape, n_cls, tensors = _load_binary(raw)
-    elif raw.lstrip()[:1] == b"{":
-        shape, n_cls, tensors = _load_json(raw)
-    else:
-        raise MapFormatError(f"header: not a prediction-map file ({path})")
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            stream, size = fh, info.st_size
+        else:
+            raw = fh.read()
+            stream, size = io.BytesIO(raw), len(raw)
+        head = stream.read(_HEADER.size)
+        if head[:4] == MAGIC:
+            shape, n_cls, tensors = _load_binary(head, stream, size)
+        else:
+            raw = head + stream.read()
+            if raw.lstrip()[:1] != b"{":
+                raise MapFormatError(f"header: not a prediction-map file ({path})")
+            shape, n_cls, tensors = _load_json(raw)
     maps = PredictionMaps(shape=shape, n_cls=n_cls, **tensors)
     maps.validate()
     return maps
@@ -468,25 +546,29 @@ def _check_version(version: int) -> None:
         raise MapFormatError(f"header: unsupported version {version}")
 
 
-def _load_binary(raw: bytes) -> tuple[GridShape, int, dict[str, np.ndarray]]:
-    if len(raw) < _HEADER.size:
+def _load_binary(
+    head: bytes, stream: BinaryIO, size: int
+) -> tuple[GridShape, int, dict[str, np.ndarray]]:
+    """Parse a PGNM file of ``size`` bytes: ``head`` is what was read of its
+    header, and ``stream`` is positioned just after it."""
+    if len(head) < _HEADER.size:
         raise MapFormatError("header: truncated file")
-    magic, version, *fields = _HEADER.unpack_from(raw)
+    magic, version, *fields = _HEADER.unpack(head)
     if magic != MAGIC:
         raise MapFormatError("header: bad magic")
     _check_version(version)
     shape, n_cls = _header(*fields)
-    offset = _HEADER.size
+    left = size - _HEADER.size
     tensors: dict[str, np.ndarray] = {}
     for name, dims in _tensor_shapes(shape, n_cls).items():
-        count = math.prod(dims)
-        end = offset + 4 * count
-        if end > len(raw):
+        nbytes = 4 * math.prod(dims)
+        # A header's dims are not trusted with an allocation the file cannot
+        # fill; a file that shrank since its size was read reads short.
+        if nbytes > left or stream.readinto(arr := np.empty(dims, dtype="<f4")) != nbytes:
             raise MapFormatError(f"{name}: truncated tensor payload")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(dims)
-        tensors[name] = arr.copy()
-        offset = end
-    if offset != len(raw):
+        tensors[name] = arr
+        left -= nbytes
+    if stream.read(1):
         raise MapFormatError("payload: trailing bytes after tensors")
     return shape, n_cls, tensors
 

@@ -347,3 +347,31 @@ def test_pins_hold_when_builtin_sum_compensates(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
     assert pipeline_digests(tmp_path) == PINS
     capsys.readouterr()
+
+
+def _cells_reference(grids):
+    """``cells`` as it was: a list of the grids, then one array."""
+    ij = np.array(list(grids), dtype=np.intp).reshape(-1, 2) - 1
+    return ij[:, 0], ij[:, 1]
+
+
+_SOURCES = {
+    "list": list,
+    "generator": lambda grids: (g for g in grids),
+    "dict keys": dict.fromkeys,
+}
+
+
+@settings(max_examples=200)
+@given(
+    grids=st.lists(st.tuples(st.integers(-2**40, 2**40), st.integers(-2**40, 2**40)), max_size=40),
+    source=st.sampled_from(sorted(_SOURCES)),
+)
+@example(grids=[], source="list")
+@example(grids=[], source="generator")
+@example(grids=[], source="dict keys")
+def test_cells_matches_the_list_form(grids, source):
+    make = _SOURCES[source]
+    got, want = cells(make(grids)), _cells_reference(make(grids))
+    for x, y in zip(got, want, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)

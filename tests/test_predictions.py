@@ -1,19 +1,24 @@
 import copy
 import json
 import math
+import os
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gridtext.geometry import Box, GridShape, grid_of
+from gridtext import predictions
+from gridtext.geometry import Box, GridShape, cells, grid_of
 from gridtext.matching import PageAnnotation
 from gridtext.predictions import (
+    _HEADER,
     DIR_DELTAS,
     EPS,
+    FORMAT_VERSION,
     MAGIC,
     Direction,
     GridCollisionError,
@@ -21,7 +26,11 @@ from gridtext.predictions import (
     OracleNoise,
     PredictionMaps,
     MAX_SIZE_SIGMA,
+    ROW_SUM_TOL,
+    RenderPlan,
+    _apply_noise,
     _blank_maps,
+    _rows_sum_to_one,
     _tensor_shapes,
     load_maps,
     oracle_predict,
@@ -325,6 +334,37 @@ def test_crossing_staircases_match_loop_render(noise):
     _assert_same_maps(maps, _oracle_reference(page, OracleNoise(**noise, seed=5)))
     if not noise:
         assert int(np.argmax(maps.rd[3, 1])) == Direction.DOWN
+
+
+# A plan with no characters: every grid may take a spurious hit.
+_NO_CHARS = RenderPlan(
+    rd_at=cells([]), rd_dir=np.empty(0, np.intp), char_at=cells([]),
+    char_cls=np.empty(0, np.intp), char_box=np.empty((0, 4)), sol_at=cells([]), eol_at=cells([]),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    w_g=st.integers(1, 40),
+    h_g=st.integers(1, 40),
+    n_cls=st.integers(1, 7),
+    spurious_p=st.sampled_from([1e-12, 1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(w_g=1, h_g=1, n_cls=3, spurious_p=1e-12, seed=0)  # no hit
+@example(w_g=40, h_g=40, n_cls=7, spurious_p=1.0, seed=0)  # every grid a hit
+def test_spurious_hits_match_the_per_hit_loop(w_g, h_g, n_cls, spurious_p, seed):
+    """The spurious pass draws each hit's values as the per-hit loop did and
+    writes all hits at once: the same maps, and the generator left in the
+    same state for the draws after it."""
+    shape = GridShape(w_g, h_g, 16.0 * w_g, 16.0 * h_g)
+    noise = OracleNoise(spurious_p=spurious_p, seed=seed)
+    got, want = _blank_maps(shape, n_cls), _blank_maps(shape, n_cls)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    _apply_noise(got, _NO_CHARS, noise, rng)
+    _apply_noise_reference(want, [], {}, noise, ref_rng)
+    _assert_same_maps(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_reused_plan_is_never_changed_or_shared():
@@ -654,6 +694,78 @@ def test_validate_raises_what_the_reference_raises(noisy_maps, data):
         _validate_reference, maps)
 
 
+def _gamma32(n: int) -> float:
+    return n * 2.0**-24 / (1 - n * 2.0**-24)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=300)
+@given(n_cls=st.sampled_from([1, 4, 7, 100, 168, 200]), data=st.data())
+def test_rows_near_the_tolerance_are_decided_as_the_reference_decides(n_cls, data):
+    """Class and direction rows scaled to within gamma_n of 1 - tol, 1 or
+    1 + tol, some with one element moved by a few float32 ulps.  What the
+    float32 pass accepts, the float64 sums accept; from 168 classes on its
+    bound leaves no margin, and the class rows always fall back."""
+    maps = _blank_maps(GridShape(3, 2, 48.0, 32.0), n_cls)
+    for _ in range(data.draw(st.integers(1, 3))):
+        arr = getattr(maps, data.draw(st.sampled_from(["cls", "rd"])))
+        n = arr.shape[-1]
+        at = np.unravel_index(data.draw(st.integers(0, 5)), arr.shape[:2])
+        weights = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n)
+        if data.draw(st.booleans()):  # a peaked row, as the oracle writes
+            weights[data.draw(st.integers(0, n - 1))] += n
+        off = data.draw(st.sampled_from([-ROW_SUM_TOL, 0.0, ROW_SUM_TOL]))
+        target = 1.0 + off + data.draw(st.floats(-1.0, 1.0)) * _gamma32(n)
+        row = (weights / weights.sum() * target).astype(np.float32)
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, n - 1))
+            row[k] += np.float32(data.draw(st.integers(-4, 4))) * np.spacing(row[k])
+        arr[at] = row
+    assert _map_format_error(PredictionMaps.validate, maps) == _map_format_error(
+        _validate_reference, maps)
+    for name in ("cls", "rd"):
+        arr = getattr(maps, name)
+        if arr.min() >= 0 and _rows_sum_to_one(arr):
+            assert np.abs(arr.sum(axis=-1, dtype=np.float64) - 1.0).max() <= ROW_SUM_TOL
+    if n_cls >= 168:
+        assert not _rows_sum_to_one(maps.cls)
+
+
+def test_float32_row_sums_decide_only_up_to_167_terms():
+    """gamma_n leaves the float32 pass a margin below 168 terms a row; past
+    that, and for any dtype but float32, the float64 sums decide."""
+    for n, fast in [(1, True), (4, True), (100, True), (167, True), (168, False)]:
+        rows = np.zeros((2, 3, n), np.float32)
+        rows[..., -1] = 1.0
+        assert _rows_sum_to_one(rows) is fast, n
+        assert _rows_sum_to_one(rows.astype(np.float64)) is False
+    assert _rows_sum_to_one(np.broadcast_to(np.float32(0), (1, 2**24))) is False
+
+
+@pytest.mark.parametrize("grid, n_lines, chars, noise", [
+    (32, 5, (10, 10), OracleNoise(jitter_sigma=0.1, label_swap_p=0.05, drop_p=0.02,
+                                  spurious_p=0.01, dir_flip_p=0.01)),
+    (128, 27, (30, 36), OracleNoise(size_sigma=0.1, spurious_p=0.02, dir_flip_p=0.02)),
+], ids=["train-small", "decode-large"])
+def test_oracle_maps_pass_the_row_sums_without_the_float64_fallback(
+    monkeypatch, tmp_path, grid, n_lines, chars, noise
+):
+    """Oracle maps at the bench workloads' sizes and noise clear the float32
+    pass, so loading them never pays for the float64 sums."""
+    page = gen_page(PageConfig(n_lines=n_lines, chars_per_line=chars, n_cls=100,
+                               w_g=grid, h_g=grid, seed=1))
+    save_maps(oracle_predict(page, replace(noise, seed=2)), tmp_path / "page.pgnm")
+    verdicts = []
+
+    def spy(arr):
+        verdicts.append(_rows_sum_to_one(arr))
+        return verdicts[-1]
+
+    monkeypatch.setattr(predictions, "_rows_sum_to_one", spy)
+    load_maps(tmp_path / "page.pgnm")
+    assert verdicts == [True, True]
+
+
 @pytest.mark.parametrize("fields, name", [
     ({"jitter_sigma": math.nan}, "jitter_sigma"),
     ({"jitter_sigma": math.inf}, "jitter_sigma"),
@@ -670,3 +782,76 @@ def test_oracle_noise_rejects_out_of_range_field(fields, name):
 def test_scaled_noise_multiplies_every_magnitude_and_keeps_the_seed():
     noise = OracleNoise(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, seed=7)
     assert noise.scaled(0.5) == OracleNoise(0.05, 0.1, 0.15, 0.2, 0.25, 0.3, seed=7)
+
+
+def _pgnm_header(w_g: int, h_g: int, n_cls: int) -> bytes:
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, w_g, h_g, n_cls, 16.0 * w_g, 16.0 * h_g)
+
+
+@pytest.mark.parametrize("w_g, h_g, n_cls, payload, name", [
+    (2**31, 2**31, 1, 0, "box"),  # a 2**66-byte box tensor
+    (256, 256, 2**20, 5 * 256 * 256 * 4, "cls"),  # box and dis present, a 256 GiB class tensor
+], ids=["box", "cls"])
+def test_a_header_claiming_huge_dims_allocates_no_tensor(tmp_path, w_g, h_g, n_cls, payload, name):
+    """The peak traced memory stays below the tensors the file holds plus
+    1 MiB: no array is made for a tensor that the file cannot fill."""
+    path = tmp_path / "huge.pgnm"
+    path.write_bytes(_pgnm_header(w_g, h_g, n_cls) + bytes(payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MapFormatError, match=f"^{name}: truncated tensor payload$"):
+            load_maps(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < payload + 2**20
+
+
+def _load_outcome(path):
+    """The maps ``load_maps(path)`` returns, or its MapFormatError message."""
+    try:
+        return load_maps(path)
+    except MapFormatError as exc:
+        return str(exc)
+
+
+def _load_through_pipe(raw: bytes):
+    """``_load_outcome`` of ``raw`` read through a pipe's /dev/fd path."""
+    assert len(raw) < 65536  # fits the pipe's buffer, so one write needs no reader
+    r, w = os.pipe()
+    try:
+        os.write(w, raw)
+        os.close(w)
+        w = -1
+        return _load_outcome(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        if w >= 0:
+            os.close(w)
+
+
+def test_files_load_or_fail_alike_from_disk_and_from_a_pipe(tiny_map):
+    doc, valid, path = tiny_map
+    shape = GridShape(doc["w_g"], doc["h_g"], doc["img_w"], doc["img_h"])
+    starts, at = {}, _HEADER.size
+    for name, dims in _tensor_shapes(shape, doc["n_cls"]).items():
+        starts[name] = at
+        at += 4 * math.prod(dims)
+    assert at == len(valid)
+    cases = {
+        "binary": (valid, None),
+        "json": (json.dumps(doc).encode(), None),
+        "cut header": (valid[:_HEADER.size - 1], "header: truncated file"),
+        "no tensors": (valid[:_HEADER.size], "box: truncated tensor payload"),
+        "cut class tensor": (valid[:starts["cls"] + 10], "cls: truncated tensor payload"),
+        "one byte short": (valid[:-1], "rd: truncated tensor payload"),
+        "one trailing byte": (valid + b"\0", "payload: trailing bytes after tensors"),
+    }
+    want_maps = load_maps(path.with_name("map.pgnm"))
+    for case, (raw, message) in cases.items():
+        path.write_bytes(raw)
+        on_disk, piped = _load_outcome(path), _load_through_pipe(raw)
+        if message is None:
+            assert on_disk.equals(want_maps) and piped.equals(want_maps), case
+        else:
+            assert on_disk == piped == message, case
