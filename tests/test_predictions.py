@@ -30,6 +30,9 @@ from gridtext.predictions import (
     RenderPlan,
     _apply_noise,
     _blank_maps,
+    _check_version,
+    _header,
+    _load_json,
     _rows_sum_to_one,
     _tensor_shapes,
     load_maps,
@@ -620,21 +623,56 @@ def test_json_tensor_element_must_be_a_number(tiny_map, name, element, kind):
         load_maps(path)
 
 
+def _load_maps_reference(path):
+    """load_maps as it was before it read tensors in place: the whole file
+    as bytes, a copy of each tensor out of them, and the old validate."""
+    raw = path.read_bytes()
+    if raw[:4] == MAGIC:
+        if len(raw) < _HEADER.size:
+            raise MapFormatError("header: truncated file")
+        _, version, *fields = _HEADER.unpack_from(raw)
+        _check_version(version)
+        shape, n_cls = _header(*fields)
+        offset, tensors = _HEADER.size, {}
+        for name, dims in _tensor_shapes(shape, n_cls).items():
+            count = math.prod(dims)
+            if offset + 4 * count > len(raw):
+                raise MapFormatError(f"{name}: truncated tensor payload")
+            tensors[name] = np.frombuffer(raw, "<f4", count, offset).reshape(dims).copy()
+            offset += 4 * count
+        if offset != len(raw):
+            raise MapFormatError("payload: trailing bytes after tensors")
+    elif raw.lstrip()[:1] == b"{":
+        shape, n_cls, tensors = _load_json(raw)
+    else:
+        raise MapFormatError(f"header: not a prediction-map file ({path})")
+    maps = PredictionMaps(shape=shape, n_cls=n_cls, **tensors)
+    _validate_reference(maps)
+    return maps
+
+
 @settings(deadline=None, max_examples=300)
 @given(data=st.data())
 def test_load_maps_bytes_load_or_raise_map_format_error(tiny_map, data):
+    """Any bytes load to the maps, or raise the MapFormatError message, that
+    the whole-file reader gives them."""
     _, valid, path = tiny_map
     raw = data.draw(
         st.binary(max_size=80)
         | st.binary(max_size=80).map(lambda b: MAGIC + b)
         | st.binary(max_size=80).map(lambda b: b"{" + b)
         | st.integers(0, len(valid)).map(lambda n: valid[:n])
+        | st.binary(min_size=1, max_size=8).map(lambda b: valid + b)
     )
     if data.draw(st.booleans()) and len(raw) > 0:  # flip one byte
         k = data.draw(st.integers(0, len(raw) - 1))
         raw = raw[:k] + bytes([raw[k] ^ data.draw(st.integers(1, 255))]) + raw[k + 1:]
     path.write_bytes(raw)
-    _loads_or_map_format_error(path)
+    got, want = _load_outcome(path), _load_outcome(path, _load_maps_reference)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str) and got.equals(want)
 
 
 def _validate_reference(maps):
@@ -807,10 +845,10 @@ def test_a_header_claiming_huge_dims_allocates_no_tensor(tmp_path, w_g, h_g, n_c
     assert peak < payload + 2**20
 
 
-def _load_outcome(path):
-    """The maps ``load_maps(path)`` returns, or its MapFormatError message."""
+def _load_outcome(path, load=load_maps):
+    """The maps ``load(path)`` returns, or its MapFormatError message."""
     try:
-        return load_maps(path)
+        return load(path)
     except MapFormatError as exc:
         return str(exc)
 
