@@ -23,6 +23,14 @@ A decode's records are slotted dataclasses.  :class:`CharInstance` and its
 nothing in ``gridtext`` mutates or hashes; :class:`SearchTrace`,
 :class:`Line` and :class:`PageResult` hold them.
 
+A decode allocates few objects that the cyclic garbage collector tracks
+beyond the records it returns.  A decode makes no reference cycles, so every
+such object it keeps alive only brings the next collector pass closer and
+makes each pass scan more, and no pass frees anything.  A trace therefore
+keeps its walk as ``bytes`` of direction indices rather than a list of grid
+tuples, and edge resolution builds a list of sources only for a target that
+two or more walks reach.
+
 Every stage is a pure function of its inputs, so repeated decodes of the
 same maps are bit-identical.
 """
@@ -89,16 +97,31 @@ class CharInstance:
 class SearchTrace:
     """Grid walk from one node toward its successor.
 
-    ``visited`` holds the grids the walk stood on, origin first; the reached
-    node's grid is never included, so ``path`` (everything after the origin)
-    is exactly the character-free corridor between two nodes.  An end-of-line
-    node never walks: its trace has outcome END_OF_LINE and an empty path.
+    ``moves`` holds one :class:`~gridtext.predictions.Direction` index per
+    step the walk took from ``origin``.  A byte per step is not tracked by
+    the garbage collector, where a grid tuple per step would be, and a
+    decode keeps every trace it makes.  ``visited`` rebuilds the grids the
+    walk stood on, origin first; the reached node's grid is never included,
+    so ``path`` (everything after the origin) is exactly the character-free
+    corridor between two nodes.  An end-of-line node never walks: its trace
+    has outcome END_OF_LINE and no moves.
     """
 
     origin: tuple[int, int]
-    visited: list[tuple[int, int]]
+    moves: bytes
     outcome: str
     target: tuple[int, int] | None = None
+
+    @property
+    def visited(self) -> list[tuple[int, int]]:
+        i, j = self.origin
+        grids = [self.origin]
+        for d in self.moves:
+            di, dj = DIR_DELTAS[d]
+            i += di
+            j += dj
+            grids.append((i, j))
+        return grids
 
     @property
     def path(self) -> list[tuple[int, int]]:
@@ -232,14 +255,18 @@ def follow(
     Relaxed termination: when the walk ends for any other reason after at
     least one step, a node in the final grid's 4-neighborhood also counts as
     reached.  The origin itself is never a valid target.
+
+    The walk's grids live only in ``seen``, which is freed on return; the
+    trace keeps the directions taken, as ``bytes``.
     """
     w_g, h_g = len(dirs), len(dirs[0])
-    visited = [origin]
+    moves: list[int] = []
     seen = {origin}
     i, j = origin
     outcome = MAX_STEPS
     for _ in range(max_steps):
-        di, dj = DIR_DELTAS[dirs[i - 1][j - 1]]
+        d = dirs[i - 1][j - 1]
+        di, dj = DIR_DELTAS[d]
         i += di
         j += dj
         if not (0 < i <= w_g and 0 < j <= h_g):
@@ -247,17 +274,20 @@ def follow(
             break
         nxt = (i, j)
         if nxt in node_scores and nxt != origin:
-            return SearchTrace(origin, visited, REACHED, nxt)
+            return SearchTrace(origin, bytes(moves), REACHED, nxt)
         if nxt in seen:
             outcome = CYCLE
             break
-        visited.append(nxt)
+        moves.append(d)
         seen.add(nxt)
-    if len(visited) >= 2:
-        target = _neighbor_node(dirs, visited[-1], origin, node_scores)
+    if moves:
+        if outcome != MAX_STEPS:  # the walk broke off before standing on (i, j)
+            i -= di
+            j -= dj
+        target = _neighbor_node(dirs, (i, j), origin, node_scores)
         if target is not None:
-            return SearchTrace(origin, visited, REACHED, target)
-    return SearchTrace(origin, visited, outcome)
+            return SearchTrace(origin, bytes(moves), REACHED, target)
+    return SearchTrace(origin, bytes(moves), outcome)
 
 
 def _edge_angle(src: CharInstance, dst: CharInstance) -> float:
@@ -285,25 +315,35 @@ def resolve_edges(
     the survivor is the edge whose angle is closest to the running mean
     angle of the edges already committed along its own incoming chain;
     candidates without any chain history fall back to source score.
-    Discarded edges are dropped, not rerouted.
+    Discarded edges are dropped, not rerouted.  Conflicts are settled in
+    row-major (j, i) order of their target, since each winner extends the
+    history of later ones.
+
+    Only a target that two or more walks reach gets a list of its sources.
+    Each committed edge's angle is computed once, when a chain history
+    first reads it.  The returned mapping's insertion order is not part of
+    its meaning, and no caller reads it in order.
     """
     grid_to_idx = {n.grid: k for k, n in enumerate(nodes)}
-    incoming: dict[int, list[int]] = defaultdict(list)
+    first: dict[int, int] = {}
+    contested: dict[int, list[int]] = {}
     for k, tr in enumerate(traces):
         if tr.outcome == REACHED:
-            incoming[grid_to_idx[tr.target]].append(k)
+            t = grid_to_idx[tr.target]
+            s = first.setdefault(t, k)
+            if s != k:
+                if t in contested:
+                    contested[t].append(k)
+                else:
+                    contested[t] = [s, k]
 
     committed: dict[int, int] = {}
     pred: dict[int, int] = {}
-    order = sorted(incoming, key=lambda t: (nodes[t].grid[1], nodes[t].grid[0]))
-    conflicts = []
-    for t in order:
-        srcs = incoming[t]
-        if len(srcs) == 1:
-            committed[srcs[0]] = t
-            pred[t] = srcs[0]
-        else:
-            conflicts.append(t)
+    for t, s in first.items():
+        if t not in contested:
+            committed[s] = t
+            pred[t] = s
+    angle: dict[int, float] = {}  # target -> angle of its committed edge
 
     def chain_angles(s: int) -> list[float]:
         angles: list[float] = []
@@ -311,17 +351,20 @@ def resolve_edges(
         guard = {s}
         while cur in pred:
             p = pred[cur]
-            angles.append(_edge_angle(nodes[p], nodes[cur]))
+            a = angle.get(cur)
+            if a is None:
+                a = angle[cur] = _edge_angle(nodes[p], nodes[cur])
+            angles.append(a)
             if p in guard:
                 break
             guard.add(p)
             cur = p
         return angles
 
-    for t in conflicts:
+    for t in sorted(contested, key=lambda t: (nodes[t].grid[1], nodes[t].grid[0])):
         best_key = None
         winner = None
-        for s in incoming[t]:
+        for s in contested[t]:
             hist = chain_angles(s)
             if hist:
                 diff = _angle_diff(_edge_angle(nodes[s], nodes[t]), _circular_mean(hist))
@@ -364,14 +407,15 @@ def assemble(
         if sol[k] <= config.sol_eol_threshold:
             continue
         chain = [k]
+        used.add(k)
         cur = k
         while cur in edges:
             nxt = edges[cur]
-            if nxt in used or nxt in chain:
+            if nxt in used:  # on an earlier line, or already on this one
                 break
             chain.append(nxt)
+            used.add(nxt)
             cur = nxt
-        used.update(chain)
         lines.append(
             Line(
                 chars=[nodes[m] for m in chain],
@@ -415,7 +459,7 @@ def decode(maps: PredictionMaps, config: DecodeConfig = DecodeConfig()) -> PageR
     eol = maps.eol[cells(n.grid for n in nodes)].tolist()
     traces = [
         follow(dirs, n.grid, node_scores, max_steps) if e <= config.sol_eol_threshold
-        else SearchTrace(n.grid, [n.grid], END_OF_LINE)
+        else SearchTrace(n.grid, b"", END_OF_LINE)
         for n, e in zip(nodes, eol)
     ]
     edges = resolve_edges(nodes, traces)

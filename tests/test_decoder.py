@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from collections import defaultdict
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -25,9 +27,13 @@ from gridtext.decoder import (
     REACHED,
     CharInstance,
     DecodeConfig,
+    Line,
     NGramLM,
     PageResult,
     SearchTrace,
+    _angle_diff,
+    _circular_mean,
+    _edge_angle,
     assemble,
     beam_search_lm,
     decode,
@@ -41,7 +47,7 @@ from gridtext.decoder import (
     resolve_edges,
     validate_result,
 )
-from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of
+from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, cells, grid_of
 from gridtext.predictions import Direction, OracleNoise, PredictionMaps, oracle_predict, step
 from gridtext.synth import PageConfig, gen_page
 
@@ -54,7 +60,8 @@ def test_fused_score_values():
 
 # The per-hit and per-step loops that extract_nodes and follow replaced live
 # on as test oracles: one numpy read per value, one argmax per row, and
-# conftest's all-pairs NMS loop.
+# conftest's all-pairs NMS loop.  So do resolve_edges before it listed only
+# contested targets and assemble before it kept a set of a chain's members.
 
 
 def _extract_nodes_reference(
@@ -103,24 +110,25 @@ def _neighbor_node_reference(maps, cur, origin, node_scores):
     return best
 
 
-def _follow_reference(maps, origin, node_scores, max_steps) -> SearchTrace:
+def _walk_reference(maps, origin, node_scores, max_steps):
+    """A walk's (visited, outcome, target), its grid list built step by step."""
     visited = [origin]
     seen = {origin}
     cur = origin
 
-    def finalize(outcome: str) -> SearchTrace:
+    def finalize(outcome: str):
         if len(visited) >= 2:
             target = _neighbor_node_reference(maps, cur, origin, node_scores)
             if target is not None:
-                return SearchTrace(origin, visited, REACHED, target)
-        return SearchTrace(origin, visited, outcome)
+                return visited, REACHED, target
+        return visited, outcome, None
 
     for _ in range(max_steps):
         nxt = step(cur, _argmax_dir(maps, cur))
         if not (1 <= nxt[0] <= maps.shape.w_g and 1 <= nxt[1] <= maps.shape.h_g):
             return finalize(BOUNDARY)
         if nxt != origin and nxt in node_scores:
-            return SearchTrace(origin, visited, REACHED, nxt)
+            return visited, REACHED, nxt
         if nxt in seen:
             return finalize(CYCLE)
         visited.append(nxt)
@@ -129,17 +137,121 @@ def _follow_reference(maps, origin, node_scores, max_steps) -> SearchTrace:
     return finalize(MAX_STEPS)
 
 
+_DELTA_TO_DIR = {(0, -1): Direction.UP, (1, 0): Direction.RIGHT,
+                 (0, 1): Direction.DOWN, (-1, 0): Direction.LEFT}
+
+
+def _follow_reference(maps, origin, node_scores, max_steps) -> SearchTrace:
+    visited, outcome, target = _walk_reference(maps, origin, node_scores, max_steps)
+    moves = bytes(_DELTA_TO_DIR[(b[0] - a[0], b[1] - a[1])]
+                  for a, b in zip(visited, visited[1:]))
+    return SearchTrace(origin, moves, outcome, target)
+
+
+def _resolve_edges_reference(
+    nodes: Sequence[CharInstance], traces: Sequence[SearchTrace]
+) -> dict[int, int]:
+    grid_to_idx = {n.grid: k for k, n in enumerate(nodes)}
+    incoming: dict[int, list[int]] = defaultdict(list)
+    for k, tr in enumerate(traces):
+        if tr.outcome == REACHED:
+            incoming[grid_to_idx[tr.target]].append(k)
+
+    committed: dict[int, int] = {}
+    pred: dict[int, int] = {}
+    order = sorted(incoming, key=lambda t: (nodes[t].grid[1], nodes[t].grid[0]))
+    conflicts = []
+    for t in order:
+        srcs = incoming[t]
+        if len(srcs) == 1:
+            committed[srcs[0]] = t
+            pred[t] = srcs[0]
+        else:
+            conflicts.append(t)
+
+    def chain_angles(s: int) -> list[float]:
+        angles: list[float] = []
+        cur = s
+        guard = {s}
+        while cur in pred:
+            p = pred[cur]
+            angles.append(_edge_angle(nodes[p], nodes[cur]))
+            if p in guard:
+                break
+            guard.add(p)
+            cur = p
+        return angles
+
+    for t in conflicts:
+        best_key = None
+        winner = None
+        for s in incoming[t]:
+            hist = chain_angles(s)
+            if hist:
+                diff = _angle_diff(_edge_angle(nodes[s], nodes[t]), _circular_mean(hist))
+                key = (0, diff, -nodes[s].score, nodes[s].grid[1], nodes[s].grid[0])
+            else:
+                key = (1, 0.0, -nodes[s].score, nodes[s].grid[1], nodes[s].grid[0])
+            if best_key is None or key < best_key:
+                best_key = key
+                winner = s
+        committed[winner] = t
+        pred[t] = winner
+    return committed
+
+
+def _assemble_reference(
+    nodes: Sequence[CharInstance],
+    edges: Mapping[int, int],
+    traces: Sequence[SearchTrace],
+    maps: PredictionMaps,
+    config: DecodeConfig = DecodeConfig(),
+) -> PageResult:
+    at = cells(n.grid for n in nodes)
+    sol = maps.sol[at].tolist()
+    eol = maps.eol[at].tolist()
+    has_incoming = set(edges.values())
+    order = sorted(range(len(nodes)), key=lambda k: (nodes[k].grid[1], nodes[k].grid[0]))
+    used: set[int] = set()
+    lines: list[Line] = []
+    for k in order:
+        if k in used or k in has_incoming:
+            continue
+        if sol[k] <= config.sol_eol_threshold:
+            continue
+        chain = [k]
+        cur = k
+        while cur in edges:
+            nxt = edges[cur]
+            if nxt in used or nxt in chain:
+                break
+            chain.append(nxt)
+            cur = nxt
+        used.update(chain)
+        lines.append(
+            Line(
+                chars=[nodes[m] for m in chain],
+                traces=[traces[m] for m in chain],
+                sol_conf=sol[chain[0]],
+                eol_conf=eol[chain[-1]],
+            )
+        )
+    dropped = [nodes[k] for k in order if k not in used]
+    return PageResult(lines=lines, dropped=dropped)
+
+
 def _decode_reference(maps: PredictionMaps, config: DecodeConfig) -> PageResult:
     nodes = _extract_nodes_reference(maps, config)
     node_scores = {n.grid: n.score for n in nodes}
     max_steps = config.max_steps or maps.shape.w_g + maps.shape.h_g
     traces = [
-        SearchTrace(n.grid, [n.grid], END_OF_LINE)
+        SearchTrace(n.grid, b"", END_OF_LINE)
         if float(maps.eol[n.grid[0] - 1, n.grid[1] - 1]) > config.sol_eol_threshold
         else _follow_reference(maps, n.grid, node_scores, max_steps)
         for n in nodes
     ]
-    result = assemble(nodes, resolve_edges(nodes, traces), traces, maps, config)
+    edges = _resolve_edges_reference(nodes, traces)
+    result = _assemble_reference(nodes, edges, traces, maps, config)
     validate_result(result)
     return result
 
@@ -267,11 +379,11 @@ def _node(grid, x, y, score=1.0, cls_id=1):
 
 
 def _reached(origin, target):
-    return SearchTrace(origin=origin, visited=[origin], outcome=REACHED, target=target)
+    return SearchTrace(origin=origin, moves=b"", outcome=REACHED, target=target)
 
 
 def _dead(origin):
-    return SearchTrace(origin=origin, visited=[origin], outcome=BOUNDARY)
+    return SearchTrace(origin=origin, moves=b"", outcome=BOUNDARY)
 
 
 def test_resolve_edges_linear_chain():
@@ -357,8 +469,7 @@ def test_no_walk_leaves_an_end_of_line_node():
     ]
     assert not result.dropped
     for line in result.lines:
-        assert line.traces[-1] == SearchTrace(line.chars[-1].grid, [line.chars[-1].grid],
-                                              END_OF_LINE)
+        assert line.traces[-1] == SearchTrace(line.chars[-1].grid, b"", END_OF_LINE)
 
 
 def test_assemble_three_line_page():
@@ -455,7 +566,6 @@ def test_empty_line_returned_unchanged():
     page = gen_page(PageConfig(n_lines=1, chars_per_line=(3, 3), n_cls=5, seed=1))
     maps = oracle_predict(page, OracleNoise())
     result = decode(maps)
-    from gridtext.decoder import Line, PageResult
 
     empty = PageResult(lines=[Line(chars=[], traces=[], sol_conf=0, eol_conf=0)])
     out = rescore_with_lm(maps, empty, NGramLM.uniform(5))
@@ -569,4 +679,103 @@ def test_follow_matches_reference(data):
     origin = data.draw(grids)
     max_steps = data.draw(st.integers(1, 2 * (w + h)))
     trace = follow(direction_table(maps), origin, node_scores, max_steps)
-    assert trace == _follow_reference(maps, origin, node_scores, max_steps)
+    visited, outcome, target = _walk_reference(maps, origin, node_scores, max_steps)
+    assert (trace.origin, trace.visited, trace.outcome, trace.target) == (
+        origin, visited, outcome, target
+    )
+
+
+@given(
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+    st.lists(st.sampled_from(list(Direction)), max_size=40).map(bytes),
+)
+@example((1, 1), b"")
+def test_trace_rebuilds_its_walk_from_moves(origin, moves):
+    walk = [origin]
+    for d in moves:
+        walk.append(step(walk[-1], d))
+    trace = SearchTrace(origin, moves, BOUNDARY)
+    assert trace.visited == walk
+    assert trace.path == walk[1:]
+
+
+def _some_grids(w, h):
+    """Distinct grids of a w x h lattice in any order, from one to all."""
+    every = [(i, j) for j in range(1, h + 1) for i in range(1, w + 1)]
+    return st.tuples(st.permutations(every), st.integers(1, w * h)).map(
+        lambda t: t[0][:t[1]]
+    )
+
+
+@st.composite
+def _edge_problems(draw):
+    """Nodes at distinct grids, one trace each: a dead or end-of-line trace,
+    or one reaching a node.  Reaching the next node builds chains, and so
+    angle history; reaching one of the first few funnels many sources into
+    one target."""
+    grids = draw(_some_grids(4, 4))
+    n = len(grids)
+    coord = st.sampled_from([0.0, 10.0, 20.0]) | st.floats(0.0, 100.0)
+    nodes = [_node(g, draw(coord), draw(coord), score=draw(_COARSE_UNIT)) for g in grids]
+    targets = st.just(None) | st.integers(0, n - 1) | st.integers(0, min(n, 3) - 1)
+    traces = []
+    for k, g in enumerate(grids):
+        t = draw(st.just(min(k + 1, n - 1)) | targets)
+        if t is None:
+            traces.append(SearchTrace(g, b"", draw(st.sampled_from([BOUNDARY, END_OF_LINE]))))
+        else:
+            traces.append(_reached(g, grids[t]))
+    return nodes, traces
+
+
+@settings(deadline=None, max_examples=300)
+@given(_edge_problems())
+def test_resolve_edges_matches_reference(problem):
+    nodes, traces = problem
+    assert resolve_edges(nodes, traces) == _resolve_edges_reference(nodes, traces)
+
+
+@st.composite
+def _assembly_problems(draw):
+    """Nodes with any edge mapping.  Most edges run to the next node, so
+    chains are long; the rest make cycles, self-edges, and targets shared by
+    several sources, so a chain can run back into itself or into a line
+    already taken."""
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    grids = draw(_some_grids(w, h))
+    maps = blank_maps(GridShape(w, h, 16.0 * w, 16.0 * h), 1)
+    maps.sol = draw(arrays(np.float32, (w, h), elements=_COARSE_UNIT))
+    maps.eol = draw(arrays(np.float32, (w, h), elements=_COARSE_UNIT))
+    n = len(grids)
+    edges = {}
+    for k in range(n):
+        t = draw(st.just(k + 1) | st.none() | st.integers(0, n - 1))
+        if t is not None and t < n:
+            edges[k] = t
+    nodes = [_node(g, 16.0 * g[0] - 8, 16.0 * g[1] - 8) for g in grids]
+    return nodes, edges, [_dead(g) for g in grids], maps
+
+
+@settings(deadline=None, max_examples=300)
+@given(_assembly_problems(), st.builds(DecodeConfig, sol_eol_threshold=_COARSE_UNIT))
+def test_assemble_matches_reference(problem, config):
+    nodes, edges, traces, maps = problem
+    assert assemble(nodes, edges, traces, maps, config) == _assemble_reference(
+        nodes, edges, traces, maps, config
+    )
+
+
+def test_serpentine_page_decodes_to_one_line():
+    # A character on every grid of a 32 x 32 page, read in one line that
+    # snakes right along odd rows and left along even ones.
+    n = 32
+    maps = blank_maps(GridShape(n, n, 16.0 * n, 16.0 * n), 2)
+    order = [(i if j % 2 else n + 1 - i, j) for j in range(1, n + 1) for i in range(1, n + 1)]
+    for (i, j), (k, m) in zip(order, order[1:]):
+        put_char(maps, i, j, 1)
+        set_rd(maps, i, j, _DELTA_TO_DIR[(k - i, m - j)])
+    put_char(maps, *order[0], 1, sol=1.0 - 1e-6)
+    put_char(maps, *order[-1], 2, eol=1.0 - 1e-6)
+    result = decode(maps)
+    assert [[c.grid for c in line.chars] for line in result.lines] == [order]
+    assert not result.dropped

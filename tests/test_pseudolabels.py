@@ -24,7 +24,7 @@ from gridtext.pseudolabels import (
     update,
     update_weight,
 )
-from gridtext.predictions import DIR_DELTAS, OracleNoise, oracle_predict, staircase
+from gridtext.predictions import DIR_DELTAS, Direction, OracleNoise, oracle_predict, staircase
 from gridtext.synth import PageConfig, gen_page
 
 SHAPE = GridShape(8, 8, 128, 128)
@@ -279,7 +279,7 @@ def test_build_targets_collision_keeps_higher_gamma():
 def test_build_targets_d_neg_from_traces():
     char = CharInstance(grid=(2, 2), box=_cell_box(2, 2), score=1.0, cls_id=1,
                         cls_prob=1.0)
-    trace = SearchTrace(origin=(2, 2), visited=[(2, 2), (3, 2), (4, 2)],
+    trace = SearchTrace(origin=(2, 2), moves=bytes([Direction.RIGHT, Direction.RIGHT]),
                         outcome="reached", target=(5, 2))
     result = PageResult(lines=[Line(chars=[char], traces=[trace], sol_conf=1,
                                     eol_conf=1)])
