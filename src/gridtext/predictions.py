@@ -379,6 +379,93 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
     return maps
 
 
+class _ScalarDraws:
+    """The scalar ``rng.uniform(low, high)`` and ``rng.integers(low, high)``
+    draws of a PCG64 generator, served from its raw 64-bit words.
+
+    A scalar ``Generator`` call costs about 2 us, so a loop of a few draws
+    per character or per hit is set-up's largest cost; these draws cost a
+    fifth of that or less.  They reproduce numpy's samplers for PCG64
+    (numpy 2.x):
+
+    - ``uniform`` takes one word w and returns
+      ``low + (high - low) * ((w >> 11) * 2**-53)``;
+    - ``integers`` is Lemire's method on 32-bit halves, with numpy's
+      rejection threshold ``(2**32 - 1 - rng) % (rng + 1)`` for the range
+      ``rng = high - low - 1``.  A half comes from the generator's buffered
+      half-word if it has one, else from a new word, whose low half is
+      used and whose high half is buffered.  A range of one value draws
+      nothing.
+
+    The words come from ``bit_generator.random_raw``, which leaves the
+    buffered half alone, in blocks that :meth:`reserve` sizes to what the
+    coming draws take at least, so no word is fetched that no draw takes.
+    :meth:`close` writes the buffered half back, so the generator ends in
+    the state the scalar calls leave.  ``tests/test_predictions.py`` checks
+    the draws and that state against numpy's scalar calls, and
+    ``tests/test_synth.py`` and the spurious-hit test check their users
+    against the per-draw loops they replaced.
+    """
+
+    __slots__ = ("_bitgen", "_words", "_has_half", "_half")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._bitgen = rng.bit_generator
+        state = self._bitgen.state
+        if state["bit_generator"] != "PCG64":
+            raise TypeError(f"need a PCG64 generator, got {state['bit_generator']}")
+        self._words: list[int] = []  # fetched, not yet taken; the next one last
+        self._has_half = bool(state["has_uint32"])
+        self._half = state["uinteger"]
+
+    def reserve(self, doubles: int, halves: int = 0) -> None:
+        """Fetch the words that ``doubles`` uniform draws and ``halves``
+        integer draws with a range of two or more values take at least;
+        draws past that fetch one word at a time."""
+        need = doubles + max(halves - self._has_half + 1, 0) // 2 - len(self._words)
+        if need > 0:
+            self._words[:0] = self._bitgen.random_raw(need).tolist()[::-1]
+
+    def _word(self) -> int:
+        words = self._words
+        return words.pop() if words else self._bitgen.random_raw()
+
+    def uniform(self, low: float, high: float) -> float:
+        words = self._words  # _word inlined: a third of a draw's cost
+        w = words.pop() if words else self._bitgen.random_raw()
+        return low + (high - low) * ((w >> 11) * 2.0**-53)
+
+    def _next32(self) -> int:
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        w = self._word()
+        self._has_half, self._half = True, w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span <= 1 << 32:
+            raise ValueError(f"need 1 <= high - low <= 2**32, got {span}")
+        m = self._next32() * span
+        if (m & 0xFFFFFFFF) < span:
+            threshold = ((1 << 32) - span) % span
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+    def close(self) -> None:
+        """Leave the generator in the state of the scalar calls: advanced by
+        the words taken, with the buffered half they left."""
+        if self._words:
+            raise RuntimeError(f"{len(self._words)} reserved words were never drawn")
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        self._bitgen.state = state
+
+
 def _apply_noise(
     maps: PredictionMaps, plan: RenderPlan, noise: OracleNoise, rng: np.random.Generator
 ) -> None:
@@ -424,16 +511,25 @@ def _apply_noise(
         hits = rng.random((shape.w_g, shape.h_g)) < noise.spurious_p
         hits[plan.char_at] = False
         at = np.nonzero(hits)
-        # A hit's four draws mix doubles with integers taken from a buffered
-        # 32-bit half-word, so they go one hit at a time, in row-major order;
-        # the hits are distinct cells, so one scatter per tensor writes them.
-        uniform, integers = rng.uniform, rng.integers
-        draws = [
-            (uniform(0.55, 0.9), integers(0, maps.n_cls), *uniform(0.3, 0.7, size=2),
+        # A hit's draws mix doubles with integers taken from a buffered 32-bit
+        # half-word, so no batched Generator call gives them in this order,
+        # and a scalar call costs about 2 us.  _ScalarDraws serves the per-hit
+        # scalar calls, in row-major order, from raw PCG64 words, as numpy's
+        # doubles and its Lemire method for integers do: dis, the class, x_o,
+        # y_o and scale.  test_spurious_hits_match_the_per_hit_loop checks the
+        # maps and the generator's state against that loop.  The hits are
+        # distinct cells, so one scatter per tensor writes them.
+        n_hits = len(at[0])
+        draws = _ScalarDraws(rng)
+        draws.reserve(4 * n_hits, (maps.n_cls > 1) * n_hits)
+        uniform, integers = draws.uniform, draws.integers
+        values = [
+            (uniform(0.55, 0.9), integers(0, maps.n_cls), uniform(0.3, 0.7), uniform(0.3, 0.7),
              uniform(0.8, 1.2))
-            for _ in range(len(at[0]))
+            for _ in range(n_hits)
         ]
-        dis, cls, x_o, y_o, scale = np.array(draws, dtype=np.float64).reshape(-1, 5).T
+        draws.close()
+        dis, cls, x_o, y_o, scale = np.array(values, dtype=np.float64).reshape(-1, 5).T
         size_frac_w = mean_size / shape.img_w
         size_frac_h = mean_size / shape.img_h
         maps.dis[at] = dis
@@ -451,8 +547,8 @@ def _apply_noise(
 
 # ---------------------------------------------------------------------------
 # Serialization: binary with a "PGNM" header, plus a JSON mirror accepted for
-# hand-written fixtures.  Tensors are float32, row-major, written in the
-# fixed order of _tensor_shapes: box, dis, cls, sol, eol, rd.
+# hand-written fixtures.  Tensors are little-endian float32, row-major,
+# written in the fixed order of _tensor_shapes: box, dis, cls, sol, eol, rd.
 # ---------------------------------------------------------------------------
 
 
@@ -497,9 +593,8 @@ def save_maps(maps: PredictionMaps, path: str | Path) -> None:
                 float(maps.shape.img_h),
             )
         )
-        for name in names:
-            arr = np.ascontiguousarray(getattr(maps, name), dtype=np.float32)
-            fh.write(arr.tobytes())
+        for name in names:  # little-endian on any host, as _load_binary reads
+            fh.write(np.ascontiguousarray(getattr(maps, name), dtype="<f4"))
 
 
 def load_maps(path: str | Path) -> PredictionMaps:

@@ -14,14 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from .decoder import DecodeConfig, InvariantError, decode
-from .geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of
+from .geometry import IMAGE_SIZE_RANGE, Box, GridShape
 from .matching import PageAnnotation
-from .predictions import OracleNoise, RenderPlan, oracle_predict, render_plan
+from .predictions import OracleNoise, RenderPlan, _ScalarDraws, oracle_predict, render_plan
 
 ROTATIONS = ("horizontal", "rot90", "rot180", "rot270")
 LAYOUT_KINDS = ROTATIONS + ("sine",)
@@ -70,6 +71,9 @@ class PageConfig:
         for name in ("n_lines", "n_cls", "w_g", "h_g", "cell_px"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # A map file's header stores n_cls as a uint32.
+        if self.n_cls >= 1 << 32:
+            raise ValueError(f"n_cls must be < 2**32, got {self.n_cls}")
         lo, hi = self.chars_per_line
         if not 1 <= lo <= hi:
             raise ValueError(f"chars_per_line must be [lo, hi], 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -114,6 +118,18 @@ def _rotate(box: Box, kind: str, img_w: float, img_h: float) -> Box:
 
 
 def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> SyntheticPage:
+    """Lay out one page from ``rng``, a ``default_rng`` (PCG64) generator.
+
+    Each line draws its length, then each of its characters draws, in this
+    order, its centre's x and y jitter, its width and height and its class.
+    These are the scalar ``rng.uniform`` and ``rng.integers`` calls of a
+    per-character loop, but a scalar Generator call costs about 2 us, so
+    ``_ScalarDraws`` serves them from the generator's raw words, reserved a
+    line at a time.  It reproduces numpy's PCG64 doubles and its Lemire
+    method for bounded integers, and leaves ``rng`` in the state the scalar
+    calls leave; ``tests/test_synth.py`` checks pages and state against that
+    loop, kept there as ``_build_reference``.
+    """
     layout = config.layout
     cell = float(config.cell_px)
     img_w = config.w_g * cell
@@ -136,27 +152,32 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
             f"{config.n_lines} lines do not fit in {config.h_g} grid rows"
         )
 
+    class_halves = config.n_cls > 1  # a one-class draw takes no half-word
+    draws = _ScalarDraws(rng)
+    uniform, integers = draws.uniform, draws.integers
     lines: list[list[int]] = []
     boxes: list[list[Box]] = []
     for q in range(config.n_lines):
         row = row_margin + q * line_step + (line_step + 1) // 2
         lo, hi = config.chars_per_line
-        n_chars = int(rng.integers(lo, hi + 1))
+        n_chars = integers(lo, hi + 1)
+        draws.reserve(4 * n_chars, class_halves * n_chars)
         lines.append([])
         boxes.append([])
         for k in range(n_chars):
             col = col_margin + 1 + k * spacing
-            cx = (col - 0.5) * cell + float(rng.uniform(-0.2, 0.2)) * cell
-            cy = (row - 0.5) * cell + float(rng.uniform(-0.2, 0.2)) * cell
+            cx = (col - 0.5) * cell + uniform(-0.2, 0.2) * cell
+            cy = (row - 0.5) * cell + uniform(-0.2, 0.2) * cell
             if layout.kind == "sine":
                 cy += layout.amplitude * cell * math.sin(
                     2 * math.pi * cx / (layout.period * cell)
                 )
-            sw = float(rng.uniform(*CHAR_SIZE)) * cell
-            sh = float(rng.uniform(*CHAR_SIZE)) * cell
+            sw = uniform(*CHAR_SIZE) * cell
+            sh = uniform(*CHAR_SIZE) * cell
             box = Box(cx, cy, sw / img_w, sh / img_h)
             boxes[q].append(_rotate(box, layout.kind, img_w, img_h))
-            lines[q].append(int(rng.integers(1, config.n_cls + 1)))
+            lines[q].append(integers(1, config.n_cls + 1))
+    draws.close()
 
     if layout.kind in ("rot90", "rot270"):
         shape = GridShape(config.h_g, config.w_g, img_h, img_w)
@@ -170,11 +191,11 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
 def _round_trip_ok(page: SyntheticPage) -> bool:
     maps = oracle_predict(page, OracleNoise())
     result = decode(maps, DecodeConfig())
-    annot = page.annotation
-    want = {
-        tuple((grid_of(box, page.shape), cls_id) for box, cls_id in zip(boxes, line))
-        for line, boxes in zip(annot.lines, annot.boxes)
-    }
+    # The plan holds every character's grid and class, in reading order.
+    plan = page.plan
+    i0, j0 = plan.char_at
+    chars = iter(zip(zip((i0 + 1).tolist(), (j0 + 1).tolist()), (plan.char_cls + 1).tolist()))
+    want = {tuple(islice(chars, len(line))) for line in page.annotation.lines}
     got = {tuple((c.grid, c.cls_id) for c in line.chars) for line in result.lines}
     return want == got and not result.dropped
 

@@ -7,12 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridtext import synth
-from gridtext.geometry import grid_of
+from gridtext.geometry import Box, GridShape, grid_of
+from gridtext.matching import PageAnnotation
 from gridtext.synth import (
+    CHAR_SIZE,
     LAYOUT_KINDS,
     GenerationError,
     Layout,
     PageConfig,
+    SyntheticPage,
     gen_dataset,
     gen_page,
 )
@@ -87,6 +90,7 @@ def test_variable_chars_per_line():
     ({"h_g": 0}, "h_g"),
     ({"cell_px": 0}, "cell_px"),
     ({"seed": -1}, "seed"),
+    ({"n_cls": 2**32}, "n_cls"),  # a map file's header stores a uint32
 ])
 def test_page_config_rejects_out_of_range_field(fields, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -136,3 +140,98 @@ def test_first_build_round_trips(grid, kind, seed, page_index, amplitude):
     except GenerationError:
         assume(False)  # amplitude-1.5 sine lines fit only at 32x32
     assert synth._round_trip_ok(page)
+
+
+def _build_reference(config: PageConfig, rng: np.random.Generator, page_id: str) -> SyntheticPage:
+    """``synth._build`` as it was, with five scalar Generator calls per
+    character: the oracle for the raw-word draws that replaced them."""
+    layout = config.layout
+    cell = float(config.cell_px)
+    img_w = config.w_g * cell
+    img_h = config.h_g * cell
+
+    amp_rows = math.ceil(layout.amplitude) if layout.kind == "sine" else 0
+    col_margin = 1
+    row_margin = 1 + amp_rows
+    avail_cols = config.w_g - 2 * col_margin
+    max_chars = config.chars_per_line[1]
+    spacing = (avail_cols - 1) // (max_chars - 1) if max_chars > 1 else 2
+    if spacing < 2:
+        raise GenerationError(
+            f"{max_chars} characters do not fit in {config.w_g} grid columns"
+        )
+    avail_rows = config.h_g - 2 * row_margin
+    line_step = avail_rows // config.n_lines
+    if line_step < max(2, 2 * amp_rows + 1):
+        raise GenerationError(
+            f"{config.n_lines} lines do not fit in {config.h_g} grid rows"
+        )
+
+    lines: list[list[int]] = []
+    boxes: list[list[Box]] = []
+    for q in range(config.n_lines):
+        row = row_margin + q * line_step + (line_step + 1) // 2
+        lo, hi = config.chars_per_line
+        n_chars = int(rng.integers(lo, hi + 1))
+        lines.append([])
+        boxes.append([])
+        for k in range(n_chars):
+            col = col_margin + 1 + k * spacing
+            cx = (col - 0.5) * cell + float(rng.uniform(-0.2, 0.2)) * cell
+            cy = (row - 0.5) * cell + float(rng.uniform(-0.2, 0.2)) * cell
+            if layout.kind == "sine":
+                cy += layout.amplitude * cell * math.sin(
+                    2 * math.pi * cx / (layout.period * cell)
+                )
+            sw = float(rng.uniform(*CHAR_SIZE)) * cell
+            sh = float(rng.uniform(*CHAR_SIZE)) * cell
+            box = Box(cx, cy, sw / img_w, sh / img_h)
+            boxes[q].append(synth._rotate(box, layout.kind, img_w, img_h))
+            lines[q].append(int(rng.integers(1, config.n_cls + 1)))
+
+    if layout.kind in ("rot90", "rot270"):
+        shape = GridShape(config.h_g, config.w_g, img_h, img_w)
+    else:
+        shape = GridShape(config.w_g, config.h_g, img_w, img_h)
+
+    annotation = PageAnnotation(lines=lines, boxes=boxes, page_id=page_id)
+    return SyntheticPage(shape=shape, n_cls=config.n_cls, annotation=annotation, layout=layout)
+
+
+def _build_outcome(build, config, seed, warmup):
+    """What ``build`` makes of ``config``: the annotation with every box
+    field as its bits, or the error; and the generator's state after."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 100, size=warmup)
+    try:
+        page = build(config, rng, "p")
+    except GenerationError as exc:
+        return str(exc), rng.bit_generator.state
+    annot = page.annotation
+    bits = [[(b.x.hex(), b.y.hex(), b.w.hex(), b.h.hex()) for b in line] for line in annot.boxes]
+    return (page.shape, annot.lines, bits), rng.bit_generator.state
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(LAYOUT_KINDS),
+    amplitude=st.sampled_from([0.0, 1.0, 1.5]),
+    n_lines=st.integers(1, 12),
+    chars=st.tuples(st.integers(1, 14), st.integers(0, 6)).map(lambda t: (t[0], t[0] + t[1])),
+    n_cls=st.sampled_from([1, 2, 100, 2**31 - 1, 2**32 - 1]) | st.integers(1, 1000),
+    slack=st.tuples(st.integers(-3, 12), st.integers(-3, 12)),
+    seed=st.integers(0, 2**32 - 1),
+    warmup=st.integers(0, 1),
+)
+def test_build_matches_the_per_draw_loop(kind, amplitude, n_lines, chars, n_cls, slack, seed,
+                                         warmup):
+    # Every layout, lo == hi (a one-value length draw takes nothing),
+    # n_cls == 1 (so does a class draw), grids around the smallest that fit,
+    # so some configs raise GenerationError, and a buffered half-word at the
+    # start (an odd warm-up).
+    w_g = 2 * chars[1] + 2 + slack[0]
+    h_g = 3 * n_lines + 4 + slack[1]
+    config = PageConfig(n_lines=n_lines, chars_per_line=chars, n_cls=n_cls,
+                        layout=Layout(kind, amplitude=amplitude), w_g=w_g, h_g=h_g)
+    got = _build_outcome(synth._build, config, seed, warmup)
+    assert got == _build_outcome(_build_reference, config, seed, warmup)
