@@ -94,9 +94,9 @@ class ErrorCounts:
 
 def _backtrace(
     hyp: Sequence[int], ref: Sequence[int], cols: Sequence[tuple[int, int]]
-) -> tuple[list[str], int, int]:
+) -> list[str]:
     """The canonical minimum edit script from ``ref`` to ``hyp``, its ops
-    last first, with its cost and its number of substitutions.
+    last first.
 
     ``cols`` are the :func:`_columns` of ``hyp`` against ``ref`` alone, its
     bits from bit 0 up.  Backtraces them (Hyyrö 2004) by the canonical tie
@@ -106,8 +106,7 @@ def _backtrace(
     """
     m, n = len(hyp), len(ref)
     pv, mv = cols[m]
-    cost = c = m + pv.bit_count() - mv.bit_count()
-    n_se = 0
+    c = m + pv.bit_count() - mv.bit_count()
     ops: list[str] = []
     a, b = m, n
     while a > 0 or b > 0:
@@ -118,7 +117,6 @@ def _backtrace(
             unequal = hyp[a - 1] != ref[b - 1]
             if diag + unequal == c:
                 ops.append("S" if unequal else "E")
-                n_se += unequal
                 a -= 1
                 b -= 1
                 c = diag
@@ -130,7 +128,7 @@ def _backtrace(
             ops.append("I")
             a -= 1
         c -= 1
-    return ops, cost, n_se
+    return ops
 
 
 def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
@@ -140,7 +138,7 @@ def edit_script(hyp: Sequence[int], ref: Sequence[int]) -> list[str]:
     absent from ref), "D" (deletion: a ref element absent from hyp), in
     forward order, as :func:`_backtrace` finds them.
     """
-    ops = _backtrace(hyp, ref, _columns(hyp, _table([ref])))[0]
+    ops = _backtrace(hyp, ref, _columns(hyp, _table([ref])))
     ops.reverse()
     return ops
 
@@ -152,15 +150,9 @@ def script_counts(ops: Sequence[str]) -> ErrorCounts:
 
 
 def edit_counts(hyp: Sequence[int], ref: Sequence[int]) -> tuple[int, int, int]:
-    """(insertions, deletions, substitutions) of the canonical script.
-
-    :func:`_backtrace` counts the substitutions S; the script's cost is
-    I + D + S, and as every op but D consumes a hyp element and every op
-    but I a ref element, I - D = len(hyp) - len(ref).
-    """
-    _, cost, n_se = _backtrace(hyp, ref, _columns(hyp, _table([ref])))
-    n_ie = (cost - n_se + len(hyp) - len(ref)) // 2
-    return n_ie, cost - n_se - n_ie, n_se
+    """(insertions, deletions, substitutions) of the canonical script."""
+    counts = script_counts(edit_script(hyp, ref))
+    return counts.n_ie, counts.n_de, counts.n_se
 
 
 _Table = tuple[dict[int, int], int, int, int, list[int]]
@@ -273,7 +265,7 @@ def match_lines(
         ref, seg = annots[q - 1], segs[q - 1]
         off = seg.bit_length() - len(ref)
         cols = [((pv & seg) >> off, (mv & seg) >> off) for pv, mv in columns[p - 1]]
-        matched[p, q] = _backtrace(results[p - 1], ref, cols)[0][::-1]
+        matched[p, q] = _backtrace(results[p - 1], ref, cols)[::-1]
         used_p.add(p)
         used_q.add(q)
     return matched

@@ -379,6 +379,9 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
     return maps
 
 
+_BLOCK = 256  # raw words _ScalarDraws fetches at a time
+
+
 class _ScalarDraws:
     """The scalar ``rng.uniform(low, high)`` and ``rng.integers(low, high)``
     draws of a PCG64 generator, served from its raw 64-bit words.
@@ -397,14 +400,15 @@ class _ScalarDraws:
       used and whose high half is buffered.  A range of one value draws
       nothing.
 
-    The words come from ``bit_generator.random_raw``, which leaves the
-    buffered half alone, in blocks that :meth:`reserve` sizes to what the
-    coming draws take at least, so no word is fetched that no draw takes.
-    :meth:`close` writes the buffered half back, so the generator ends in
-    the state the scalar calls leave.  ``tests/test_predictions.py`` checks
-    the draws and that state against numpy's scalar calls, and
-    ``tests/test_synth.py`` and the spurious-hit test check their users
-    against the per-draw loops they replaced.
+    Whenever its words run out, the reader fetches ``_BLOCK`` more with
+    ``bit_generator.random_raw``, which leaves the buffered half alone.
+    :meth:`close` gives back the k words fetched but not drawn with
+    ``bit_generator.advance(2**128 - k)``, which steps PCG64 back k words
+    because its advance works modulo 2**128, and then writes the buffered
+    half back, so the generator ends in the state the scalar calls leave.
+    ``tests/test_predictions.py`` checks the draws and that state against
+    numpy's scalar calls, and ``tests/test_synth.py`` and the spurious-hit
+    test check their users against the per-draw loops they replaced.
     """
 
     __slots__ = ("_bitgen", "_words", "_has_half", "_half")
@@ -418,21 +422,15 @@ class _ScalarDraws:
         self._has_half = bool(state["has_uint32"])
         self._half = state["uinteger"]
 
-    def reserve(self, doubles: int, halves: int = 0) -> None:
-        """Fetch the words that ``doubles`` uniform draws and ``halves``
-        integer draws with a range of two or more values take at least;
-        draws past that fetch one word at a time."""
-        need = doubles + max(halves - self._has_half + 1, 0) // 2 - len(self._words)
-        if need > 0:
-            self._words[:0] = self._bitgen.random_raw(need).tolist()[::-1]
-
     def _word(self) -> int:
         words = self._words
-        return words.pop() if words else self._bitgen.random_raw()
+        if not words:
+            words[:] = self._bitgen.random_raw(_BLOCK).tolist()[::-1]
+        return words.pop()
 
     def uniform(self, low: float, high: float) -> float:
         words = self._words  # _word inlined: a third of a draw's cost
-        w = words.pop() if words else self._bitgen.random_raw()
+        w = words.pop() if words else self._word()
         return low + (high - low) * ((w >> 11) * 2.0**-53)
 
     def _next32(self) -> int:
@@ -460,7 +458,7 @@ class _ScalarDraws:
         """Leave the generator in the state of the scalar calls: advanced by
         the words taken, with the buffered half they left."""
         if self._words:
-            raise RuntimeError(f"{len(self._words)} reserved words were never drawn")
+            self._bitgen.advance((1 << 128) - len(self._words))  # clears the half
         state = self._bitgen.state
         state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
         self._bitgen.state = state
@@ -511,17 +509,14 @@ def _apply_noise(
         hits = rng.random((shape.w_g, shape.h_g)) < noise.spurious_p
         hits[plan.char_at] = False
         at = np.nonzero(hits)
-        # A hit's draws mix doubles with integers taken from a buffered 32-bit
-        # half-word, so no batched Generator call gives them in this order,
-        # and a scalar call costs about 2 us.  _ScalarDraws serves the per-hit
-        # scalar calls, in row-major order, from raw PCG64 words, as numpy's
-        # doubles and its Lemire method for integers do: dis, the class, x_o,
-        # y_o and scale.  test_spurious_hits_match_the_per_hit_loop checks the
-        # maps and the generator's state against that loop.  The hits are
-        # distinct cells, so one scatter per tensor writes them.
+        # Each hit, in row-major order, makes the scalar draws dis, the class,
+        # x_o, y_o and scale.  No batched Generator call gives that mix in
+        # this order, so _ScalarDraws serves them;
+        # test_spurious_hits_match_the_per_hit_loop checks the maps and the
+        # generator's state against the per-hit loop.  The hits are distinct
+        # cells, so one scatter per tensor writes them.
         n_hits = len(at[0])
         draws = _ScalarDraws(rng)
-        draws.reserve(4 * n_hits, (maps.n_cls > 1) * n_hits)
         uniform, integers = draws.uniform, draws.integers
         values = [
             (uniform(0.55, 0.9), integers(0, maps.n_cls), uniform(0.3, 0.7), uniform(0.3, 0.7),

@@ -122,12 +122,9 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
 
     Each line draws its length, then each of its characters draws, in this
     order, its centre's x and y jitter, its width and height and its class.
-    These are the scalar ``rng.uniform`` and ``rng.integers`` calls of a
-    per-character loop, but a scalar Generator call costs about 2 us, so
-    ``_ScalarDraws`` serves them from the generator's raw words, reserved a
-    line at a time.  It reproduces numpy's PCG64 doubles and its Lemire
-    method for bounded integers, and leaves ``rng`` in the state the scalar
-    calls leave; ``tests/test_synth.py`` checks pages and state against that
+    ``_ScalarDraws`` serves these scalar ``rng.uniform`` and ``rng.integers``
+    draws and leaves ``rng`` in the state the scalar calls leave;
+    ``tests/test_synth.py`` checks pages and state against the per-character
     loop, kept there as ``_build_reference``.
     """
     layout = config.layout
@@ -152,7 +149,6 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
             f"{config.n_lines} lines do not fit in {config.h_g} grid rows"
         )
 
-    class_halves = config.n_cls > 1  # a one-class draw takes no half-word
     draws = _ScalarDraws(rng)
     uniform, integers = draws.uniform, draws.integers
     lines: list[list[int]] = []
@@ -161,7 +157,6 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
         row = row_margin + q * line_step + (line_step + 1) // 2
         lo, hi = config.chars_per_line
         n_chars = integers(lo, hi + 1)
-        draws.reserve(4 * n_chars, class_halves * n_chars)
         lines.append([])
         boxes.append([])
         for k in range(n_chars):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, find, given, settings
@@ -310,8 +311,11 @@ def _long_line(draw):
 
 
 def test_long_lines_cross_one_and_two_words():
+    # Seeded, and with enough examples that a length past 128 (12 of the
+    # 81 lengths) is all but certain to be drawn.
     for edge in (64, 128):
-        line = find(_long_line(), lambda line: len(line) > edge, settings=settings(database=None))
+        line = find(_long_line(), lambda line: len(line) > edge,
+                    settings=settings(database=None, max_examples=1000), random=random.Random(0))
         assert len(line) == edge + 1
 
 

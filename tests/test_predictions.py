@@ -473,35 +473,61 @@ _UNIFORM = st.tuples(st.just("uniform"), _FINITE, _FINITE).map(
     lambda t: (t[0], min(t[1:]), max(t[1:])))
 _INTEGERS = st.tuples(st.just("integers"), st.integers(-2**40, 2**40), _SPANS).map(
     lambda t: (t[0], t[1], t[1] + t[2]))
+_BLOCK = predictions._BLOCK
 
 
 @settings(deadline=None, max_examples=300)
 @given(
     warmup=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
-    blocks=st.lists(st.tuples(st.booleans(), st.lists(_UNIFORM | _INTEGERS, max_size=12)),
-                    max_size=6),
+    lead=st.integers(0, _BLOCK),
+    ops=st.lists(_UNIFORM | _INTEGERS, max_size=72),
 )
-def test_scalar_draws_equal_numpy_scalar_calls(warmup, seed, blocks):
+def test_scalar_draws_equal_numpy_scalar_calls(warmup, seed, lead, ops):
     """Any interleaving of uniform and integers draws gives the values of
     numpy's scalar calls and leaves the generator in the same state, from a
-    buffered half-word (odd warm-up) or none (even), whether or not a block
-    of draws was reserved first."""
+    buffered half-word (odd warm-up) or none (even).  ``lead`` doubles drawn
+    first move the ops across a block's end when it is near ``_BLOCK``."""
     rng = np.random.default_rng(seed)
     rng.integers(0, 100, size=warmup)
     ref = np.random.default_rng()
     ref.bit_generator.state = rng.bit_generator.state
     draws = predictions._ScalarDraws(rng)
-    for reserve, ops in blocks:
-        if reserve:
-            draws.reserve(sum(op == "uniform" for op, _, _ in ops),
-                          sum(op == "integers" and high - low > 1 for op, low, high in ops))
-        for op, low, high in ops:
-            got, want = getattr(draws, op)(low, high), getattr(ref, op)(low, high)
-            if op == "uniform":
-                assert got.hex() == want.hex()
-            else:
-                assert got == int(want)
+    assert [draws.uniform(0.0, 1.0) for _ in range(lead)] == ref.random(lead).tolist()
+    for op, low, high in ops:
+        got, want = getattr(draws, op)(low, high), getattr(ref, op)(low, high)
+        if op == "uniform":
+            assert got.hex() == want.hex()
+        else:
+            assert got == int(want)
+    draws.close()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("warmup", [0, 1])
+@pytest.mark.parametrize(
+    "n_words", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK - 7])
+def test_scalar_draws_cross_blocks(warmup, n_words):
+    """Draws that take ``n_words`` words, so close finds no block fetched,
+    part of the last block left, or all of it drawn (none left), from a
+    buffered half-word (warm-up 1) or none.  Every third draw is a 32-bit
+    integer, which takes a half-word."""
+    ops, words, half = [], 0, bool(warmup)
+    while words < n_words:
+        if len(ops) % 3 == 2:
+            ops.append(("integers", -5, 2**32 - 5))
+            words, half = words + (not half), not half
+        else:
+            ops.append(("uniform", -1.0, 3.0))
+            words += 1
+    rng = np.random.default_rng(n_words)
+    rng.integers(0, 100, size=warmup)
+    ref = np.random.default_rng()
+    ref.bit_generator.state = rng.bit_generator.state
+    draws = predictions._ScalarDraws(rng)
+    got = [getattr(draws, op)(low, high) for op, low, high in ops]
+    assert got == [getattr(ref, op)(low, high) for op, low, high in ops]
+    assert len(draws._words) == -n_words % _BLOCK
     draws.close()
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -513,10 +539,6 @@ def test_scalar_draws_reject_what_they_cannot_reproduce():
     for high in (0, 2**32 + 1):
         with pytest.raises(ValueError, match="high - low"):
             draws.integers(0, high)
-    draws.reserve(2)
-    draws.uniform(0.0, 1.0)
-    with pytest.raises(RuntimeError, match="1 reserved words were never drawn"):
-        draws.close()
 
 
 def test_save_load_binary_round_trip(tmp_path, page):
@@ -797,11 +819,25 @@ def test_validate_raises_what_the_reference_raises(noisy_maps, data):
         arr = getattr(maps, data.draw(st.sampled_from(list(_tensor_shapes(maps.shape, maps.n_cls)))))
         at = np.unravel_index(data.draw(st.integers(0, arr.size - 1)), arr.shape)
         if arr.ndim == 3 and data.draw(st.booleans()):  # scale the row
-            arr[at[:2]] *= np.float32(data.draw(st.floats(0.0, 2.0)))
+            with np.errstate(over="ignore"):  # an overflow to +-inf is an injected value too
+                arr[at[:2]] *= np.float32(data.draw(st.floats(0.0, 2.0)))
         else:
             arr[at] = data.draw(st.sampled_from(_EDGE_VALUES) | st.floats(width=32))
     assert _map_format_error(PredictionMaps.validate, maps) == _map_format_error(
         _validate_reference, maps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_rejects_a_row_scaled_past_float32(noisy_maps):
+    """A box row holding 3.4e38, scaled by 2: the float32 multiply overflows
+    to inf, which both checks reject alike."""
+    maps = copy.deepcopy(noisy_maps)
+    maps.box.flat[0] = 3.4e38
+    with np.errstate(over="ignore"):
+        maps.box[0, 0] *= np.float32(2.0)
+    assert maps.box[0, 0, 0] == np.inf
+    error = _map_format_error(PredictionMaps.validate, maps)
+    assert error is not None and error == _map_format_error(_validate_reference, maps)
 
 
 def _gamma32(n: int) -> float:
