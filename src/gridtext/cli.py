@@ -238,9 +238,18 @@ def _from_doc(cls, doc: object, where: str):
     """``cls`` built from the JSON object ``doc``, whose keys are its fields.
 
     The defaults and the range checks are the dataclass's own; an unknown
-    key or a value of the wrong type raises ConfigError naming its path.
+    key, a value of the wrong type or one out of range raises ConfigError
+    naming its path.
     """
-    return cls(**_fields(doc, typing.get_type_hints(cls), where))
+    return _build(cls, _fields(doc, typing.get_type_hints(cls), where), where)
+
+
+def _build(cls, fields: dict, where: str):
+    """``cls(**fields)``, its range error prefixed with the config path ``where``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _fields(doc: object, hints: dict, where: str) -> dict:
@@ -293,9 +302,9 @@ def _read_config(path: str, seed: int) -> tuple[list[SyntheticPage], list[StageC
                nms_iou, sol_eol_threshold, max_steps) sit flat in the stage
                object (default: one stage with every default)
 
-    Every other default is the dataclass field's.  An unknown key or a
-    value of the wrong type is an error that names its path, such as
-    stages[0].nms_iou.
+    Every other default is the dataclass field's.  An unknown key, a value
+    of the wrong type or one out of range is an error that names its path,
+    such as stages[0].nms_iou or stages[0].noise.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -305,10 +314,11 @@ def _read_config(path: str, seed: int) -> tuple[list[SyntheticPage], list[StageC
     seed = doc.get("seed", seed)
     stages = []
     for k, stage_doc in enumerate(doc.get("stages", [{}])):
-        fields = _fields(stage_doc, _STAGE_KEYS, f"stages[{k}]")
+        where = f"stages[{k}]"
+        fields = _fields(stage_doc, _STAGE_KEYS, where)
         decode_fields = {name: fields.pop(name) for name in _DECODE_HINTS if name in fields}
-        decode = DecodeConfig(**decode_fields)
-        stages.append(StageConfig(**{"seed": seed, **fields}, decode=decode))
+        decode = _build(DecodeConfig, decode_fields, where)
+        stages.append(_build(StageConfig, {"seed": seed, **fields, "decode": decode}, where))
     dataset = {"seed": seed, **doc.get("dataset", {})}
     if isinstance(dataset.get("layout"), str):
         dataset["layout"] = {"kind": dataset["layout"]}

@@ -383,20 +383,19 @@ def assemble(
     nodes: Sequence[CharInstance],
     edges: Mapping[int, int],
     traces: Sequence[SearchTrace],
-    maps: PredictionMaps,
+    sol: Sequence[float],
+    eol: Sequence[float],
     config: DecodeConfig = DecodeConfig(),
 ) -> PageResult:
     """Chase edges from start-of-line nodes into ordered line results.
 
+    ``sol`` and ``eol`` hold each node's start- and end-of-line confidence.
     A line starts at every node whose start-of-line confidence exceeds the
     threshold and that has no incoming edge; it ends where no outgoing edge
     exists, as :func:`decode` makes it at every end-of-line node, and reports
     that node's end-of-line confidence.  Nodes on no line are kept as
     diagnostics in ``dropped``.
     """
-    at = cells(n.grid for n in nodes)
-    sol = maps.sol[at].tolist()
-    eol = maps.eol[at].tolist()
     has_incoming = set(edges.values())
     order = sorted(range(len(nodes)), key=lambda k: (nodes[k].grid[1], nodes[k].grid[0]))
     used: set[int] = set()
@@ -456,14 +455,16 @@ def decode(maps: PredictionMaps, config: DecodeConfig = DecodeConfig()) -> PageR
     node_scores = {n.grid: n.score for n in nodes}
     max_steps = config.max_steps or maps.shape.w_g + maps.shape.h_g
     dirs = direction_table(maps)
-    eol = maps.eol[cells(n.grid for n in nodes)].tolist()
+    at = cells(n.grid for n in nodes)
+    sol = maps.sol[at].tolist()
+    eol = maps.eol[at].tolist()
     traces = [
         follow(dirs, n.grid, node_scores, max_steps) if e <= config.sol_eol_threshold
         else SearchTrace(n.grid, b"", END_OF_LINE)
         for n, e in zip(nodes, eol)
     ]
     edges = resolve_edges(nodes, traces)
-    result = assemble(nodes, edges, traces, maps, config)
+    result = assemble(nodes, edges, traces, sol, eol, config)
     validate_result(result)
     return result
 
@@ -531,15 +532,9 @@ def frame_scores(
     maps: PredictionMaps, frames: Sequence[tuple[int, int]]
 ) -> list[tuple[float, np.ndarray]]:
     """Per-frame (blank probability, class probabilities): blank is 1 - dis."""
-    out = []
-    for i, j in frames:
-        out.append(
-            (
-                1.0 - float(maps.dis[i - 1, j - 1]),
-                maps.cls[i - 1, j - 1].astype(np.float64),
-            )
-        )
-    return out
+    at = cells(frames)
+    blank = (1.0 - maps.dis[at].astype(np.float64)).tolist()
+    return list(zip(blank, maps.cls[at].astype(np.float64)))
 
 
 def beam_search_lm(

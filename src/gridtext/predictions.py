@@ -640,12 +640,11 @@ def _load_binary(
     head: bytes, stream: BinaryIO, size: int
 ) -> tuple[GridShape, int, dict[str, np.ndarray]]:
     """Parse a PGNM file of ``size`` bytes: ``head`` is what was read of its
-    header, and ``stream`` is positioned just after it."""
+    header, whose magic :func:`load_maps` has checked, and ``stream`` is
+    positioned just after it."""
     if len(head) < _HEADER.size:
         raise MapFormatError("header: truncated file")
-    magic, version, *fields = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise MapFormatError("header: bad magic")
+    _, version, *fields = _HEADER.unpack(head)
     _check_version(version)
     shape, n_cls = _header(*fields)
     left = size - _HEADER.size

@@ -57,12 +57,6 @@ class PseudoLabelStore:
         is not added."""
         return self._pages.get(page_id, {})
 
-    def get(self, page_id: str, q: int, n: int) -> PseudoLabel | None:
-        return self.labels(page_id).get((q, n))
-
-    def set(self, page_id: str, q: int, n: int, label: PseudoLabel) -> None:
-        self.page(page_id)[(q, n)] = label
-
     def page_ids(self) -> list[str]:
         return sorted(self._pages)
 
@@ -100,9 +94,10 @@ class PseudoLabelStore:
 
         def add(doc: object) -> None:
             page_id, q, n, label = _label_from_row(doc)
-            if store.get(page_id, q, n) is not None:
+            labels = store.page(page_id)
+            if (q, n) in labels:
                 raise ValueError(f"label ({page_id!r}, {q}, {n}) appears more than once")
-            store.set(page_id, q, n, label)
+            labels[(q, n)] = label
 
         read_jsonl(path, add)
         return store
@@ -141,11 +136,12 @@ def update(
     :func:`update_weight`.  Pairs are applied in sorted order so the store
     state is deterministic.
     """
+    labels = store.page(page_id)
     for p, m, q, n in sorted(m_c):
         char = result.lines[p - 1].chars[m - 1]
-        existing = store.get(page_id, q, n)
+        existing = labels.get((q, n))
         if existing is None:
-            store.set(page_id, q, n, PseudoLabel(box=char.box, gamma=char.score))
+            labels[(q, n)] = PseudoLabel(box=char.box, gamma=char.score)
             continue
         lam = update_weight(existing.gamma, char.score, epsilon)
         blended = Box(
@@ -154,15 +150,10 @@ def update(
             w=lam * existing.box.w + (1 - lam) * char.box.w,
             h=lam * existing.box.h + (1 - lam) * char.box.h,
         )
-        store.set(
-            page_id,
-            q,
-            n,
-            PseudoLabel(
-                box=blended,
-                gamma=lam * existing.gamma + (1 - lam) * char.score,
-                count=existing.count + 1,
-            ),
+        labels[(q, n)] = PseudoLabel(
+            box=blended,
+            gamma=lam * existing.gamma + (1 - lam) * char.score,
+            count=existing.count + 1,
         )
 
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridtext import synth
-from gridtext.cli import _from_doc, _read_config, build_parser, main, render_page_svg
+from gridtext.cli import _from_doc, _read_config, build_parser, load_results, main, render_page_svg
 from gridtext.decoder import DecodeConfig
 from gridtext.predictions import OracleNoise
 from gridtext.simloop import StageConfig
@@ -143,10 +143,29 @@ def test_viz_svg_well_formed(tmp_path, capsys):
 
 
 def test_viz_empty_page_valid_svg():
-    svg = render_page_svg({"img_w": 100, "img_h": 100, "lines": []})
-    root = ET.fromstring(svg)
-    assert root.tag.endswith("svg")
-    assert len(list(root)) == 0
+    for lines in ([], [{"chars": []}]):  # a line without chars draws nothing
+        svg = render_page_svg({"img_w": 100, "img_h": 100, "lines": lines})
+        root = ET.fromstring(svg)
+        assert root.tag.endswith("svg")
+        assert len(list(root)) == 0
+
+
+def test_layout_kind_alone_reads_as_its_object(tmp_path):
+    def pages(layout):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"pages": 2, "dataset": {"n_cls": 10, "layout": layout}}))
+        return [(p.shape, p.n_cls, p.annotation, p.layout) for p in _read_config(path, 3)[0]]
+
+    assert pages("sine") == pages({"kind": "sine"})
+    assert pages("sine")[0][3] == Layout("sine")
+
+
+def test_blank_jsonl_lines_are_skipped(tmp_path):
+    rows = [_jsonl(_RESULT), _jsonl({**_RESULT, "page_id": "p2"})]
+    (tmp_path / "plain.jsonl").write_text("".join(rows))
+    (tmp_path / "blank.jsonl").write_text("\n".join(rows) + "  \n")
+    assert load_results(tmp_path / "blank.jsonl") == load_results(tmp_path / "plain.jsonl")
+    assert sorted(load_results(tmp_path / "blank.jsonl")) == ["p2", "pg"]
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -425,6 +444,8 @@ def _with_char(**keys) -> dict:
     pytest.param({"config.json": json.dumps(_DATASET),
                   "store.jsonl": _jsonl({**_LABEL, "count": 0})}, _EXPORT,
                  id="store-row-count-0"),
+    pytest.param({"map.json": _map_with(dis=[[0.9], [0.9, 0.1]])},
+                 ["decode", "--maps", "map.json"], id="map-tensor-ragged"),
     # 3.6 PiB of class maps: the allocation fails at once on any 64-bit host.
     pytest.param({}, ["synth", "--pages", "1", "--n-cls", str(10**12)], id="synth-maps-too-large"),
     pytest.param({"config.json": json.dumps({"pages": 1, "dataset": {"n_cls": 10**12}})},
@@ -465,9 +486,20 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, fi
     ({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(
         {**_ANNOT, "boxes": [_ANNOT["boxes"][0] * 2]})},
      _EVAL, "error: annotations.jsonl:1: row.boxes[0]: expected 1 boxes, got 2\n"),
+    ({"map.json": _map_with(n_cls=0)}, ["decode", "--maps", "map.json"],
+     "error: map.json: header: n_cls must be >= 1, got 0\n"),
+    ({"config.json": json.dumps({"dataset": {"chars_per_line": [1, 2, 3]}})}, _TRAIN_SIM,
+     "error: dataset.chars_per_line: expected 2 items, got 3\n"),
+    ({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": ""}, _EVAL,
+     "error: no annotations in annotations.jsonl\n"),
+    ({"results.jsonl": ""}, ["viz", "--results", "results.jsonl"],
+     "error: no results in results.jsonl\n"),
+    ({"results.jsonl": _jsonl(_RESULT)}, ["viz", "--results", "results.jsonl", "--page", "zz"],
+     "error: page 'zz' not in results.jsonl\n"),
 ], ids=["iou-th", "img-w", "char-w", "char-score", "annotation-box-w-0",
         "annotation-box-h-negative", "store-row-h-0", "annotation-empty-line",
-        "annotation-no-box-lines", "annotation-extra-box"])
+        "annotation-no-box-lines", "annotation-extra-box", "map-n-cls-0",
+        "chars-per-line-3-items", "eval-no-annotations", "viz-no-results", "viz-unknown-page"])
 def test_eval_range_errors_name_the_flag_or_the_row(tmp_path, monkeypatch, capsys, files, argv,
                                                     message):
     monkeypatch.chdir(tmp_path)
@@ -490,13 +522,22 @@ def test_from_doc_reads_back_a_dataclass_as_json(config):
     assert _from_doc(type(config), doc, "config") == config
 
 
-@pytest.mark.parametrize("keys, message", [
-    ({"n_passes": 0}, "error: n_passes must be >= 1, got 0\n"),
-    ({"real_prob": 1.5}, "error: real_prob must be in [0, 1], got 1.5\n"),
-], ids=["n-passes", "real-prob"])
-def test_stage_range_errors_give_the_value(tmp_path, monkeypatch, capsys, keys, message):
+@pytest.mark.parametrize("files, message", [
+    (_stage(n_passes=0), "error: stages[0]: n_passes must be >= 1, got 0\n"),
+    (_stage(real_prob=1.5), "error: stages[0]: real_prob must be in [0, 1], got 1.5\n"),
+    (_stage(seed=-1), "error: stages[0]: seed must be >= 0, got -1\n"),
+    (_stage(noise={"seed": -1}), "error: stages[0].noise: seed must be >= 0, got -1\n"),
+    ({"config.json": json.dumps({**_DATASET, "dataset": {**_DATASET["dataset"], "seed": -1}})},
+     "error: dataset: seed must be >= 0, got -1\n"),
+    (_stage(nms_iou=2), "error: stages[0]: nms_iou must be in [0, 1], got 2\n"),
+    ({"config.json": json.dumps({**_DATASET, "dataset": {"layout": "zig"}})},
+     "error: dataset.layout: unknown layout 'zig', pick from "
+     "('horizontal', 'rot90', 'rot180', 'rot270', 'sine')\n"),
+], ids=["n-passes", "real-prob", "stage-seed", "noise-seed", "dataset-seed", "nms-iou",
+        "layout"])
+def test_stage_range_errors_give_the_value(tmp_path, monkeypatch, capsys, files, message):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "config.json").write_text(_stage(**keys)["config.json"])
+    (tmp_path / "config.json").write_text(files["config.json"])
     assert main(_TRAIN_SIM) == 2
     assert capsys.readouterr().err == message
 

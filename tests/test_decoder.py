@@ -27,6 +27,7 @@ from gridtext.decoder import (
     REACHED,
     CharInstance,
     DecodeConfig,
+    InvariantError,
     Line,
     NGramLM,
     PageResult,
@@ -47,7 +48,7 @@ from gridtext.decoder import (
     resolve_edges,
     validate_result,
 )
-from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, cells, grid_of
+from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of
 from gridtext.predictions import Direction, OracleNoise, PredictionMaps, oracle_predict, step
 from gridtext.synth import PageConfig, gen_page
 
@@ -200,6 +201,15 @@ def _resolve_edges_reference(
     return committed
 
 
+def _line_flags(
+    maps: PredictionMaps, nodes: Sequence[CharInstance]
+) -> tuple[list[float], list[float]]:
+    """Each node's start- and end-of-line confidence, read one grid at a time."""
+    sol = [float(maps.sol[i - 1, j - 1]) for i, j in (n.grid for n in nodes)]
+    eol = [float(maps.eol[i - 1, j - 1]) for i, j in (n.grid for n in nodes)]
+    return sol, eol
+
+
 def _assemble_reference(
     nodes: Sequence[CharInstance],
     edges: Mapping[int, int],
@@ -207,9 +217,7 @@ def _assemble_reference(
     maps: PredictionMaps,
     config: DecodeConfig = DecodeConfig(),
 ) -> PageResult:
-    at = cells(n.grid for n in nodes)
-    sol = maps.sol[at].tolist()
-    eol = maps.eol[at].tolist()
+    sol, eol = _line_flags(maps, nodes)
     has_incoming = set(edges.values())
     order = sorted(range(len(nodes)), key=lambda k: (nodes[k].grid[1], nodes[k].grid[0]))
     used: set[int] = set()
@@ -427,11 +435,52 @@ def test_resolve_edges_slope_rule_keeps_collinear_edge():
     assert 3 not in edges
 
 
+def _line(chars, traces):
+    return Line(chars=chars, traces=traces, sol_conf=0.9, eol_conf=0.9)
+
+
+_A, _B, _C = _node((1, 1), 8, 8), _node((2, 1), 24, 8), _node((3, 1), 40, 8)
+
+
+@pytest.mark.parametrize(
+    "result, message",
+    [
+        (PageResult(lines=[_line([], [])]), "empty line in result"),
+        (
+            PageResult(lines=[_line([_A, _B], []), _line([_B], [])]),
+            "character at (2, 1) appears in two lines",
+        ),
+        (
+            PageResult(lines=[_line([_A, _B], [_dead((1, 1)), _dead((2, 1))])]),
+            "chain at (1, 1) not backed by a reached trace",
+        ),
+        (
+            PageResult(lines=[_line([_A, _B], [_reached((1, 1), (3, 1)), _dead((2, 1))])]),
+            "chain at (1, 1) not backed by a reached trace",
+        ),
+        (
+            PageResult(lines=[_line([_A], [_dead((1, 1))])], dropped=[_C, _A]),
+            "dropped character at (1, 1) also in a line",
+        ),
+    ],
+)
+def test_validate_result_rejects_each_broken_invariant(result, message):
+    with pytest.raises(InvariantError) as err:
+        validate_result(result)
+    assert str(err.value) == message
+
+
+def test_validate_result_passes_a_valid_result():
+    line = _line([_A, _B], [_reached((1, 1), (2, 1)), _dead((2, 1))])
+    validate_result(PageResult(lines=[line], dropped=[_C]))
+    validate_result(PageResult(lines=[_line([_A, _B], [])]))  # a line without traces
+
+
 def test_assemble_single_char_line():
     maps = _walk_maps()
     put_char(maps, 3, 3, 2, sol=0.95, eol=0.95)
     nodes = [_node((3, 3), 40, 40, cls_id=2)]
-    result = assemble(nodes, {}, [_dead((3, 3))], maps)
+    result = assemble(nodes, {}, [_dead((3, 3))], *_line_flags(maps, nodes))
     assert len(result.lines) == 1
     assert result.lines[0].class_ids() == [2]
 
@@ -444,7 +493,7 @@ def test_assemble_chain_without_eol_ends_at_last_edge():
     nodes = [_node((1, 2), 8, 24), _node((2, 2), 24, 24, cls_id=2),
              _node((3, 2), 40, 24, cls_id=3)]
     traces = [_reached((1, 2), (2, 2)), _reached((2, 2), (3, 2)), _dead((3, 2))]
-    result = assemble(nodes, {0: 1, 1: 2}, traces, maps)
+    result = assemble(nodes, {0: 1, 1: 2}, traces, *_line_flags(maps, nodes))
     assert [c.cls_id for c in result.lines[0].chars] == [1, 2, 3]
 
 
@@ -540,6 +589,20 @@ def test_lm_flips_ambiguous_second_char():
     frames = frame_scores(maps, line_grid_sequence(result.lines[0]))
     best = exhaustive_best_labeling(frames, lm, alphabet=[1, 2, 3], max_len=3)
     assert best == [1, 3]
+
+
+def test_frame_scores_match_a_per_frame_read():
+    page = gen_page(PageConfig(n_lines=3, chars_per_line=(6, 9), n_cls=30, seed=4))
+    maps = oracle_predict(page, OracleNoise(0.3, 0.1, 0.1, 0.05, 0.02, 0.02, seed=4))
+    for line in decode(maps).lines:
+        frames = line_grid_sequence(line)
+        got = frame_scores(maps, frames)
+        assert len(got) == len(frames) > 0
+        for (blank, probs), (i, j) in zip(got, frames):
+            assert type(blank) is float and blank == 1.0 - float(maps.dis[i - 1, j - 1])
+            want = maps.cls[i - 1, j - 1].astype(np.float64)
+            assert probs.dtype == np.float64 and np.array_equal(probs, want)
+    assert frame_scores(maps, []) == []
 
 
 @settings(deadline=None, max_examples=30)
@@ -760,7 +823,8 @@ def _assembly_problems(draw):
 @given(_assembly_problems(), st.builds(DecodeConfig, sol_eol_threshold=_COARSE_UNIT))
 def test_assemble_matches_reference(problem, config):
     nodes, edges, traces, maps = problem
-    assert assemble(nodes, edges, traces, maps, config) == _assemble_reference(
+    sol, eol = _line_flags(maps, nodes)
+    assert assemble(nodes, edges, traces, sol, eol, config) == _assemble_reference(
         nodes, edges, traces, maps, config
     )
 

@@ -62,7 +62,7 @@ def test_update_first_observation_copies():
     box = _cell_box(3, 3)
     result = _result_with([((3, 3), box, 0.87, 5)])
     update(store, "pg", {(1, 1, 1, 1)}, result)
-    label = store.get("pg", 1, 1)
+    label = store.labels("pg")[(1, 1)]
     assert label.box == box
     assert label.gamma == 0.87
     assert label.count == 1
@@ -71,11 +71,11 @@ def test_update_first_observation_copies():
 def test_update_blends_convexly():
     store = PseudoLabelStore()
     old_box = Box(40, 40, 0.1, 0.1)
-    store.set("pg", 1, 1, PseudoLabel(box=old_box, gamma=0.9))
+    store.page("pg")[(1, 1)] = PseudoLabel(box=old_box, gamma=0.9)
     new_box = Box(44, 38, 0.12, 0.1)
     result = _result_with([((3, 3), new_box, 0.8, 5)])
     update(store, "pg", {(1, 1, 1, 1)}, result, epsilon=10.0)
-    label = store.get("pg", 1, 1)
+    label = store.labels("pg")[(1, 1)]
     lam = 1.0 / (1.0 + math.exp(-1.0))
     assert math.isclose(label.box.x, lam * 40 + (1 - lam) * 44, abs_tol=1e-12)
     assert math.isclose(label.gamma, lam * 0.9 + (1 - lam) * 0.8, abs_tol=1e-12)
@@ -223,7 +223,7 @@ def test_gen_paths_matches_reference_and_leaves_the_same_rng_state(case, seed):
 
 def test_store_labels_reads_without_adding_a_page():
     store = PseudoLabelStore()
-    assert store.labels("absent") == {} and store.get("absent", 1, 1) is None
+    assert store.labels("absent") == {}
     assert store.page_ids() == []
     label = PseudoLabel(box=_cell_box(2, 2), gamma=0.5)
     store.page("written")[(1, 1)] = label
@@ -313,8 +313,8 @@ def test_build_targets_d_neg_skips_end_of_line_chars_on_a_decoded_page():
 
 def test_store_save_load_round_trip(tmp_path):
     store = PseudoLabelStore()
-    store.set("a", 1, 1, PseudoLabel(box=Box(10, 10, 0.1, 0.1), gamma=0.5, count=3))
-    store.set("b", 2, 4, PseudoLabel(box=Box(20, 20, 0.2, 0.2), gamma=0.9))
+    store.page("a")[(1, 1)] = PseudoLabel(box=Box(10, 10, 0.1, 0.1), gamma=0.5, count=3)
+    store.page("b")[(2, 4)] = PseudoLabel(box=Box(20, 20, 0.2, 0.2), gamma=0.9)
     path = tmp_path / "store.jsonl"
     store.save(path)
     loaded = PseudoLabelStore.load(path)

@@ -129,7 +129,7 @@ def test_store_state_is_deterministic():
 def test_page_id_mismatch_rejected():
     pages = _pages()
     store = PseudoLabelStore()
-    store.set("not-a-page", 1, 1, PseudoLabel(box=Box(10, 10, 0.1, 0.1), gamma=0.5))
+    store.page("not-a-page")[(1, 1)] = PseudoLabel(box=Box(10, 10, 0.1, 0.1), gamma=0.5)
     with pytest.raises(ConfigError):
         run_stage(pages, store, StageConfig(stage="train"))
 
@@ -165,7 +165,7 @@ def test_export_labels_full_and_empty():
     assert report["n_labels"] == len(rows) == report["n_chars"]
     # statistics agree with an independent recomputation
     want = [
-        _iou_reference(store.get(p.page_id, q, n).box, box, p.shape)
+        _iou_reference(store.labels(p.page_id)[(q, n)].box, box, p.shape)
         for p in pages
         for q, line in enumerate(p.annotation.boxes, start=1)
         for n, box in enumerate(line, start=1)
@@ -184,7 +184,7 @@ def test_coverage_and_iou_helpers():
     assert coverage(store, pages) == 0.0
     assert mean_label_iou(store, pages) is None
     q1_box = pages[0].annotation.boxes[0][0]
-    store.set(pages[0].page_id, 1, 1, PseudoLabel(box=q1_box, gamma=1.0))
+    store.page(pages[0].page_id)[(1, 1)] = PseudoLabel(box=q1_box, gamma=1.0)
     assert 0.0 < coverage(store, pages) < 1.0
     assert mean_label_iou(store, pages) == 1.0
 
@@ -196,7 +196,7 @@ def test_scoring_and_export_leave_the_store_pages_as_they_were():
         for score in (coverage, mean_label_iou, export_labels):
             score(store, pages)
             assert store.page_ids() == filled, score.__name__
-        store.set(pages[0].page_id, 1, 1, PseudoLabel(pages[0].annotation.boxes[0][0], 1.0))
+        store.page(pages[0].page_id)[(1, 1)] = PseudoLabel(pages[0].annotation.boxes[0][0], 1.0)
 
 
 def test_no_stage_changes_a_decoded_record_or_a_stored_box():
@@ -275,7 +275,7 @@ def _scored_store(draw):
             near = st.builds(lambda dx, dy, sw, sh: Box(gt.x + dx, gt.y + dy, gt.w * sw, gt.h * sh),
                              _shift, _shift, _scale, _scale)
             box = draw(st.just(gt) | near | _box)
-            store.set(page.page_id, q, n, PseudoLabel(box, 1.0))
+            store.page(page.page_id)[(q, n)] = PseudoLabel(box, 1.0)
     return store, pages
 
 
