@@ -311,7 +311,10 @@ def _read_config(path: str, seed: int) -> tuple[list[SyntheticPage], list[StageC
     except ValueError as exc:  # malformed JSON or not UTF-8
         raise ConfigError(f"{path}: {exc}") from None
     doc = _fields(raw, _CONFIG_KEYS, "")
-    seed = doc.get("seed", seed)
+    # Checked here, before the dataset and every stage copy it.
+    name, seed = ("seed", doc["seed"]) if "seed" in doc else ("--seed", seed)
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
     stages = []
     for k, stage_doc in enumerate(doc.get("stages", [{}])):
         where = f"stages[{k}]"

@@ -148,6 +148,19 @@ def grid_of(box: Box, shape: GridShape) -> tuple[int, int]:
     )
 
 
+def grid_rows(rows: np.ndarray, shape: GridShape) -> np.ndarray:
+    """:func:`grid_of` of ``(n, 4)`` float64 ``x, y, w, h`` rows, with the
+    same float expression, as ``(n, 2)`` intp ``(i, j)`` rows; each ceil is
+    clamped before the int cast."""
+    with np.errstate(over="ignore"):  # a huge centre clamps to the edge
+        i = np.ceil(rows[:, 0] * shape.w_g / shape.img_w)
+        j = np.ceil(rows[:, 1] * shape.h_g / shape.img_h)
+    out = np.empty((len(rows), 2), np.intp)
+    out[:, 0] = np.clip(i, 1, shape.w_g)
+    out[:, 1] = np.clip(j, 1, shape.h_g)
+    return out
+
+
 def corner_iou(a: Corners, b: Corners) -> float:
     """Intersection over union of two pixel-space (x1, y1, x2, y2) corners.
 

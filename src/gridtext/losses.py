@@ -4,16 +4,16 @@ Losses are computed as plain numbers against possibly-incomplete target
 sets; an empty target set zeroes its (half-)term and is flagged rather than
 raised, since early passes legitimately have no pseudo-labels.  Probabilities
 are clamped to [1e-7, 1 - 1e-7] before logs.  Each term gathers its map
-values in one indexing call, in the sorted order of its targets, so its sum
-adds them in that order.
+values in one indexing call, in the order of its target rows, which
+:class:`~gridtext.pseudolabels.LossTargets` keeps sorted as ``sorted``
+lists tuples, so its sum adds them in that order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import TYPE_CHECKING, Collection, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -63,26 +63,17 @@ def _mean_neg_log(vals: np.ndarray, flags: list[str], name: str) -> float:
     return -ordered_sum(map(math.log, vals.tolist())) / len(vals)
 
 
-def _sorted_cells(targets: Collection[tuple[int, ...]], width: int) -> np.ndarray:
-    """The ``width``-int tuples of ``targets`` as the columns of an intp
-    array, in the order ``sorted`` lists them."""
-    idx = np.fromiter(chain.from_iterable(targets), np.intp, width * len(targets))
-    idx = idx.reshape(-1, width).T
-    return idx[:, np.lexsort(idx[::-1])]
-
-
-def _gather(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``arr[i - 1, j - 1, *rest]`` for each column ``(i, j, *rest)`` of
-    ``idx``, 1-based grids, as float64 in the columns' order."""
-    return arr[(idx[0] - 1, idx[1] - 1, *idx[2:])].astype(np.float64)
+def _gather(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``arr[i - 1, j - 1, *rest]`` for each row ``(i, j, *rest)`` of
+    ``rows``, 1-based grids, as float64 in the rows' order."""
+    return arr[(rows[:, 0] - 1, rows[:, 1] - 1, *rows[:, 2:].T)].astype(np.float64)
 
 
 def loss_dis(maps: PredictionMaps, targets: LossTargets) -> Term:
     """Balanced presence loss: positives at labeled grids, negatives along
     consecutive-equal search paths, each half weighted 1/2."""
-    # A list, not a set: two labels at one grid both count, as in s_c.
-    pos = [(i, j) for i, j, _, _ in targets.s_c]
-    return _balanced_bce(maps.dis, pos, targets.s_d_neg, "dis")
+    # Every row of s_c: two labels at one grid both count.
+    return _balanced_bce(maps.dis, targets.s_c[:, :2], targets.s_d_neg, "dis")
 
 
 def loss_box(
@@ -95,10 +86,10 @@ def loss_box(
     both in cell-relative form; offsets weigh 1.0, extents 0.1.  Each row's
     weighted squares are summed, then the rows, in the order of s_c."""
     flags: list[str] = []
-    if not targets.s_c:
+    if not len(targets.s_c):
         flags.append("box:empty")
         return Term(0.0, 0, flags)
-    i, j, q, n = _sorted_cells(targets.s_c, 4)
+    i, j, q, n = targets.s_c.T
     at = (i - 1, j - 1)
     boxes = [labels[key].box for key in zip(q.tolist(), n.tolist())]
     want = abs_to_rel(box_rows(boxes), at, shape)
@@ -114,18 +105,17 @@ def loss_cls(
 ) -> Term:
     """Cross entropy of the annotated class at each labeled grid."""
     flags: list[str] = []
-    i, j, q, n = _sorted_cells(targets.s_c, 4)
+    i, j, q, n = targets.s_c.T
     cls = [annot.lines[a - 1][b - 1] - 1 for a, b in zip(q.tolist(), n.tolist())]
-    value = _mean_neg_log(_gather(maps.cls, np.array([i, j, cls], np.intp)), flags, "cls")
+    rows = np.stack([i, j, np.array(cls, np.intp)], axis=1)
+    value = _mean_neg_log(_gather(maps.cls, rows), flags, "cls")
     return Term(value, len(targets.s_c), flags)
 
 
-def _balanced_bce(
-    grid_map, pos: Collection[tuple[int, int]], neg: Collection[tuple[int, int]], name: str
-) -> Term:
+def _balanced_bce(grid_map: np.ndarray, pos: np.ndarray, neg: np.ndarray, name: str) -> Term:
     flags: list[str] = []
-    p = _mean_neg_log(_gather(grid_map, _sorted_cells(pos, 2)), flags, f"{name}_pos")
-    n = _mean_neg_log(1.0 - _gather(grid_map, _sorted_cells(neg, 2)), flags, f"{name}_neg")
+    p = _mean_neg_log(_gather(grid_map, pos), flags, f"{name}_pos")
+    n = _mean_neg_log(1.0 - _gather(grid_map, neg), flags, f"{name}_neg")
     return Term(0.5 * p + 0.5 * n, len(pos) + len(neg), flags)
 
 
@@ -140,7 +130,7 @@ def loss_eol(maps: PredictionMaps, targets: LossTargets) -> Term:
 def loss_rd(maps: PredictionMaps, targets: LossTargets) -> Term:
     """Cross entropy of the path direction at every generated path grid."""
     flags: list[str] = []
-    value = _mean_neg_log(_gather(maps.rd, _sorted_cells(targets.s_rd, 3)), flags, "rd")
+    value = _mean_neg_log(_gather(maps.rd, targets.s_rd), flags, "rd")
     return Term(value, len(targets.s_rd), flags)
 
 

@@ -256,11 +256,12 @@ def _row_sum_limit(n: int) -> float:
     return nearest if Fraction(nearest) <= limit else math.nextafter(nearest, -math.inf)
 
 
-def _blank_maps(shape: GridShape, n_cls: int) -> PredictionMaps:
-    w, h = shape.w_g, shape.h_g
+@functools.lru_cache(maxsize=8)
+def _boundary_rd(w: int, h: int) -> np.ndarray:
+    """The blank ``(w, h, 4)`` direction field of a w x h lattice, read-only:
+    every grid points at its nearest boundary, so a stray search exits the
+    lattice instead of wandering; ties resolve in direction-index order."""
     rd = np.full((w, h, 4), EPS, dtype=np.float32)
-    # Unused grids point at the nearest boundary so stray searches exit the
-    # lattice instead of wandering; ties resolve in direction-index order.
     ii = np.arange(1, w + 1, dtype=np.float32)[:, None]
     jj = np.arange(1, h + 1, dtype=np.float32)[None, :]
     dist = np.stack(
@@ -274,6 +275,14 @@ def _blank_maps(shape: GridShape, n_cls: int) -> PredictionMaps:
     )
     outward = np.argmin(dist, axis=-1)
     np.put_along_axis(rd, outward[..., None], 1.0 - 3 * EPS, axis=-1)
+    rd.flags.writeable = False
+    return rd
+
+
+def _blank_maps(shape: GridShape, n_cls: int) -> PredictionMaps:
+    """Maps with no character: every grid's direction row is a copy of the
+    cached :func:`_boundary_rd` field."""
+    w, h = shape.w_g, shape.h_g
     return PredictionMaps(
         shape=shape,
         n_cls=n_cls,
@@ -282,7 +291,7 @@ def _blank_maps(shape: GridShape, n_cls: int) -> PredictionMaps:
         cls=np.full((w, h, n_cls), 1.0 / n_cls, dtype=np.float32),
         sol=np.full((w, h), EPS, dtype=np.float32),
         eol=np.full((w, h), EPS, dtype=np.float32),
-        rd=rd,
+        rd=_boundary_rd(w, h).copy(),
     )
 
 
@@ -384,7 +393,8 @@ _BLOCK = 256  # raw words _ScalarDraws fetches at a time
 
 class _ScalarDraws:
     """The scalar ``rng.uniform(low, high)`` and ``rng.integers(low, high)``
-    draws of a PCG64 generator, served from its raw 64-bit words.
+    draws, and the ``rng.choice(total, size, replace=False)`` samples, of a
+    PCG64 generator, served from its raw 64-bit words.
 
     A scalar ``Generator`` call costs about 2 us, so a loop of a few draws
     per character or per hit is set-up's largest cost; these draws cost a
@@ -453,6 +463,35 @@ class _ScalarDraws:
             while (m & 0xFFFFFFFF) < threshold:
                 m = self._next32() * span
         return low + (m >> 32)
+
+    def choice(self, total: int, size: int) -> list[int]:
+        """``rng.choice(total, size, replace=False).tolist()``, drawn as numpy
+        draws it: with ``shuffle=True`` numpy shuffles the tail of
+        ``range(total)`` when ``total > 10000`` and ``size > total // 50``;
+        otherwise it runs Floyd's algorithm, one draw on [0, j] for each
+        j in [total - size, total), then shuffles the sample, one draw on
+        [0, i] for each i from size - 1 down to 1.  Every draw is
+        :meth:`integers`'s, as numpy's bounded draws are;
+        ``tests/test_predictions.py`` checks the samples, their order and
+        the generator's final state against ``Generator.choice``."""
+        integers = self.integers
+        if total > 10000 and size > total // 50:
+            pool = list(range(total))
+            for i in range(total - 1, max(total - size, 1) - 1, -1):
+                k = integers(0, i + 1)
+                pool[i], pool[k] = pool[k], pool[i]
+            return pool[total - size:]
+        out: list[int] = []
+        seen: set[int] = set()
+        for j in range(total - size, total):
+            v = integers(0, j + 1)
+            v = j if v in seen else v  # every earlier value is below j
+            seen.add(v)
+            out.append(v)
+        for i in range(size - 1, 0, -1):
+            k = integers(0, i + 1)
+            out[i], out[k] = out[k], out[i]
+        return out
 
     def close(self) -> None:
         """Leave the generator in the state of the scalar calls: advanced by

@@ -5,6 +5,11 @@ annotated character, keyed by (page, line q, position n), with a confidence
 gamma.  Matched predictions either initialize a label or blend into it with
 a softmax weight over the two confidences, so well-corroborated labels
 move slowly and low-confidence ones are overwritten quickly.
+
+Each pass turns a page's labels into :class:`LossTargets`.  Every target
+set is built here once, as an array of distinct rows in the order
+``sorted`` lists them as tuples, which is the order the loss terms gather
+and add in; no loss sorts.
 """
 
 from __future__ import annotations
@@ -13,17 +18,18 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .geometry import Box, GridShape, grid_of
+from .geometry import Box, GridShape, box_rows, grid_rows
 from .jsoncheck import BOX, check, finite, read_jsonl
-from .predictions import staircase
+from .predictions import DIR_DELTAS, _ScalarDraws
 
 if TYPE_CHECKING:
-    from .decoder import PageResult
+    from .decoder import PageResult, SearchTrace
     from .matching import PageAnnotation
 
 logger = logging.getLogger(__name__)
@@ -157,49 +163,112 @@ def update(
         )
 
 
-@dataclass
-class LossTargets:
-    """Grid-level sample sets consumed by the loss terms."""
+def _rows(width: int) -> np.ndarray:
+    return np.empty((0, width), np.intp)
 
-    s_c: set[tuple[int, int, int, int]] = field(default_factory=set)
-    s_d_neg: set[tuple[int, int]] = field(default_factory=set)
-    s_s_pos: set[tuple[int, int]] = field(default_factory=set)
-    s_s_neg: set[tuple[int, int]] = field(default_factory=set)
-    s_e_pos: set[tuple[int, int]] = field(default_factory=set)
-    s_e_neg: set[tuple[int, int]] = field(default_factory=set)
-    s_rd: set[tuple[int, int, int]] = field(default_factory=set)
+
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an ``(n, k)`` int array, in the order ``sorted``
+    lists them as tuples."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+@dataclass(eq=False)
+class LossTargets:
+    """Grid-level sample sets consumed by the loss terms.
+
+    Each set is an ``(n, k)`` intp array of distinct rows, 1-based grids
+    first, in the order ``sorted`` lists them as tuples (see
+    :func:`distinct_rows`); the loss terms gather and sum in that order.
+    Compare the arrays, not the objects: ``==`` is identity.
+    """
+
+    s_c: np.ndarray = field(default_factory=lambda: _rows(4))  # (i, j, q, n)
+    s_d_neg: np.ndarray = field(default_factory=lambda: _rows(2))
+    s_s_pos: np.ndarray = field(default_factory=lambda: _rows(2))
+    s_s_neg: np.ndarray = field(default_factory=lambda: _rows(2))
+    s_e_pos: np.ndarray = field(default_factory=lambda: _rows(2))
+    s_e_neg: np.ndarray = field(default_factory=lambda: _rows(2))
+    s_rd: np.ndarray = field(default_factory=lambda: _rows(3))  # (i, j, d)
 
 
 def gen_paths(
-    grids: Mapping[tuple[int, int], tuple[int, int]],
+    keys: np.ndarray,
+    grids: np.ndarray,
     annot: "PageAnnotation",
     rng: np.random.Generator,
-) -> set[tuple[int, int, int]]:
-    """Random monotone paths between grids of consecutive pseudo-labels.
+) -> np.ndarray:
+    """Random monotone paths between grids of consecutive pseudo-labels, as
+    distinct ``(i, j, d)`` rows in sorted order.
 
-    ``grids`` maps each label's (q, n) to its :func:`grid_of`.  For each
-    consecutive pair that both exist, the path takes the required
-    horizontal and vertical unit moves with the vertical positions drawn
-    uniformly at random; every step emits (i, j, direction).
+    ``keys`` holds the labels' (q, n) rows in sorted order and ``grids``
+    their :func:`grid_of` rows.  For each consecutive pair in the
+    annotation that both exist, the path takes the required horizontal and
+    vertical unit moves with the vertical positions drawn uniformly at
+    random; every step emits (i, j, direction), as :func:`staircase` does.
 
-    Only a pair with vertical moves draws: a size-0 ``rng.choice`` returns
-    nothing and leaves the generator's state as it was, so skipping it
-    changes no later draw.
+    The positions are ``rng.choice(total, n_vert, replace=False)`` for each
+    pair with vertical moves, in (q, n) order, served by one
+    :class:`_ScalarDraws` reader; a pair without vertical moves draws
+    nothing, as a size-0 ``rng.choice`` does.
     """
-    s_rd: set[tuple[int, int, int]] = set()
-    for q, line in enumerate(annot.lines, start=1):
-        for n in range(1, len(line)):
-            src = grids.get((q, n))
-            dst = grids.get((q, n + 1))
-            if src is None or dst is None:
-                continue
-            n_vert = abs(dst[1] - src[1])
-            slots = []
-            if n_vert:
-                total = abs(dst[0] - src[0]) + n_vert
-                slots = rng.choice(total, size=n_vert, replace=False).tolist()
-            s_rd.update(staircase(src, dst, vertical_slots=slots))
-    return s_rd
+    q, n = keys.T
+    # Line lengths by q, 0 for a q outside the annotation.
+    lens = np.array([0, *map(len, annot.lines), 0], dtype=np.intp)
+    last = np.take(lens, q[1:], mode="clip")
+    pair = (q[:-1] == q[1:]) & (n[1:] == n[:-1] + 1) & (n[:-1] >= 1) & (n[1:] <= last)
+    src, delta = grids[:-1][pair], grids[1:][pair] - grids[:-1][pair]
+    n_vert = np.abs(delta[:, 1])
+    total = np.abs(delta[:, 0]) + n_vert
+
+    # Each step's flag says the move is vertical; a pair's vertical moves
+    # take the slots its draws pick among its steps.
+    starts = np.cumsum(total) - total
+    vert = np.zeros(total.sum(), dtype=bool)
+    if n_vert.any():
+        draws = _ScalarDraws(rng)
+        slots: list[int] = []
+        for start, t, v in zip(starts.tolist(), total.tolist(), n_vert.tolist()):
+            if v:
+                slots.extend(start + s for s in draws.choice(t, v))
+        draws.close()
+        vert[slots] = True
+
+    # Moves already made across and down before each step, from a per-pair
+    # exclusive cumsum; a pair without moves has no step.
+    pair_of = np.repeat(np.arange(len(total)), total)
+    first = starts[pair_of]
+    down_before = np.cumsum(vert) - vert
+    made = np.empty((len(vert), 2), dtype=np.intp)
+    made[:, 1] = down_before - down_before[first]
+    made[:, 0] = np.arange(len(vert)) - first - made[:, 1]
+    steps = np.empty((len(vert), 3), dtype=np.intp)
+    steps[:, :2] = src[pair_of] + np.sign(delta)[pair_of] * made
+    # RIGHT 1 or LEFT 3 across, DOWN 2 or UP 0 down the page.
+    code = np.where(delta > 0, (1, 2), (3, 0))[pair_of]
+    steps[:, 2] = np.where(vert, code[:, 1], code[:, 0])
+    return distinct_rows(steps)
+
+
+_DELTAS = np.array(DIR_DELTAS, dtype=np.intp)
+
+
+def _path_rows(traces: list["SearchTrace"]) -> np.ndarray:
+    """The distinct grids of the traces' paths, origins excluded, as
+    sorted ``(i, j)`` rows, read from each trace's moves."""
+    walks = [t.moves for t in traces]
+    moves = np.frombuffer(b"".join(walks), dtype=np.uint8)
+    lengths = np.fromiter(map(len, walks), np.intp, len(walks))
+    origins = np.fromiter(chain.from_iterable(t.origin for t in traces), np.intp, 2 * len(traces))
+    origins = origins.reshape(-1, 2)
+    walked = np.cumsum(_DELTAS[moves], axis=0)
+    # Each trace's grids are its origin plus its own moves so far.
+    starts = np.cumsum(lengths) - lengths
+    walked_before = np.vstack([np.zeros((1, 2), np.intp), walked])[starts]
+    return distinct_rows(walked + np.repeat(origins - walked_before, lengths, axis=0))
 
 
 def build_targets(
@@ -213,42 +282,41 @@ def build_targets(
     """Assemble every loss-target set for one page.
 
     s_c maps existing pseudo-labels to their grids (a grid collision keeps
-    the higher-gamma label); presence negatives are the search-path grids of
-    consecutive-equal result characters; start/end positives are the grids
-    of first/last-character labels with all other labeled grids negative.
+    the higher-gamma label, the first in (q, n) order on a tie); presence
+    negatives are the search-path grids of consecutive-equal result
+    characters; start/end positives are the grids of first/last-character
+    labels with all other labeled grids negative.
     """
-    targets = LossTargets()
+    keys_list = sorted(labels)
+    keys = np.fromiter(chain.from_iterable(keys_list), np.intp, 2 * len(keys_list)).reshape(-1, 2)
+    grids = grid_rows(box_rows([labels[k].box for k in keys_list]), shape)
+    gamma = np.array([labels[k].gamma for k in keys_list], dtype=np.float64)
 
-    grids = {key: grid_of(label.box, shape) for key, label in labels.items()}
-    per_grid: dict[tuple[int, int], tuple[int, int]] = {}
-    for (q, n) in sorted(labels):
-        g = grids[(q, n)]
-        prev = per_grid.get(g)
-        if prev is None:
-            per_grid[g] = (q, n)
-        else:
-            if labels[(q, n)].gamma > labels[prev].gamma:
-                per_grid[g] = (q, n)
-            logger.debug(
-                "pseudo-label grid collision at %s: %s vs %s", g, prev, (q, n)
-            )
-    for g, (q, n) in per_grid.items():
-        targets.s_c.add((g[0], g[1], q, n))
+    # Per grid, the label that wins: highest gamma, then first in (q, n).
+    order = np.lexsort((np.arange(len(keys)), -gamma, grids[:, 1], grids[:, 0]))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (grids[order[1:]] != grids[order[:-1]]).any(axis=1)
+    won = order[first]
+    if len(won) < len(keys):
+        logger.debug("pseudo-label grid collisions: %d labels lost their grid",
+                     len(keys) - len(won))
+    s_c = np.concatenate([grids[won], keys[won]], axis=1)
 
-    for p, m in sorted(m_ce):
+    traces = []
+    for p, m in m_ce:
         line = result.lines[p - 1]
         if m - 1 < len(line.traces):
-            for g in line.traces[m - 1].path:
-                targets.s_d_neg.add(g)
+            traces.append(line.traces[m - 1])
 
-    for i, j, q, n in targets.s_c:
-        if n == 1:
-            targets.s_s_pos.add((i, j))
-        if n == len(annot.lines[q - 1]):
-            targets.s_e_pos.add((i, j))
-    all_grids = {(i, j) for i, j, _, _ in targets.s_c}
-    targets.s_s_neg = all_grids - targets.s_s_pos
-    targets.s_e_neg = all_grids - targets.s_e_pos
-
-    targets.s_rd = gen_paths(grids, annot, rng)
-    return targets
+    q, n = keys[won].T
+    first_char = n == 1
+    last_char = n == np.array([len(line) for line in annot.lines], dtype=np.intp)[q - 1]
+    return LossTargets(
+        s_c=s_c,
+        s_d_neg=_path_rows(traces),
+        s_s_pos=s_c[first_char, :2],
+        s_s_neg=s_c[~first_char, :2],
+        s_e_pos=s_c[last_char, :2],
+        s_e_neg=s_c[~last_char, :2],
+        s_rd=gen_paths(keys, grids, annot, rng),
+    )

@@ -16,6 +16,7 @@ import pytest
 
 from gridtext.geometry import Box, GridShape, grid_of
 from gridtext.predictions import EPS, PredictionMaps, _blank_maps
+from gridtext.pseudolabels import LossTargets
 
 
 @pytest.fixture
@@ -235,18 +236,34 @@ def exhaustive_best_labeling(frames, lm, alphabet, max_len):
 # ---------------------------------------------------------------------------
 
 
+def loss_targets(**sets) -> LossTargets:
+    """``LossTargets`` from sets (or any iterables) of int tuples: each
+    field's distinct rows in sorted order, as ``build_targets`` makes them."""
+    widths = {"s_c": 4, "s_rd": 3}
+    return LossTargets(**{
+        name: np.array(sorted(set(rows)), dtype=np.intp).reshape(-1, widths.get(name, 2))
+        for name, rows in sets.items()
+    })
+
+
+def row_set(rows: np.ndarray) -> set[tuple[int, ...]]:
+    """The rows of a target array as a set of int tuples."""
+    return set(map(tuple, rows.tolist()))
+
+
 def naive_losses(maps, targets, labels, annot) -> dict[str, float]:
     def clamp(p):
         return min(max(p, 1e-7), 1 - 1e-7)
 
     out = {}
-    s_c = list(targets.s_c)
+    s_c = [tuple(row) for row in targets.s_c.tolist()]
+    d_neg, s_rd = row_set(targets.s_d_neg), row_set(targets.s_rd)
     pos = -sum(math.log(clamp(float(maps.dis[i - 1, j - 1]))) for i, j, _, _ in s_c)
     neg = -sum(
-        math.log(clamp(1 - float(maps.dis[i - 1, j - 1]))) for i, j in targets.s_d_neg
+        math.log(clamp(1 - float(maps.dis[i - 1, j - 1]))) for i, j in d_neg
     )
     out["dis"] = (pos / (2 * len(s_c)) if s_c else 0.0) + (
-        neg / (2 * len(targets.s_d_neg)) if targets.s_d_neg else 0.0
+        neg / (2 * len(d_neg)) if d_neg else 0.0
     )
 
     box = 0.0
@@ -265,8 +282,8 @@ def naive_losses(maps, targets, labels, annot) -> dict[str, float]:
     out["cls"] = cls / len(s_c) if s_c else 0.0
 
     for name, grid_map, pos_set, neg_set in (
-        ("sol", maps.sol, targets.s_s_pos, targets.s_s_neg),
-        ("eol", maps.eol, targets.s_e_pos, targets.s_e_neg),
+        ("sol", maps.sol, row_set(targets.s_s_pos), row_set(targets.s_s_neg)),
+        ("eol", maps.eol, row_set(targets.s_e_pos), row_set(targets.s_e_neg)),
     ):
         p = -sum(math.log(clamp(float(grid_map[i - 1, j - 1]))) for i, j in pos_set)
         n = -sum(math.log(clamp(1 - float(grid_map[i - 1, j - 1]))) for i, j in neg_set)
@@ -275,9 +292,9 @@ def naive_losses(maps, targets, labels, annot) -> dict[str, float]:
         )
 
     rd = -sum(
-        math.log(clamp(float(maps.rd[i - 1, j - 1, d]))) for i, j, d in targets.s_rd
+        math.log(clamp(float(maps.rd[i - 1, j - 1, d]))) for i, j, d in s_rd
     )
-    out["rd"] = rd / len(targets.s_rd) if targets.s_rd else 0.0
+    out["rd"] = rd / len(s_rd) if s_rd else 0.0
     out["total"] = sum(out[k] for k in ("dis", "box", "cls", "sol", "eol", "rd"))
     return out
 

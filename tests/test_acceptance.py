@@ -16,6 +16,7 @@ from conftest import (
     exhaustive_best_labeling,
     gt_label_map,
     lm_product,
+    loss_targets,
     ctc_forward,
     plain_distance,
     put_char,
@@ -36,7 +37,6 @@ from gridtext.matching import PageAnnotation, edit_counts, match_chars, match_li
 from gridtext.metrics import ar_star, det_prf
 from gridtext.predictions import DIR_DELTAS, OracleNoise, oracle_predict
 from gridtext.pseudolabels import (
-    LossTargets,
     PseudoLabel,
     PseudoLabelStore,
     build_targets,
@@ -149,25 +149,25 @@ def test_criterion_05_loss_identities():
     maps = blank_maps(shape, 4)
     maps.dis[1, 1] = 0.5
     maps.dis[4, 4] = 0.5
-    t = LossTargets(s_c={(2, 2, 1, 1)}, s_d_neg={(5, 5)})
+    t = loss_targets(s_c={(2, 2, 1, 1)}, s_d_neg={(5, 5)})
     assert math.isclose(loss_dis(maps, t).value, math.log(2), abs_tol=1e-9)
 
     maps.cls[1, 1] = np.array([0.5, 0.5, 0, 0], dtype=np.float32)
     assert math.isclose(
-        loss_cls(maps, LossTargets(s_c={(2, 2, 1, 1)}), PageAnnotation(lines=[[1]])).value,
+        loss_cls(maps, loss_targets(s_c={(2, 2, 1, 1)}), PageAnnotation(lines=[[1]])).value,
         math.log(2), abs_tol=1e-9)
 
     maps.sol[1, 1] = 0.5
-    assert math.isclose(loss_sol(maps, LossTargets(s_s_pos={(2, 2)})).value,
+    assert math.isclose(loss_sol(maps, loss_targets(s_s_pos={(2, 2)})).value,
                         0.5 * math.log(2), abs_tol=1e-9)
 
     maps.rd[2, 2] = np.full(4, 0.25, dtype=np.float32)
-    assert math.isclose(loss_rd(maps, LossTargets(s_rd={(3, 3, 0)})).value,
+    assert math.isclose(loss_rd(maps, loss_targets(s_rd={(3, 3, 0)})).value,
                         math.log(4), abs_tol=1e-9)
 
     maps.box[2, 2] = (0.5, 0.5, 0.4, 0.4)
     x_o, y_o, w_o, h_o = (float(v) for v in maps.box[2, 2])
-    sc = LossTargets(s_c={(3, 3, 1, 1)})
+    sc = loss_targets(s_c={(3, 3, 1, 1)})
     rel = np.array([[x_o - 0.1, y_o, w_o, h_o], [x_o, y_o, w_o - 0.1, h_o]])
     boxes = rel_to_abs(rel, cells([(3, 3)] * 2), shape).tolist()
     for box, want in zip(boxes, (0.01, 0.001)):
@@ -219,13 +219,14 @@ def test_criterion_08_path_generation_distribution():
         (1, 1): PseudoLabel(box=cell_box(2, 2), gamma=0.9),
         (1, 2): PseudoLabel(box=cell_box(3, 3), gamma=0.9),
     }
-    grids = {key: grid_of(label.box, shape) for key, label in labels.items()}
+    keys = np.array(sorted(labels), dtype=np.intp)
+    grids = np.array([grid_of(labels[key].box, shape) for key in sorted(labels)], dtype=np.intp)
     annot = PageAnnotation(lines=[[1, 2]])
-    right_then_down = {(2, 2, 1), (3, 2, 2)}
-    down_then_right = {(2, 2, 2), (2, 3, 1)}
+    right_then_down = [[2, 2, 1], [3, 2, 2]]
+    down_then_right = [[2, 2, 2], [2, 3, 1]]
     counts = {True: 0, False: 0}
     for seed in range(10_000):
-        s_rd = gen_paths(grids, annot, np.random.default_rng(seed))
+        s_rd = gen_paths(keys, grids, annot, np.random.default_rng(seed)).tolist()
         assert s_rd in (right_then_down, down_then_right)
         counts[s_rd == right_then_down] += 1
         pos = (2, 2)

@@ -533,13 +533,26 @@ def test_from_doc_reads_back_a_dataclass_as_json(config):
     ({"config.json": json.dumps({**_DATASET, "dataset": {"layout": "zig"}})},
      "error: dataset.layout: unknown layout 'zig', pick from "
      "('horizontal', 'rot90', 'rot180', 'rot270', 'sine')\n"),
+    ({"config.json": json.dumps({**_DATASET, "seed": -1})},
+     "error: seed must be >= 0, got -1\n"),
+    ({"config.json": json.dumps({**_DATASET, "seed": -1, "stages": [{"seed": 0}]})},
+     "error: seed must be >= 0, got -1\n"),
 ], ids=["n-passes", "real-prob", "stage-seed", "noise-seed", "dataset-seed", "nms-iou",
-        "layout"])
+        "layout", "config-seed", "config-seed-stage-seeded"])
 def test_stage_range_errors_give_the_value(tmp_path, monkeypatch, capsys, files, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(files["config.json"])
     assert main(_TRAIN_SIM) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("argv", [_TRAIN_SIM, _EXPORT], ids=["train-sim", "export-labels"])
+def test_seed_flag_out_of_range_names_the_flag(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(_DATASET))
+    (tmp_path / "store.jsonl").write_text("")
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
 def _nan_last_value(path: Path) -> None:

@@ -1,18 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import blank_maps, gt_label_map, naive_losses, put_char, set_rd
+from conftest import blank_maps, gt_label_map, loss_targets, naive_losses, put_char, set_rd
 from gridtext.geometry import Box, GridShape, abs_to_rel, cells, grid_of, rel_to_abs
 from gridtext.losses import (
     BOX_WEIGHTS,
     CLAMP,
     Term,
     _mean_neg_log,
-    _sorted_cells,
     compute_losses,
     loss_box,
     loss_cls,
@@ -42,7 +42,7 @@ def test_loss_dis_half_log_two():
     maps = _maps()
     maps.dis[1, 1] = 0.5  # grid (2,2): one positive at 0.5
     maps.dis[4, 4] = 0.5  # grid (5,5): one negative at 0.5
-    targets = LossTargets(s_c={(2, 2, 1, 1)}, s_d_neg={(5, 5)})
+    targets = loss_targets(s_c={(2, 2, 1, 1)}, s_d_neg={(5, 5)})
     term = loss_dis(maps, targets)
     assert math.isclose(term.value, math.log(2), abs_tol=1e-9)
     assert term.count == 2
@@ -51,7 +51,7 @@ def test_loss_dis_half_log_two():
 def test_loss_dis_ideal_maps_near_zero():
     maps = _maps()
     maps.dis[1, 1] = 1.0 - 1e-6
-    targets = LossTargets(s_c={(2, 2, 1, 1)}, s_d_neg={(5, 5)})
+    targets = loss_targets(s_c={(2, 2, 1, 1)}, s_d_neg={(5, 5)})
     assert loss_dis(maps, targets).value < 1e-5
 
 
@@ -66,7 +66,7 @@ def test_loss_box_zero_when_equal():
     box = _cell_box(3, 3)
     put_char(maps, 3, 3, 1, box=box)
     labels = {(1, 1): PseudoLabel(box=box, gamma=1.0)}
-    targets = LossTargets(s_c={(3, 3, 1, 1)})
+    targets = loss_targets(s_c={(3, 3, 1, 1)})
     assert loss_box(maps, targets, labels, SHAPE).value < 1e-12
 
 
@@ -74,7 +74,7 @@ def test_loss_box_offset_and_extent_weights():
     # The 0.1 difference is constructed against the float32 value actually
     # stored in the map, so the expected 0.01 / 0.001 hold to 1e-9.
     maps = _maps()
-    targets = LossTargets(s_c={(3, 3, 1, 1)})
+    targets = loss_targets(s_c={(3, 3, 1, 1)})
     maps.box[2, 2] = (0.5, 0.5, 0.4, 0.4)
     x_o, y_o, w_o, h_o = (float(v) for v in maps.box[2, 2])
 
@@ -89,7 +89,7 @@ def test_loss_box_offset_and_extent_weights():
 def test_loss_cls_values():
     maps = _maps()
     annot = PageAnnotation(lines=[[2]])
-    targets = LossTargets(s_c={(3, 3, 1, 1)})
+    targets = loss_targets(s_c={(3, 3, 1, 1)})
     maps.cls[2, 2] = np.array([0, 1, 0, 0], dtype=np.float32)
     # probability exactly 1 falls under the clamp convention: the term is
     # -log(1 - 1e-7), i.e. zero at clamp resolution
@@ -104,7 +104,7 @@ def test_loss_cls_values():
 def test_loss_sol_half_weighted():
     maps = _maps()
     maps.sol[1, 1] = 0.5
-    targets = LossTargets(s_s_pos={(2, 2)})
+    targets = loss_targets(s_s_pos={(2, 2)})
     term = loss_sol(maps, targets)
     assert math.isclose(term.value, 0.5 * math.log(2), abs_tol=1e-9)
     assert "sol_neg:empty" in term.flags
@@ -113,7 +113,7 @@ def test_loss_sol_half_weighted():
 def test_loss_eol_negative_half_only():
     maps = _maps()
     maps.eol[1, 1] = 0.5
-    targets = LossTargets(s_e_neg={(2, 2)})
+    targets = loss_targets(s_e_neg={(2, 2)})
     term = loss_eol(maps, targets)
     assert math.isclose(term.value, 0.5 * math.log(2), abs_tol=1e-9)
     assert "eol_pos:empty" in term.flags
@@ -122,7 +122,7 @@ def test_loss_eol_negative_half_only():
 def test_loss_rd_uniform_ln4():
     maps = _maps()
     maps.rd[2, 2] = np.full(4, 0.25, dtype=np.float32)
-    targets = LossTargets(s_rd={(3, 3, 1)})
+    targets = loss_targets(s_rd={(3, 3, 1)})
     assert math.isclose(loss_rd(maps, targets).value, math.log(4), abs_tol=1e-9)
     set_rd(maps, 3, 3, 1)
     assert loss_rd(maps, targets).value < 1e-5
@@ -180,15 +180,15 @@ def test_losses_insensitive_to_set_construction_order():
     maps.dis[1, 1] = 0.4
     maps.dis[3, 3] = 0.7
     grids = [(2, 2, 1, 1), (4, 4, 1, 2)]
-    a = LossTargets(s_c=set(grids))
-    b = LossTargets(s_c=set(reversed(grids)))
+    a = loss_targets(s_c=grids)
+    b = loss_targets(s_c=reversed(grids))
     assert loss_dis(maps, a).value == loss_dis(maps, b).value
 
 
 def test_clamping_flags_extreme_probabilities():
     maps = _maps()
     maps.dis[1, 1] = 0.0
-    targets = LossTargets(s_c={(2, 2, 1, 1)})
+    targets = loss_targets(s_c={(2, 2, 1, 1)})
     term = loss_dis(maps, targets)
     assert math.isclose(term.value, 0.5 * -math.log(1e-7), rel_tol=1e-9)
     assert "dis_pos:clamped" in term.flags
@@ -277,15 +277,6 @@ def test_mean_neg_log_matches_reference_exactly(vals):
     assert flags == want_flags
 
 
-@given(width=st.integers(2, 4), data=st.data())
-def test_sorted_cells_lists_targets_as_sorted_does(width, data):
-    cells = data.draw(st.lists(st.tuples(*[st.integers(-2, 9)] * width), max_size=40)
-                      | st.sets(st.tuples(*[st.integers(0, 3)] * width), max_size=40))
-    got = _sorted_cells(cells, width)
-    assert got.shape == (width, len(cells))
-    assert [tuple(c) for c in got.T.tolist()] == sorted(cells)
-
-
 _grid = st.tuples(st.integers(1, 8), st.integers(1, 8))
 _annot = PageAnnotation(lines=[[1, 4, 2], [3, 3]])
 _label_keys = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
@@ -313,25 +304,28 @@ def _loss_case(draw):
             gamma=1.0)
         for key in _label_keys
     }
-    targets = LossTargets(
+    target_sets = SimpleNamespace(
         s_c={(i, j, q, n) for i, j, (q, n) in s_c},
         s_d_neg=draw(sets(_grid)),
         s_s_pos=draw(sets(_grid)), s_s_neg=draw(sets(_grid)),
         s_e_pos=draw(sets(_grid)), s_e_neg=draw(sets(_grid)),
         s_rd=draw(sets(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(0, 3)))),
     )
-    return maps, targets, labels
+    return maps, target_sets, labels
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_loss_case())
 def test_loss_terms_match_reference_loops_exactly(case):
-    maps, targets, labels = case
-    want = _log_terms_reference(maps, targets, _annot)
+    """The reference loops take the target sets and sort them; the terms
+    take the same sets as sorted rows."""
+    maps, target_sets, labels = case
+    targets = loss_targets(**vars(target_sets))
+    want = _log_terms_reference(maps, target_sets, _annot)
     assert loss_dis(maps, targets) == want["dis"]
     assert loss_cls(maps, targets, _annot) == want["cls"]
     assert loss_sol(maps, targets) == want["sol"]
     assert loss_eol(maps, targets) == want["eol"]
     assert loss_rd(maps, targets) == want["rd"]
     assert loss_box(maps, targets, labels, SHAPE) == _loss_box_reference(
-        maps, targets, labels, SHAPE)
+        maps, target_sets, labels, SHAPE)

@@ -532,6 +532,45 @@ def test_scalar_draws_cross_blocks(warmup, n_words):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    warmup=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.sampled_from([0, 1, _BLOCK - 2, _BLOCK - 1]) | st.integers(0, _BLOCK),
+    total=st.sampled_from([1, 2, 255, 256]) | st.integers(1, 256),
+)
+def test_choice_equals_generator_choice(warmup, seed, lead, total):
+    """``choice(total, size)`` for every size from 1 to ``total``, one after
+    another from one reader, gives ``Generator.choice``'s samples in its
+    order and leaves the generator in its state, from a buffered half-word
+    (odd warm-up) or none; ``lead`` doubles drawn first, and the samples'
+    own draws, carry the draws across ``_BLOCK`` ends.  256 is the longest
+    staircase on a 128 x 128 page."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 100, size=warmup)
+    ref = np.random.default_rng()
+    ref.bit_generator.state = rng.bit_generator.state
+    draws = predictions._ScalarDraws(rng)
+    assert [draws.uniform(0.0, 1.0) for _ in range(lead)] == ref.random(lead).tolist()
+    for size in range(1, total + 1):
+        assert draws.choice(total, size) == ref.choice(total, size, replace=False).tolist()
+    draws.close()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("total, size", [(10001, 200), (10001, 201), (20000, 401), (10001, 10001)])
+def test_choice_equals_generator_choice_past_numpy_cutoff(total, size):
+    """Above 10000 values numpy shuffles the tail of the range instead once
+    ``size > total // 50``; (10001, 200) is the last size that runs Floyd's."""
+    rng, ref = np.random.default_rng(total + size), np.random.default_rng(total + size)
+    rng.integers(0, 100)
+    ref.integers(0, 100)
+    draws = predictions._ScalarDraws(rng)
+    assert draws.choice(total, size) == ref.choice(total, size, replace=False).tolist()
+    draws.close()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_scalar_draws_reject_what_they_cannot_reproduce():
     with pytest.raises(TypeError, match="PCG64"):
         predictions._ScalarDraws(np.random.Generator(np.random.MT19937(0)))
@@ -1001,3 +1040,62 @@ def test_files_load_or_fail_alike_from_disk_and_from_a_pipe(tiny_map):
             assert on_disk.equals(want_maps) and piped.equals(want_maps), case
         else:
             assert on_disk == piped == message, case
+
+
+def _blank_maps_reference(shape, n_cls):
+    """The per-call construction ``_blank_maps`` made before it copied a
+    cached direction field."""
+    w, h = shape.w_g, shape.h_g
+    rd = np.full((w, h, 4), EPS, dtype=np.float32)
+    ii = np.arange(1, w + 1, dtype=np.float32)[:, None]
+    jj = np.arange(1, h + 1, dtype=np.float32)[None, :]
+    dist = np.stack(
+        [
+            np.broadcast_to(jj - 1, (w, h)),
+            np.broadcast_to(w - ii, (w, h)),
+            np.broadcast_to(h - jj, (w, h)),
+            np.broadcast_to(ii - 1, (w, h)),
+        ],
+        axis=-1,
+    )
+    np.put_along_axis(rd, np.argmin(dist, axis=-1)[..., None], 1.0 - 3 * EPS, axis=-1)
+    return PredictionMaps(
+        shape=shape,
+        n_cls=n_cls,
+        box=np.full((w, h, 4), 0.5, dtype=np.float32),
+        dis=np.full((w, h), EPS, dtype=np.float32),
+        cls=np.full((w, h, n_cls), 1.0 / n_cls, dtype=np.float32),
+        sol=np.full((w, h), EPS, dtype=np.float32),
+        eol=np.full((w, h), EPS, dtype=np.float32),
+        rd=rd,
+    )
+
+
+def _same_maps(a: PredictionMaps, b: PredictionMaps) -> bool:
+    return a.equals(b) and all(
+        getattr(a, f).dtype == getattr(b, f).dtype for f in _tensor_shapes(a.shape, a.n_cls))
+
+
+@pytest.mark.parametrize("w, h", [(1, 1), (1, 9), (9, 1), (5, 3), (3, 8), (32, 32)])
+def test_blank_maps_equal_the_per_call_construction(w, h):
+    shape = GridShape(w, h, 16.0 * w, 16.0 * h)
+    for _ in range(2):  # built, then served from the cache
+        maps = _blank_maps(shape, 3)
+        assert _same_maps(maps, _blank_maps_reference(shape, 3))
+        assert maps.rd.flags.writeable
+        maps.rd[...] = 0.5  # a write into one blank reaches no other
+    cached = predictions._boundary_rd(w, h)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0, 0] = 0.0
+
+
+def test_writing_into_oracle_maps_leaves_the_next_call_unchanged(page):
+    noise = OracleNoise(jitter_sigma=0.1, spurious_p=0.05, dir_flip_p=0.1, seed=4)
+    want = copy.deepcopy(oracle_predict(page, noise))
+    first = oracle_predict(page, noise)
+    for name in _tensor_shapes(first.shape, first.n_cls):
+        getattr(first, name)[...] = 0.25
+    assert _same_maps(oracle_predict(page, noise), want)
+    assert _same_maps(_blank_maps(page.shape, page.n_cls),
+                      _blank_maps_reference(page.shape, page.n_cls))

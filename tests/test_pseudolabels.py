@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import row_set
 from gridtext.decoder import (
     BOUNDARY,
     END_OF_LINE,
@@ -20,6 +21,7 @@ from gridtext.pseudolabels import (
     PseudoLabel,
     PseudoLabelStore,
     build_targets,
+    distinct_rows,
     gen_paths,
     update,
     update_weight,
@@ -105,7 +107,11 @@ def _labels(*grid_pairs):
 
 
 def _grids(labels):
-    return {key: grid_of(label.box, SHAPE) for key, label in labels.items()}
+    """The labels' sorted (q, n) rows and their grid rows, as
+    ``build_targets`` passes them to ``gen_paths``."""
+    keys = sorted(labels)
+    return (np.array(keys, dtype=np.intp).reshape(-1, 2),
+            np.array([grid_of(labels[k].box, SHAPE) for k in keys], dtype=np.intp).reshape(-1, 2))
 
 
 def test_gen_paths_same_grid_contributes_nothing():
@@ -114,15 +120,15 @@ def test_gen_paths_same_grid_contributes_nothing():
     annot = PageAnnotation(lines=[[1, 2]])
     rng = np.random.default_rng(0)
     assert grid_of(labels[(1, 2)].box, SHAPE) == (2, 2)
-    assert gen_paths(_grids(labels), annot, rng) == set()
+    assert gen_paths(*_grids(labels), annot, rng).shape == (0, 3)
 
 
 def test_gen_paths_horizontal_pair_deterministic():
     labels = _labels(((1, 1), (2, 2)), ((1, 2), (4, 2)))
     annot = PageAnnotation(lines=[[1, 2]])
     rng = np.random.default_rng(0)
-    want = {(2, 2, 1), (3, 2, 1)}  # two RIGHT moves
-    assert gen_paths(_grids(labels), annot, rng) == want
+    want = [[2, 2, 1], [3, 2, 1]]  # two RIGHT moves
+    assert gen_paths(*_grids(labels), annot, rng).tolist() == want
 
 
 def test_gen_paths_two_staircases_both_occur():
@@ -130,8 +136,8 @@ def test_gen_paths_two_staircases_both_occur():
     annot = PageAnnotation(lines=[[1, 2]])
     variants = set()
     for seed in range(64):
-        s_rd = gen_paths(_grids(labels), annot, np.random.default_rng(seed))
-        variants.add(frozenset(s_rd))
+        s_rd = gen_paths(*_grids(labels), annot, np.random.default_rng(seed))
+        variants.add(frozenset(row_set(s_rd)))
     right_then_down = frozenset({(2, 2, 1), (3, 2, 2)})
     down_then_right = frozenset({(2, 2, 2), (2, 3, 1)})
     assert variants == {right_then_down, down_then_right}
@@ -147,12 +153,12 @@ def test_gen_paths_adjacency_and_endpoint(si, sj, ti, tj, seed):
     labels = _labels(((1, 1), (si, sj)), ((1, 2), (ti, tj)))
     annot = PageAnnotation(lines=[[1, 2]])
     rng = np.random.default_rng(seed)
-    s_rd = gen_paths(_grids(labels), annot, rng)
+    s_rd = gen_paths(*_grids(labels), annot, rng)
     dist = abs(ti - si) + abs(tj - sj)
-    assert len(s_rd) == dist
+    assert s_rd.shape == (dist, 3)
     # replay the emitted steps: they must chain 4-adjacent from source to target
     pos = (si, sj)
-    remaining = dict(((i, j), d) for i, j, d in s_rd)
+    remaining = dict(((i, j), d) for i, j, d in s_rd.tolist())
     for _ in range(dist):
         d = remaining.pop(pos)
         di, dj = DIR_DELTAS[d]
@@ -163,7 +169,8 @@ def test_gen_paths_adjacency_and_endpoint(si, sj, ti, tj, seed):
 
 def _gen_paths_reference(labels, annot, shape, rng):
     """The loop before pairs without vertical moves stopped drawing: every
-    pair with any move calls ``rng.choice``, and each grid is recomputed."""
+    pair with any move calls ``rng.choice``, and each grid is recomputed.
+    Returns the set of (i, j, d) steps."""
     s_rd = set()
     for q, line in enumerate(annot.lines, start=1):
         for n in range(1, len(line)):
@@ -206,18 +213,109 @@ def _path_cases(draw):
     return labels, PageAnnotation(lines=lines)
 
 
+def _sorted_rows(steps, width):
+    return np.array(sorted(steps), dtype=np.intp).reshape(-1, width)
+
+
 @settings(deadline=None, max_examples=200)
 @given(case=_path_cases(), seed=st.integers(0, 2**32 - 1))
 def test_gen_paths_matches_reference_and_leaves_the_same_rng_state(case, seed):
     labels, annot = case
     want_rng = np.random.default_rng(seed)
-    want = _gen_paths_reference(labels, annot, SHAPE, want_rng)
+    want = _sorted_rows(_gen_paths_reference(labels, annot, SHAPE, want_rng), 3)
     rng = np.random.default_rng(seed)
-    assert gen_paths(_grids(labels), annot, rng) == want
+    got = gen_paths(*_grids(labels), annot, rng)
+    assert got.dtype == np.intp and np.array_equal(got, want)
     assert rng.bit_generator.state == want_rng.bit_generator.state
     rng = np.random.default_rng(seed)
     targets = build_targets(labels, annot, PageResult(lines=[]), set(), SHAPE, rng)
-    assert targets.s_rd == want
+    assert np.array_equal(targets.s_rd, want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@given(width=st.integers(2, 4), data=st.data())
+def test_distinct_rows_lists_rows_as_sorted_set_does(width, data):
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-2, 9)] * width), max_size=40)
+                     | st.lists(st.tuples(*[st.integers(0, 2)] * width), max_size=40))
+    got = distinct_rows(np.array(rows, dtype=np.intp).reshape(-1, width))
+    assert got.shape == (len(set(rows)), width)
+    assert [tuple(r) for r in got.tolist()] == sorted(set(rows))
+
+
+def _build_targets_reference(labels, annot, result, m_ce, shape, rng):
+    """The set-based body ``build_targets`` had before it built sorted rows,
+    with ``_gen_paths_reference``'s per-pair ``rng.choice``; returns each
+    target set by name."""
+    grids = {key: grid_of(label.box, shape) for key, label in labels.items()}
+    per_grid = {}
+    for (q, n) in sorted(labels):
+        g = grids[(q, n)]
+        prev = per_grid.get(g)
+        if prev is None or labels[(q, n)].gamma > labels[prev].gamma:
+            per_grid[g] = (q, n)
+    out = {name: set() for name in
+           ("s_c", "s_d_neg", "s_s_pos", "s_s_neg", "s_e_pos", "s_e_neg")}
+    for g, (q, n) in per_grid.items():
+        out["s_c"].add((g[0], g[1], q, n))
+    for p, m in sorted(m_ce):
+        line = result.lines[p - 1]
+        if m - 1 < len(line.traces):
+            out["s_d_neg"].update(line.traces[m - 1].path)
+    for i, j, q, n in out["s_c"]:
+        if n == 1:
+            out["s_s_pos"].add((i, j))
+        if n == len(annot.lines[q - 1]):
+            out["s_e_pos"].add((i, j))
+    all_grids = {(i, j) for i, j, _, _ in out["s_c"]}
+    out["s_s_neg"] = all_grids - out["s_s_pos"]
+    out["s_e_neg"] = all_grids - out["s_e_pos"]
+    out["s_rd"] = _gen_paths_reference(labels, annot, shape, rng)
+    return out
+
+
+@st.composite
+def _target_cases(draw):
+    """Labels that may share grids with equal or differing gamma, and a
+    decoded page whose traces walk, end at once or repeat grids, with
+    consecutive-equal pairs that name characters with and without a trace."""
+    labels, annot = draw(_path_cases())
+    gammas = st.sampled_from([0.25, 0.5, 0.9]) | st.floats(0.0, 1.0)
+    for key in list(labels):
+        box = labels[key].box
+        if draw(st.booleans()):  # onto a small corner of the lattice: collisions
+            i, j = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+            box = Box(_cell_box(i, j).x + draw(st.floats(-7.0, 7.0)), _cell_box(i, j).y, 0.08, 0.08)
+        labels[key] = PseudoLabel(box=box, gamma=draw(gammas))
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        n_chars = draw(st.integers(1, 4))
+        chars = [CharInstance(grid=(1, 1), box=_cell_box(1, 1), score=1.0, cls_id=1, cls_prob=1.0)
+                 for _ in range(n_chars)]
+        traces = [
+            SearchTrace(origin=(draw(st.integers(1, 8)), draw(st.integers(1, 8))),
+                        moves=bytes(draw(st.lists(st.integers(0, 3), max_size=6))),
+                        outcome=END_OF_LINE)
+            for _ in range(draw(st.integers(0, n_chars)))
+        ]
+        lines.append(Line(chars=chars, traces=traces, sol_conf=1.0, eol_conf=1.0))
+    m_ce = {(p, m) for p, line in enumerate(lines, 1) for m in range(1, len(line.chars) + 1)
+            if draw(st.booleans())}
+    return labels, annot, PageResult(lines=lines), m_ce
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_target_cases(), seed=st.integers(0, 2**32 - 1))
+def test_build_targets_matches_reference(case, seed):
+    """Every target array holds the reference's set as distinct rows in
+    sorted order, and the generator ends in the reference's state."""
+    labels, annot, result, m_ce = case
+    want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _build_targets_reference(labels, annot, result, m_ce, SHAPE, want_rng)
+    targets = build_targets(labels, annot, result, m_ce, SHAPE, rng)
+    for name, rows in want.items():
+        got = getattr(targets, name)
+        assert got.dtype == np.intp, name
+        assert np.array_equal(got, _sorted_rows(rows, {"s_c": 4, "s_rd": 3}.get(name, 2))), name
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -236,20 +334,20 @@ def test_build_targets_single_char_line():
     annot = PageAnnotation(lines=[[7]])
     result = PageResult(lines=[])
     targets = build_targets(labels, annot, result, set(), SHAPE, np.random.default_rng(0))
-    assert targets.s_c == {(4, 4, 1, 1)}
-    assert targets.s_s_pos == {(4, 4)} and targets.s_e_pos == {(4, 4)}
-    assert targets.s_s_neg == set() and targets.s_e_neg == set()
-    assert targets.s_rd == set()
+    assert targets.s_c.tolist() == [[4, 4, 1, 1]]
+    assert targets.s_s_pos.tolist() == [[4, 4]] and targets.s_e_pos.tolist() == [[4, 4]]
+    assert targets.s_s_neg.shape == targets.s_e_neg.shape == (0, 2)
+    assert targets.s_rd.shape == (0, 3)
 
 
 def test_build_targets_empty_store():
     annot = PageAnnotation(lines=[[1, 2, 3]])
     targets = build_targets({}, annot, PageResult(lines=[]), set(), SHAPE,
                             np.random.default_rng(0))
-    assert targets.s_c == set()
-    assert targets.s_d_neg == set()
-    assert targets.s_s_pos == targets.s_s_neg == set()
-    assert targets.s_rd == set()
+    assert targets.s_c.shape == (0, 4)
+    assert targets.s_d_neg.shape == (0, 2)
+    assert targets.s_s_pos.shape == targets.s_s_neg.shape == (0, 2)
+    assert targets.s_rd.shape == (0, 3)
 
 
 def test_build_targets_three_char_line_sol_eol_sets():
@@ -257,12 +355,12 @@ def test_build_targets_three_char_line_sol_eol_sets():
     annot = PageAnnotation(lines=[[1, 2, 3]])
     targets = build_targets(labels, annot, PageResult(lines=[]), set(), SHAPE,
                             np.random.default_rng(0))
-    assert targets.s_s_pos == {(2, 2)}
-    assert targets.s_s_neg == {(4, 2), (6, 2)}
-    assert targets.s_e_pos == {(6, 2)}
-    assert targets.s_e_neg == {(2, 2), (4, 2)}
-    assert targets.s_s_pos.isdisjoint(targets.s_s_neg)
-    assert targets.s_e_pos.isdisjoint(targets.s_e_neg)
+    assert targets.s_s_pos.tolist() == [[2, 2]]
+    assert targets.s_s_neg.tolist() == [[4, 2], [6, 2]]
+    assert targets.s_e_pos.tolist() == [[6, 2]]
+    assert targets.s_e_neg.tolist() == [[2, 2], [4, 2]]
+    assert row_set(targets.s_s_pos).isdisjoint(row_set(targets.s_s_neg))
+    assert row_set(targets.s_e_pos).isdisjoint(row_set(targets.s_e_neg))
 
 
 def test_build_targets_collision_keeps_higher_gamma():
@@ -273,7 +371,7 @@ def test_build_targets_collision_keeps_higher_gamma():
     annot = PageAnnotation(lines=[[1], [2]])
     targets = build_targets(labels, annot, PageResult(lines=[]), set(), SHAPE,
                             np.random.default_rng(0))
-    assert targets.s_c == {(3, 3, 2, 1)}
+    assert targets.s_c.tolist() == [[3, 3, 2, 1]]
 
 
 def test_build_targets_d_neg_from_traces():
@@ -286,7 +384,7 @@ def test_build_targets_d_neg_from_traces():
     annot = PageAnnotation(lines=[[1]])
     targets = build_targets({}, annot, result, {(1, 1)}, SHAPE,
                             np.random.default_rng(0))
-    assert targets.s_d_neg == {(3, 2), (4, 2)}
+    assert targets.s_d_neg.tolist() == [[3, 2], [4, 2]]
 
 
 def test_build_targets_d_neg_skips_end_of_line_chars_on_a_decoded_page():
@@ -306,7 +404,7 @@ def test_build_targets_d_neg_skips_end_of_line_chars_on_a_decoded_page():
     last = [line.traces[-1] for line in result.lines]
     assert [t.outcome for t in last] == [END_OF_LINE, BOUNDARY, END_OF_LINE]
     assert last[0].path == last[2].path == [] and last[1].path
-    assert targets.s_d_neg == {
+    assert row_set(targets.s_d_neg) == {
         g for line in result.lines for trace in line.traces for g in trace.path
     }
 
