@@ -20,8 +20,8 @@ from .decoder import (
     NGramLM,
     PageResult,
     SearchTrace,
+    bordered_lattice,
     decode,
-    direction_table,
     extract_nodes,
     follow,
     fused_score,

@@ -8,9 +8,14 @@ hits the step cap), then enforces the at-most-one-edge-in/one-edge-out
 property.  An end-of-line node ends its line, so no walk and no edge leaves
 it.  Assembly emits each maximal chain that begins at a start-of-line node.
 
-The maps are read in bulk, never one numpy scalar at a time: a decode takes
-the argmax direction of every grid once, as a nested-list table that the
-walks index, and node extraction gathers each map at all its hits at once.
+The maps are read in bulk, never one numpy scalar at a time: node
+extraction gathers each map at all its hits at once, and a decode takes the
+argmax direction of every grid once, into a :class:`Lattice`.  The lattice
+is flat and has a one-cell border: next to the directions, as ``bytes``, it
+holds each cell's owner, a node index, -1 for a free grid or -2 for the
+border.  A walk's step is then one add and one ``owner`` lookup on plain
+ints, with no bounds test and no grid tuple.
+
 Node extraction scores the hits and suppresses duplicates on float64 arrays,
 with the scalar expressions' operations in their order, and builds a
 :class:`CharInstance` only for the candidates NMS keeps, from one list per
@@ -28,8 +33,9 @@ beyond the records it returns.  A decode makes no reference cycles, so every
 such object it keeps alive only brings the next collector pass closer and
 makes each pass scan more, and no pass frees anything.  A trace therefore
 keeps its walk as ``bytes`` of direction indices rather than a list of grid
-tuples, and edge resolution builds a list of sources only for a target that
-two or more walks reach.
+tuples, a reached trace's target is its node's own ``grid`` tuple, and edge
+resolution builds a list of sources only for a target that two or more walks
+reach.
 
 Every stage is a pure function of its inputs, so repeated decodes of the
 same maps are bit-identical.
@@ -45,7 +51,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import Box, cells, ordered_sum, rel_to_abs
-from .predictions import DIR_DELTAS, PredictionMaps, step
+from .predictions import DIR_DELTAS, PredictionMaps
 
 DIS_WEIGHT = 0.8
 CLS_WEIGHT = 0.2
@@ -212,81 +218,85 @@ def extract_nodes(
     ))
 
 
-def direction_table(maps: PredictionMaps) -> list[list[int]]:
-    """The argmax direction of every grid, ``table[i-1][j-1]`` for (i, j);
-    ties go to the lowest direction index."""
-    return np.argmax(maps.rd, axis=-1).tolist()
+@dataclass(slots=True)
+class Lattice:
+    """A page's direction field and nodes on a flat lattice with a border.
 
-
-def _neighbor_node(
-    dirs: list[list[int]],
-    cur: tuple[int, int],
-    origin: tuple[int, int],
-    node_scores: Mapping[tuple[int, int], float],
-) -> tuple[int, int] | None:
-    """Relaxed target at a walk's final grid: the pointed node if any, else
-    the highest-scoring node among the 4-neighbors (ties row-major)."""
-    pointed = step(cur, dirs[cur[0] - 1][cur[1] - 1])
-    if pointed != origin and pointed in node_scores:
-        return pointed
-    best: tuple[int, int] | None = None
-    best_key = None
-    for d in range(4):
-        g = step(cur, d)
-        if g == origin or g not in node_scores:
-            continue
-        key = (-node_scores[g], g[1], g[0])
-        if best_key is None or key < best_key:
-            best_key = key
-            best = g
-    return best
-
-
-def follow(
-    dirs: list[list[int]],
-    origin: tuple[int, int],
-    node_scores: Mapping[tuple[int, int], float],
-    max_steps: int,
-) -> SearchTrace:
-    """Walk argmax directions from ``origin`` until a node is found.
-
-    ``dirs`` is the page's :func:`direction_table`, whose shape is the
-    lattice's.  Strict termination: the next grid of a step is a node.
-    Relaxed termination: when the walk ends for any other reason after at
-    least one step, a node in the final grid's 4-neighborhood also counts as
-    reached.  The origin itself is never a valid target.
-
-    The walk's grids live only in ``seen``, which is freed on return; the
-    trace keeps the directions taken, as ``bytes``.
+    Grid (i, j) is cell ``i * stride + j`` of a ``(w_g + 2) x stride``
+    lattice, ``stride = h_g + 2``, whose outermost ring is a one-cell border.
+    ``dirs`` holds each grid's argmax direction (ties to the lowest index),
+    so a step in direction ``d`` adds ``offset[d]`` to the cell.  ``owner``
+    holds each cell's node index into ``nodes``, -1 for a free grid and -2
+    for the border, so one lookup tells the three apart and no walk tests
+    bounds.
     """
-    w_g, h_g = len(dirs), len(dirs[0])
+
+    nodes: Sequence[CharInstance]
+    dirs: bytes
+    owner: list[int]
+    stride: int
+    offset: tuple[int, int, int, int]
+
+
+def bordered_lattice(maps: PredictionMaps, nodes: Sequence[CharInstance]) -> Lattice:
+    """The :class:`Lattice` of ``maps`` with ``nodes`` placed on it."""
+    stride = maps.shape.h_g + 2
+    dirs = np.zeros((maps.shape.w_g + 2, stride), np.uint8)
+    dirs[1:-1, 1:-1] = np.argmax(maps.rd, axis=-1)
+    owner = np.full(dirs.shape, -2, np.intp)
+    owner[1:-1, 1:-1] = -1
+    owner = owner.ravel().tolist()
+    for k, n in enumerate(nodes):
+        owner[n.grid[0] * stride + n.grid[1]] = k
+    offset = tuple(di * stride + dj for di, dj in DIR_DELTAS)
+    return Lattice(nodes, dirs.tobytes(), owner, stride, offset)
+
+
+def follow(lattice: Lattice, k: int, max_steps: int) -> SearchTrace:
+    """Walk argmax directions from node ``k`` until another node is found.
+
+    Strict termination: the next grid of a step is a node other than ``k``.
+    Relaxed termination: when the walk ends for any other reason after at
+    least one step, a node next to the final grid also counts as reached:
+    the node its direction points at, else the 4-neighbour with the highest
+    score (ties row-major).  Node ``k`` itself is never a valid target.
+
+    Each step is one add and one ``owner`` lookup on plain ints; the
+    border ends a walk as the lattice edge did.  The walk's cells live only
+    in ``seen``, which is freed on return; the trace keeps the directions
+    taken, as ``bytes``, and a reached trace's ``target`` is the target
+    node's own ``grid``.
+    """
+    dirs, owner, offset, nodes = lattice.dirs, lattice.owner, lattice.offset, lattice.nodes
+    origin = nodes[k].grid
+    f = origin[0] * lattice.stride + origin[1]
     moves: list[int] = []
-    seen = {origin}
-    i, j = origin
+    seen = {f}
     outcome = MAX_STEPS
     for _ in range(max_steps):
-        d = dirs[i - 1][j - 1]
-        di, dj = DIR_DELTAS[d]
-        i += di
-        j += dj
-        if not (0 < i <= w_g and 0 < j <= h_g):
-            outcome = BOUNDARY
-            break
-        nxt = (i, j)
-        if nxt in node_scores and nxt != origin:
-            return SearchTrace(origin, bytes(moves), REACHED, nxt)
-        if nxt in seen:
+        d = dirs[f]
+        g = f + offset[d]
+        o = owner[g]
+        if o != -1:  # the border or a node; node k itself is in seen
+            if o == -2:
+                outcome = BOUNDARY
+                break
+            if o != k:
+                return SearchTrace(origin, bytes(moves), REACHED, nodes[o].grid)
+        if g in seen:
             outcome = CYCLE
             break
         moves.append(d)
-        seen.add(nxt)
-    if moves:
-        if outcome != MAX_STEPS:  # the walk broke off before standing on (i, j)
-            i -= di
-            j -= dj
-        target = _neighbor_node(dirs, (i, j), origin, node_scores)
-        if target is not None:
-            return SearchTrace(origin, bytes(moves), REACHED, target)
+        seen.add(g)
+        f = g
+    if moves:  # f is the final grid the walk stood on
+        o = owner[f + offset[dirs[f]]]
+        if o < 0 or o == k:
+            near = [m for m in (owner[f + step] for step in offset) if m >= 0 and m != k]
+            if not near:
+                return SearchTrace(origin, bytes(moves), outcome)
+            o = min(near, key=lambda m: (-nodes[m].score, nodes[m].grid[1], nodes[m].grid[0]))
+        return SearchTrace(origin, bytes(moves), REACHED, nodes[o].grid)
     return SearchTrace(origin, bytes(moves), outcome)
 
 
@@ -452,16 +462,15 @@ def validate_result(result: PageResult) -> None:
 def decode(maps: PredictionMaps, config: DecodeConfig = DecodeConfig()) -> PageResult:
     """Full pipeline: extract nodes, follow directions, resolve, assemble."""
     nodes = extract_nodes(maps, config)
-    node_scores = {n.grid: n.score for n in nodes}
     max_steps = config.max_steps or maps.shape.w_g + maps.shape.h_g
-    dirs = direction_table(maps)
+    lattice = bordered_lattice(maps, nodes)
     at = cells(n.grid for n in nodes)
     sol = maps.sol[at].tolist()
     eol = maps.eol[at].tolist()
     traces = [
-        follow(dirs, n.grid, node_scores, max_steps) if e <= config.sol_eol_threshold
-        else SearchTrace(n.grid, b"", END_OF_LINE)
-        for n, e in zip(nodes, eol)
+        follow(lattice, k, max_steps) if e <= config.sol_eol_threshold
+        else SearchTrace(nodes[k].grid, b"", END_OF_LINE)
+        for k, e in enumerate(eol)
     ]
     edges = resolve_edges(nodes, traces)
     result = assemble(nodes, edges, traces, sol, eol, config)

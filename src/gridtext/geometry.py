@@ -137,15 +137,14 @@ def abs_to_rel(rows: np.ndarray, at: Cells, shape: GridShape) -> np.ndarray:
 def grid_of(box: Box, shape: GridShape) -> tuple[int, int]:
     """Grid cell containing the box center: (ceil(x*w_g/W), ceil(y*h_g/H)).
 
-    The ceil result is clamped into [1, w_g] x [1, h_g] so centers at 0 or
-    beyond the image edge never index out of range.
+    The quotient is clamped into [1, w_g] x [1, h_g] before the ceil, so
+    centers at 0 or beyond the image edge never index out of range, and a
+    huge finite center, whose product overflows to infinity, lands on the
+    edge as in :func:`grid_rows`.
     """
-    i = math.ceil(box.x * shape.w_g / shape.img_w)
-    j = math.ceil(box.y * shape.h_g / shape.img_h)
-    return (
-        min(max(i, 1), shape.w_g),
-        min(max(j, 1), shape.h_g),
-    )
+    i = math.ceil(min(max(box.x * shape.w_g / shape.img_w, 1), shape.w_g))
+    j = math.ceil(min(max(box.y * shape.h_g / shape.img_h, 1), shape.h_g))
+    return i, j
 
 
 def grid_rows(rows: np.ndarray, shape: GridShape) -> np.ndarray:

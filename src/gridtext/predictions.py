@@ -79,11 +79,6 @@ class Direction(IntEnum):
 DIR_DELTAS: tuple[tuple[int, int], ...] = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
 
-def step(grid: tuple[int, int], d: int) -> tuple[int, int]:
-    di, dj = DIR_DELTAS[d]
-    return grid[0] + di, grid[1] + dj
-
-
 def staircase(
     src: tuple[int, int],
     dst: tuple[int, int],

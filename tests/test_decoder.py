@@ -37,8 +37,8 @@ from gridtext.decoder import (
     _edge_angle,
     assemble,
     beam_search_lm,
+    bordered_lattice,
     decode,
-    direction_table,
     extract_nodes,
     follow,
     frame_scores,
@@ -49,7 +49,7 @@ from gridtext.decoder import (
     validate_result,
 )
 from gridtext.geometry import IMAGE_SIZE_RANGE, Box, GridShape, grid_of
-from gridtext.predictions import Direction, OracleNoise, PredictionMaps, oracle_predict, step
+from gridtext.predictions import DIR_DELTAS, Direction, OracleNoise, PredictionMaps, oracle_predict
 from gridtext.synth import PageConfig, gen_page
 
 
@@ -89,6 +89,11 @@ def _extract_nodes_reference(
         )
     keep = _nms_reference([(c.box, c.score) for c in cand], config.nms_iou, maps.shape)
     return [cand[k] for k in keep]
+
+
+def step(grid: tuple[int, int], d: int) -> tuple[int, int]:
+    di, dj = DIR_DELTAS[d]
+    return grid[0] + di, grid[1] + dj
 
 
 def _argmax_dir(maps: PredictionMaps, g: tuple[int, int]) -> int:
@@ -323,10 +328,19 @@ def _walk_maps():
     return blank_maps(GridShape(5, 5, 80, 80), 4)
 
 
+def _follow(maps, origin, node_scores, max_steps):
+    """:func:`follow` from ``origin`` among the nodes of ``node_scores``;
+    the origin is made a node if it is not one, as a walk never reads its
+    own origin's score."""
+    grids = [origin] + [g for g in node_scores if g != origin]
+    nodes = [_node(g, 0.0, 0.0, score=node_scores.get(g, 0.0)) for g in grids]
+    return follow(bordered_lattice(maps, nodes), 0, max_steps)
+
+
 def test_follow_reaches_adjacent_node():
     maps = _walk_maps()
     set_rd(maps, 2, 2, Direction.RIGHT)
-    trace = follow(direction_table(maps), (2, 2), {(3, 2): 1.0}, max_steps=10)
+    trace = _follow(maps, (2, 2), {(3, 2): 1.0}, max_steps=10)
     assert trace.outcome == REACHED
     assert trace.target == (3, 2)
     assert trace.visited == [(2, 2)]
@@ -336,7 +350,7 @@ def test_follow_reaches_adjacent_node():
 def test_follow_boundary_at_first_column():
     maps = _walk_maps()
     set_rd(maps, 1, 3, Direction.LEFT)
-    trace = follow(direction_table(maps), (1, 3), {(4, 4): 1.0}, max_steps=10)
+    trace = _follow(maps, (1, 3), {(4, 4): 1.0}, max_steps=10)
     assert trace.outcome == BOUNDARY
     assert trace.visited == [(1, 3)]
 
@@ -345,7 +359,7 @@ def test_follow_cycle_detected():
     maps = _walk_maps()
     set_rd(maps, 2, 2, Direction.RIGHT)
     set_rd(maps, 3, 2, Direction.LEFT)
-    trace = follow(direction_table(maps), (2, 2), {}, max_steps=10)
+    trace = _follow(maps, (2, 2), {}, max_steps=10)
     assert trace.outcome == CYCLE
     assert len(trace.visited) <= 3
 
@@ -354,7 +368,7 @@ def test_follow_max_steps_cap():
     maps = _walk_maps()
     for i in range(1, 6):
         set_rd(maps, i, 3, Direction.RIGHT)
-    trace = follow(direction_table(maps), (1, 3), {}, max_steps=2)
+    trace = _follow(maps, (1, 3), {}, max_steps=2)
     assert trace.outcome == MAX_STEPS
     assert trace.visited == [(1, 3), (2, 3), (3, 3)]
 
@@ -368,7 +382,7 @@ def test_follow_relaxed_picks_highest_score_neighbor():
     set_rd(maps, 2, 1, Direction.UP)
     scores = {(3, 1): 0.7, (2, 2): 0.0, (1, 1): 0.9}
     # origin (1,2) -> (2,2)? (2,2) is a node: use origin (2,2) instead
-    trace = follow(direction_table(maps), (2, 2), {(3, 1): 0.7, (1, 1): 0.9}, max_steps=10)
+    trace = _follow(maps, (2, 2), {(3, 1): 0.7, (1, 1): 0.9}, max_steps=10)
     assert trace.outcome == REACHED
     assert trace.target == (1, 1)
     assert trace.visited == [(2, 2), (2, 1)]
@@ -377,8 +391,54 @@ def test_follow_relaxed_picks_highest_score_neighbor():
 def test_follow_relaxed_never_fires_at_origin():
     maps = _walk_maps()
     set_rd(maps, 1, 1, Direction.UP)  # immediate boundary exit, 0 steps taken
-    trace = follow(direction_table(maps), (1, 1), {(2, 1): 1.0}, max_steps=10)
+    trace = _follow(maps, (1, 1), {(2, 1): 1.0}, max_steps=10)
     assert trace.outcome == BOUNDARY
+
+
+@pytest.mark.parametrize("d, origin, beside", [
+    (Direction.UP, (3, 1), (4, 1)),
+    (Direction.RIGHT, (5, 3), (5, 4)),
+    (Direction.DOWN, (3, 5), (2, 5)),
+    (Direction.LEFT, (1, 3), (1, 2)),
+])
+def test_follow_off_each_edge_is_a_boundary_without_moves(d, origin, beside):
+    # A node beside the origin is not reached: relaxed termination needs a step.
+    maps = _walk_maps()
+    set_rd(maps, *origin, d)
+    trace = _follow(maps, origin, {beside: 1.0}, max_steps=10)
+    assert (trace.moves, trace.outcome, trace.target) == (b"", BOUNDARY, None)
+
+
+@pytest.mark.parametrize("d", list(Direction))
+def test_follow_on_a_one_grid_lattice(d):
+    maps = blank_maps(GridShape(1, 1, 16, 16), 1)
+    set_rd(maps, 1, 1, d)
+    trace = _follow(maps, (1, 1), {}, max_steps=2)
+    assert (trace.visited, trace.outcome, trace.target) == ([(1, 1)], BOUNDARY, None)
+
+
+def test_follow_relaxed_target_beside_the_border():
+    # The walk runs right along row 3 and leaves the lattice from (5, 3).
+    # Of that grid's neighbours, (6, 3) is border and (4, 3) was walked; the
+    # nodes at (5, 2) and (5, 4) tie on score, and row-major order wins.
+    maps = _walk_maps()
+    for i in (3, 4, 5):
+        set_rd(maps, i, 3, Direction.RIGHT)
+    trace = _follow(maps, (3, 3), {(5, 4): 0.5, (5, 2): 0.5}, max_steps=10)
+    assert (trace.visited, trace.outcome, trace.target) == (
+        [(3, 3), (4, 3), (5, 3)], REACHED, (5, 2)
+    )
+
+
+def test_reached_traces_share_their_target_nodes_grid():
+    page = gen_page(PageConfig(n_lines=4, chars_per_line=(6, 9), n_cls=20, seed=3))
+    result = decode(oracle_predict(page, OracleNoise(dir_flip_p=0.1, seed=4)))
+    nodes = {c.grid: c for line in result.lines for c in line.chars}
+    nodes.update((c.grid, c) for c in result.dropped)
+    reached = [tr for line in result.lines for tr in line.traces if tr.outcome == REACHED]
+    assert reached
+    for tr in reached:
+        assert tr.target is nodes[tr.target].grid
 
 
 def _node(grid, x, y, score=1.0, cls_id=1):
@@ -511,7 +571,7 @@ def test_no_walk_leaves_an_end_of_line_node():
     put_char(maps, 1, 6, 1, eol=1.0 - 1e-6)
     for i, j in ((6, 5), (5, 5), (4, 5), (3, 5), (3, 6), (2, 6)):
         set_rd(maps, i, j, Direction.LEFT)
-    assert direction_table(maps)[1][4] == Direction.DOWN  # the drift at (2, 5)
+    assert np.argmax(maps.rd[1, 4]) == Direction.DOWN  # the drift at (2, 5)
     result = decode(maps)
     assert [[c.grid for c in line.chars] for line in result.lines] == [
         [(6, 5), (4, 5), (2, 5)], [(3, 6), (1, 6)]
@@ -736,12 +796,16 @@ def test_follow_matches_reference(data):
     maps = blank_maps(GridShape(w, h, 16.0 * w, 16.0 * h), 1)
     maps.rd = _rows(data.draw, (w, h, 4), data.draw(st.sampled_from([_UNIT, _COARSE_UNIT])))
     grids = st.tuples(st.integers(1, w), st.integers(1, h))
-    node_scores = data.draw(
-        st.dictionaries(grids, _COARSE_UNIT | st.floats(0.0, 1.0), max_size=w * h)
-    )
-    origin = data.draw(grids)
+    scores = _COARSE_UNIT | st.floats(0.0, 1.0)
+    node_scores = data.draw(st.dictionaries(grids, scores, max_size=w * h))
+    # Edge grids, where the border ends a walk or flanks its final grid,
+    # are drawn more often.
+    origin = data.draw(st.tuples(
+        st.sampled_from([1, w]) | st.integers(1, w), st.sampled_from([1, h]) | st.integers(1, h)
+    ))
+    node_scores.setdefault(origin, data.draw(scores))
     max_steps = data.draw(st.integers(1, 2 * (w + h)))
-    trace = follow(direction_table(maps), origin, node_scores, max_steps)
+    trace = _follow(maps, origin, node_scores, max_steps)
     visited, outcome, target = _walk_reference(maps, origin, node_scores, max_steps)
     assert (trace.origin, trace.visited, trace.outcome, trace.target) == (
         origin, visited, outcome, target

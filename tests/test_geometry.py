@@ -24,6 +24,7 @@ from gridtext.geometry import (
     corner_ious,
     corners,
     grid_of,
+    grid_rows,
     ious,
     nms,
     ordered_sum,
@@ -104,6 +105,29 @@ def test_grid_of_hand_values(shape44):
     assert grid_of(Box(0.0, 0.0, 0.1, 0.1), shape44) == (1, 1)
     # overflow clamps to the last cell
     assert grid_of(Box(80, 70, 0.1, 0.1), shape44) == (4, 4)
+
+
+_finite_centre = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+)
+
+
+@given(
+    x=_finite_centre,
+    y=_finite_centre,
+    shape=st.builds(
+        GridShape,
+        st.integers(1, 256),
+        st.integers(1, 256),
+        st.sampled_from([1e-100, 1e-3, 1.0, 1024.0, 1e100]),
+        st.sampled_from([1e-100, 1e-3, 1.0, 1024.0, 1e100]),
+    ),
+)
+@example(x=1e308, y=1.0, shape=GridShape(64, 64, 1024, 1024))
+@example(x=-1e308, y=-0.0, shape=GridShape(64, 64, 1024, 1024))
+def test_grid_of_equals_grid_rows_for_any_finite_centre(x, y, shape):
+    box = Box(x, y, 0.1, 0.1)
+    assert grid_of(box, shape) == tuple(grid_rows(box_rows([box]), shape)[0].tolist())
 
 
 def test_iou_identical_and_disjoint(shape44):
