@@ -108,9 +108,9 @@ class SearchTrace:
     the garbage collector, where a grid tuple per step would be, and a
     decode keeps every trace it makes.  ``visited`` rebuilds the grids the
     walk stood on, origin first; the reached node's grid is never included,
-    so ``path`` (everything after the origin) is exactly the character-free
-    corridor between two nodes.  An end-of-line node never walks: its trace
-    has outcome END_OF_LINE and no moves.
+    so ``visited[1:]`` is exactly the character-free corridor between two
+    nodes.  An end-of-line node never walks: its trace has outcome
+    END_OF_LINE and no moves.
     """
 
     origin: tuple[int, int]
@@ -128,10 +128,6 @@ class SearchTrace:
             j += dj
             grids.append((i, j))
         return grids
-
-    @property
-    def path(self) -> list[tuple[int, int]]:
-        return self.visited[1:]
 
 
 @dataclass(slots=True)

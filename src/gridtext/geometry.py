@@ -135,22 +135,17 @@ def abs_to_rel(rows: np.ndarray, at: Cells, shape: GridShape) -> np.ndarray:
 
 
 def grid_of(box: Box, shape: GridShape) -> tuple[int, int]:
-    """Grid cell containing the box center: (ceil(x*w_g/W), ceil(y*h_g/H)).
-
-    The quotient is clamped into [1, w_g] x [1, h_g] before the ceil, so
-    centers at 0 or beyond the image edge never index out of range, and a
-    huge finite center, whose product overflows to infinity, lands on the
-    edge as in :func:`grid_rows`.
-    """
-    i = math.ceil(min(max(box.x * shape.w_g / shape.img_w, 1), shape.w_g))
-    j = math.ceil(min(max(box.y * shape.h_g / shape.img_h, 1), shape.h_g))
+    """The grid cell containing the box center: the :func:`grid_rows` row of
+    ``box``, as Python ints."""
+    i, j = grid_rows(box_rows([box]), shape)[0].tolist()
     return i, j
 
 
 def grid_rows(rows: np.ndarray, shape: GridShape) -> np.ndarray:
-    """:func:`grid_of` of ``(n, 4)`` float64 ``x, y, w, h`` rows, with the
-    same float expression, as ``(n, 2)`` intp ``(i, j)`` rows; each ceil is
-    clamped before the int cast."""
+    """The grid cell of each box center of ``(n, 4)`` float64 ``x, y, w, h``
+    rows, as ``(n, 2)`` intp ``(i, j)`` rows: (ceil(x*w_g/W), ceil(y*h_g/H))
+    clamped into [1, w_g] x [1, h_g], so a center at 0, past the image edge
+    or so huge that its product overflows lands on the lattice."""
     with np.errstate(over="ignore"):  # a huge centre clamps to the edge
         i = np.ceil(rows[:, 0] * shape.w_g / shape.img_w)
         j = np.ceil(rows[:, 1] * shape.h_g / shape.img_h)

@@ -11,8 +11,9 @@ synthetic page's ground truth, planned once per page, then corrupts them
 according to :class:`OracleNoise`.  With all-zero noise the maps decode
 back to the ground truth exactly.
 
-A reading-order path is a list of (i, j, d) int triples from
-:func:`staircase`, d a :class:`Direction` index.  Every one-hot row the
+A reading-order path is an origin and a run of :class:`Direction` moves:
+:func:`path_rows` turns moves into the grids they land on, and
+:func:`staircase_rows` builds monotone paths on it.  Every one-hot row the
 oracle writes, clean or noisy, direction or class, goes through ``_set_rows``.
 
 A map is valid when its class and direction rows sum to 1 within
@@ -44,11 +45,11 @@ from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Sequence
+from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 
-from .geometry import Box, GridShape, abs_to_rel, box_rows, cells, grid_of
+from .geometry import Box, GridShape, abs_to_rel, box_rows, grid_rows
 from .jsoncheck import expect
 
 if TYPE_CHECKING:
@@ -77,43 +78,36 @@ class Direction(IntEnum):
 
 
 DIR_DELTAS: tuple[tuple[int, int], ...] = ((0, -1), (1, 0), (0, 1), (-1, 0))
+_DELTAS = np.array(DIR_DELTAS, dtype=np.intp)
 
 
-def staircase(
-    src: tuple[int, int],
-    dst: tuple[int, int],
-    vertical_slots: Sequence[int] | None = None,
-) -> list[tuple[int, int, int]]:
-    """Monotone grid path from ``src`` to ``dst`` as (i, j, d) steps.
+def path_rows(origins: np.ndarray, lengths: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """The grid each move lands on, as ``(n, 2)`` intp rows.
 
-    The path takes |di| horizontal and |dj| vertical unit moves; the vertical
-    moves occupy ``vertical_slots`` (0-based positions among the total
-    |di|+|dj| steps).  ``None`` selects the deterministic variant with all
-    horizontal moves first.  Each step is the grid a move leaves from and
-    the move's :class:`Direction` index d; the final move lands on ``dst``.
+    Path k starts at the ``origins`` row k and takes the next ``lengths[k]``
+    of ``moves``, a flat array of :class:`Direction` indices, paths one
+    after another; a path of length 0 lands nowhere.
     """
-    di = dst[0] - src[0]
-    dj = dst[1] - src[1]
-    total = abs(di) + abs(dj)
-    if vertical_slots is None:
-        vertical_slots = range(abs(di), total)
-    slots = set(vertical_slots)
-    if len(slots) != abs(dj):
-        raise ValueError(f"need {abs(dj)} vertical slots, got {len(slots)}")
-    # Direction indices as plain ints: an enum member's .value is a slow lookup.
-    sx, dx = (1, 1) if di > 0 else (-1, 3)  # RIGHT or LEFT
-    sy, dy = (1, 2) if dj > 0 else (-1, 0)  # DOWN or UP
-    out: list[tuple[int, int, int]] = []
-    i, j = src
-    for k in range(total):
-        if k in slots:
-            out.append((i, j, dy))
-            j += sy
-        else:
-            out.append((i, j, dx))
-            i += sx
-    assert (i, j) == dst
-    return out
+    walked = np.cumsum(_DELTAS[moves], axis=0)
+    # Each path's grids are its origin plus its own moves so far.
+    starts = np.cumsum(lengths) - lengths
+    walked_before = np.vstack([np.zeros((1, 2), np.intp), walked])[starts]
+    return walked + np.repeat(origins - walked_before, lengths, axis=0)
+
+
+def staircase_rows(src: np.ndarray, delta: np.ndarray, vert: np.ndarray) -> np.ndarray:
+    """Monotone grid paths as ``(n, 3)`` intp (i, j, d) rows, one per step:
+    the grid a move leaves and its :class:`Direction` index d.
+
+    Staircase k leaves ``src[k]`` and takes the |di| horizontal and |dj|
+    vertical unit moves of ``delta[k]`` = (di, dj); ``vert`` flags the
+    vertical steps, staircases one after another, |dj| in each.
+    """
+    lengths = np.abs(delta).sum(axis=1)
+    # RIGHT 1 or LEFT 3 across, DOWN 2 or UP 0 down the page.
+    code = np.repeat(np.where(delta > 0, (1, 2), (3, 0)), lengths, axis=0)
+    moves = np.where(vert, code[:, 1], code[:, 0])
+    return np.column_stack([path_rows(src, lengths, moves) - _DELTAS[moves], moves])
 
 
 class MapFormatError(ValueError):
@@ -305,9 +299,12 @@ class RenderPlan:
     the staircase grids with their directions, the character grids with
     their 0-based classes and absolute (x, y, w, h) boxes, and the line
     starts and ends.  Characters go line by line in reading order; they
-    are the noise model's only description of the page.  A plan holds
-    O(characters + path grids) and is only read, so one plan, kept by its
-    page as ``SyntheticPage.plan``, serves every use of that page.
+    are the noise model's only description of the page.  ``rd_at`` holds
+    each staircase grid once, in grid order, with the direction written
+    last: numpy does not say which of a fancy assignment's repeats wins.
+    A plan holds O(characters + path grids) and is only read, so one plan,
+    kept by its page as ``SyntheticPage.plan``, serves every use of that
+    page.
     """
 
     rd_at: tuple[np.ndarray, np.ndarray]
@@ -319,44 +316,64 @@ class RenderPlan:
     eol_at: tuple[np.ndarray, np.ndarray]
 
 
+def _at(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based (i - 1, j - 1) index arrays of 1-based ``(n, 2+)`` grid rows."""
+    return rows[:, 0] - 1, rows[:, 1] - 1
+
+
 def render_plan(page: "SyntheticPage") -> RenderPlan:
     """Plan the exact maps of a page from its annotation, its ground truth.
 
     Presence, one-hot class and relative box go at every character grid,
     start/end-of-line flags at line endpoints, and reading-order rows along
-    the deterministic staircase between consecutive characters.  Raises
-    GridCollisionError when two characters share a grid or a staircase
-    crosses a character.
+    the staircase between consecutive characters with every horizontal
+    move first.  Raises GridCollisionError, naming the first such pair, when
+    two characters share a grid or a staircase crosses a character.
     """
-    annot = page.annotation
-    lines = [[grid_of(box, page.shape) for box in boxes] for boxes in annot.boxes]
-    grids: dict[tuple[int, int], int] = {}
-    for k, g in enumerate(g for line in lines for g in line):
-        if g in grids:
-            raise GridCollisionError(f"characters {grids[g]} and {k} share grid {g}")
-        grids[g] = k
+    shape, annot = page.shape, page.annotation
+    boxes = box_rows([box for line in annot.boxes for box in line])
+    grids = grid_rows(boxes, shape)
+    occupied = np.zeros((shape.w_g, shape.h_g), dtype=bool)
+    cell = np.ravel_multi_index(_at(grids), occupied.shape)
+    _, first, which = np.unique(cell, return_index=True, return_inverse=True)
+    owner = first[which]  # the first character on each character's grid
+    shared = owner != np.arange(len(grids))
+    if shared.any():
+        k = int(np.argmax(shared))
+        g = tuple(grids[k].tolist())
+        raise GridCollisionError(f"characters {owner[k]} and {k} share grid {g}")
+
+    lens = np.fromiter(map(len, annot.boxes), np.intp, len(annot.boxes))
+    line_end = np.cumsum(lens) - 1
+    not_last = np.ones(len(grids), dtype=bool)
+    not_last[line_end] = False
+    a = np.flatnonzero(not_last)  # pair k runs from character a[k] to a[k] + 1
+    delta = grids[a + 1] - grids[a]
+    total = np.abs(delta).sum(axis=1)
+    pair_of = np.repeat(np.arange(len(a)), total)
+    pos = np.arange(len(pair_of)) - (np.cumsum(total) - total)[pair_of]
+    steps = staircase_rows(grids[a], delta, pos >= np.abs(delta[pair_of, 0]))
+    occupied.flat[cell] = True
+    crosses = occupied[_at(steps)] & (pos > 0)  # a staircase leaves its own grid first
+    if crosses.any():
+        s = int(np.argmax(crosses))
+        k = a[pair_of[s]]
+        ga, gb, g = (tuple(r.tolist()) for r in (grids[k], grids[k + 1], steps[s, :2]))
+        raise GridCollisionError(f"inter-character path {ga}->{gb} crosses character at {g}")
 
     # Lines go in reading order: where two staircases cross, the later
-    # line's rd row wins.
-    rd: dict[tuple[int, int], int] = {}
-    for line in lines:
-        for ga, gb in zip(line, line[1:]):
-            for i, j, d in staircase(ga, gb):
-                g = (i, j)
-                if g != ga and g in grids:
-                    raise GridCollisionError(
-                        f"inter-character path {ga}->{gb} crosses character at {g}"
-                    )
-                rd[g] = d
-
+    # line's row, the last one written, wins.
+    _, from_end = np.unique(np.ravel_multi_index(_at(steps), occupied.shape)[::-1],
+                            return_index=True)
+    rd = steps[len(steps) - 1 - from_end]
     return RenderPlan(
-        rd_at=cells(rd),
-        rd_dir=np.array(list(rd.values()), dtype=np.intp),
-        char_at=cells(grids),
+        rd_at=_at(rd),
+        rd_dir=rd[:, 2],
+        char_at=_at(grids),
         char_cls=np.array([c - 1 for line in annot.lines for c in line], dtype=np.intp),
-        char_box=box_rows([b for boxes in annot.boxes for b in boxes]),
-        sol_at=cells(line[0] for line in lines),
-        eol_at=cells(line[-1] for line in lines),
+        char_box=boxes,
+        sol_at=_at(grids[line_end - lens + 1]),
+        eol_at=_at(grids[line_end]),
     )
 
 

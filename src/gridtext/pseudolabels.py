@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Box, GridShape, box_rows, grid_rows
 from .jsoncheck import BOX, check, finite, read_jsonl
-from .predictions import DIR_DELTAS, _ScalarDraws
+from .predictions import _ScalarDraws, path_rows, staircase_rows
 
 if TYPE_CHECKING:
     from .decoder import PageResult, SearchTrace
@@ -205,10 +205,10 @@ def gen_paths(
     distinct ``(i, j, d)`` rows in sorted order.
 
     ``keys`` holds the labels' (q, n) rows in sorted order and ``grids``
-    their :func:`grid_of` rows.  For each consecutive pair in the
+    their :func:`grid_rows` rows.  For each consecutive pair in the
     annotation that both exist, the path takes the required horizontal and
     vertical unit moves with the vertical positions drawn uniformly at
-    random; every step emits (i, j, direction), as :func:`staircase` does.
+    random; each step is a :func:`staircase_rows` (i, j, direction) row.
 
     The positions are ``rng.choice(total, n_vert, replace=False)`` for each
     pair with vertical moves, in (q, n) order, served by one
@@ -237,23 +237,7 @@ def gen_paths(
         draws.close()
         vert[slots] = True
 
-    # Moves already made across and down before each step, from a per-pair
-    # exclusive cumsum; a pair without moves has no step.
-    pair_of = np.repeat(np.arange(len(total)), total)
-    first = starts[pair_of]
-    down_before = np.cumsum(vert) - vert
-    made = np.empty((len(vert), 2), dtype=np.intp)
-    made[:, 1] = down_before - down_before[first]
-    made[:, 0] = np.arange(len(vert)) - first - made[:, 1]
-    steps = np.empty((len(vert), 3), dtype=np.intp)
-    steps[:, :2] = src[pair_of] + np.sign(delta)[pair_of] * made
-    # RIGHT 1 or LEFT 3 across, DOWN 2 or UP 0 down the page.
-    code = np.where(delta > 0, (1, 2), (3, 0))[pair_of]
-    steps[:, 2] = np.where(vert, code[:, 1], code[:, 0])
-    return distinct_rows(steps)
-
-
-_DELTAS = np.array(DIR_DELTAS, dtype=np.intp)
+    return distinct_rows(staircase_rows(src, delta, vert))
 
 
 def _path_rows(traces: list["SearchTrace"]) -> np.ndarray:
@@ -263,12 +247,7 @@ def _path_rows(traces: list["SearchTrace"]) -> np.ndarray:
     moves = np.frombuffer(b"".join(walks), dtype=np.uint8)
     lengths = np.fromiter(map(len, walks), np.intp, len(walks))
     origins = np.fromiter(chain.from_iterable(t.origin for t in traces), np.intp, 2 * len(traces))
-    origins = origins.reshape(-1, 2)
-    walked = np.cumsum(_DELTAS[moves], axis=0)
-    # Each trace's grids are its origin plus its own moves so far.
-    starts = np.cumsum(lengths) - lengths
-    walked_before = np.vstack([np.zeros((1, 2), np.intp), walked])[starts]
-    return distinct_rows(walked + np.repeat(origins - walked_before, lengths, axis=0))
+    return distinct_rows(path_rows(origins.reshape(-1, 2), lengths, moves))
 
 
 def build_targets(

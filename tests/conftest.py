@@ -14,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from gridtext.geometry import Box, GridShape, grid_of
-from gridtext.predictions import EPS, PredictionMaps, _blank_maps
+from gridtext.geometry import Box, GridShape
+from gridtext.predictions import DIR_DELTAS, EPS, Direction, PredictionMaps, _blank_maps
 from gridtext.pseudolabels import LossTargets
 
 
@@ -67,6 +67,44 @@ def set_rd(maps: PredictionMaps, i: int, j: int, d: int) -> None:
     row = np.full(4, EPS, dtype=np.float32)
     row[d] = 1.0 - 3 * EPS
     maps.rd[i - 1, j - 1] = row
+
+
+# ---------------------------------------------------------------------------
+# Staircase oracle: the per-step loop, one delta, one Direction and one grid
+# tuple per step.
+# ---------------------------------------------------------------------------
+
+_DELTA_TO_DIR = {d: Direction(k) for k, d in enumerate(DIR_DELTAS)}
+
+
+def staircase(src, dst, vertical_slots=None) -> list[tuple[int, int, int]]:
+    """Monotone grid path from ``src`` to ``dst`` as (i, j, d) int steps.
+
+    The path takes |di| horizontal and |dj| vertical unit moves; the vertical
+    moves occupy ``vertical_slots`` (0-based positions among the total
+    |di|+|dj| steps), and ``None`` puts every horizontal move first.  Each
+    step is the grid a move leaves from and the move's direction index d;
+    the final move lands on ``dst``.  A slot count other than |dj| is a
+    ``ValueError``.
+    """
+    di = dst[0] - src[0]
+    dj = dst[1] - src[1]
+    total = abs(di) + abs(dj)
+    if vertical_slots is None:
+        vertical_slots = range(abs(di), total)
+    slots = set(vertical_slots)
+    if len(slots) != abs(dj):
+        raise ValueError(f"need {abs(dj)} vertical slots, got {len(slots)}")
+    sx = (di > 0) - (di < 0)
+    sy = (dj > 0) - (dj < 0)
+    out = []
+    cur = src
+    for k in range(total):
+        move = (0, sy) if k in slots else (sx, 0)
+        out.append((*cur, int(_DELTA_TO_DIR[move])))
+        cur = (cur[0] + move[0], cur[1] + move[1])
+    assert cur == dst
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,6 @@ def test_follow_reaches_adjacent_node():
     assert trace.outcome == REACHED
     assert trace.target == (3, 2)
     assert trace.visited == [(2, 2)]
-    assert trace.path == []
 
 
 def test_follow_boundary_at_first_column():
@@ -823,7 +822,6 @@ def test_trace_rebuilds_its_walk_from_moves(origin, moves):
         walk.append(step(walk[-1], d))
     trace = SearchTrace(origin, moves, BOUNDARY)
     assert trace.visited == walk
-    assert trace.path == walk[1:]
 
 
 def _some_grids(w, h):

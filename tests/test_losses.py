@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import blank_maps, gt_label_map, loss_targets, naive_losses, put_char, set_rd
-from gridtext.geometry import Box, GridShape, abs_to_rel, cells, grid_of, rel_to_abs
+from gridtext.geometry import Box, GridShape, abs_to_rel, cells, rel_to_abs
 from gridtext.losses import (
     BOX_WEIGHTS,
     CLAMP,

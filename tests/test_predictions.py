@@ -11,12 +11,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import staircase
 from gridtext import predictions
 from gridtext.geometry import Box, GridShape, cells, grid_of
 from gridtext.matching import PageAnnotation
 from gridtext.predictions import (
     _HEADER,
-    DIR_DELTAS,
     EPS,
     FORMAT_VERSION,
     MAGIC,
@@ -37,9 +37,10 @@ from gridtext.predictions import (
     _tensor_shapes,
     load_maps,
     oracle_predict,
+    path_rows,
     render_plan,
     save_maps,
-    staircase,
+    staircase_rows,
 )
 from gridtext.pseudolabels import PseudoLabelStore
 from gridtext.simloop import StageConfig, run_stage
@@ -239,10 +240,12 @@ def _apply_noise_reference(maps, chars, grids, noise, rng):
             maps.rd[i0, j0] = _rd_row(int(rng.integers(0, 4)))
 
 
-def _oracle_reference(page: SyntheticPage, noise: OracleNoise):
+def _render_plan_reference(page: SyntheticPage):
+    """The loop render of a page's exact maps; returns the maps, the
+    characters as (grid, class, box) in reading order, and each grid's
+    first character."""
     shape = page.shape
     maps = _blank_maps(shape, page.n_cls)
-    rng = np.random.default_rng(noise.seed)
     annot = page.annotation
     lines = [
         [(grid_of(box, shape), cls_id, box) for cls_id, box in zip(line, boxes)]
@@ -271,7 +274,12 @@ def _oracle_reference(page: SyntheticPage, noise: OracleNoise):
         maps.sol[gi - 1, gj - 1] = 1.0 - EPS
         gi, gj = line[-1][0]
         maps.eol[gi - 1, gj - 1] = 1.0 - EPS
-    _apply_noise_reference(maps, chars, grids, noise, rng)
+    return maps, chars, grids
+
+
+def _oracle_reference(page: SyntheticPage, noise: OracleNoise):
+    maps, chars, grids = _render_plan_reference(page)
+    _apply_noise_reference(maps, chars, grids, noise, np.random.default_rng(noise.seed))
     return maps
 
 
@@ -339,6 +347,53 @@ def test_crossing_staircases_match_loop_render(noise):
         assert int(np.argmax(maps.rd[3, 1])) == Direction.DOWN
 
 
+@st.composite
+def _jittered_pages(draw):
+    """A page of any layout on a 12-24 square lattice, with characters two
+    grids apart and up to as many lines as fit (two grids apart, three for
+    sine), all of them first, whose box centres then move up to a cell each
+    way: about half collide."""
+    kind = draw(st.sampled_from(LAYOUT_KINDS))
+    w_g, h_g = draw(st.integers(12, 24)), draw(st.integers(12, 24))
+    sine = kind == "sine"
+    layout = Layout(kind, amplitude=1.0) if sine else Layout(kind)
+    max_lines = (h_g - 4) // 3 if sine else (h_g - 2) // 2
+    n_lines = max_lines - draw(st.integers(0, max_lines - 1))
+    page = gen_page(PageConfig(n_lines=n_lines, chars_per_line=(2, (w_g - 3) // 2 + 1), n_cls=5,
+                               layout=layout, w_g=w_g, h_g=h_g, seed=draw(st.integers(0, 1000))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cell_w, cell_h = page.shape.cell_w, page.shape.cell_h
+    boxes = [
+        [Box(b.x + rng.uniform(-1, 1) * cell_w, b.y + rng.uniform(-1, 1) * cell_h, b.w, b.h)
+         for b in line]
+        for line in page.annotation.boxes
+    ]
+    annot = PageAnnotation(lines=page.annotation.lines, boxes=boxes, page_id="jittered")
+    return SyntheticPage(shape=page.shape, n_cls=page.n_cls, annotation=annot, layout=layout)
+
+
+@settings(deadline=None, max_examples=150)
+@given(page=_jittered_pages())
+@example(page=_CROSSING_PAGE)
+@example(page=_collision_page())
+@example(page=_hand_page([(2, 2), (5, 2)], [(3, 2)]))
+def test_render_plan_matches_the_loop_render(page):
+    """``render_plan`` raises the loop render's error, for the same first
+    pair, or makes a plan that scatters to the loop's maps, where the later
+    line's direction wins where staircases cross; each staircase grid is in
+    ``rd_at`` once."""
+    try:
+        want, _, _ = _render_plan_reference(page)
+    except GridCollisionError as exc:
+        with pytest.raises(GridCollisionError, match=f"^{re.escape(str(exc))}$"):
+            render_plan(page)
+        return
+    plan = render_plan(page)
+    rd_grids = set(zip(*(a.tolist() for a in plan.rd_at)))
+    assert len(rd_grids) == len(plan.rd_dir)
+    _assert_same_maps(oracle_predict(page, OracleNoise()), want)
+
+
 # A plan with no characters: every grid may take a spurious hit.
 _NO_CHARS = RenderPlan(
     rd_at=cells([]), rd_dir=np.empty(0, np.intp), char_at=cells([]),
@@ -392,57 +447,61 @@ def test_reused_plan_is_never_changed_or_shared():
 
 
 def test_staircase_deterministic_variant():
-    steps = staircase((2, 2), (5, 4))
+    # Every horizontal move first, as render_plan draws it.
+    steps = staircase_rows(np.array([[2, 2]]), np.array([[3, 2]]), np.arange(5) >= 3).tolist()
     assert [(i, j) for i, j, _ in steps] == [(2, 2), (3, 2), (4, 2), (5, 2), (5, 3)]
     assert [d for _, _, d in steps] == [Direction.RIGHT] * 3 + [Direction.DOWN] * 2
+    assert steps == [list(step) for step in staircase((2, 2), (5, 4))]
     with pytest.raises(ValueError):
         staircase((2, 2), (5, 4), vertical_slots=[0])
-
-
-_DELTA_TO_DIR = {d: Direction(k) for k, d in enumerate(DIR_DELTAS)}
-
-
-def _staircase_reference(src, dst, vertical_slots=None):
-    """The per-step loop that ``staircase`` replaced: one delta, one
-    ``Direction`` and one grid tuple per step, as (grid, Direction) pairs."""
-    di = dst[0] - src[0]
-    dj = dst[1] - src[1]
-    total = abs(di) + abs(dj)
-    if vertical_slots is None:
-        vertical_slots = range(abs(di), total)
-    slots = set(vertical_slots)
-    if len(slots) != abs(dj):
-        raise ValueError(f"need {abs(dj)} vertical slots, got {len(slots)}")
-    sx = (di > 0) - (di < 0)
-    sy = (dj > 0) - (dj < 0)
-    out = []
-    cur = src
-    for k in range(total):
-        move = (0, sy) if k in slots else (sx, 0)
-        out.append((cur, _DELTA_TO_DIR[move]))
-        cur = (cur[0] + move[0], cur[1] + move[1])
-    assert cur == dst
-    return out
 
 
 _LATTICE = st.tuples(st.integers(1, 12), st.integers(1, 12))
 
 
-@settings(deadline=None, max_examples=300)
-@given(src=_LATTICE, dst=_LATTICE, data=st.data())
-def test_staircase_matches_per_step_reference(src, dst, data):
+@st.composite
+def _staircases(draw):
+    """Two grids and the vertical slots of a staircase between them, None
+    for every horizontal move first."""
+    src, dst = draw(_LATTICE), draw(_LATTICE)
     total = abs(dst[0] - src[0]) + abs(dst[1] - src[1])
     n_vert = abs(dst[1] - src[1])
-    slots = data.draw(st.none() | st.permutations(range(total)).map(lambda p: p[:n_vert]))
-    got = staircase(src, dst, vertical_slots=slots)
-    assert got == [(i, j, int(d)) for (i, j), d in _staircase_reference(src, dst, slots)]
-    assert all(type(d) is int for _, _, d in got)
-    if total:  # a slot count other than the vertical distance
+    slots = draw(st.none() | st.permutations(range(total)).map(lambda p: p[:n_vert]))
+    return src, dst, slots
+
+
+@settings(deadline=None, max_examples=300)
+@given(cases=st.lists(_staircases(), max_size=4), data=st.data())
+def test_staircase_matches_per_step_reference(cases, data):
+    """Several staircases at once, some of no step: ``staircase_rows`` gives
+    the per-step loop's steps one staircase after another, and
+    ``path_rows`` of their moves gives the grid each move lands on, the
+    next step's grid or the staircase's destination."""
+    want = [staircase(src, dst, slots) for src, dst, slots in cases]
+    vert = []
+    for src, dst, slots in cases:
+        total = abs(dst[0] - src[0]) + abs(dst[1] - src[1])
+        up = set(range(abs(dst[0] - src[0]), total) if slots is None else slots)
+        vert.extend(k in up for k in range(total))
+    src = np.array([c[0] for c in cases], dtype=np.intp).reshape(-1, 2)
+    delta = np.array([c[1] for c in cases], dtype=np.intp).reshape(-1, 2) - src
+    got = staircase_rows(src, delta, np.array(vert, dtype=bool))
+    assert got.dtype == np.intp
+    assert got.tolist() == [list(step) for steps in want for step in steps]
+    lengths = np.array([len(steps) for steps in want], dtype=np.intp)
+    lands = path_rows(src, lengths, got[:, 2])
+    assert lands.dtype == np.intp
+    want_lands = []
+    for steps, (_, dst, _) in zip(want, cases):
+        want_lands += [[i, j] for i, j, _ in steps[1:]] + ([list(dst)] if steps else [])
+    assert lands.tolist() == want_lands
+    if cases and lengths[0]:  # a slot count other than the vertical distance
+        first, dst, _ = cases[0]
+        total, n_vert = int(lengths[0]), abs(dst[1] - first[1])
         size = data.draw(st.integers(0, total).filter(lambda k: k != n_vert))
         wrong = data.draw(st.permutations(range(total)))[:size]
-        for fn in (staircase, _staircase_reference):
-            with pytest.raises(ValueError, match="vertical slots"):
-                fn(src, dst, vertical_slots=wrong)
+        with pytest.raises(ValueError, match="vertical slots"):
+            staircase(first, dst, vertical_slots=wrong)
 
 
 @pytest.mark.parametrize("warmup", [0, 1, 2, 5])

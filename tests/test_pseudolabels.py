@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import row_set
+from conftest import row_set, staircase
 from gridtext.decoder import (
     BOUNDARY,
     END_OF_LINE,
@@ -26,7 +26,7 @@ from gridtext.pseudolabels import (
     update,
     update_weight,
 )
-from gridtext.predictions import DIR_DELTAS, Direction, OracleNoise, oracle_predict, staircase
+from gridtext.predictions import DIR_DELTAS, Direction, OracleNoise, oracle_predict
 from gridtext.synth import PageConfig, gen_page
 
 SHAPE = GridShape(8, 8, 128, 128)
@@ -260,7 +260,7 @@ def _build_targets_reference(labels, annot, result, m_ce, shape, rng):
     for p, m in sorted(m_ce):
         line = result.lines[p - 1]
         if m - 1 < len(line.traces):
-            out["s_d_neg"].update(line.traces[m - 1].path)
+            out["s_d_neg"].update(line.traces[m - 1].visited[1:])
     for i, j, q, n in out["s_c"]:
         if n == 1:
             out["s_s_pos"].add((i, j))
@@ -403,9 +403,9 @@ def test_build_targets_d_neg_skips_end_of_line_chars_on_a_decoded_page():
                             np.random.default_rng(0))
     last = [line.traces[-1] for line in result.lines]
     assert [t.outcome for t in last] == [END_OF_LINE, BOUNDARY, END_OF_LINE]
-    assert last[0].path == last[2].path == [] and last[1].path
+    assert last[0].visited[1:] == last[2].visited[1:] == [] and last[1].visited[1:]
     assert row_set(targets.s_d_neg) == {
-        g for line in result.lines for trace in line.traces for g in trace.path
+        g for line in result.lines for trace in line.traces for g in trace.visited[1:]
     }
 
 
