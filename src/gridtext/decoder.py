@@ -51,6 +51,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import Box, cells, ordered_sum, rel_to_abs
+from .jsoncheck import check_ranges, ranged
 from .predictions import DIR_DELTAS, PredictionMaps
 
 DIS_WEIGHT = 0.8
@@ -69,18 +70,13 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    dis_threshold: float = 0.5
-    nms_iou: float = 0.3
-    sol_eol_threshold: float = 0.9
-    max_steps: int | None = None  # None: w_g + h_g
+    dis_threshold: float = ranged(0.5, 0, 1)
+    nms_iou: float = ranged(0.3, 0, 1)
+    sol_eol_threshold: float = ranged(0.9, 0, 1)
+    max_steps: int | None = ranged(None, 1)  # None: w_g + h_g
 
     def __post_init__(self) -> None:
-        for name in ("dis_threshold", "nms_iou", "sol_eol_threshold"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:  # also rejects NaN
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"max_steps must be None or >= 1, got {self.max_steps}")
+        check_ranges(self)
 
 
 @dataclass(slots=True)
@@ -96,7 +92,6 @@ class CharInstance:
     box: Box
     score: float
     cls_id: int
-    cls_prob: float
 
 
 @dataclass(slots=True)
@@ -209,8 +204,7 @@ def extract_nodes(
     x, y, w, h, score = rows[keep].T.tolist()
     grids = zip((ii[keep] + 1).tolist(), (jj[keep] + 1).tolist())
     return list(map(
-        CharInstance, grids, map(Box, x, y, w, h), score,
-        (cls0[keep] + 1).tolist(), probs[keep].tolist(),
+        CharInstance, grids, map(Box, x, y, w, h), score, (cls0[keep] + 1).tolist()
     ))
 
 
@@ -604,13 +598,10 @@ def rescore_with_lm(
             new_lines.append(line)
             continue
         labels = beam_search_lm(frame_scores(maps, frames), lm, beam=beam, top_k=top_k)
-        chars = []
-        for m, c in enumerate(line.chars):
-            if m < len(labels) and labels[m] != c.cls_id:
-                prob = float(maps.cls[c.grid[0] - 1, c.grid[1] - 1][labels[m] - 1])
-                chars.append(replace(c, cls_id=labels[m], cls_prob=prob))
-            else:
-                chars.append(c)
+        chars = [
+            replace(c, cls_id=labels[m]) if m < len(labels) and labels[m] != c.cls_id else c
+            for m, c in enumerate(line.chars)
+        ]
         new_lines.append(
             Line(chars=chars, traces=line.traces, sol_conf=line.sol_conf, eol_conf=line.eol_conf)
         )

@@ -4,12 +4,18 @@ Each value a reader uses is checked for its JSON kind before use, so a
 malformed file or config fails as one ValueError (CLI exit 2) that names
 the file, line and key, instead of escaping later as a KeyError or
 TypeError.
+
+A config dataclass declares each numeric field's range with :func:`ranged`,
+and its ``__post_init__`` calls :func:`check_ranges`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
+from dataclasses import field, fields
+from math import inf
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
@@ -58,6 +64,37 @@ def image_size(value: float, where: str) -> float:
     if not lo <= value <= hi:
         raise ValueError(f"{where}: must be in [{lo}, {hi}], got {value}")
     return value
+
+
+def ranged(default: Any, lo: float, hi: float = inf) -> Any:
+    """A dataclass field with ``default`` whose value must be finite and in
+    [lo, hi], or None where ``default`` is None; see :func:`check_ranges`."""
+    return field(default=default, metadata={"range": (lo, hi)})
+
+
+@functools.cache
+def _ranges(cls: type) -> tuple[tuple[str, float, float, Any], ...]:
+    """(name, lo, hi, default) of each :func:`ranged` field of ``cls``, in order."""
+    return tuple(
+        (f.name, *f.metadata["range"], f.default) for f in fields(cls) if "range" in f.metadata
+    )
+
+
+def check_ranges(config: Any, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` for the first :func:`ranged` field of the dataclass
+    ``config`` that is out of its range.  An int of any size compares
+    exactly, where ``math.isfinite`` would overflow; NaN fails."""
+    for name, lo, hi, default in _ranges(type(config)):
+        value = getattr(config, name)
+        if not (default is None if value is None else lo <= value <= hi and -inf < value < inf):
+            rule = (
+                f"in [{lo}, {hi}]" if hi < inf
+                else "finite" if lo == -inf
+                else f"finite and >= {lo}" if isinstance(default, float)
+                else f"None or >= {lo}" if default is None
+                else f">= {lo}"
+            )
+            raise error(f"{name} must be {rule}, got {value}")
 
 
 # A Box's (x, y, w, h): a finite center and positive extents.

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, BinaryIO
 import numpy as np
 
 from .geometry import Box, GridShape, abs_to_rel, box_rows, grid_rows
-from .jsoncheck import expect
+from .jsoncheck import check_ranges, expect, ranged
 
 if TYPE_CHECKING:
     from .synth import SyntheticPage
@@ -130,27 +130,16 @@ class OracleNoise:
     and dir_flip) probabilities.
     """
 
-    jitter_sigma: float = 0.0
-    size_sigma: float = 0.0
-    label_swap_p: float = 0.0
-    drop_p: float = 0.0
-    spurious_p: float = 0.0
-    dir_flip_p: float = 0.0
-    seed: int = 0
+    jitter_sigma: float = ranged(0.0, 0)
+    size_sigma: float = ranged(0.0, 0, MAX_SIZE_SIGMA)
+    label_swap_p: float = ranged(0.0, 0, 1)
+    drop_p: float = ranged(0.0, 0, 1)
+    spurious_p: float = ranged(0.0, 0, 1)
+    dir_flip_p: float = ranged(0.0, 0, 1)
+    seed: int = ranged(0, 0)
 
     def __post_init__(self) -> None:
-        for name in ("label_swap_p", "drop_p", "spurious_p", "dir_flip_p"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
-            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
-        if not 0.0 <= self.size_sigma <= MAX_SIZE_SIGMA:
-            raise ValueError(
-                f"size_sigma must be in [0, {MAX_SIZE_SIGMA}], got {self.size_sigma}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_ranges(self)
 
     def scaled(self, factor: float) -> "OracleNoise":
         """All magnitudes multiplied by ``factor`` (seed unchanged)."""

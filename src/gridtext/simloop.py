@@ -21,6 +21,7 @@ import numpy as np
 
 from .decoder import DecodeConfig, decode
 from .geometry import ious, ordered_sum
+from .jsoncheck import check_ranges, ranged
 from .losses import compute_losses
 from .matching import match_chars, match_lines, spatial_filter
 from .predictions import OracleNoise, oracle_predict
@@ -40,35 +41,22 @@ class ConfigError(ValueError):
 @dataclass
 class StageConfig:
     stage: str = TRAIN
-    n_passes: int = 1
+    n_passes: int = ranged(1, 1)
     noise: OracleNoise = field(default_factory=OracleNoise)
-    halve_every: int | None = None  # halve all noise magnitudes every k passes
-    real_prob: float = 0.7
-    seed: int = 0
-    th_ar: float = 0.3
-    th_iou: float = 0.5
-    epsilon: float = EPSILON_SCALE
+    halve_every: int | None = ranged(None, 1)  # halve all noise magnitudes every k passes
+    real_prob: float = ranged(0.7, 0, 1)
+    seed: int = ranged(0, 0)
+    th_ar: float = ranged(0.3, -math.inf)
+    th_iou: float = ranged(0.5, 0, 1)
+    # gamma and the score are at most 1, so each exponential in
+    # update_weight is at most e^709 and their sum stays finite.
+    epsilon: float = ranged(EPSILON_SCALE, 0, 709)
     decode: DecodeConfig = field(default_factory=DecodeConfig)
 
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
             raise ConfigError(f"unknown stage {self.stage!r}")
-        if self.n_passes < 1:
-            raise ConfigError(f"n_passes must be >= 1, got {self.n_passes}")
-        if not 0.0 <= self.real_prob <= 1.0:
-            raise ConfigError(f"real_prob must be in [0, 1], got {self.real_prob}")
-        if not 0.0 <= self.th_iou <= 1.0:
-            raise ConfigError(f"th_iou must be in [0, 1], got {self.th_iou}")
-        if not math.isfinite(self.th_ar):
-            raise ConfigError(f"th_ar must be finite, got {self.th_ar}")
-        # gamma and the score are at most 1, so each exponential in
-        # update_weight is at most e^709 and their sum stays finite.
-        if not 0.0 <= self.epsilon <= 709.0:
-            raise ConfigError(f"epsilon must be in [0, 709], got {self.epsilon}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.halve_every is not None and self.halve_every < 1:
-            raise ConfigError(f"halve_every must be None or >= 1, got {self.halve_every}")
+        check_ranges(self, ConfigError)
 
     def noise_for_pass(self, k: int) -> OracleNoise:
         if self.halve_every is not None:

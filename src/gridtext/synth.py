@@ -21,6 +21,7 @@ import numpy as np
 
 from .decoder import DecodeConfig, InvariantError, decode
 from .geometry import IMAGE_SIZE_RANGE, Box, GridShape
+from .jsoncheck import check_ranges, ranged
 from .matching import PageAnnotation
 from .predictions import OracleNoise, RenderPlan, _ScalarDraws, oracle_predict, render_plan
 
@@ -29,6 +30,7 @@ LAYOUT_KINDS = ROTATIONS + ("sine",)
 
 CHAR_SIZE = (0.9, 1.3)  # range of a box's width and height, in cell units
 MIN_PERIOD = 1e-6  # shortest sine period in cells: the phase 2*pi*x/period stays finite
+UINT32_MAX = (1 << 32) - 1  # a map file's header stores n_cls, w_g and h_g as uint32
 
 
 class GenerationError(ValueError):
@@ -44,41 +46,31 @@ class Layout:
     """
 
     kind: str = "horizontal"
-    amplitude: float = 1.5
-    period: float = 12.0
+    amplitude: float = ranged(1.5, 0)
+    period: float = ranged(12.0, MIN_PERIOD)
 
     def __post_init__(self) -> None:
         if self.kind not in LAYOUT_KINDS:
             raise ValueError(f"unknown layout {self.kind!r}, pick from {LAYOUT_KINDS}")
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not (math.isfinite(self.period) and self.period >= MIN_PERIOD):
-            raise ValueError(f"period must be finite and >= {MIN_PERIOD}, got {self.period}")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
 class PageConfig:
-    n_lines: int = 5
+    n_lines: int = ranged(5, 1)
     chars_per_line: tuple[int, int] = (10, 10)
-    n_cls: int = 100
+    n_cls: int = ranged(100, 1, UINT32_MAX)
     layout: Layout = field(default_factory=Layout)
-    w_g: int = 32
-    h_g: int = 32
-    cell_px: int = 16
-    seed: int = 0
+    w_g: int = ranged(32, 1, UINT32_MAX)
+    h_g: int = ranged(32, 1, UINT32_MAX)
+    cell_px: int = ranged(16, 1)
+    seed: int = ranged(0, 0)
 
     def __post_init__(self) -> None:
-        for name in ("n_lines", "n_cls", "w_g", "h_g", "cell_px"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # A map file's header stores n_cls as a uint32.
-        if self.n_cls >= 1 << 32:
-            raise ValueError(f"n_cls must be < 2**32, got {self.n_cls}")
+        check_ranges(self)
         lo, hi = self.chars_per_line
         if not 1 <= lo <= hi:
             raise ValueError(f"chars_per_line must be [lo, hi], 1 <= lo <= hi, got [{lo}, {hi}]")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         hi = IMAGE_SIZE_RANGE[1]
         if max(self.w_g, self.h_g) * self.cell_px > hi:
             raise ValueError(

@@ -142,6 +142,16 @@ def test_viz_svg_well_formed(tmp_path, capsys):
     assert tags.count("circle") == 2
 
 
+def test_viz_without_out_prints_the_svg(tmp_path, capsys):
+    results = tmp_path / "results.jsonl"
+    results.write_text(_jsonl(_RESULT))
+    assert main(["viz", "--results", str(results)]) == 0
+    out = capsys.readouterr().out
+    assert out == render_page_svg(_RESULT) + "\n"
+    assert out.startswith("<svg ") and out.count("</svg>") == 1
+    ET.fromstring(out)
+
+
 def test_viz_empty_page_valid_svg():
     for lines in ([], [{"chars": []}]):  # a line without chars draws nothing
         svg = render_page_svg({"img_w": 100, "img_h": 100, "lines": lines})
@@ -450,6 +460,13 @@ def _with_char(**keys) -> dict:
     pytest.param({}, ["synth", "--pages", "1", "--n-cls", str(10**12)], id="synth-maps-too-large"),
     pytest.param({"config.json": json.dumps({"pages": 1, "dataset": {"n_cls": 10**12}})},
                  _TRAIN_SIM, id="train-sim-maps-too-large"),
+    # A map file's header stores the grid dims as uint32.
+    pytest.param({}, ["synth", "--pages", "1", "--grid-w", str(10**21)],
+                 id="synth-grid-w-past-uint32"),
+    pytest.param({}, ["synth", "--pages", "1", "--grid-h", str(10**21)],
+                 id="synth-grid-h-past-uint32"),
+    pytest.param({"config.json": json.dumps({"pages": 1, "dataset": {"w_g": 10**21}})},
+                 _TRAIN_SIM, id="train-sim-grid-w-past-uint32"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
@@ -488,6 +505,8 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, fi
      _EVAL, "error: annotations.jsonl:1: row.boxes[0]: expected 1 boxes, got 2\n"),
     ({"map.json": _map_with(n_cls=0)}, ["decode", "--maps", "map.json"],
      "error: map.json: header: n_cls must be >= 1, got 0\n"),
+    ({"map.json": _map_with(w_g=0, h_g=4)}, ["decode", "--maps", "map.json"],
+     "error: map.json: header: grid dims must be >= 1, got 0x4\n"),
     ({"config.json": json.dumps({"dataset": {"chars_per_line": [1, 2, 3]}})}, _TRAIN_SIM,
      "error: dataset.chars_per_line: expected 2 items, got 3\n"),
     ({"results.jsonl": _jsonl(_RESULT), "annotations.jsonl": ""}, _EVAL,
@@ -498,7 +517,7 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, fi
      "error: page 'zz' not in results.jsonl\n"),
 ], ids=["iou-th", "img-w", "char-w", "char-score", "annotation-box-w-0",
         "annotation-box-h-negative", "store-row-h-0", "annotation-empty-line",
-        "annotation-no-box-lines", "annotation-extra-box", "map-n-cls-0",
+        "annotation-no-box-lines", "annotation-extra-box", "map-n-cls-0", "map-grid-w-0",
         "chars-per-line-3-items", "eval-no-annotations", "viz-no-results", "viz-unknown-page"])
 def test_eval_range_errors_name_the_flag_or_the_row(tmp_path, monkeypatch, capsys, files, argv,
                                                     message):
@@ -537,8 +556,9 @@ def test_from_doc_reads_back_a_dataclass_as_json(config):
      "error: seed must be >= 0, got -1\n"),
     ({"config.json": json.dumps({**_DATASET, "seed": -1, "stages": [{"seed": 0}]})},
      "error: seed must be >= 0, got -1\n"),
+    (_stage(stage="warmup"), "error: stages[0]: unknown stage 'warmup'\n"),
 ], ids=["n-passes", "real-prob", "stage-seed", "noise-seed", "dataset-seed", "nms-iou",
-        "layout", "config-seed", "config-seed-stage-seeded"])
+        "layout", "config-seed", "config-seed-stage-seeded", "unknown-stage"])
 def test_stage_range_errors_give_the_value(tmp_path, monkeypatch, capsys, files, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(files["config.json"])

@@ -84,7 +84,6 @@ def _extract_nodes_reference(
                 box=Box((i0 + x_o) / s.w_g * s.img_w, (j0 + y_o) / s.h_g * s.img_h, w_o, h_o),
                 score=fused_score(float(maps.dis[i0, j0]), float(row[cls0])),
                 cls_id=cls0 + 1,
-                cls_prob=float(row[cls0]),
             )
         )
     keep = _nms_reference([(c.box, c.score) for c in cand], config.nms_iou, maps.shape)
@@ -441,8 +440,7 @@ def test_reached_traces_share_their_target_nodes_grid():
 
 
 def _node(grid, x, y, score=1.0, cls_id=1):
-    return CharInstance(grid=grid, box=Box(x, y, 0.05, 0.05), score=score,
-                        cls_id=cls_id, cls_prob=1.0)
+    return CharInstance(grid=grid, box=Box(x, y, 0.05, 0.05), score=score, cls_id=cls_id)
 
 
 def _reached(origin, target):

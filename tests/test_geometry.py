@@ -57,6 +57,24 @@ def test_grid_shape_rejects_image_size_out_of_range(img_w):
         GridShape(4, 4, img_w, 64.0)
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_box_rejects_a_non_finite_center(x, y):
+    with pytest.raises(ValueError, match="^box center must be finite"):
+        Box(x, y, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("w, h", [(0.0, 0.1), (0.1, -0.5), (-math.inf, 0.1)])
+def test_box_rejects_a_non_positive_extent(w, h):
+    with pytest.raises(ValueError, match="^box extent must be > 0"):
+        Box(1.0, 1.0, w, h)
+
+
+def test_box_accepts_nan_and_infinite_extents():
+    # The metrics tests score such boxes; only a non-positive extent is rejected.
+    for w, h in ((math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, math.inf)):
+        Box(1.0, 1.0, w, h)
+
+
 def test_rel_to_abs_rejects_out_of_range(shape44):
     # The message names the first grid outside the lattice, 1-based.
     rows = np.array([[0.5, 0.5, 0.5, 0.5]] * 2)

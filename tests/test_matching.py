@@ -171,7 +171,7 @@ def test_match_chars_classes_agree():
 
 
 def _one_char_result(box: Box) -> PageResult:
-    char = CharInstance(grid=(1, 1), box=box, score=0.9, cls_id=A, cls_prob=1.0)
+    char = CharInstance(grid=(1, 1), box=box, score=0.9, cls_id=A)
     return PageResult(lines=[Line(chars=[char], traces=[], sol_conf=1, eol_conf=1)])
 
 
@@ -238,7 +238,7 @@ def _spatial_case(draw):
     """A result of up to three lines, matched pairs into it, and labels for
     some of the pairs' transcript positions (and for positions no pair has)."""
     lines = [
-        Line(chars=[CharInstance((1, 1), draw(_sf_box), 0.9, A, 1.0)
+        Line(chars=[CharInstance((1, 1), draw(_sf_box), 0.9, A)
                     for _ in range(draw(st.integers(1, 4)))],
              traces=[], sol_conf=1.0, eol_conf=1.0)
         for _ in range(draw(st.integers(1, 3)))
@@ -255,7 +255,7 @@ def _spatial_case(draw):
 # of exactly 1, 0.5 and 0, so each example threshold meets one of them.
 _SF_EXACT = (
     {(1, m, 1, m) for m in (1, 2, 3)},
-    PageResult(lines=[Line(chars=[CharInstance((m, 1), box, 0.9, A, 1.0)
+    PageResult(lines=[Line(chars=[CharInstance((m, 1), box, 0.9, A)
                                   for m, box in enumerate(_SF_POOL, 1)],
                            traces=[], sol_conf=1.0, eol_conf=1.0)]),
     {(1, m): PseudoLabel(_SF_POOL[0], 0.5) for m in (1, 2, 3)},

@@ -39,7 +39,7 @@ def _cell_box(i, j, shape=SHAPE):
 def _result_with(chars):
     line = Line(
         chars=[
-            CharInstance(grid=g, box=b, score=s, cls_id=c, cls_prob=1.0)
+            CharInstance(grid=g, box=b, score=s, cls_id=c)
             for g, b, s, c in chars
         ],
         traces=[],
@@ -289,7 +289,7 @@ def _target_cases(draw):
     lines = []
     for _ in range(draw(st.integers(0, 3))):
         n_chars = draw(st.integers(1, 4))
-        chars = [CharInstance(grid=(1, 1), box=_cell_box(1, 1), score=1.0, cls_id=1, cls_prob=1.0)
+        chars = [CharInstance(grid=(1, 1), box=_cell_box(1, 1), score=1.0, cls_id=1)
                  for _ in range(n_chars)]
         traces = [
             SearchTrace(origin=(draw(st.integers(1, 8)), draw(st.integers(1, 8))),
@@ -375,8 +375,7 @@ def test_build_targets_collision_keeps_higher_gamma():
 
 
 def test_build_targets_d_neg_from_traces():
-    char = CharInstance(grid=(2, 2), box=_cell_box(2, 2), score=1.0, cls_id=1,
-                        cls_prob=1.0)
+    char = CharInstance(grid=(2, 2), box=_cell_box(2, 2), score=1.0, cls_id=1)
     trace = SearchTrace(origin=(2, 2), moves=bytes([Direction.RIGHT, Direction.RIGHT]),
                         outcome="reached", target=(5, 2))
     result = PageResult(lines=[Line(chars=[char], traces=[trace], sol_conf=1,

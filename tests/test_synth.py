@@ -91,6 +91,8 @@ def test_variable_chars_per_line():
     ({"cell_px": 0}, "cell_px"),
     ({"seed": -1}, "seed"),
     ({"n_cls": 2**32}, "n_cls"),  # a map file's header stores a uint32
+    ({"w_g": 2**32}, "w_g"),
+    ({"h_g": 2**32}, "h_g"),
 ])
 def test_page_config_rejects_out_of_range_field(fields, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
