@@ -50,7 +50,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box, cells, ordered_sum, rel_to_abs
+from .geometry import Box, Cells, cells, ordered_sum, rel_to_abs
 from .jsoncheck import check_ranges, ranged
 from .predictions import DIR_DELTAS, PredictionMaps
 
@@ -186,7 +186,8 @@ def extract_nodes(
     is made absolute in one call.  :func:`fused_score` scores them all on
     float64 arrays, and NMS takes the boxes and scores as rows, so a
     :class:`CharInstance` is built only for a kept candidate, field by field
-    from the kept rows' column lists.
+    from the kept rows' column lists; one index array selects the kept rows
+    of every array.
     """
     from .geometry import nms
 
@@ -200,7 +201,7 @@ def extract_nodes(
     rel[flat, 2:] = np.maximum(rel[flat, 2:], 1e-6)
     scores = fused_score(maps.dis[at].astype(np.float64), probs)
     rows = np.column_stack((rel_to_abs(rel, at, maps.shape), scores))
-    keep = nms(rows, config.nms_iou, maps.shape)
+    keep = np.array(nms(rows, config.nms_iou, maps.shape), np.intp)
     x, y, w, h, score = rows[keep].T.tolist()
     grids = zip((ii[keep] + 1).tolist(), (jj[keep] + 1).tolist())
     return list(map(
@@ -218,7 +219,8 @@ class Lattice:
     so a step in direction ``d`` adds ``offset[d]`` to the cell.  ``owner``
     holds each cell's node index into ``nodes``, -1 for a free grid and -2
     for the border, so one lookup tells the three apart and no walk tests
-    bounds.
+    bounds.  ``cell`` holds each node's cell, and ``at`` its 0-based
+    (i - 1, j - 1) index arrays into the maps.
     """
 
     nodes: Sequence[CharInstance]
@@ -226,20 +228,38 @@ class Lattice:
     owner: list[int]
     stride: int
     offset: tuple[int, int, int, int]
+    cell: list[int]
+    at: Cells
 
 
 def bordered_lattice(maps: PredictionMaps, nodes: Sequence[CharInstance]) -> Lattice:
-    """The :class:`Lattice` of ``maps`` with ``nodes`` placed on it."""
-    stride = maps.shape.h_g + 2
-    dirs = np.zeros((maps.shape.w_g + 2, stride), np.uint8)
+    """The :class:`Lattice` of ``maps`` with ``nodes`` placed on it.
+
+    The nodes' cells come from one :func:`~gridtext.geometry.cells` pass and
+    go into ``owner`` in one scatter.  A scatter would write a grid off the
+    lattice into the border or past its end, and does not say which of two
+    nodes on one grid wins, so either is a ValueError naming the grid.
+    """
+    w, h = maps.shape.w_g, maps.shape.h_g
+    stride = h + 2
+    dirs = np.zeros((w + 2, stride), np.uint8)
     dirs[1:-1, 1:-1] = np.argmax(maps.rd, axis=-1)
+    at = i0, j0 = cells(n.grid for n in nodes)
+    outside = (i0 < 0) | (i0 >= w) | (j0 < 0) | (j0 >= h)
+    if outside.any():
+        grid = nodes[int(np.argmax(outside))].grid
+        raise ValueError(f"node grid {grid} outside the {w}x{h} lattice")
+    cell = (i0 + 1) * stride + (j0 + 1)
     owner = np.full(dirs.shape, -2, np.intp)
     owner[1:-1, 1:-1] = -1
-    owner = owner.ravel().tolist()
-    for k, n in enumerate(nodes):
-        owner[n.grid[0] * stride + n.grid[1]] = k
+    owner = owner.ravel()
+    index = np.arange(len(nodes))
+    owner[cell] = index
+    lost = owner[cell] != index  # a node whose cell another node took
+    if lost.any():
+        raise ValueError(f"node grid {nodes[int(np.argmax(lost))].grid} shared by two nodes")
     offset = tuple(di * stride + dj for di, dj in DIR_DELTAS)
-    return Lattice(nodes, dirs.tobytes(), owner, stride, offset)
+    return Lattice(nodes, dirs.tobytes(), owner.tolist(), stride, offset, cell.tolist(), at)
 
 
 def follow(lattice: Lattice, k: int, max_steps: int) -> SearchTrace:
@@ -252,32 +272,39 @@ def follow(lattice: Lattice, k: int, max_steps: int) -> SearchTrace:
     score (ties row-major).  Node ``k`` itself is never a valid target.
 
     Each step is one add and one ``owner`` lookup on plain ints; the
-    border ends a walk as the lattice edge did.  The walk's cells live only
-    in ``seen``, which is freed on return; the trace keeps the directions
-    taken, as ``bytes``, and a reached trace's ``target`` is the target
-    node's own ``grid``.
+    border ends a walk as the lattice edge did.  A step back onto node
+    ``k``'s own cell closes a cycle, so ``seen`` holds only the free grids
+    walked.  Steps count from 0, and a step never lands where it stands, so
+    step 2 is the first that can land on a walked free grid: ``seen`` is
+    built there, and the many walks that end sooner build none.  It is
+    freed on return; the trace keeps the directions taken, as ``bytes``,
+    and a reached trace's ``target`` is the target node's own ``grid``.
     """
     dirs, owner, offset, nodes = lattice.dirs, lattice.owner, lattice.offset, lattice.nodes
     origin = nodes[k].grid
-    f = origin[0] * lattice.stride + origin[1]
+    f = lattice.cell[k]
     moves: list[int] = []
-    seen = {f}
     outcome = MAX_STEPS
-    for _ in range(max_steps):
+    for n in range(max_steps):
         d = dirs[f]
         g = f + offset[d]
         o = owner[g]
-        if o != -1:  # the border or a node; node k itself is in seen
+        if o != -1:  # the border or a node
             if o == -2:
                 outcome = BOUNDARY
-                break
-            if o != k:
+            elif o != k:
                 return SearchTrace(origin, bytes(moves), REACHED, nodes[o].grid)
-        if g in seen:
-            outcome = CYCLE
+            else:
+                outcome = CYCLE
             break
+        if n > 1:  # step 2 is the first that can land on a free grid walked
+            if n == 2:
+                seen = {f - offset[moves[1]], f}
+            if g in seen:
+                outcome = CYCLE
+                break
+            seen.add(g)
         moves.append(d)
-        seen.add(g)
         f = g
     if moves:  # f is the final grid the walk stood on
         o = owner[f + offset[dirs[f]]]
@@ -397,7 +424,8 @@ def assemble(
     diagnostics in ``dropped``.
     """
     has_incoming = set(edges.values())
-    order = sorted(range(len(nodes)), key=lambda k: (nodes[k].grid[1], nodes[k].grid[0]))
+    row_major = [(n.grid[1], n.grid[0]) for n in nodes]
+    order = sorted(range(len(nodes)), key=row_major.__getitem__)
     used: set[int] = set()
     lines: list[Line] = []
     for k in order:
@@ -454,9 +482,8 @@ def decode(maps: PredictionMaps, config: DecodeConfig = DecodeConfig()) -> PageR
     nodes = extract_nodes(maps, config)
     max_steps = config.max_steps or maps.shape.w_g + maps.shape.h_g
     lattice = bordered_lattice(maps, nodes)
-    at = cells(n.grid for n in nodes)
-    sol = maps.sol[at].tolist()
-    eol = maps.eol[at].tolist()
+    sol = maps.sol[lattice.at].tolist()
+    eol = maps.eol[lattice.at].tolist()
     traces = [
         follow(lattice, k, max_steps) if e <= config.sol_eol_threshold
         else SearchTrace(nodes[k].grid, b"", END_OF_LINE)

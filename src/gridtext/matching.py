@@ -236,7 +236,9 @@ def match_lines(
     bit-identical to the one its script gives: the canonical script is a
     minimum script, so its I + D + S is d, the numerator is the same
     integer over the same n, and the float, the sort and the tie order are
-    those of scoring by script.
+    those of scoring by script.  The pairs sort as (-AR, p, q) tuples:
+    a rounded quotient's sign is exact, and -0.0 ties 0.0, so (p, q) still
+    breaks every AR tie.
     A transcript line that is empty has no AR, so it is a ValueError as
     soon as a result line is scored against it.
     """
@@ -252,13 +254,13 @@ def match_lines(
         pv, mv = cols[-1]
         for q, (ref, seg) in enumerate(zip(annots, segs), start=1):
             d = len(res) + (pv & seg).bit_count() - (mv & seg).bit_count()
-            scored.append(((len(ref) - d) / len(ref), p, q))
-    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
+            scored.append(((d - len(ref)) / len(ref), p, q))  # -AR, exactly
+    scored.sort()
     matched: dict[tuple[int, int], list[str]] = {}
     used_p: set[int] = set()
     used_q: set[int] = set()
-    for score, p, q in scored:
-        if score < th_ar:
+    for neg, p, q in scored:
+        if -neg < th_ar:
             break
         if p in used_p or q in used_q:
             continue

@@ -94,7 +94,8 @@ def det_counts(
     buckets: dict[int | None, list[Corners]] = {}
     for gbox, gcls in gts:
         buckets.setdefault(gcls if require_class else None, []).append(gbox.corners(shape))
-    order = sorted(range(len(results)), key=lambda k: -results[k][2])
+    neg_scores = [-r[2] for r in results]
+    order = sorted(range(len(results)), key=neg_scores.__getitem__)
     tp = 0
     for k in order:
         box, cls_id, _ = results[k]

@@ -166,7 +166,10 @@ class PredictionMaps:
         that class and direction rows sum to 1, reading each tensor's
         extremes once: ``min`` and ``max`` propagate NaN, and an infinite
         value is an extreme, so both extremes are finite exactly when every
-        element is.
+        element is.  A float32 probability tensor whose bit patterns prove
+        it finite and in [+0, 1] (:func:`_in_unit_interval`) skips that
+        read; any other tensor takes it, so every message and its order
+        stay those of the extremes alone.
 
         The row sums come from one float32 pass when its error bound, the
         module docstring's gamma_n, proves every float64 row sum within
@@ -179,13 +182,14 @@ class PredictionMaps:
             arr = getattr(self, name)
             if arr.shape != want:
                 raise MapFormatError(f"{name}: expected shape {want}, got {arr.shape}")
+            if name != "box" and _in_unit_interval(arr):
+                continue
             lo, hi = float(arr.min()), float(arr.max())
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise MapFormatError(f"{name}: non-finite payload (NaN or inf)")
             extremes[name] = lo, hi
-        for name in ("dis", "cls", "sol", "eol", "rd"):
-            lo, hi = extremes[name]
-            if lo < 0.0 or hi > 1.0:
+        for name, (lo, hi) in extremes.items():
+            if name != "box" and (lo < 0.0 or hi > 1.0):
                 raise MapFormatError(f"{name}: probability outside [0, 1]")
         for name in ("cls", "rd"):
             arr = getattr(self, name)
@@ -203,6 +207,23 @@ class PredictionMaps:
                 for f in _tensor_shapes(self.shape, self.n_cls)
             )
         )
+
+
+_FLOAT32_ONE_BITS = 0x3F800000  # the bit pattern of float32 1.0
+
+
+def _in_unit_interval(arr: np.ndarray) -> bool:
+    """True when ``arr`` is float32 and every element is +0 or a positive
+    float at most 1; False when it cannot tell.
+
+    Read as uint32 in the array's own byte order, the float32 values from
+    +0 through 1.0 are exactly the patterns 0 through ``0x3F800000``, in
+    order: -0.0, negatives, NaN and every value above 1, +inf included, lie
+    above it.  So one ``max`` over the patterns decides, where ``min`` and
+    ``max`` over the floats take two passes."""
+    if arr.dtype.kind != "f" or arr.itemsize != 4:
+        return False
+    return int(arr.view(arr.dtype.byteorder + "u4").max()) <= _FLOAT32_ONE_BITS
 
 
 def _rows_sum_to_one(arr: np.ndarray) -> bool:

@@ -153,6 +153,26 @@ def _follow_reference(maps, origin, node_scores, max_steps) -> SearchTrace:
     return SearchTrace(origin, moves, outcome, target)
 
 
+def _bordered_lattice_reference(maps, nodes):
+    """bordered_lattice's (dirs, owner, stride, offset, cell) built one grid
+    and one node at a time: each grid's argmax read on its own, each node
+    written into ``owner`` in turn."""
+    w, h = maps.shape.w_g, maps.shape.h_g
+    stride = h + 2
+    dirs = bytearray((w + 2) * stride)
+    owner = [-2] * len(dirs)
+    for i in range(1, w + 1):
+        for j in range(1, h + 1):
+            dirs[i * stride + j] = _argmax_dir(maps, (i, j))
+            owner[i * stride + j] = -1
+    cell = []
+    for k, n in enumerate(nodes):
+        cell.append(n.grid[0] * stride + n.grid[1])
+        owner[cell[-1]] = k
+    offset = tuple(di * stride + dj for di, dj in DIR_DELTAS)
+    return bytes(dirs), owner, stride, offset, cell
+
+
 def _resolve_edges_reference(
     nodes: Sequence[CharInstance], traces: Sequence[SearchTrace]
 ) -> dict[int, int]:
@@ -426,6 +446,62 @@ def test_follow_relaxed_target_beside_the_border():
     assert (trace.visited, trace.outcome, trace.target) == (
         [(3, 3), (4, 3), (5, 3)], REACHED, (5, 2)
     )
+
+
+# Walks that close a cycle, named by the step (from 0) that closes it.
+# follow builds ``seen`` at step 2: steps 0 and 1 cannot land on a walked
+# free grid, and a return to the origin is found through ``owner``.
+_R, _L, _U, _D = Direction.RIGHT, Direction.LEFT, Direction.UP, Direction.DOWN
+
+
+@pytest.mark.parametrize("directions, origin, node_scores, max_steps", [
+    pytest.param({(2, 2): _R, (3, 2): _L}, (2, 2), {}, 10, id="back-to-the-origin-at-step-1"),
+    pytest.param({(1, 1): _R, (2, 1): _R, (3, 1): _L}, (1, 1), {}, 10,
+                 id="2-cycle-closed-at-step-2"),
+    pytest.param({(1, 1): _R, (2, 1): _R, (3, 1): _R, (4, 1): _L}, (1, 1), {}, 10,
+                 id="2-cycle-closed-at-step-3"),
+    pytest.param({(1, 1): _D, (1, 2): _R, (2, 2): _R, (3, 2): _D, (3, 3): _L, (2, 3): _U},
+                 (1, 1), {(1, 3): 0.5, (2, 4): 0.7}, 10, id="4-cycle-after-a-tail"),
+    pytest.param({(1, 1): _D, (1, 2): _R, (2, 2): _R, (3, 2): _D, (3, 3): _L, (2, 3): _U},
+                 (1, 1), {}, 4, id="max-steps-inside-a-cycle"),
+])
+def test_follow_closes_a_cycle_as_the_reference_does(directions, origin, node_scores, max_steps):
+    maps = _walk_maps()
+    for grid, d in directions.items():
+        set_rd(maps, *grid, d)
+    trace = _follow(maps, origin, node_scores, max_steps)
+    assert trace == _follow_reference(maps, origin, node_scores, max_steps)
+
+
+@pytest.mark.parametrize("grids, message", [
+    ([(2, 2), (0, 3)], r"^node grid \(0, 3\) outside the 4x4 lattice$"),
+    ([(-1, 2)], r"^node grid \(-1, 2\) outside the 4x4 lattice$"),
+    ([(9, 9), (1, 1)], r"^node grid \(9, 9\) outside the 4x4 lattice$"),
+    ([(1, 1), (2, 3), (4, 4), (2, 3)], r"^node grid \(2, 3\) shared by two nodes$"),
+])
+def test_bordered_lattice_rejects_a_grid_off_the_lattice_or_shared(shape44, grids, message):
+    # Placed unchecked, (0, 3) would overwrite border cell 3, (-1, 2) would
+    # wrap into border cell 32, (9, 9) would index past the end, and the
+    # second (2, 3) would take the first one's grid.
+    nodes = [_node(g, 0.0, 0.0) for g in grids]
+    with pytest.raises(ValueError, match=message):
+        bordered_lattice(blank_maps(shape44, 1), nodes)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_bordered_lattice_matches_reference(data):
+    w, h = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    maps = blank_maps(GridShape(w, h, 16.0 * w, 16.0 * h), 1)
+    maps.rd = _rows(data.draw, (w, h, 4), data.draw(st.sampled_from([_UNIT, _COARSE_UNIT])))
+    grids = data.draw(st.just([]) | _some_grids(w, h))
+    nodes = [_node(g, 0.0, 0.0) for g in grids]
+    lattice = bordered_lattice(maps, nodes)
+    assert lattice.nodes is nodes
+    assert (lattice.dirs, lattice.owner, lattice.stride, lattice.offset, lattice.cell) == (
+        _bordered_lattice_reference(maps, nodes)
+    )
+    assert list(zip(*(a.tolist() for a in lattice.at))) == [(i - 1, j - 1) for i, j in grids]
 
 
 def test_reached_traces_share_their_target_nodes_grid():

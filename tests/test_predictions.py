@@ -32,6 +32,7 @@ from gridtext.predictions import (
     _blank_maps,
     _check_version,
     _header,
+    _in_unit_interval,
     _load_json,
     _rows_sum_to_one,
     _tensor_shapes,
@@ -896,9 +897,14 @@ def _map_format_error(check, maps):
     return None
 
 
-# NaN, the infinities, each side of 0 and 1, and the float32 extremes.
-_EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -1e-45, 1e-45,
-                float(np.nextafter(np.float32(1), np.float32(2))), 3.4e38, -3.4e38]
+# The bit patterns either side of _in_unit_interval's bound 0x3F800000
+# (1.0 and the next float32 above it) and of the sign bit (-0.0), the
+# smallest and largest subnormals, the infinities and NaN.
+_BIT_EDGES = [-0.0, 1.0, float(np.nextafter(np.float32(1), np.float32(2))), 1e-45,
+              float(np.nextafter(np.finfo(np.float32).tiny, np.float32(0))),
+              math.inf, -math.inf, math.nan]
+# Those, each side of 0, and the float32 extremes.
+_EDGE_VALUES = _BIT_EDGES + [0.0, -1e-45, 3.4e38, -3.4e38]
 
 
 @pytest.fixture(scope="module")
@@ -923,6 +929,29 @@ def test_validate_raises_what_the_reference_raises(noisy_maps, data):
             arr[at] = data.draw(st.sampled_from(_EDGE_VALUES) | st.floats(width=32))
     assert _map_format_error(PredictionMaps.validate, maps) == _map_format_error(
         _validate_reference, maps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", _BIT_EDGES, ids=repr)
+@pytest.mark.parametrize("name", ["dis", "cls", "sol", "eol", "rd"])
+def test_validate_raises_what_the_reference_raises_at_each_bit_pattern_edge(
+    noisy_maps, name, value
+):
+    maps = copy.deepcopy(noisy_maps)
+    getattr(maps, name).flat[7] = value
+    assert _map_format_error(PredictionMaps.validate, maps) == _map_format_error(
+        _validate_reference, maps)
+
+
+@pytest.mark.parametrize("dtype", ["<f4", ">f4"])
+@pytest.mark.parametrize("value", _BIT_EDGES, ids=repr)
+def test_unit_interval_bit_check_accepts_exactly_plus_zero_through_one(dtype, value):
+    arr = np.full((3, 2), 0.5, np.float32)
+    arr[1, 1] = value
+    want = not math.copysign(1.0, value) < 0 and 0.0 <= value <= 1.0
+    assert _in_unit_interval(arr.astype(dtype)) is want
+    assert _in_unit_interval(arr.astype(dtype)[:, 1]) is want  # a strided view
+    assert _in_unit_interval(arr.astype(np.float64)) is False
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
