@@ -133,6 +133,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.maps_dir:
         paths.extend(sorted(Path(args.maps_dir).iterdir()))
     if not paths:
+        if args.maps_dir:
+            raise ValueError(f"--maps-dir {args.maps_dir} holds no map files")
+        if args.maps is not None:
+            raise ValueError("--maps names no map files")
         raise ValueError("decode needs --maps or --maps-dir")
     by_page_id("map files", paths, lambda path: path.stem)  # each stem names a page
     config = DecodeConfig(**_given(args, "decode."))

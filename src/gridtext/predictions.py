@@ -410,121 +410,6 @@ def oracle_predict(page: "SyntheticPage", noise: OracleNoise) -> PredictionMaps:
     return maps
 
 
-_BLOCK = 256  # raw words _ScalarDraws fetches at a time
-
-
-class _ScalarDraws:
-    """The scalar ``rng.uniform(low, high)`` and ``rng.integers(low, high)``
-    draws, and the ``rng.choice(total, size, replace=False)`` samples, of a
-    PCG64 generator, served from its raw 64-bit words.
-
-    A scalar ``Generator`` call costs about 2 us, so a loop of a few draws
-    per character or per hit is set-up's largest cost; these draws cost a
-    fifth of that or less.  They reproduce numpy's samplers for PCG64
-    (numpy 2.x):
-
-    - ``uniform`` takes one word w and returns
-      ``low + (high - low) * ((w >> 11) * 2**-53)``;
-    - ``integers`` is Lemire's method on 32-bit halves, with numpy's
-      rejection threshold ``(2**32 - 1 - rng) % (rng + 1)`` for the range
-      ``rng = high - low - 1``.  A half comes from the generator's buffered
-      half-word if it has one, else from a new word, whose low half is
-      used and whose high half is buffered.  A range of one value draws
-      nothing.
-
-    Whenever its words run out, the reader fetches ``_BLOCK`` more with
-    ``bit_generator.random_raw``, which leaves the buffered half alone.
-    :meth:`close` gives back the k words fetched but not drawn with
-    ``bit_generator.advance(2**128 - k)``, which steps PCG64 back k words
-    because its advance works modulo 2**128, and then writes the buffered
-    half back, so the generator ends in the state the scalar calls leave.
-    ``tests/test_predictions.py`` checks the draws and that state against
-    numpy's scalar calls, and ``tests/test_synth.py`` and the spurious-hit
-    test check their users against the per-draw loops they replaced.
-    """
-
-    __slots__ = ("_bitgen", "_words", "_has_half", "_half")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._bitgen = rng.bit_generator
-        state = self._bitgen.state
-        if state["bit_generator"] != "PCG64":
-            raise TypeError(f"need a PCG64 generator, got {state['bit_generator']}")
-        self._words: list[int] = []  # fetched, not yet taken; the next one last
-        self._has_half = bool(state["has_uint32"])
-        self._half = state["uinteger"]
-
-    def _word(self) -> int:
-        words = self._words
-        if not words:
-            words[:] = self._bitgen.random_raw(_BLOCK).tolist()[::-1]
-        return words.pop()
-
-    def uniform(self, low: float, high: float) -> float:
-        words = self._words  # _word inlined: a third of a draw's cost
-        w = words.pop() if words else self._word()
-        return low + (high - low) * ((w >> 11) * 2.0**-53)
-
-    def _next32(self) -> int:
-        if self._has_half:
-            self._has_half = False
-            return self._half
-        w = self._word()
-        self._has_half, self._half = True, w >> 32
-        return w & 0xFFFFFFFF
-
-    def integers(self, low: int, high: int) -> int:
-        span = high - low
-        if span == 1:
-            return low
-        if not 1 < span <= 1 << 32:
-            raise ValueError(f"need 1 <= high - low <= 2**32, got {span}")
-        m = self._next32() * span
-        if (m & 0xFFFFFFFF) < span:
-            threshold = ((1 << 32) - span) % span
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._next32() * span
-        return low + (m >> 32)
-
-    def choice(self, total: int, size: int) -> list[int]:
-        """``rng.choice(total, size, replace=False).tolist()``, drawn as numpy
-        draws it: with ``shuffle=True`` numpy shuffles the tail of
-        ``range(total)`` when ``total > 10000`` and ``size > total // 50``;
-        otherwise it runs Floyd's algorithm, one draw on [0, j] for each
-        j in [total - size, total), then shuffles the sample, one draw on
-        [0, i] for each i from size - 1 down to 1.  Every draw is
-        :meth:`integers`'s, as numpy's bounded draws are;
-        ``tests/test_predictions.py`` checks the samples, their order and
-        the generator's final state against ``Generator.choice``."""
-        integers = self.integers
-        if total > 10000 and size > total // 50:
-            pool = list(range(total))
-            for i in range(total - 1, max(total - size, 1) - 1, -1):
-                k = integers(0, i + 1)
-                pool[i], pool[k] = pool[k], pool[i]
-            return pool[total - size:]
-        out: list[int] = []
-        seen: set[int] = set()
-        for j in range(total - size, total):
-            v = integers(0, j + 1)
-            v = j if v in seen else v  # every earlier value is below j
-            seen.add(v)
-            out.append(v)
-        for i in range(size - 1, 0, -1):
-            k = integers(0, i + 1)
-            out[i], out[k] = out[k], out[i]
-        return out
-
-    def close(self) -> None:
-        """Leave the generator in the state of the scalar calls: advanced by
-        the words taken, with the buffered half they left."""
-        if self._words:
-            self._bitgen.advance((1 << 128) - len(self._words))  # clears the half
-        state = self._bitgen.state
-        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
-        self._bitgen.state = state
-
-
 def _apply_noise(
     maps: PredictionMaps, plan: RenderPlan, noise: OracleNoise, rng: np.random.Generator
 ) -> None:
@@ -570,26 +455,18 @@ def _apply_noise(
         hits = rng.random((shape.w_g, shape.h_g)) < noise.spurious_p
         hits[plan.char_at] = False
         at = np.nonzero(hits)
-        # Each hit, in row-major order, makes the scalar draws dis, the class,
-        # x_o, y_o and scale.  No batched Generator call gives that mix in
-        # this order, so _ScalarDraws serves them;
-        # test_spurious_hits_match_the_per_hit_loop checks the maps and the
-        # generator's state against the per-hit loop.  The hits are distinct
-        # cells, so one scatter per tensor writes them.
+        # One call draws each of dis, the class, (x_o, y_o) and scale for
+        # every hit, hits in row-major order.  The hits are distinct cells,
+        # so one scatter per tensor writes them.
         n_hits = len(at[0])
-        draws = _ScalarDraws(rng)
-        uniform, integers = draws.uniform, draws.integers
-        values = [
-            (uniform(0.55, 0.9), integers(0, maps.n_cls), uniform(0.3, 0.7), uniform(0.3, 0.7),
-             uniform(0.8, 1.2))
-            for _ in range(n_hits)
-        ]
-        draws.close()
-        dis, cls, x_o, y_o, scale = np.array(values, dtype=np.float64).reshape(-1, 5).T
+        dis = rng.uniform(0.55, 0.9, n_hits)
+        cls = rng.integers(0, maps.n_cls, size=n_hits)
+        x_o, y_o = rng.uniform(0.3, 0.7, (n_hits, 2)).T
+        scale = rng.uniform(0.8, 1.2, n_hits)
         size_frac_w = mean_size / shape.img_w
         size_frac_h = mean_size / shape.img_h
         maps.dis[at] = dis
-        _set_rows(maps.cls, at, cls.astype(np.intp), 1.0, 0.0)
+        _set_rows(maps.cls, at, cls, 1.0, 0.0)
         maps.box[at] = np.stack(
             [x_o, y_o, np.minimum(size_frac_w * scale, 1.0), np.minimum(size_frac_h * scale, 1.0)],
             axis=1,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Box, GridShape, box_rows, grid_rows
 from .jsoncheck import BOX, check, finite, read_jsonl
-from .predictions import _ScalarDraws, path_rows, staircase_rows
+from .predictions import path_rows, staircase_rows
 
 if TYPE_CHECKING:
     from .decoder import PageResult, SearchTrace
@@ -210,10 +210,9 @@ def gen_paths(
     vertical unit moves with the vertical positions drawn uniformly at
     random; each step is a :func:`staircase_rows` (i, j, direction) row.
 
-    The positions are ``rng.choice(total, n_vert, replace=False)`` for each
-    pair with vertical moves, in (q, n) order, served by one
-    :class:`_ScalarDraws` reader; a pair without vertical moves draws
-    nothing, as a size-0 ``rng.choice`` does.
+    One ``rng.random`` call gives every step a key, pairs in (q, n) order;
+    a pair's ``n_vert`` smallest keys mark its vertical moves, a uniform
+    subset of its steps.
     """
     q, n = keys.T
     # Line lengths by q, 0 for a q outside the annotation.
@@ -224,18 +223,13 @@ def gen_paths(
     n_vert = np.abs(delta[:, 1])
     total = np.abs(delta[:, 0]) + n_vert
 
-    # Each step's flag says the move is vertical; a pair's vertical moves
-    # take the slots its draws pick among its steps.
-    starts = np.cumsum(total) - total
-    vert = np.zeros(total.sum(), dtype=bool)
-    if n_vert.any():
-        draws = _ScalarDraws(rng)
-        slots: list[int] = []
-        for start, t, v in zip(starts.tolist(), total.tolist(), n_vert.tolist()):
-            if v:
-                slots.extend(start + s for s in draws.choice(t, v))
-        draws.close()
-        vert[slots] = True
+    # Each step's flag says the move is vertical: its key's rank within its
+    # pair is below the pair's vertical count.
+    pair_of = np.repeat(np.arange(len(total)), total)
+    order = np.lexsort((rng.random(len(pair_of)), pair_of))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - (np.cumsum(total) - total)[pair_of]
+    vert = rank < n_vert[pair_of]
 
     return distinct_rows(staircase_rows(src, delta, vert))
 

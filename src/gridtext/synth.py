@@ -23,7 +23,7 @@ from .decoder import DecodeConfig, InvariantError, decode
 from .geometry import IMAGE_SIZE_RANGE, Box, GridShape
 from .jsoncheck import check_ranges, ranged
 from .matching import PageAnnotation
-from .predictions import OracleNoise, RenderPlan, _ScalarDraws, oracle_predict, render_plan
+from .predictions import OracleNoise, RenderPlan, oracle_predict, render_plan
 
 ROTATIONS = ("horizontal", "rot90", "rot180", "rot270")
 LAYOUT_KINDS = ROTATIONS + ("sine",)
@@ -110,14 +110,13 @@ def _rotate(box: Box, kind: str, img_w: float, img_h: float) -> Box:
 
 
 def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> SyntheticPage:
-    """Lay out one page from ``rng``, a ``default_rng`` (PCG64) generator.
+    """Lay out one page from ``rng``.
 
-    Each line draws its length, then each of its characters draws, in this
-    order, its centre's x and y jitter, its width and height and its class.
-    ``_ScalarDraws`` serves these scalar ``rng.uniform`` and ``rng.integers``
-    draws and leaves ``rng`` in the state the scalar calls leave;
-    ``tests/test_synth.py`` checks pages and state against the per-character
-    loop, kept there as ``_build_reference``.
+    One ``Generator`` call draws each quantity for the whole page, in this
+    order: the line lengths, each character's centre x and y jitter, its
+    width and height, and its class, characters in reading order.
+    ``tests/test_synth.py`` checks pages and the generator's state against
+    the per-character loop kept there as ``_build_reference``.
     """
     layout = config.layout
     cell = float(config.cell_px)
@@ -141,30 +140,31 @@ def _build(config: PageConfig, rng: np.random.Generator, page_id: str) -> Synthe
             f"{config.n_lines} lines do not fit in {config.h_g} grid rows"
         )
 
-    draws = _ScalarDraws(rng)
-    uniform, integers = draws.uniform, draws.integers
+    lo, hi = config.chars_per_line
+    lens = rng.integers(lo, hi + 1, size=config.n_lines).tolist()
+    n = sum(lens)
+    jitter = (rng.uniform(-0.2, 0.2, (n, 2)) * cell).tolist()
+    sizes = (rng.uniform(*CHAR_SIZE, (n, 2)) * cell).tolist()
+    classes = rng.integers(1, config.n_cls + 1, size=n).tolist()
     lines: list[list[int]] = []
     boxes: list[list[Box]] = []
-    for q in range(config.n_lines):
+    end = 0
+    for q, n_chars in enumerate(lens):
         row = row_margin + q * line_step + (line_step + 1) // 2
-        lo, hi = config.chars_per_line
-        n_chars = integers(lo, hi + 1)
-        lines.append([])
-        boxes.append([])
-        for k in range(n_chars):
+        start, end = end, end + n_chars
+        line_boxes = []
+        for k, ((dx, dy), (sw, sh)) in enumerate(zip(jitter[start:end], sizes[start:end])):
             col = col_margin + 1 + k * spacing
-            cx = (col - 0.5) * cell + uniform(-0.2, 0.2) * cell
-            cy = (row - 0.5) * cell + uniform(-0.2, 0.2) * cell
+            cx = (col - 0.5) * cell + dx
+            cy = (row - 0.5) * cell + dy
             if layout.kind == "sine":
                 cy += layout.amplitude * cell * math.sin(
                     2 * math.pi * cx / (layout.period * cell)
                 )
-            sw = uniform(*CHAR_SIZE) * cell
-            sh = uniform(*CHAR_SIZE) * cell
             box = Box(cx, cy, sw / img_w, sh / img_h)
-            boxes[q].append(_rotate(box, layout.kind, img_w, img_h))
-            lines[q].append(integers(1, config.n_cls + 1))
-    draws.close()
+            line_boxes.append(_rotate(box, layout.kind, img_w, img_h))
+        boxes.append(line_boxes)
+        lines.append(classes[start:end])
 
     if layout.kind in ("rot90", "rot270"):
         shape = GridShape(config.h_g, config.w_g, img_h, img_w)

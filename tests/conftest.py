@@ -77,6 +77,29 @@ def set_rd(maps: PredictionMaps, i: int, j: int, d: int) -> None:
 _DELTA_TO_DIR = {d: Direction(k) for k, d in enumerate(DIR_DELTAS)}
 
 
+class RecordingGenerator(np.random.Generator):
+    """A PCG64 ``Generator`` that keeps, in call order, what each of its
+    ``random``, ``uniform`` and ``integers`` calls returned, as
+    ``(name, array)`` pairs."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(np.random.PCG64(seed))
+        self.calls: list[tuple[str, np.ndarray]] = []
+
+    def _record(self, name: str, out):
+        self.calls.append((name, np.asarray(out)))
+        return out
+
+    def random(self, *args, **kwargs):
+        return self._record("random", super().random(*args, **kwargs))
+
+    def uniform(self, *args, **kwargs):
+        return self._record("uniform", super().uniform(*args, **kwargs))
+
+    def integers(self, *args, **kwargs):
+        return self._record("integers", super().integers(*args, **kwargs))
+
+
 def staircase(src, dst, vertical_slots=None) -> list[tuple[int, int, int]]:
     """Monotone grid path from ``src`` to ``dst`` as (i, j, d) int steps.
 

@@ -467,6 +467,8 @@ def _with_char(**keys) -> dict:
                  id="synth-grid-h-past-uint32"),
     pytest.param({"config.json": json.dumps({"pages": 1, "dataset": {"w_g": 10**21}})},
                  _TRAIN_SIM, id="train-sim-grid-w-past-uint32"),
+    pytest.param({}, ["decode", "--maps-dir", "."], id="decode-empty-maps-dir"),
+    pytest.param({}, ["decode", "--maps"], id="decode-maps-without-files"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
@@ -515,10 +517,14 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, fi
      "error: no results in results.jsonl\n"),
     ({"results.jsonl": _jsonl(_RESULT)}, ["viz", "--results", "results.jsonl", "--page", "zz"],
      "error: page 'zz' not in results.jsonl\n"),
+    ({}, ["decode", "--maps-dir", "."], "error: --maps-dir . holds no map files\n"),
+    ({}, ["decode", "--maps"], "error: --maps names no map files\n"),
+    ({}, ["decode"], "error: decode needs --maps or --maps-dir\n"),
 ], ids=["iou-th", "img-w", "char-w", "char-score", "annotation-box-w-0",
         "annotation-box-h-negative", "store-row-h-0", "annotation-empty-line",
         "annotation-no-box-lines", "annotation-extra-box", "map-n-cls-0", "map-grid-w-0",
-        "chars-per-line-3-items", "eval-no-annotations", "viz-no-results", "viz-unknown-page"])
+        "chars-per-line-3-items", "eval-no-annotations", "viz-no-results", "viz-unknown-page",
+        "decode-empty-maps-dir", "decode-maps-without-files", "decode-no-maps-flag"])
 def test_eval_range_errors_name_the_flag_or_the_row(tmp_path, monkeypatch, capsys, files, argv,
                                                     message):
     monkeypatch.chdir(tmp_path)

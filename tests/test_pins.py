@@ -27,11 +27,11 @@ _CONFIG = {
     ],
 }
 PINS = {
-    "results.jsonl": "fdeda3517537b8eeaa8aabd327d21a925cdc0cee0be172273a141c39d1337d53",
-    "eval.json": "825065f8d751cc57941c46a519316119addfa0572e8c619de2ed299945e0a766",
-    "run/store.jsonl": "6138d74b10f4bdecf5e574db06eef94933eba5bb5f811b56f146788e12d84982",
-    "run/pass_reports.jsonl": "20db4a67afc59f960290f368e14987de1b66b4bd25a8b9f50609808400a8c045",
-    "run/labels.jsonl": "794a48168cf40680607e1033a293bec77eb8db3876aa038ea285c526408e2887",
+    "results.jsonl": "f30d4dc5e8159ef6c0373ce7d302c997852cae5fceb0e07d76ad8be9c3677bfd",
+    "eval.json": "7fef1f8053288cf3e156e81b8955768298464930dd05e566f2a269412da8305c",
+    "run/store.jsonl": "bc7b8b1bed63359f21aa0a68ecec411c4f88b3f2c766ccbc91bf79c09633004e",
+    "run/pass_reports.jsonl": "715e1cfdc04c094c55212726ca4b68d87eaff6d5fb38e09622b4644ea66dbec3",
+    "run/labels.jsonl": "d766da631758a78185322bf9022e1406174567529936eb5a75a4a87a38cee6c9",
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import staircase
+from conftest import RecordingGenerator, staircase
 from gridtext import predictions
 from gridtext.geometry import Box, GridShape, cells, grid_of
 from gridtext.matching import PageAnnotation
@@ -221,13 +221,17 @@ def _apply_noise_reference(maps, chars, grids, noise, rng):
         hits = rng.random((shape.w_g, shape.h_g)) < noise.spurious_p
         size_frac_w = mean_size / shape.img_w
         size_frac_h = mean_size / shape.img_h
-        for i0, j0 in np.argwhere(hits):
-            if (int(i0) + 1, int(j0) + 1) in grids:
-                continue
-            maps.dis[i0, j0] = rng.uniform(0.55, 0.9)
-            maps.cls[i0, j0] = _one_hot(maps.n_cls, int(rng.integers(0, maps.n_cls)))
-            x_o, y_o = rng.uniform(0.3, 0.7, size=2)
-            scale = rng.uniform(0.8, 1.2)
+        at = [(int(i0), int(j0)) for i0, j0 in np.argwhere(hits)
+              if (int(i0) + 1, int(j0) + 1) not in grids]
+        # One scalar draw per hit for each quantity in turn: dis, the class,
+        # (x_o, y_o) and scale.
+        dis = [rng.uniform(0.55, 0.9) for _ in at]
+        cls = [int(rng.integers(0, maps.n_cls)) for _ in at]
+        offsets = [(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)) for _ in at]
+        scales = [rng.uniform(0.8, 1.2) for _ in at]
+        for (i0, j0), d, c, (x_o, y_o), scale in zip(at, dis, cls, offsets, scales):
+            maps.dis[i0, j0] = d
+            maps.cls[i0, j0] = _one_hot(maps.n_cls, c)
             maps.box[i0, j0] = (
                 float(x_o),
                 float(y_o),
@@ -413,9 +417,10 @@ _NO_CHARS = RenderPlan(
 @example(w_g=1, h_g=1, n_cls=3, spurious_p=1e-12, seed=0)  # no hit
 @example(w_g=40, h_g=40, n_cls=7, spurious_p=1.0, seed=0)  # every grid a hit
 def test_spurious_hits_match_the_per_hit_loop(w_g, h_g, n_cls, spurious_p, seed):
-    """The spurious pass draws each hit's values as the per-hit loop did and
-    writes all hits at once: the same maps, and the generator left in the
-    same state for the draws after it."""
+    """The spurious pass draws each quantity for all hits at once, as the
+    per-hit loops draw them one value at a time, and writes all hits at
+    once: the same maps, and the generator left in the same state for the
+    draws after it."""
     shape = GridShape(w_g, h_g, 16.0 * w_g, 16.0 * h_g)
     noise = OracleNoise(spurious_p=spurious_p, seed=seed)
     got, want = _blank_maps(shape, n_cls), _blank_maps(shape, n_cls)
@@ -424,6 +429,34 @@ def test_spurious_hits_match_the_per_hit_loop(w_g, h_g, n_cls, spurious_p, seed)
     _apply_noise_reference(want, [], {}, noise, ref_rng)
     _assert_same_maps(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    w_g=st.integers(1, 30),
+    h_g=st.integers(1, 30),
+    n_cls=st.sampled_from([1, 2]) | st.integers(1, 50),
+    spurious_p=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spurious_draws_lie_in_their_ranges(w_g, h_g, n_cls, spurious_p, seed):
+    """The spurious pass's draws after the hit draw, one value per hit
+    each: dis in [0.55, 0.9), the class in [0, n_cls), (x_o, y_o) in
+    [0.3, 0.7) and the scale in [0.8, 1.2); the hit cells hold that dis
+    and class."""
+    shape = GridShape(w_g, h_g, 16.0 * w_g, 16.0 * h_g)
+    maps = _blank_maps(shape, n_cls)
+    rng = RecordingGenerator(seed)
+    _apply_noise(maps, _NO_CHARS, OracleNoise(spurious_p=spurious_p), rng)
+    names, (hits, dis, cls, offsets, scale) = zip(*rng.calls[-5:])
+    assert names == ("random", "uniform", "integers", "uniform", "uniform")
+    at = np.nonzero(hits < spurious_p)
+    n_hits = len(at[0])
+    assert dis.shape == cls.shape == scale.shape == (n_hits,) and offsets.shape == (n_hits, 2)
+    assert ((0.55 <= dis) & (dis < 0.9)).all() and ((0 <= cls) & (cls < n_cls)).all()
+    assert ((0.3 <= offsets) & (offsets < 0.7)).all() and ((0.8 <= scale) & (scale < 1.2)).all()
+    assert np.array_equal(maps.dis[at], dis.astype(np.float32))
+    assert np.array_equal(np.argmax(maps.cls[at], axis=-1), cls)
 
 
 def test_reused_plan_is_never_changed_or_shared():
@@ -522,122 +555,6 @@ def test_batched_direction_draws_equal_scalar_draws(warmup):
             draws = batched.integers(0, 4, size=k)
             assert draws.tolist() == [int(scalar.integers(0, 4)) for _ in range(k)]
             assert batched.bit_generator.state == scalar.bit_generator.state
-
-
-# Ranges of one value (no draw), two, a hundred, 2**31 + 1 (about half the
-# 32-bit draws are rejected, so the rejection loop runs), 2**32 - 1 and
-# 2**32 (a plain 32-bit draw).
-_SPANS = st.sampled_from([1, 2, 100, 2**31 + 1, 2**32 - 1, 2**32]) | st.integers(1, 2**32)
-_FINITE = st.floats(-1e3, 1e3)
-_UNIFORM = st.tuples(st.just("uniform"), _FINITE, _FINITE).map(
-    lambda t: (t[0], min(t[1:]), max(t[1:])))
-_INTEGERS = st.tuples(st.just("integers"), st.integers(-2**40, 2**40), _SPANS).map(
-    lambda t: (t[0], t[1], t[1] + t[2]))
-_BLOCK = predictions._BLOCK
-
-
-@settings(deadline=None, max_examples=300)
-@given(
-    warmup=st.integers(0, 3),
-    seed=st.integers(0, 2**32 - 1),
-    lead=st.integers(0, _BLOCK),
-    ops=st.lists(_UNIFORM | _INTEGERS, max_size=72),
-)
-def test_scalar_draws_equal_numpy_scalar_calls(warmup, seed, lead, ops):
-    """Any interleaving of uniform and integers draws gives the values of
-    numpy's scalar calls and leaves the generator in the same state, from a
-    buffered half-word (odd warm-up) or none (even).  ``lead`` doubles drawn
-    first move the ops across a block's end when it is near ``_BLOCK``."""
-    rng = np.random.default_rng(seed)
-    rng.integers(0, 100, size=warmup)
-    ref = np.random.default_rng()
-    ref.bit_generator.state = rng.bit_generator.state
-    draws = predictions._ScalarDraws(rng)
-    assert [draws.uniform(0.0, 1.0) for _ in range(lead)] == ref.random(lead).tolist()
-    for op, low, high in ops:
-        got, want = getattr(draws, op)(low, high), getattr(ref, op)(low, high)
-        if op == "uniform":
-            assert got.hex() == want.hex()
-        else:
-            assert got == int(want)
-    draws.close()
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
-@pytest.mark.parametrize("warmup", [0, 1])
-@pytest.mark.parametrize(
-    "n_words", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK - 7])
-def test_scalar_draws_cross_blocks(warmup, n_words):
-    """Draws that take ``n_words`` words, so close finds no block fetched,
-    part of the last block left, or all of it drawn (none left), from a
-    buffered half-word (warm-up 1) or none.  Every third draw is a 32-bit
-    integer, which takes a half-word."""
-    ops, words, half = [], 0, bool(warmup)
-    while words < n_words:
-        if len(ops) % 3 == 2:
-            ops.append(("integers", -5, 2**32 - 5))
-            words, half = words + (not half), not half
-        else:
-            ops.append(("uniform", -1.0, 3.0))
-            words += 1
-    rng = np.random.default_rng(n_words)
-    rng.integers(0, 100, size=warmup)
-    ref = np.random.default_rng()
-    ref.bit_generator.state = rng.bit_generator.state
-    draws = predictions._ScalarDraws(rng)
-    got = [getattr(draws, op)(low, high) for op, low, high in ops]
-    assert got == [getattr(ref, op)(low, high) for op, low, high in ops]
-    assert len(draws._words) == -n_words % _BLOCK
-    draws.close()
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    warmup=st.integers(0, 3),
-    seed=st.integers(0, 2**32 - 1),
-    lead=st.sampled_from([0, 1, _BLOCK - 2, _BLOCK - 1]) | st.integers(0, _BLOCK),
-    total=st.sampled_from([1, 2, 255, 256]) | st.integers(1, 256),
-)
-def test_choice_equals_generator_choice(warmup, seed, lead, total):
-    """``choice(total, size)`` for every size from 1 to ``total``, one after
-    another from one reader, gives ``Generator.choice``'s samples in its
-    order and leaves the generator in its state, from a buffered half-word
-    (odd warm-up) or none; ``lead`` doubles drawn first, and the samples'
-    own draws, carry the draws across ``_BLOCK`` ends.  256 is the longest
-    staircase on a 128 x 128 page."""
-    rng = np.random.default_rng(seed)
-    rng.integers(0, 100, size=warmup)
-    ref = np.random.default_rng()
-    ref.bit_generator.state = rng.bit_generator.state
-    draws = predictions._ScalarDraws(rng)
-    assert [draws.uniform(0.0, 1.0) for _ in range(lead)] == ref.random(lead).tolist()
-    for size in range(1, total + 1):
-        assert draws.choice(total, size) == ref.choice(total, size, replace=False).tolist()
-    draws.close()
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
-@pytest.mark.parametrize("total, size", [(10001, 200), (10001, 201), (20000, 401), (10001, 10001)])
-def test_choice_equals_generator_choice_past_numpy_cutoff(total, size):
-    """Above 10000 values numpy shuffles the tail of the range instead once
-    ``size > total // 50``; (10001, 200) is the last size that runs Floyd's."""
-    rng, ref = np.random.default_rng(total + size), np.random.default_rng(total + size)
-    rng.integers(0, 100)
-    ref.integers(0, 100)
-    draws = predictions._ScalarDraws(rng)
-    assert draws.choice(total, size) == ref.choice(total, size, replace=False).tolist()
-    draws.close()
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
-def test_scalar_draws_reject_what_they_cannot_reproduce():
-    with pytest.raises(TypeError, match="PCG64"):
-        predictions._ScalarDraws(np.random.Generator(np.random.MT19937(0)))
-    draws = predictions._ScalarDraws(np.random.default_rng(0))
-    for high in (0, 2**32 + 1):
-        with pytest.raises(ValueError, match="high - low"):
-            draws.integers(0, high)
 
 
 def test_save_load_binary_round_trip(tmp_path, page):

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import row_set, staircase
+from conftest import row_set, set_rd, staircase
 from gridtext.decoder import (
     BOUNDARY,
     END_OF_LINE,
@@ -168,9 +169,10 @@ def test_gen_paths_adjacency_and_endpoint(si, sj, ti, tj, seed):
 
 
 def _gen_paths_reference(labels, annot, shape, rng):
-    """The loop before pairs without vertical moves stopped drawing: every
-    pair with any move calls ``rng.choice``, and each grid is recomputed.
-    Returns the set of (i, j, d) steps."""
+    """One pair at a time, each grid recomputed: every step of a pair draws
+    a scalar ``rng.random`` key, and the pair's vertical moves take the
+    slots of its ``n_vert`` smallest keys.  Returns the set of (i, j, d)
+    steps."""
     s_rd = set()
     for q, line in enumerate(annot.lines, start=1):
         for n in range(1, len(line)):
@@ -182,8 +184,9 @@ def _gen_paths_reference(labels, annot, shape, rng):
             dst = grid_of(b.box, shape)
             total = abs(dst[0] - src[0]) + abs(dst[1] - src[1])
             n_vert = abs(dst[1] - src[1])
-            slots = rng.choice(total, size=n_vert, replace=False) if total else []
-            for i, j, d in staircase(src, dst, vertical_slots=[int(s) for s in slots]):
+            keys = [rng.random() for _ in range(total)]
+            slots = sorted(range(total), key=keys.__getitem__)[:n_vert]
+            for i, j, d in staircase(src, dst, vertical_slots=slots):
                 s_rd.add((i, j, int(d)))
     return s_rd
 
@@ -233,6 +236,34 @@ def test_gen_paths_matches_reference_and_leaves_the_same_rng_state(case, seed):
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("dx, dy", [(2, 2), (1, 1), (3, 1), (1, 3), (3, 2), (-2, 2), (2, -2)])
+def test_gen_paths_picks_each_vertical_subset_of_a_pair_equally_often(dx, dy):
+    """6,000 pairs, each ``dx`` grids right and ``dy`` down (left or up
+    when negative), each on rows of its own: each of the ways to place the
+    ``|dy|`` vertical moves among the pair's steps is drawn within 5
+    binomial standard deviations of its equal share."""
+    n_pairs = 6000
+    stride = abs(dy) + 1  # pair q's steps lie on rows stride * q to stride * q + |dy|
+    q = np.repeat(np.arange(1, n_pairs + 1), 2)
+    keys = np.stack([q, np.tile([1, 2], n_pairs)], axis=1)
+    i0, j0 = 1 + max(-dx, 0), max(-dy, 0)
+    grids = np.stack([np.tile([i0, i0 + dx], n_pairs),
+                      stride * q + np.tile([j0, j0 + dy], n_pairs)], axis=1)
+    annot = PageAnnotation(lines=[[1, 1]] * n_pairs)
+    s_rd = gen_paths(keys, grids, annot, np.random.default_rng(36))
+    paths: dict[int, set] = {}
+    for i, j, d in s_rd.tolist():
+        paths.setdefault(j // stride, set()).add((i, j % stride, d))
+    total = abs(dx) + abs(dy)
+    assert len(paths) == n_pairs and all(len(path) == total for path in paths.values())
+    counts = Counter(frozenset(path) for path in paths.values())
+    assert len(counts) == math.comb(total, abs(dy))
+    p = 1 / len(counts)
+    sd = math.sqrt(n_pairs * p * (1 - p))
+    for path, count in counts.items():
+        assert abs(count - n_pairs * p) <= 5 * sd, (sorted(path), count)
+
+
 @given(width=st.integers(2, 4), data=st.data())
 def test_distinct_rows_lists_rows_as_sorted_set_does(width, data):
     rows = data.draw(st.lists(st.tuples(*[st.integers(-2, 9)] * width), max_size=40)
@@ -244,8 +275,8 @@ def test_distinct_rows_lists_rows_as_sorted_set_does(width, data):
 
 def _build_targets_reference(labels, annot, result, m_ce, shape, rng):
     """The set-based body ``build_targets`` had before it built sorted rows,
-    with ``_gen_paths_reference``'s per-pair ``rng.choice``; returns each
-    target set by name."""
+    with ``_gen_paths_reference``'s per-step keys; returns each target set
+    by name."""
     grids = {key: grid_of(label.box, shape) for key, label in labels.items()}
     per_grid = {}
     for (q, n) in sorted(labels):
@@ -389,11 +420,15 @@ def test_build_targets_d_neg_from_traces():
 def test_build_targets_d_neg_skips_end_of_line_chars_on_a_decoded_page():
     # A line's last character has a path only when no end-of-line flag ended
     # its line: an end-of-line node never walks.  Line 2's last flag is
-    # cleared, so its last node walks off the page and its path counts.
+    # cleared, and the directions from its last node to the page's right
+    # edge, the empty tail of its horizontal line, point right, so that
+    # node walks off the page and its path counts.
     page = gen_page(PageConfig(n_lines=3, chars_per_line=(4, 6), n_cls=10, seed=11))
     maps = oracle_predict(page, OracleNoise())
     i, j = grid_of(page.annotation.boxes[1][-1], page.shape)
     maps.eol[i - 1, j - 1] = 1e-6
+    for tail in range(i, page.shape.w_g + 1):
+        set_rd(maps, tail, j, Direction.RIGHT)
     result = decode(maps)
     assert result.transcripts() == page.annotation.lines
     m_ce = {(p, m) for p, line in enumerate(result.lines, 1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import RecordingGenerator
 from gridtext import synth
 from gridtext.geometry import Box, GridShape, grid_of
 from gridtext.matching import PageAnnotation
@@ -145,8 +146,9 @@ def test_first_build_round_trips(grid, kind, seed, page_index, amplitude):
 
 
 def _build_reference(config: PageConfig, rng: np.random.Generator, page_id: str) -> SyntheticPage:
-    """``synth._build`` as it was, with five scalar Generator calls per
-    character: the oracle for the raw-word draws that replaced them."""
+    """``synth._build`` with one scalar Generator call per drawn value, the
+    values in ``_build``'s order: every line length, every character's x
+    and y jitter, every width and height, then every class."""
     layout = config.layout
     cell = float(config.cell_px)
     img_w = config.w_g * cell
@@ -169,27 +171,33 @@ def _build_reference(config: PageConfig, rng: np.random.Generator, page_id: str)
             f"{config.n_lines} lines do not fit in {config.h_g} grid rows"
         )
 
+    lo, hi = config.chars_per_line
+    lens = [int(rng.integers(lo, hi + 1)) for _ in range(config.n_lines)]
+    n = sum(lens)
+    jitter = [(float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-0.2, 0.2))) for _ in range(n)]
+    sizes = [(float(rng.uniform(*CHAR_SIZE)), float(rng.uniform(*CHAR_SIZE))) for _ in range(n)]
+    classes = [int(rng.integers(1, config.n_cls + 1)) for _ in range(n)]
     lines: list[list[int]] = []
     boxes: list[list[Box]] = []
-    for q in range(config.n_lines):
+    c = 0  # the character's index in reading order
+    for q, n_chars in enumerate(lens):
         row = row_margin + q * line_step + (line_step + 1) // 2
-        lo, hi = config.chars_per_line
-        n_chars = int(rng.integers(lo, hi + 1))
         lines.append([])
         boxes.append([])
         for k in range(n_chars):
             col = col_margin + 1 + k * spacing
-            cx = (col - 0.5) * cell + float(rng.uniform(-0.2, 0.2)) * cell
-            cy = (row - 0.5) * cell + float(rng.uniform(-0.2, 0.2)) * cell
+            cx = (col - 0.5) * cell + jitter[c][0] * cell
+            cy = (row - 0.5) * cell + jitter[c][1] * cell
             if layout.kind == "sine":
                 cy += layout.amplitude * cell * math.sin(
                     2 * math.pi * cx / (layout.period * cell)
                 )
-            sw = float(rng.uniform(*CHAR_SIZE)) * cell
-            sh = float(rng.uniform(*CHAR_SIZE)) * cell
+            sw = sizes[c][0] * cell
+            sh = sizes[c][1] * cell
             box = Box(cx, cy, sw / img_w, sh / img_h)
             boxes[q].append(synth._rotate(box, layout.kind, img_w, img_h))
-            lines[q].append(int(rng.integers(1, config.n_cls + 1)))
+            lines[q].append(classes[c])
+            c += 1
 
     if layout.kind in ("rot90", "rot270"):
         shape = GridShape(config.h_g, config.w_g, img_h, img_w)
@@ -237,3 +245,33 @@ def test_build_matches_the_per_draw_loop(kind, amplitude, n_lines, chars, n_cls,
                         layout=Layout(kind, amplitude=amplitude), w_g=w_g, h_g=h_g)
     got = _build_outcome(synth._build, config, seed, warmup)
     assert got == _build_outcome(_build_reference, config, seed, warmup)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    kind=st.sampled_from(LAYOUT_KINDS),
+    n_lines=st.integers(1, 8),
+    chars=st.tuples(st.integers(1, 10), st.integers(0, 6)).map(lambda t: (t[0], t[0] + t[1])),
+    n_cls=st.sampled_from([1, 2, 2**32 - 1]) | st.integers(1, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_draws_every_quantity_in_its_range(kind, n_lines, chars, n_cls, seed):
+    """``_build``'s four column draws, in order: the line lengths in
+    ``chars_per_line``, every character's jitter within 0.2 cell, its width
+    and height in ``CHAR_SIZE`` and its class in [1, n_cls]; one value per
+    line or per character."""
+    config = PageConfig(n_lines=n_lines, chars_per_line=chars, n_cls=n_cls,
+                        layout=Layout(kind, amplitude=1.0), w_g=2 * chars[1] + 4,
+                        h_g=3 * n_lines + 6)
+    rng = RecordingGenerator(seed)
+    page = synth._build(config, rng, "p")
+    names, (lens, jitter, sizes, classes) = zip(*rng.calls)
+    assert names == ("integers", "uniform", "uniform", "integers")
+    n = sum(map(len, page.annotation.lines))
+    assert lens.tolist() == [len(line) for line in page.annotation.lines]
+    assert chars[0] <= lens.min() and lens.max() <= chars[1]
+    assert jitter.shape == sizes.shape == (n, 2)
+    assert -0.2 <= jitter.min() and jitter.max() < 0.2
+    assert CHAR_SIZE[0] <= sizes.min() and sizes.max() < CHAR_SIZE[1]
+    assert classes.tolist() == [c for line in page.annotation.lines for c in line]
+    assert 1 <= classes.min() and classes.max() <= n_cls
