@@ -1,53 +1,12 @@
-"""Grid-based page text decoding with a weakly supervised training loop."""
+"""Grid-based page text decoding with a weakly supervised training loop.
 
-from .geometry import Box, GridShape, abs_to_rel, grid_of, ious, nms, rel_to_abs
-from .predictions import (
-    Direction,
-    GridCollisionError,
-    MapFormatError,
-    OracleNoise,
-    PredictionMaps,
-    load_maps,
-    oracle_predict,
-    render_plan,
-    save_maps,
-)
-from .decoder import (
-    CharInstance,
-    DecodeConfig,
-    InvariantError,
-    Line,
-    NGramLM,
-    PageResult,
-    SearchTrace,
-    bordered_lattice,
-    decode,
-    extract_nodes,
-    follow,
-    fused_score,
-    rescore_with_lm,
-)
-from .matching import (
-    ErrorCounts,
-    PageAnnotation,
-    edit_counts,
-    edit_script,
-    match_chars,
-    match_lines,
-    spatial_filter,
-)
-from .pseudolabels import (
-    LossTargets,
-    PseudoLabel,
-    PseudoLabelStore,
-    build_targets,
-    gen_paths,
-    update,
-    update_weight,
-)
-from .losses import LossReport, compute_losses
-from .metrics import ar_star, det_prf, page_ar_cr
-from .synth import GenerationError, Layout, PageConfig, SyntheticPage, gen_dataset, gen_page
-from .simloop import ConfigError, PassReport, StageConfig, export_labels, run_stage
+Each public name lives in one submodule: ``geometry`` (boxes, IoU, NMS),
+``predictions`` (maps, oracle, map files), ``decoder`` (maps to lines),
+``matching`` (lines to transcripts), ``pseudolabels`` (label store, loss
+targets), ``losses``, ``metrics`` (AR*/CR*), ``synth`` (pages), ``simloop``
+(training stages), ``jsoncheck`` (strict JSON input) and ``cli``.
+"""
+
+from . import decoder, geometry, jsoncheck, losses, matching, metrics, predictions, pseudolabels, simloop, synth
 
 __version__ = "0.1.0"

@@ -36,20 +36,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _emit(doc: dict | list, out: str | Path | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
-
-
-def _write_jsonl(rows: typing.Iterable[dict], out: str | Path | None) -> None:
-    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+def _write(text: str, out: str | Path | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is unset."""
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict | list, out: str | Path | None) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+
+
+def _write_jsonl(rows: typing.Iterable[dict], out: str | Path | None) -> None:
+    _write("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows), out)
 
 
 def _add_fields(
@@ -405,14 +405,10 @@ def cmd_viz(args: argparse.Namespace) -> int:
     results = load_results(args.results)
     if not results:
         raise ValueError(f"no results in {args.results}")
-    page_id = args.page or sorted(results)[0]
+    page_id = sorted(results)[0] if args.page is None else args.page
     if page_id not in results:
         raise ValueError(f"page {page_id!r} not in {args.results}")
-    svg = render_page_svg(results[page_id])
-    if args.out:
-        Path(args.out).write_text(svg + "\n")
-    else:
-        print(svg)
+    _write(render_page_svg(results[page_id]) + "\n", args.out)
     return 0
 
 

@@ -271,14 +271,15 @@ def follow(lattice: Lattice, k: int, max_steps: int) -> SearchTrace:
     the node its direction points at, else the 4-neighbour with the highest
     score (ties row-major).  Node ``k`` itself is never a valid target.
 
-    Each step is one add and one ``owner`` lookup on plain ints; the
-    border ends a walk as the lattice edge did.  A step back onto node
-    ``k``'s own cell closes a cycle, so ``seen`` holds only the free grids
-    walked.  Steps count from 0, and a step never lands where it stands, so
-    step 2 is the first that can land on a walked free grid: ``seen`` is
-    built there, and the many walks that end sooner build none.  It is
-    freed on return; the trace keeps the directions taken, as ``bytes``,
-    and a reached trace's ``target`` is the target node's own ``grid``.
+    Each step is one add and one ``owner`` lookup on plain ints; a step
+    onto the border that rings the lattice ends the walk as ``BOUNDARY``.
+    A step back onto node ``k``'s own cell closes a cycle, so ``seen``
+    holds only the free grids walked.  Steps count from 0, and a step
+    never lands where it stands, so step 2 is the first that can land on
+    a walked free grid: ``seen`` is built there, and the many walks that
+    end sooner build none.  It is freed on return; the trace keeps the
+    directions taken, as ``bytes``, and a reached trace's ``target`` is
+    the target node's own ``grid``.
     """
     dirs, owner, offset, nodes = lattice.dirs, lattice.owner, lattice.offset, lattice.nodes
     origin = nodes[k].grid

@@ -89,7 +89,7 @@ def det_counts(
     is at most 0, or NaN where infinite extents meet, and ``corner_iou``
     returns 0.0 either way, which never beats ``best_iou``: it starts at
     0.0 and ``>`` is strict.  A NaN x corner makes both comparisons false,
-    so such a box is tested as before.
+    so such a box is never skipped and always goes to ``corner_iou``.
     """
     buckets: dict[int | None, list[Corners]] = {}
     for gbox, gcls in gts:

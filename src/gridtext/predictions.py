@@ -168,8 +168,8 @@ class PredictionMaps:
         value is an extreme, so both extremes are finite exactly when every
         element is.  A float32 probability tensor whose bit patterns prove
         it finite and in [+0, 1] (:func:`_in_unit_interval`) skips that
-        read; any other tensor takes it, so every message and its order
-        stay those of the extremes alone.
+        read, as its extremes could fail no check; any other tensor takes
+        it, so a failing map raises the message its extremes give.
 
         The row sums come from one float32 pass when its error bound, the
         module docstring's gamma_n, proves every float64 row sum within
@@ -501,31 +501,16 @@ def save_maps(maps: PredictionMaps, path: str | Path) -> None:
     """Write maps to ``path``; ``.json`` selects the JSON mirror format."""
     path = Path(path)
     names = _tensor_shapes(maps.shape, maps.n_cls)
+    shape = maps.shape
+    header = (shape.w_g, shape.h_g, maps.n_cls, shape.img_w, shape.img_h)
     if path.suffix == ".json":
-        doc = {
-            "version": FORMAT_VERSION,
-            "w_g": maps.shape.w_g,
-            "h_g": maps.shape.h_g,
-            "n_cls": maps.n_cls,
-            "img_w": maps.shape.img_w,
-            "img_h": maps.shape.img_h,
-        }
+        doc = {"version": FORMAT_VERSION, **dict(zip(_JSON_HEADER, header))}
         for name in names:
             doc[name] = getattr(maps, name).astype(np.float32).tolist()
         path.write_text(json.dumps(doc))
         return
     with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                MAGIC,
-                FORMAT_VERSION,
-                maps.shape.w_g,
-                maps.shape.h_g,
-                maps.n_cls,
-                float(maps.shape.img_w),
-                float(maps.shape.img_h),
-            )
-        )
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, *header))
         for name in names:  # little-endian on any host, as _load_binary reads
             fh.write(np.ascontiguousarray(getattr(maps, name), dtype="<f4"))
 
@@ -551,7 +536,7 @@ def load_maps(path: str | Path) -> PredictionMaps:
         else:
             raw = head + stream.read()
             if raw.lstrip()[:1] != b"{":
-                raise MapFormatError(f"header: not a prediction-map file ({path})")
+                raise MapFormatError("header: not a prediction-map file")
             shape, n_cls, tensors = _load_json(raw)
     maps = PredictionMaps(shape=shape, n_cls=n_cls, **tensors)
     maps.validate()

@@ -140,10 +140,13 @@ def update(
     A missing label is copied from the prediction with gamma set to the
     box score; an existing one becomes the convex combination weighted by
     :func:`update_weight`.  Pairs are applied in sorted order so the store
-    state is deterministic.
+    state is deterministic.  A page enters the store with its first label.
     """
+    pairs = sorted(m_c)
+    if not pairs:
+        return
     labels = store.page(page_id)
-    for p, m, q, n in sorted(m_c):
+    for p, m, q, n in pairs:
         char = result.lines[p - 1].chars[m - 1]
         existing = labels.get((q, n))
         if existing is None:

@@ -177,12 +177,14 @@ def run_stage(
                 transcripts = result.transcripts()
                 m_l = match_lines(transcripts, page.annotation.lines, config.th_ar)
                 m_c, m_ce = match_chars(m_l)
-                labels = store.page(page.page_id)
-                m_c_kept = spatial_filter(m_c, result, labels, page.shape, config.th_iou)
+                m_c_kept = spatial_filter(
+                    m_c, result, store.labels(page.page_id), page.shape, config.th_iou
+                )
                 n_ml += len(m_l)
                 n_mc += len(m_c)
                 n_filtered += len(m_c) - len(m_c_kept)
                 update(store, page.page_id, m_c_kept, result, config.epsilon)
+                labels = store.labels(page.page_id)
             else:
                 # Synthetic treatment: full ground truth stands in for the
                 # store; all result characters supply presence negatives.

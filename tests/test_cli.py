@@ -517,6 +517,11 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, fi
      "error: no results in results.jsonl\n"),
     ({"results.jsonl": _jsonl(_RESULT)}, ["viz", "--results", "results.jsonl", "--page", "zz"],
      "error: page 'zz' not in results.jsonl\n"),
+    ({"results.jsonl": _jsonl({**_RESULT, "page_id": "a"}, {**_RESULT, "page_id": "b"})},
+     ["viz", "--results", "results.jsonl", "--page", ""],
+     "error: page '' not in results.jsonl\n"),
+    ({"md/x.pgnm": "hello"}, ["decode", "--maps-dir", "md"],
+     "error: md/x.pgnm: header: not a prediction-map file\n"),
     ({}, ["decode", "--maps-dir", "."], "error: --maps-dir . holds no map files\n"),
     ({}, ["decode", "--maps"], "error: --maps names no map files\n"),
     ({}, ["decode"], "error: decode needs --maps or --maps-dir\n"),
@@ -524,11 +529,13 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, fi
         "annotation-box-h-negative", "store-row-h-0", "annotation-empty-line",
         "annotation-no-box-lines", "annotation-extra-box", "map-n-cls-0", "map-grid-w-0",
         "chars-per-line-3-items", "eval-no-annotations", "viz-no-results", "viz-unknown-page",
-        "decode-empty-maps-dir", "decode-maps-without-files", "decode-no-maps-flag"])
+        "viz-empty-page-id", "decode-not-a-map-file", "decode-empty-maps-dir",
+        "decode-maps-without-files", "decode-no-maps-flag"])
 def test_eval_range_errors_name_the_flag_or_the_row(tmp_path, monkeypatch, capsys, files, argv,
                                                     message):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(text)
     assert main(argv) == 2
     assert capsys.readouterr().err == message

@@ -755,7 +755,7 @@ def _load_maps_reference(path):
     elif raw.lstrip()[:1] == b"{":
         shape, n_cls, tensors = _load_json(raw)
     else:
-        raise MapFormatError(f"header: not a prediction-map file ({path})")
+        raise MapFormatError("header: not a prediction-map file")
     maps = PredictionMaps(shape=shape, n_cls=n_cls, **tensors)
     _validate_reference(maps)
     return maps

@@ -98,6 +98,19 @@ def test_initialize_updates_store_without_losses():
     assert store.n_labels() > 0
 
 
+@pytest.mark.parametrize("th_ar", [0.99, 0.3])
+def test_store_lists_the_pages_its_saved_copy_holds(tmp_path, th_ar):
+    # At th_ar 0.99 the swapped classes leave no line matched, so no page
+    # gets a label and none may be listed.
+    store = PseudoLabelStore()
+    noise = OracleNoise(label_swap_p=0.9)
+    run_stage(_pages(n=3), store, StageConfig(stage="initialize", noise=noise, th_ar=th_ar,
+                                              real_prob=1.0, seed=3))
+    store.save(tmp_path / "store.jsonl")
+    assert store.page_ids() == PseudoLabelStore.load(tmp_path / "store.jsonl").page_ids()
+    assert (store.n_labels() == 0) == (th_ar == 0.99)
+
+
 def test_pretrain_logs_losses_without_touching_store():
     pages = _pages()
     store = PseudoLabelStore()
