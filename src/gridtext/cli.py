@@ -3,6 +3,12 @@
 Every command is deterministic under fixed seed and inputs and emits
 machine-readable JSON to stdout or ``--out``.  Exit codes: 0 success,
 1 usage error, 2 data/format error, 3 internal invariant violation.
+
+``--out`` names a file for decode, eval and viz, which write to stdout
+without it; the labels file for export-labels, which writes no labels
+without it; the directory synth writes its pages to, which writes no file
+without it; and the directory train-sim writes its run to, the current
+directory without it.  An empty ``--out`` or ``--maps-dir`` is a data error.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import inspect
 import json
 import sys
 import typing
+from itertools import chain
 from pathlib import Path
 
 from .decoder import DecodeConfig, InvariantError, PageResult, decode
@@ -168,24 +175,6 @@ def load_results(path: str | Path) -> dict[str, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _det_page_counts(
-    annot: PageAnnotation | None, doc: dict | None, iou_th: float
-) -> dict[bool, tuple]:
-    """One page's detection (tp, fp, fn), keyed by require_class."""
-    gts = [] if annot is None else [
-        (b, c) for line, boxes in zip(annot.lines, annot.boxes) for c, b in zip(line, boxes)
-    ]
-    if doc is None:  # every ground-truth box is missed
-        return dict.fromkeys((False, True), (0, 0, len(gts)))
-    dets = [
-        (Box(c["x"], c["y"], c["w"], c["h"]), c["cls"], c["score"])
-        for ln in doc["lines"]
-        for c in ln["chars"]
-    ]
-    shape = GridShape(1, 1, doc["img_w"], doc["img_h"])
-    return {rc: det_counts(dets, gts, shape, iou_th, require_class=rc) for rc in (False, True)}
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     if not 0.0 <= args.iou_th <= 1.0:
         raise ValueError(f"--iou-th must be in [0, 1], got {args.iou_th}")
@@ -195,23 +184,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"no annotations in {args.annotations}")
 
     # Every page is matched on its own, for AR* and for detection at its
-    # own image size; error counts and (tp, fp, fn) add up over pages.
+    # own image size; error counts and (tp, fp, fn) add up over pages.  A
+    # page on one side only is matched against an empty one of any size.
     with_boxes = all(a.boxes is not None for a in annots.values())
     errors = ErrorCounts()
-    det_totals = {False: (0, 0, 0), True: (0, 0, 0)}
+    det_totals = {False: [0, 0, 0], True: [0, 0, 0]}  # keyed by require_class
     per_page = []
     for pid in sorted(set(annots) | set(results)):
-        annot, doc = annots.get(pid), results.get(pid)
-        res_lines = [] if doc is None else [
-            [c["cls"] for c in ln["chars"]] for ln in doc["lines"]
-        ]
-        counts = page_counts(res_lines, [] if annot is None else annot.lines)
+        annot = annots.get(pid, PageAnnotation([], []))
+        doc = results.get(pid, {"img_w": 1.0, "img_h": 1.0, "lines": []})
+        counts = page_counts([[c["cls"] for c in ln["chars"]] for ln in doc["lines"]], annot.lines)
         errors.add(counts)
         p_ar, p_cr = counts.rates() if counts.n_total else (None, None)
         per_page.append({"page_id": pid, "ar_star": p_ar, "cr_star": p_cr})
         if with_boxes:
-            for rc, page in _det_page_counts(annot, doc, args.iou_th).items():
-                det_totals[rc] = tuple(a + b for a, b in zip(det_totals[rc], page))
+            chars = [c for ln in doc["lines"] for c in ln["chars"]]
+            dets = [(Box(c["x"], c["y"], c["w"], c["h"]), c["cls"], c["score"]) for c in chars]
+            gts = list(zip(chain(*annot.boxes), chain(*annot.lines)))
+            shape = GridShape(1, 1, doc["img_w"], doc["img_h"])
+            for rc, total in det_totals.items():
+                for k, n in enumerate(det_counts(dets, gts, shape, args.iou_th, require_class=rc)):
+                    total[k] += n
 
     ar, cr = errors.rates()
     report: dict = {
@@ -497,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag in ("--out", "--maps-dir"):  # "" would read as no path given
+            if getattr(args, flag[2:].replace("-", "_"), None) == "":
+                raise ValueError(f"{flag}: empty path")
         return args.func(args)
     except InvariantError as exc:
         sys.stderr.write(f"internal error: {exc}\n")

@@ -351,6 +351,11 @@ def resolve_edges(
     Each committed edge's angle is computed once, when a chain history
     first reads it.  The returned mapping's insertion order is not part of
     its meaning, and no caller reads it in order.
+
+    A chain history walks back along committed edges, of in- and out-degree
+    at most 1, from a source whose own edge is not committed while its
+    contest runs.  A revisit would need a committed cycle through that
+    source, and so its edge: every walk ends.
     """
     grid_to_idx = {n.grid: k for k, n in enumerate(nodes)}
     first: dict[int, int] = {}
@@ -376,16 +381,12 @@ def resolve_edges(
     def chain_angles(s: int) -> list[float]:
         angles: list[float] = []
         cur = s
-        guard = {s}
         while cur in pred:
             p = pred[cur]
             a = angle.get(cur)
             if a is None:
                 a = angle[cur] = _edge_angle(nodes[p], nodes[cur])
             angles.append(a)
-            if p in guard:
-                break
-            guard.add(p)
             cur = p
         return angles
 
@@ -430,9 +431,8 @@ def assemble(
     used: set[int] = set()
     lines: list[Line] = []
     for k in order:
-        if k in used or k in has_incoming:
-            continue
-        if sol[k] <= config.sol_eol_threshold:
+        # Before its turn a node joins a line only as an edge's target.
+        if k in has_incoming or sol[k] <= config.sol_eol_threshold:
             continue
         chain = [k]
         used.add(k)

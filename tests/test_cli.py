@@ -4,8 +4,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -15,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridtext import synth
+from gridtext import metrics, synth
 from gridtext.cli import _from_doc, _read_config, build_parser, load_results, main, render_page_svg
 from gridtext.decoder import DecodeConfig
+from gridtext.geometry import Box, GridShape
 from gridtext.predictions import OracleNoise
 from gridtext.simloop import StageConfig
 from gridtext.synth import Layout, PageConfig
@@ -188,6 +192,16 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_module_entry_point_exits_with_mains_code():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridtext.cli", "synth", "--pages", "0"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: pages must be >= 1, got 0\n"
+
+
 def test_decode_deterministic_output(tmp_path, capsys):
     data = tmp_path / "d"
     main(["synth", "--pages", "1", "--seed", "3", "--lines", "2", "--chars", "5",
@@ -289,6 +303,92 @@ def test_eval_uses_each_pages_image_size(tmp_path, capsys):
     assert main(["eval", "--results", str(results), "--annotations", str(annots)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["det_cls"] == {"p": 1.0, "r": 1.0, "f": 1.0}
+
+
+_EVAL_PAGE_IDS = ("a", "b", "c", "d")
+_EVAL_XY = st.sampled_from([8.0, 12.0, 16.0, 40.0])
+_EVAL_WH = st.sampled_from([0.05, 0.1, 0.25])
+_EVAL_CLS = st.integers(1, 3)
+
+
+@st.composite
+def _eval_inputs(draw):
+    """Result and annotation rows of pages on either side or both, and
+    whether the annotations carry boxes.  Result lines may be empty."""
+    sides = draw(st.lists(st.sampled_from(["results", "annots", "both"]),
+                          max_size=len(_EVAL_PAGE_IDS)))
+    boxed = draw(st.booleans())
+    results, annots = [], []
+    for pid, side in zip(_EVAL_PAGE_IDS, sides):
+        if side != "annots":
+            size = draw(st.sampled_from([64, 128]))
+            char = st.fixed_dictionaries({
+                "x": _EVAL_XY, "y": _EVAL_XY, "w": _EVAL_WH, "h": _EVAL_WH, "cls": _EVAL_CLS,
+                "score": st.sampled_from([0.25, 0.5, 0.9]),
+            })
+            lines = draw(st.lists(st.lists(char, max_size=4), max_size=3))
+            results.append({"page_id": pid, "img_w": size, "img_h": size,
+                            "lines": [{"chars": chars} for chars in lines]})
+        if side != "results":
+            lines = draw(st.lists(st.lists(st.tuples(_EVAL_CLS, _EVAL_XY, _EVAL_XY, _EVAL_WH),
+                                           min_size=1, max_size=4), max_size=3))
+            row = {"page_id": pid, "lines": [[c for c, *_ in line] for line in lines]}
+            if boxed:
+                row["boxes"] = [[[x, y, wh, wh] for _, x, y, wh in line] for line in lines]
+            annots.append(row)
+    if not any(row["lines"] for row in annots):  # AR* needs a reference character
+        annots.append({"page_id": "z", "lines": [[1]]})
+        if boxed:
+            annots[-1]["boxes"] = [[[8.0, 8.0, 0.1, 0.1]]]
+    return results, annots, boxed
+
+
+@settings(deadline=None, max_examples=150)
+@given(_eval_inputs(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_eval_report_equals_the_metrics_over_its_pages(inputs, iou_th):
+    results, annots, boxed = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        res_path, ann_path = Path(tmp, "results.jsonl"), Path(tmp, "annotations.jsonl")
+        res_path.write_text(_jsonl(*results))
+        ann_path.write_text(_jsonl(*annots))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["eval", "--results", str(res_path), "--annotations", str(ann_path),
+                         "--iou-th", str(iou_th)]) == 0
+    report = json.loads(out.getvalue())
+
+    res_lines = {r["page_id"]: [[c["cls"] for c in ln["chars"]] for ln in r["lines"]]
+                 for r in results}
+    ann_lines = {a["page_id"]: a["lines"] for a in annots}
+    ar, cr, _ = metrics.ar_star(res_lines, ann_lines)
+    assert (report["ar_star"], report["cr_star"]) == (ar, cr)
+
+    per_page, totals = [], {False: [0, 0, 0], True: [0, 0, 0]}
+    rows = {r["page_id"]: r for r in results}
+    for pid in sorted(set(res_lines) | set(ann_lines)):
+        counts = metrics.page_counts(res_lines.get(pid, []), ann_lines.get(pid, []))
+        p_ar, p_cr = counts.rates() if counts.n_total else (None, None)
+        per_page.append({"page_id": pid, "ar_star": p_ar, "cr_star": p_cr})
+        annot = next((a for a in annots if a["page_id"] == pid), {"lines": [], "boxes": []})
+        gts = [(Box(*box), c) for line, boxes in zip(annot["lines"], annot.get("boxes", []))
+               for c, box in zip(line, boxes)]
+        for rc, total in totals.items():
+            if pid in rows:
+                row = rows[pid]
+                dets = [(Box(c["x"], c["y"], c["w"], c["h"]), c["cls"], c["score"])
+                        for ln in row["lines"] for c in ln["chars"]]
+                shape = GridShape(1, 1, row["img_w"], row["img_h"])
+                page = metrics.det_counts(dets, gts, shape, iou_th, require_class=rc)
+            else:  # every ground-truth box is missed
+                page = (0, 0, len(gts))
+            total[:] = [a + b for a, b in zip(total, page)]
+    assert report["per_page"] == per_page
+    if boxed:
+        for key, rc in (("det_only", False), ("det_cls", True)):
+            p, r, f = metrics.prf(*totals[rc])
+            assert report[key] == {"p": p, "r": r, "f": f}
+    else:
+        assert "det_only" not in report and "det_cls" not in report
 
 
 def _jsonl(*rows) -> str:
@@ -629,6 +729,34 @@ def test_unreadable_input_errors_name_the_file(tmp_path, monkeypatch, capsys, fi
         (tmp_path / name).write_bytes(raw)
     assert main(argv) == 2
     assert capsys.readouterr().err == message
+
+
+# Inputs on which each command below runs.
+_RUNNABLE = {
+    "config.json": json.dumps(_DATASET), "store.jsonl": _jsonl(_LABEL),
+    "results.jsonl": _jsonl(_RESULT), "annotations.jsonl": _jsonl(_ANNOT), "maps/pg.json": _MAP,
+}
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["synth", "--pages", "1", "--lines", "1", "--chars", "2", "--out"], "out"),
+    (["decode", "--maps-dir", "maps", "--out"], "out.jsonl"),
+    ([*_EVAL, "--out"], "out.json"),
+    (_TRAIN_SIM[:-1], "out"),
+    ([*_EXPORT, "--out"], "out.jsonl"),
+    (["viz", "--results", "results.jsonl", "--out"], "out.svg"),
+    (["decode", "--maps-dir"], "maps"),
+], ids=["synth", "decode", "eval", "train-sim", "export-labels", "viz", "decode-maps-dir"])
+def test_empty_path_flag_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, path):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _RUNNABLE.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    before = _tree(tmp_path)
+    assert main([*argv, ""]) == 2
+    assert capsys.readouterr() == ("", f"error: {argv[-1]}: empty path\n")
+    assert _tree(tmp_path) == before
+    assert main([*argv, path]) == 0  # the same command runs once the flag names a path
 
 
 def _subparser(command: str) -> argparse.ArgumentParser:

@@ -927,8 +927,26 @@ def _edge_problems(draw):
     return nodes, traces
 
 
+def _edge_problem(grids, targets):
+    """Nodes at ``grids``, each 10 px per grid step, and one trace each:
+    reaching node ``targets[k]``, or dead where it is None."""
+    nodes = [_node(g, 10.0 * g[0] + 0.5 * g[1], 10.0 * g[1], score=0.5) for g in grids]
+    traces = [_dead(g) if t is None else _reached(g, grids[t]) for g, t in zip(grids, targets)]
+    return nodes, traces
+
+
 @settings(deadline=None, max_examples=300)
 @given(_edge_problems())
+# Three uncontested traces that commit a cycle (0 -> 1 -> 2 -> 0), beside a
+# target (6) contested by two sources with chain history (3 -> 4, 7 -> 5)
+# and one without (8).
+@example(_edge_problem(
+    [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (4, 3), (1, 3), (2, 3)],
+    [1, 2, 0, 4, 6, 6, None, 5, 6],
+))
+# A trace that targets its own node's grid: uncontested (3), and contested
+# (0) by a source with chain history (2 -> 1).
+@example(_edge_problem([(1, 1), (2, 1), (3, 1), (4, 4)], [0, 0, 1, 3]))
 def test_resolve_edges_matches_reference(problem):
     nodes, traces = problem
     assert resolve_edges(nodes, traces) == _resolve_edges_reference(nodes, traces)

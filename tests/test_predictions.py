@@ -123,6 +123,17 @@ def test_grid_collision_raises():
             oracle_predict(page, OracleNoise())
 
 
+def test_size_noise_that_shrinks_a_box_to_nothing_raises():
+    # A box 5e-324 wide, the least positive float, is 0 wide once the size
+    # noise scales it by a factor of one half or less.
+    page = _hand_page([(i, 2) for i in range(1, 9)])
+    for line in page.annotation.boxes:
+        for box in line:
+            box.w = 5e-324
+    with pytest.raises(ValueError, match="box extent must be > 0"):
+        oracle_predict(page, OracleNoise(size_sigma=1.0, seed=0))
+
+
 # The staircase (2,2)->(5,4) runs right through (4,2); the later line's
 # (4,1)->(4,3) runs down through it, and its row wins.
 _CROSSING_PAGE = _hand_page([(2, 2), (5, 4)], [(4, 1), (4, 3)])
